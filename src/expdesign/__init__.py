@@ -43,7 +43,6 @@ from .harness import (
 )
 from .memory import (
     CandidateMemory,
-    CenterAllocation,
     center_quotas,
     distance,
     embedding_distances,

@@ -8,7 +8,7 @@ across rounds are disjoint by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .feedback import Feedback
 from .memory import CandidateMemory, embedding_distances
 from .pool import CandidatePool
 from .prompts import (
-    DOMAIN_MOLECULES,
     PromptSpec,
     VARIANT_BDA,
     VARIANT_LLMNN,
@@ -28,6 +27,9 @@ from .prompts import (
 )
 from .surrogates import GaussianProcess, LinUcb, median_heuristic, select_top_b
 
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
+
 AGENT_RANDOM = "random"
 AGENT_CORESET = "coreset"
 AGENT_LINUCB = "linucb"
@@ -36,32 +38,18 @@ AGENT_BDA = "bda"
 AGENT_LLMNN = "llmnn"
 AGENT_LLMNN_NOEXP = "llmnn-noexp"
 AGENT_RANDOM_CENTROIDS = "random-centroids"
-AGENT_KINDS = (
-    AGENT_RANDOM,
-    AGENT_CORESET,
-    AGENT_LINUCB,
-    AGENT_GP,
-    AGENT_BDA,
-    AGENT_LLMNN,
-    AGENT_LLMNN_NOEXP,
-    AGENT_RANDOM_CENTROIDS,
-)
-LLM_AGENT_KINDS = (AGENT_BDA, AGENT_LLMNN, AGENT_LLMNN_NOEXP)
 
 TraceFn = Callable[[dict], None]
 
 
-def coreset_select(
-    memory: CandidateMemory, batch_size: int, rng: np.random.Generator | None = None
-) -> list[str]:
+def coreset_select(memory: CandidateMemory, batch_size: int) -> list[str]:
     """Greedy farthest-point batch construction (pure diversity).
 
     The covering set starts as everything already explored; with nothing
     explored, the lowest-index unexplored candidate seeds the cover and the
     selection. Each step picks the unexplored candidate farthest from the
     cover (max-min distance, ties to the lower index). Selections are marked
-    explored. ``rng`` is accepted for interface symmetry but unused: the
-    procedure is deterministic.
+    explored. The procedure is deterministic.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
@@ -95,10 +83,46 @@ def coreset_select(
     return names
 
 
+def _take_random(memory: CandidateMemory, k: int, rng: np.random.Generator) -> list[str]:
+    """Up to k uniform-random unexplored candidates, marked explored.
+
+    One ``rng.permutation`` over the unexplored indices, which draws nothing
+    when none are left.
+    """
+    avail = np.flatnonzero(~memory.explored_mask)
+    chosen = [memory.pool.names[i] for i in avail[rng.permutation(avail.size)[:k]]]
+    memory.mark_explored(chosen)
+    return chosen
+
+
+def _observations(
+    pool: CandidatePool, feedback: Feedback | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding rows and scores of the records handed in, in record order."""
+    records = () if feedback is None else feedback.records
+    rows = pool.embeddings.matrix[[pool.index_of(r.name) for r in records]]
+    return rows, np.array([r.score for r in records], dtype=np.float64)
+
+
 class Agent:
-    """One selection policy driving one run."""
+    """One selection policy driving one run.
+
+    Built from the experiment config, the pool, the LLM backend (``None``
+    for classical kinds) and the trace sink. ``select`` is a function of the
+    explored state, the feedback it is handed and the generator: no agent
+    carries observations from one round to the next.
+    """
 
     kind: str = ""
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        pool: CandidatePool,
+        backend: LlmBackend | None,
+        trace: TraceFn | None,
+    ):
+        self.batch_size = config.batch_size
 
     def select(
         self,
@@ -113,109 +137,72 @@ class Agent:
 class RandomAgent(Agent):
     kind = AGENT_RANDOM
 
-    def __init__(self, batch_size: int):
-        self.batch_size = batch_size
-
     def select(self, round_num, memory, feedback, rng):
-        avail = memory.unexplored_names()
-        take = min(self.batch_size, len(avail))
-        chosen = [avail[i] for i in rng.permutation(len(avail))[:take]]
-        memory.mark_explored(chosen)
-        return chosen
+        return _take_random(memory, self.batch_size, rng)
 
 
 class CoresetAgent(Agent):
     kind = AGENT_CORESET
 
-    def __init__(self, batch_size: int):
-        self.batch_size = batch_size
-
     def select(self, round_num, memory, feedback, rng):
-        return coreset_select(memory, self.batch_size, rng)
+        return coreset_select(memory, self.batch_size)
 
 
 class LinUcbAgent(Agent):
     """Scores every unexplored candidate with the linear-UCB surrogate.
 
-    Observed targets are z-scored over the full history before fitting
-    (raw measurement scales are rarely centered, and an intercept-free
-    linear model absorbs any offset into a spurious direction), so the
-    bandit is refit from the accumulated history each round.
+    The bandit is refit each round from the records it is handed. Observed
+    targets are z-scored over that history first (raw measurement scales are
+    rarely centered, and an intercept-free linear model absorbs any offset
+    into a spurious direction).
     """
 
     kind = AGENT_LINUCB
 
-    def __init__(
-        self,
-        batch_size: int,
-        pool: CandidatePool,
-        ridge: float = 1.0,
-        alpha: float = 1.0,
-        standardize: bool = True,
-    ):
-        self.batch_size = batch_size
-        self.standardize = standardize
-        self.model = LinUcb(pool.embeddings.dim, ridge=ridge, alpha=alpha)
-        self._X: list[np.ndarray] = []
-        self._y: list[float] = []
-        self._consumed = 0
-
-    def select(self, round_num, memory, feedback, rng):
-        pool = memory.pool
-        if feedback is not None:
-            for record in feedback.records[self._consumed :]:
-                self._X.append(pool.embeddings.vector(record.name))
-                self._y.append(record.score)
-            self._consumed = len(feedback.records)
-        if self._X:
-            y = np.asarray(self._y)
-            if self.standardize:
-                sd = float(y.std())
-                y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
-            self.model.fit_batch(np.stack(self._X), y)
-        avail = np.flatnonzero(~memory.explored_mask)
-        scores = self.model.score_many(pool.embeddings.matrix[avail])
-        by_name = {pool.names[i]: float(s) for i, s in zip(avail, scores)}
-        return select_top_b(by_name, memory, self.batch_size)
-
-
-class GpAgent(Agent):
-    """Refits a GP on the full history each round and takes the top UCB batch."""
-
-    kind = AGENT_GP
-
-    def __init__(
-        self,
-        batch_size: int,
-        pool: CandidatePool,
-        beta: float = 2.0,
-        length_scale: float | None = None,
-        signal_var: float | None = None,
-        noise_var: float | None = None,
-        standardize: bool = True,
-        subsample: int = 512,
-    ):
-        self.batch_size = batch_size
-        if length_scale is None:
-            length_scale = median_heuristic(pool.embeddings.matrix, subsample)
-        self.model = GaussianProcess(
-            length_scale=length_scale,
-            signal_var=signal_var,
-            noise_var=noise_var,
-            beta=beta,
-            standardize=standardize,
+    def __init__(self, config, pool, backend, trace):
+        super().__init__(config, pool, backend, trace)
+        self.standardize = config.linucb_standardize
+        self.model = LinUcb(
+            pool.embeddings.dim, ridge=config.linucb_ridge, alpha=config.linucb_alpha
         )
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
-        if feedback is not None and len(feedback) > 0:
-            X = np.stack([pool.embeddings.vector(r.name) for r in feedback.records])
-            y = [r.score for r in feedback.records]
-            self.model.fit(X, y)
+        X, y = _observations(pool, feedback)
+        if self.standardize and y.size:
+            sd = float(y.std())
+            y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
+        self.model.fit_batch(X, y)
+        avail = np.flatnonzero(~memory.explored_mask)
+        scores = self.model.score_many(pool.embeddings.matrix[avail])
+        return select_top_b(avail, scores, memory, self.batch_size)
+
+
+class GpAgent(Agent):
+    """Refits a GP on the records it is handed each round and takes the top
+    UCB batch."""
+
+    kind = AGENT_GP
+
+    def __init__(self, config, pool, backend, trace):
+        super().__init__(config, pool, backend, trace)
+        length_scale = config.gp_length_scale
+        if length_scale is None:
+            length_scale = median_heuristic(pool.embeddings.matrix, config.gp_subsample)
+        self.model = GaussianProcess(
+            length_scale=length_scale,
+            signal_var=config.gp_signal_var,
+            noise_var=config.gp_noise_var,
+            beta=config.gp_beta,
+            standardize=config.gp_standardize,
+        )
+
+    def select(self, round_num, memory, feedback, rng):
+        pool = memory.pool
+        self.model.fit(*_observations(pool, feedback))
         avail = np.flatnonzero(~memory.explored_mask)
         acq = self.model.acquisition(pool.embeddings.matrix[avail])
-        by_name = {pool.names[i]: float(s) for i, s in zip(avail, acq)}
-        return select_top_b(by_name, memory, self.batch_size)
+        return select_top_b(avail, acq, memory, self.batch_size)
 
 
 class RandomCentroidsAgent(Agent):
@@ -223,9 +210,9 @@ class RandomCentroidsAgent(Agent):
 
     kind = AGENT_RANDOM_CENTROIDS
 
-    def __init__(self, batch_size: int, num_centers: int):
-        self.batch_size = batch_size
-        self.num_centers = num_centers
+    def __init__(self, config, pool, backend, trace):
+        super().__init__(config, pool, backend, trace)
+        self.num_centers = config.num_centers
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
@@ -249,48 +236,39 @@ def _dedupe(names: Sequence[str]) -> list[str]:
 
 
 class _LlmAgentBase(Agent):
-    def __init__(
-        self,
-        batch_size: int,
-        num_centers: int,
-        domain: str,
-        func_desc: str,
-        backend: LlmBackend,
-        score_desc: str | None = None,
-        candidate_space_info: str | None = None,
-        retry_policy: RetryPolicy | None = None,
-        sampling: SamplingParams | None = None,
-        num_rounds: int = 5,
-        trace: TraceFn | None = None,
-    ):
-        self.batch_size = batch_size
-        self.num_centers = num_centers
-        self.domain = domain
-        self.func_desc = func_desc
-        self.score_desc = score_desc
-        self.candidate_space_info = candidate_space_info
+    """Prompt descriptors, sampling and retry settings, all from the config."""
+
+    variant: str = ""
+
+    def __init__(self, config, pool, backend, trace):
+        super().__init__(config, pool, backend, trace)
+        if backend is None:
+            raise ConfigError(f"agent {self.kind!r} needs an LLM backend")
+        self.descriptors = config.descriptor_args()
+        if self.descriptors["domain"] is None or self.descriptors["func_desc"] is None:
+            raise ConfigError(f"agent {self.kind!r} needs a domain and task descriptors")
+        self.num_centers = config.num_centers
+        self.num_rounds = config.rounds
         self.backend = backend
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.sampling = sampling or SamplingParams()
-        self.num_rounds = num_rounds
+        self.retry_policy = RetryPolicy(max_attempts=config.llm_max_attempts)
+        self.sampling = SamplingParams(
+            temperature=config.llm_temperature, max_tokens=config.llm_max_tokens
+        )
         self._trace = trace
 
     def trace(self, event: dict) -> None:
         if self._trace is not None:
             self._trace(event)
 
-    def _spec(self, round_num: int, feedback: Feedback | None, variant: str) -> PromptSpec:
+    def _spec(self, round_num: int, feedback: Feedback | None) -> PromptSpec:
         return PromptSpec(
-            domain=self.domain,
-            variant=variant,
+            variant=self.variant,
             round_num=round_num,
             batch_len=self.batch_size,
             num_centers=self.num_centers,
-            func_desc=self.func_desc,
-            score_desc=self.score_desc,
-            candidate_space_info=self.candidate_space_info,
             feedback=feedback,
             num_rounds=self.num_rounds,
+            **self.descriptors,
         )
 
     def _ask(self, spec: PromptSpec, expected: int, round_num: int) -> list[str]:
@@ -318,51 +296,43 @@ class _LlmAgentBase(Agent):
         )
         return _dedupe(parsed.solution)
 
+    def _random_top_up(
+        self, memory: CandidateMemory, shortfall: int, rng: np.random.Generator,
+        round_num: int,
+    ) -> list[str]:
+        if shortfall <= 0:
+            return []
+        chosen = _take_random(memory, shortfall, rng)
+        if chosen:
+            self.trace({"event": "random_top_up", "round": round_num, "names": chosen})
+        return chosen
+
 
 class LlmnnAgent(_LlmAgentBase):
     """LLM proposes cluster centers; the memory expands each center over its
     nearest unexplored neighbors under an equal per-center budget.
 
-    Proposed names are mapped to embeddings by exact pool lookup. A molecule
-    name absent from the pool goes through ``embed_hook`` when one is
-    supplied (the proposal is a novel SMILES string); otherwise the center is
-    replaced by a uniform-random unexplored candidate and logged. Explored
-    names are fine as centers: the expansion only ever returns unexplored
-    neighbors.
+    Proposed names are mapped to embeddings by exact pool lookup. A name
+    absent from the pool is replaced by a uniform-random unexplored candidate
+    and logged. Explored names are fine as centers: the expansion only ever
+    returns unexplored neighbors.
     """
 
-    def __init__(self, *args, variant: str = VARIANT_LLMNN,
-                 embed_hook: Callable[[str], np.ndarray] | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        if variant not in (VARIANT_LLMNN, VARIANT_LLMNN_NOEXP):
-            raise ConfigError(f"bad LLMNN variant {variant!r}")
-        self.variant = variant
-        self.kind = AGENT_LLMNN if variant == VARIANT_LLMNN else AGENT_LLMNN_NOEXP
-        self.embed_hook = embed_hook
+    kind = AGENT_LLMNN
+    variant = VARIANT_LLMNN
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
-        proposed = self._ask(self._spec(round_num, feedback, self.variant),
-                             self.num_centers, round_num)
+        proposed = self._ask(self._spec(round_num, feedback), self.num_centers, round_num)
         centers: list[np.ndarray] = []
         for name in proposed:
             if name in pool:
                 centers.append(pool.embeddings.vector(name))
                 continue
-            if self.embed_hook is not None and self.domain == DOMAIN_MOLECULES:
-                vec = np.asarray(self.embed_hook(name), dtype=np.float64)
-                if vec.shape != (pool.embeddings.dim,):
-                    raise ConfigError(
-                        f"embed hook returned shape {vec.shape}, "
-                        f"pool dim is {pool.embeddings.dim}"
-                    )
-                centers.append(vec)
-                self.trace({"event": "embedded_novel", "round": round_num, "name": name})
+            avail = np.flatnonzero(~memory.explored_mask)
+            if avail.size == 0:
                 continue
-            avail = memory.unexplored_names()
-            if not avail:
-                continue
-            replacement = avail[int(rng.integers(len(avail)))]
+            replacement = pool.names[avail[int(rng.integers(avail.size))]]
             centers.append(pool.embeddings.vector(replacement))
             self.trace(
                 {
@@ -375,29 +345,39 @@ class LlmnnAgent(_LlmAgentBase):
         if not centers:
             return []
         batch = memory.allocate_batch(centers, self.batch_size)
-        batch.extend(_random_top_up(memory, self.batch_size - len(batch), rng,
-                                    self.trace, round_num))
+        batch.extend(
+            self._random_top_up(memory, self.batch_size - len(batch), rng, round_num)
+        )
         self.trace({"event": "selection", "round": round_num, "names": list(batch)})
         return batch
+
+
+class LlmnnNoexpAgent(LlmnnAgent):
+    """``llmnn`` with a solution-only response format."""
+
+    kind = AGENT_LLMNN_NOEXP
+    variant = VARIANT_LLMNN_NOEXP
 
 
 class BdaAgent(_LlmAgentBase):
     """LLM names the full batch directly; invalid names trigger re-prompts.
 
     Names outside the pool, already explored, or duplicated are rejected.
-    After the re-prompt budget is spent, the remaining slots are filled with
-    uniform-random unexplored candidates. Everything is logged.
+    After the re-prompt budget (``bda_retries``) is spent, the remaining
+    slots are filled with uniform-random unexplored candidates. Everything
+    is logged.
     """
 
     kind = AGENT_BDA
+    variant = VARIANT_BDA
 
-    def __init__(self, *args, max_replacement_prompts: int = 5, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.max_replacement_prompts = max_replacement_prompts
+    def __init__(self, config, pool, backend, trace):
+        super().__init__(config, pool, backend, trace)
+        self.max_replacement_prompts = config.bda_retries
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
-        spec = self._spec(round_num, feedback, VARIANT_BDA)
+        spec = self._spec(round_num, feedback)
         want = min(self.batch_size, memory.num_unexplored)
         kept: list[str] = []
         kept_set: set[str] = set()
@@ -422,103 +402,37 @@ class BdaAgent(_LlmAgentBase):
                 kept.append(name)
                 kept_set.add(name)
         memory.mark_explored(kept)
-        kept.extend(_random_top_up(memory, want - len(kept), rng, self.trace, round_num))
+        kept.extend(self._random_top_up(memory, want - len(kept), rng, round_num))
         self.trace({"event": "selection", "round": round_num, "names": list(kept)})
         return kept
 
 
-def _random_top_up(
-    memory: CandidateMemory,
-    shortfall: int,
-    rng: np.random.Generator,
-    trace: TraceFn,
-    round_num: int,
-) -> list[str]:
-    if shortfall <= 0:
-        return []
-    avail = memory.unexplored_names()
-    take = min(shortfall, len(avail))
-    if take == 0:
-        return []
-    chosen = [avail[i] for i in rng.permutation(len(avail))[:take]]
-    memory.mark_explored(chosen)
-    trace({"event": "random_top_up", "round": round_num, "names": chosen})
-    return chosen
+AGENTS: dict[str, type[Agent]] = {
+    cls.kind: cls
+    for cls in (
+        RandomAgent,
+        CoresetAgent,
+        LinUcbAgent,
+        GpAgent,
+        BdaAgent,
+        LlmnnAgent,
+        LlmnnNoexpAgent,
+        RandomCentroidsAgent,
+    )
+}
+AGENT_KINDS = tuple(AGENTS)
+LLM_AGENT_KINDS = tuple(k for k, cls in AGENTS.items() if issubclass(cls, _LlmAgentBase))
 
 
 def make_agent(
-    kind: str,
+    config: ExperimentConfig,
     pool: CandidatePool,
-    *,
-    batch_size: int,
-    num_centers: int = 5,
-    domain: str | None = None,
-    func_desc: str | None = None,
-    score_desc: str | None = None,
-    candidate_space_info: str | None = None,
     backend: LlmBackend | None = None,
-    retry_policy: RetryPolicy | None = None,
-    sampling: SamplingParams | None = None,
-    num_rounds: int = 5,
-    linucb_ridge: float = 1.0,
-    linucb_alpha: float = 1.0,
-    linucb_standardize: bool = True,
-    gp_beta: float = 2.0,
-    gp_length_scale: float | None = None,
-    gp_signal_var: float | None = None,
-    gp_noise_var: float | None = None,
-    gp_standardize: bool = True,
-    gp_subsample: int = 512,
-    bda_max_replacement_prompts: int = 5,
-    embed_hook: Callable[[str], np.ndarray] | None = None,
     trace: TraceFn | None = None,
 ) -> Agent:
-    """Construct the agent for one run."""
-    if kind == AGENT_RANDOM:
-        return RandomAgent(batch_size)
-    if kind == AGENT_CORESET:
-        return CoresetAgent(batch_size)
-    if kind == AGENT_LINUCB:
-        return LinUcbAgent(
-            batch_size,
-            pool,
-            ridge=linucb_ridge,
-            alpha=linucb_alpha,
-            standardize=linucb_standardize,
-        )
-    if kind == AGENT_GP:
-        return GpAgent(
-            batch_size,
-            pool,
-            beta=gp_beta,
-            length_scale=gp_length_scale,
-            signal_var=gp_signal_var,
-            noise_var=gp_noise_var,
-            standardize=gp_standardize,
-            subsample=gp_subsample,
-        )
-    if kind == AGENT_RANDOM_CENTROIDS:
-        return RandomCentroidsAgent(batch_size, num_centers)
-    if kind in LLM_AGENT_KINDS:
-        if backend is None:
-            raise ConfigError(f"agent {kind!r} needs an LLM backend")
-        if domain is None or func_desc is None:
-            raise ConfigError(f"agent {kind!r} needs a domain and task descriptors")
-        common = dict(
-            batch_size=batch_size,
-            num_centers=num_centers,
-            domain=domain,
-            func_desc=func_desc,
-            score_desc=score_desc,
-            candidate_space_info=candidate_space_info,
-            backend=backend,
-            retry_policy=retry_policy,
-            sampling=sampling,
-            num_rounds=num_rounds,
-            trace=trace,
-        )
-        if kind == AGENT_BDA:
-            return BdaAgent(max_replacement_prompts=bda_max_replacement_prompts, **common)
-        variant = VARIANT_LLMNN if kind == AGENT_LLMNN else VARIANT_LLMNN_NOEXP
-        return LlmnnAgent(variant=variant, embed_hook=embed_hook, **common)
-    raise ConfigError(f"unknown agent kind {kind!r}")
+    """Construct the agent of kind ``config.agent`` for one run."""
+    try:
+        cls = AGENTS[config.agent]
+    except KeyError:
+        raise ConfigError(f"unknown agent kind {config.agent!r}") from None
+    return cls(config, pool, backend, trace)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -28,10 +27,6 @@ class Feedback:
         if len(set(names)) != len(names):
             raise ValueError("feedback records must have unique names")
 
-    @classmethod
-    def of(cls, records: Iterable[FeedbackRecord]) -> "Feedback":
-        return cls(tuple(records))
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -49,20 +44,14 @@ def randomize_feedback(
     level1: bool,
     level2: bool,
     rng: np.random.Generator,
-    *,
-    level2_mode: str = "permute",
 ) -> Feedback:
     """Break the name-outcome pairing while keeping marginals fixed.
 
     Level 1 permutes the measurement values among all records (score multiset
     preserved); level 2 permutes the hit labels among all records (hit count
     preserved). Permutations come from ``rng.permutation`` (Fisher-Yates), so
-    replays are exact for a fixed seed. ``level2_mode="flip"`` instead
-    resamples each label independently at the observed hit rate, which keeps
-    only the expected count.
+    replays are exact for a fixed seed.
     """
-    if level2_mode not in ("permute", "flip"):
-        raise ValueError(f"unknown level2 mode {level2_mode!r}")
     n = len(feedback)
     if n == 0:
         return feedback
@@ -71,11 +60,7 @@ def randomize_feedback(
     if level1:
         scores = [scores[i] for i in rng.permutation(n)]
     if level2:
-        if level2_mode == "permute":
-            hits = [hits[i] for i in rng.permutation(n)]
-        else:
-            rate = sum(hits) / n
-            hits = [bool(rng.random() < rate) for _ in range(n)]
+        hits = [hits[i] for i in rng.permutation(n)]
     return Feedback(
         tuple(
             FeedbackRecord(r.name, s, h)

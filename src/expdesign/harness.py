@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
+import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,13 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .agents import AGENT_KINDS, LLM_AGENT_KINDS, make_agent
-from .backends import (
-    HttpBackend,
-    LlmBackend,
-    RetryPolicy,
-    SamplingParams,
-    ScriptedBackend,
-)
+from .backends import HttpBackend, LlmBackend, ScriptedBackend
 from .errors import BackendError, ConfigError
 from .feedback import Feedback, FeedbackRecord, randomize_feedback
 from .memory import CandidateMemory
@@ -115,16 +110,13 @@ class ExperimentConfig:
         unknown = sorted(set(flat) - fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        for key in ("element_filter",):
-            if flat.get(key) is not None:
-                flat[key] = tuple(flat[key])
-        for key in ("score_range",):
-            if flat.get(key) is not None:
-                pair = flat[key]
-                if len(pair) != 2:
-                    raise ConfigError("score_range must be a [low, high] pair")
-                flat[key] = (float(pair[0]), float(pair[1]))
-        return cls(**flat)
+        hints = typing.get_type_hints(cls)
+        typed = {}
+        for key, value in flat.items():
+            head, _, tail = key.partition("_")
+            label = f"{head}.{tail}" if head in cls._NESTED else key
+            typed[key] = _typed(label, hints[key], value)
+        return cls(**typed)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -225,7 +217,36 @@ class ExperimentConfig:
             raise ConfigError(
                 f"agent {self.agent!r} needs llm.fixtures or llm.endpoint"
             )
-        return HttpBackend(self.llm_endpoint, self.llm_model or "")
+        if not self.llm_model:
+            raise ConfigError("llm.endpoint needs llm.model")
+        return HttpBackend(self.llm_endpoint, self.llm_model)
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(label: str, hint, value):
+    """``value`` if it fits the config field type ``hint``; else ConfigError.
+
+    JSON ints pass for float fields and bools never pass for numbers. Lists
+    become tuples, with float members converted.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = args[0]
+    if typing.get_origin(hint) is tuple:
+        members = typing.get_args(hint)
+        fixed = Ellipsis not in members
+        if not isinstance(value, (list, tuple)) or (fixed and len(value) != len(members)):
+            size = f" of {len(members)} items" if fixed else ""
+            raise ConfigError(f"config key {label!r} must be a list{size}, got {value!r}")
+        return tuple(members[0](_typed(label, members[0], v)) for v in value)
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"config key {label!r} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -292,30 +313,7 @@ def run_experiment(
         backend = config.make_backend()
     trace = _TraceWriter(trace_path)
     memory = CandidateMemory(pool)
-    agent = make_agent(
-        config.agent,
-        pool,
-        batch_size=config.batch_size,
-        num_centers=config.num_centers,
-        backend=backend,
-        retry_policy=RetryPolicy(max_attempts=config.llm_max_attempts),
-        sampling=SamplingParams(
-            temperature=config.llm_temperature, max_tokens=config.llm_max_tokens
-        ),
-        num_rounds=config.rounds,
-        linucb_ridge=config.linucb_ridge,
-        linucb_alpha=config.linucb_alpha,
-        linucb_standardize=config.linucb_standardize,
-        gp_beta=config.gp_beta,
-        gp_length_scale=config.gp_length_scale,
-        gp_signal_var=config.gp_signal_var,
-        gp_noise_var=config.gp_noise_var,
-        gp_standardize=config.gp_standardize,
-        gp_subsample=config.gp_subsample,
-        bda_max_replacement_prompts=config.bda_retries,
-        trace=trace,
-        **config.descriptor_args(),
-    )
+    agent = make_agent(config, pool, backend, trace)
     rng = np.random.default_rng(seed)
     result = RunResult(seed=seed, trace_path=trace.path)
     records: list[FeedbackRecord] = []

@@ -8,7 +8,6 @@ lets tests compare against an independent naive implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,18 +66,6 @@ def center_quotas(batch_size: int, num_centers: int) -> list[int]:
     return [base + 1] * extra + [base] * (num_centers - extra)
 
 
-@dataclass(frozen=True)
-class CenterAllocation:
-    """Planned per-center budgets for one batch, exposed for inspection."""
-
-    centers: tuple[np.ndarray, ...]
-    quotas: tuple[int, ...]
-
-    @property
-    def budget(self) -> int:
-        return sum(self.quotas)
-
-
 class CandidateMemory:
     """Explored flags over a pool plus exact nearest-unexplored queries.
 
@@ -91,12 +78,7 @@ class CandidateMemory:
         self._explored = np.zeros(len(pool), dtype=bool)
         self._norms: np.ndarray | None = None
         if pool.metric == METRIC_COSINE:
-            norms = np.linalg.norm(pool.embeddings.matrix, axis=1)
-            if np.any(norms == 0.0):
-                raise ValueError(
-                    "cosine metric pool contains a zero embedding vector"
-                )
-            self._norms = norms
+            self._norms = np.linalg.norm(pool.embeddings.matrix, axis=1)
 
     @property
     def pool(self) -> CandidatePool:
@@ -117,9 +99,6 @@ class CandidateMemory:
 
     def is_explored(self, name: str) -> bool:
         return bool(self._explored[self._pool.index_of(name)])
-
-    def explored_names(self) -> list[str]:
-        return [self._pool.names[i] for i in np.flatnonzero(self._explored)]
 
     def unexplored_names(self) -> list[str]:
         return [self._pool.names[i] for i in np.flatnonzero(~self._explored)]
@@ -158,15 +137,6 @@ class CandidateMemory:
         order = np.argsort(dists, kind="stable")[:take]
         return [self._pool.names[i] for i in order]
 
-    def plan_allocation(
-        self, centers: Sequence[Sequence[float]], batch_size: int
-    ) -> CenterAllocation:
-        """Quotas for allocate_batch without performing the selection."""
-        if len(centers) == 0:
-            raise ValueError("centers list is empty")
-        vecs = tuple(self._query_vector(c) for c in centers)
-        return CenterAllocation(vecs, tuple(center_quotas(batch_size, len(vecs))))
-
     def allocate_batch(
         self, centers: Sequence[Sequence[float]], batch_size: int
     ) -> list[str]:
@@ -177,9 +147,11 @@ class CandidateMemory:
         marked explored immediately, so later centers can never reselect it.
         Returns min(batch_size, unexplored) names, duplicate-free.
         """
-        plan = self.plan_allocation(centers, batch_size)
+        if len(centers) == 0:
+            raise ValueError("centers list is empty")
+        vecs = [self._query_vector(c) for c in centers]
         selected: list[str] = []
-        for center, quota in zip(plan.centers, plan.quotas):
+        for center, quota in zip(vecs, center_quotas(batch_size, len(vecs))):
             if quota == 0:
                 continue
             if self.num_unexplored == 0:

@@ -143,6 +143,13 @@ class CandidatePool:
             n not in embeddings for n in self._names
         ):
             raise DatasetError("embeddings do not cover exactly the candidate set")
+        if metric == METRIC_COSINE:
+            zero = np.flatnonzero(np.linalg.norm(embeddings.matrix, axis=1) == 0.0)
+            if zero.size:
+                raise DatasetError(
+                    "cosine metric needs nonzero embeddings; "
+                    f"{self._names[zero[0]]!r} has a zero vector"
+                )
         self._candidates = tuple(candidates)
         self._scores = np.array([c.score for c in candidates], dtype=np.float64)
         self._scores.setflags(write=False)

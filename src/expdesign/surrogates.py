@@ -7,7 +7,7 @@ a plain top-B over the acquisition scores with index tie-breaking.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -36,7 +36,6 @@ class LinUcb:
         self.alpha = float(alpha)
         self.A = ridge * np.eye(dim)
         self.b = np.zeros(dim)
-        self.num_updates = 0
 
     def _check(self, x: Sequence[float]) -> np.ndarray:
         xv = np.asarray(x, dtype=np.float64)
@@ -52,7 +51,6 @@ class LinUcb:
             raise ValueError("response must be finite")
         self.A += np.outer(xv, xv)
         self.b += y * xv
-        self.num_updates += 1
 
     def fit_batch(self, X: np.ndarray, y: Sequence[float]) -> None:
         """Reset and ingest a whole batch; equal to update() row by row."""
@@ -62,7 +60,6 @@ class LinUcb:
             raise ValueError("feature matrix and responses do not line up")
         self.A = self.ridge * np.eye(self.dim) + X.T @ X
         self.b = X.T @ y
-        self.num_updates = X.shape[0]
 
     @property
     def theta(self) -> np.ndarray:
@@ -195,10 +192,6 @@ class GaussianProcess:
         self._X = X
         self._alpha = cho_solve((self._chol, True), z)
 
-    @property
-    def num_observations(self) -> int:
-        return 0 if self._X is None else self._X.shape[0]
-
     def posterior_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a stack of query rows (raw units)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -225,24 +218,18 @@ class GaussianProcess:
 
 
 def select_top_b(
-    scores: Mapping[str, float], memory: CandidateMemory, batch_size: int
+    idx: np.ndarray, scores: np.ndarray, memory: CandidateMemory, batch_size: int
 ) -> list[str]:
-    """The batch_size unexplored candidates with the largest scores.
+    """The batch_size candidates of ``idx`` (pool indices, callers pass the
+    unexplored ones) with the largest matching ``scores``.
 
     Ties break toward the lower pool index. Selected candidates are marked
-    explored. Scores must cover every unexplored candidate.
+    explored and returned by name.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
-    pool = memory.pool
-    avail = np.flatnonzero(~memory.explored_mask)
-    missing = [pool.names[i] for i in avail if pool.names[i] not in scores]
-    if missing:
-        raise ValueError(
-            f"scores missing for {len(missing)} unexplored candidates, "
-            f"e.g. {missing[:3]}"
-        )
-    ranked = sorted(avail, key=lambda i: (-float(scores[pool.names[i]]), i))
-    chosen = [pool.names[i] for i in ranked[:batch_size]]
+    idx = np.asarray(idx)
+    order = np.lexsort((idx, -np.asarray(scores, dtype=np.float64)))
+    chosen = [memory.pool.names[i] for i in idx[order[:batch_size]]]
     memory.mark_explored(chosen)
     return chosen

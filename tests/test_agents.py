@@ -3,19 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from expdesign.agents import (
-    BdaAgent,
-    GpAgent,
-    LinUcbAgent,
-    LlmnnAgent,
-    RandomAgent,
-    RandomCentroidsAgent,
-    coreset_select,
-    make_agent,
-)
+from expdesign.agents import coreset_select, make_agent
 from expdesign.backends import ScriptedBackend
 from expdesign.errors import ConfigError
 from expdesign.feedback import Feedback, FeedbackRecord, randomize_feedback
+from expdesign.harness import ExperimentConfig
 from expdesign.memory import CandidateMemory
 from expdesign.pool import build_pool
 
@@ -45,6 +37,11 @@ def descriptor_kwargs():
         func_desc="regulate the production of Interleukin-2 (IL-2)",
         score_desc="log fold change in Interleukin-2 (IL-2) normalized read counts",
     )
+
+
+def build(kind, pool, backend=None, trace=None, **fields):
+    """The agent make_agent builds from a config with ``fields`` set."""
+    return make_agent(ExperimentConfig(agent=kind, **fields), pool, backend, trace)
 
 
 def make_feedback(pool, names):
@@ -114,14 +111,6 @@ class TestRandomizeFeedback:
         out = randomize_feedback(fb, True, False, np.random.default_rng(seed))
         assert [r.score for r in out.records] == scores
 
-    def test_flip_mode_keeps_names_and_scores(self):
-        fb = self.sample()
-        out = randomize_feedback(
-            fb, False, True, np.random.default_rng(4), level2_mode="flip"
-        )
-        assert [r.name for r in out.records] == [r.name for r in fb.records]
-        assert [r.score for r in out.records] == [r.score for r in fb.records]
-
     def test_empty_feedback_passthrough(self):
         fb = Feedback(())
         assert randomize_feedback(fb, True, True, np.random.default_rng(0)) is fb
@@ -163,7 +152,7 @@ class TestClassicalAgents:
     def test_random_rounds_are_disjoint(self):
         pool = gene_pool()
         memory = CandidateMemory(pool)
-        agent = RandomAgent(batch_size=10)
+        agent = build("random", pool, batch_size=10)
         rng = np.random.default_rng(0)
         seen: set[str] = set()
         for round_num in range(1, 6):
@@ -181,7 +170,7 @@ class TestClassicalAgents:
         scores = emb @ w
         pool = build_pool([f"c{i}" for i in range(n)], scores, emb)
         memory = CandidateMemory(pool)
-        agent = LinUcbAgent(batch_size=20, pool=pool, alpha=0.5)
+        agent = build("linucb", pool, batch_size=20, linucb_alpha=0.5)
         batch1 = agent.select(1, memory, None, rng)
         feedback = make_feedback(pool, batch1)
         batch2 = agent.select(2, memory, feedback, rng)
@@ -192,7 +181,7 @@ class TestClassicalAgents:
     def test_gp_agent_round_one_is_deterministic(self):
         pool = gene_pool()
         memory = CandidateMemory(pool)
-        agent = GpAgent(batch_size=5, pool=pool)
+        agent = build("gp", pool, batch_size=5)
         batch = agent.select(1, memory, None, np.random.default_rng(0))
         # No data: constant acquisition, ties resolve to the first indexes.
         assert batch == list(pool.names[:5])
@@ -205,7 +194,7 @@ class TestClassicalAgents:
         scores = -np.linalg.norm(emb - target, axis=1)
         pool = build_pool([f"c{i}" for i in range(n)], scores, emb)
         memory = CandidateMemory(pool)
-        agent = GpAgent(batch_size=15, pool=pool, beta=1.0)
+        agent = build("gp", pool, batch_size=15, gp_beta=1.0)
         batch1 = agent.select(1, memory, None, rng)
         batch2 = agent.select(2, memory, make_feedback(pool, batch1), rng)
         top = set(np.array(pool.names)[np.argsort(-pool.scores)[:50]])
@@ -214,7 +203,7 @@ class TestClassicalAgents:
     def test_random_centroids_uses_allocation(self):
         pool = gene_pool()
         memory = CandidateMemory(pool)
-        agent = RandomCentroidsAgent(batch_size=10, num_centers=5)
+        agent = build("random-centroids", pool, batch_size=10, num_centers=5)
         batch = agent.select(1, memory, None, np.random.default_rng(1))
         assert len(batch) == 10
         assert len(set(batch)) == 10
@@ -243,15 +232,9 @@ class TestClassicalAgents:
 
 
 class TestLlmnnAgent:
-    def make_agent(self, pool, backend, **kwargs):
-        defaults = dict(
-            batch_size=10,
-            num_centers=5,
-            backend=backend,
-            **descriptor_kwargs(),
-        )
-        defaults.update(kwargs)
-        return LlmnnAgent(**defaults)
+    def make_agent(self, pool, backend, kind="llmnn", trace=None):
+        return build(kind, pool, backend, trace, batch_size=10, num_centers=5,
+                     **descriptor_kwargs())
 
     def test_replays_recorded_transcript(self):
         pool = gene_pool()
@@ -293,31 +276,6 @@ class TestLlmnnAgent:
         assert subs[0]["replacement"] in pool.names
         assert len(batch) == 10
 
-    def test_molecule_embed_hook(self):
-        rng = np.random.default_rng(2)
-        names = ["CCO", "CCN", "CCC", "c1ccccc1", "CC(=O)O", "CCOC"]
-        pool = build_pool(names, rng.normal(size=6), rng.normal(size=(6, 4)),
-                          percentile=50.0)
-        memory = CandidateMemory(pool)
-        events = []
-        hook_vec = pool.embeddings.vector("CCO") + 1e-4
-        backend = ScriptedBackend(texts=["**Solution:\n## CCBr\n## CCN"])
-        agent = LlmnnAgent(
-            batch_size=2,
-            num_centers=2,
-            domain="molecules",
-            func_desc="solubility in water (log mol per litre)",
-            score_desc=None,
-            candidate_space_info="The molecules in the library are small organic molecules.",
-            backend=backend,
-            embed_hook=lambda smiles: hook_vec,
-            trace=events.append,
-        )
-        batch = agent.select(1, memory, None, np.random.default_rng(0))
-        assert any(e["event"] == "embedded_novel" for e in events)
-        # The hooked center sits a hair away from CCO, so CCO leads the batch.
-        assert batch[0] == "CCO"
-
     def test_explored_centers_are_allowed(self):
         pool = gene_pool()
         memory = CandidateMemory(pool)
@@ -352,7 +310,7 @@ class TestLlmnnAgent:
         backend = ScriptedBackend(
             texts=["**Solution:\n## ABL1\n## MYBL2\n## GBF1\n## DDX41\n## ZMAT2"]
         )
-        agent = self.make_agent(pool, backend, variant="llmnn-noexp",
+        agent = self.make_agent(pool, backend, kind="llmnn-noexp",
                                 trace=events.append)
         agent.select(1, memory, None, np.random.default_rng(0))
         call = next(e for e in events if e["event"] == "llm_call")
@@ -361,14 +319,9 @@ class TestLlmnnAgent:
 
 
 class TestBdaAgent:
-    def make_agent(self, pool, backend, batch_size=6, **kwargs):
-        return BdaAgent(
-            batch_size=batch_size,
-            num_centers=5,
-            backend=backend,
-            **descriptor_kwargs(),
-            **kwargs,
-        )
+    def make_agent(self, pool, backend, batch_size=6, trace=None, **fields):
+        return build("bda", pool, backend, trace, batch_size=batch_size,
+                     num_centers=5, **descriptor_kwargs(), **fields)
 
     def test_selects_exactly_named_candidates(self):
         pool = gene_pool()
@@ -405,7 +358,7 @@ class TestBdaAgent:
         events = []
         backend = ScriptedBackend(fn=lambda i, s, u: "**Solution:\n## NOPE")
         agent = self.make_agent(pool, backend, batch_size=4,
-                                max_replacement_prompts=2, trace=events.append)
+                                bda_retries=2, trace=events.append)
         batch = agent.select(1, memory, None, np.random.default_rng(4))
         assert backend.calls == 3  # initial prompt + two replacements
         assert len(batch) == 4
@@ -436,9 +389,8 @@ class TestBdaAgent:
         memory = CandidateMemory(pool)
         memory.mark_explored(["a"])
         backend = ScriptedBackend(fn=lambda i, s, u: "**Solution:\n## b\n## c")
-        agent = BdaAgent(
-            batch_size=5, num_centers=2, backend=backend, **descriptor_kwargs()
-        )
+        agent = build("bda", pool, backend, batch_size=5, num_centers=2,
+                      **descriptor_kwargs())
         batch = agent.select(1, memory, None, np.random.default_rng(0))
         assert sorted(batch) == ["b", "c"]
 
@@ -447,30 +399,28 @@ class TestMakeAgent:
     def test_builds_every_classical_kind(self):
         pool = gene_pool()
         for kind in ("random", "coreset", "linucb", "gp", "random-centroids"):
-            agent = make_agent(kind, pool, batch_size=4)
+            agent = build(kind, pool, batch_size=4)
             assert agent.kind == kind
 
     def test_llm_kinds_require_backend(self):
         pool = gene_pool()
         with pytest.raises(ConfigError, match="backend"):
-            make_agent("llmnn", pool, batch_size=4, **descriptor_kwargs())
+            build("llmnn", pool, batch_size=4, **descriptor_kwargs())
 
     def test_llm_kinds_require_descriptors(self):
         pool = gene_pool()
         backend = ScriptedBackend(texts=["**Solution:\n## ABL1"])
         with pytest.raises(ConfigError, match="descriptors"):
-            make_agent("llmnn", pool, batch_size=4, backend=backend)
+            build("llmnn", pool, backend, batch_size=4)
 
     def test_unknown_kind(self):
         pool = gene_pool()
         with pytest.raises(ConfigError, match="unknown agent"):
-            make_agent("thompson", pool, batch_size=4)
+            build("thompson", pool, batch_size=4)
 
     def test_llm_kind_construction(self):
         pool = gene_pool()
         backend = ScriptedBackend(texts=["**Solution:\n## ABL1"])
         for kind in ("llmnn", "llmnn-noexp", "bda"):
-            agent = make_agent(
-                kind, pool, batch_size=4, backend=backend, **descriptor_kwargs()
-            )
+            agent = build(kind, pool, backend, batch_size=4, **descriptor_kwargs())
             assert agent.kind == kind

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expdesign.agents import Agent
+from expdesign.agents import Agent, LinUcbAgent
 from expdesign.backends import ScriptedBackend
+from expdesign.cli import main
 from expdesign.errors import ConfigError
 from expdesign.harness import (
     ExperimentConfig,
@@ -21,7 +22,7 @@ from expdesign.harness import (
     write_report,
 )
 from expdesign.pool import build_pool, write_embeddings, write_measurements
-
+from expdesign.surrogates import LinUcb
 
 
 def hypergeometric_pool(seed=0, n=1000, hits=100, dim=4):
@@ -62,7 +63,7 @@ class TestRunExperiment:
         import expdesign.harness as harness_mod
 
         original = harness_mod.make_agent
-        harness_mod.make_agent = lambda *a, **k: SpyAgent()
+        harness_mod.make_agent = lambda *a: SpyAgent(*a)
         try:
             result = run_experiment(config, seed=0, pool=pool)
         finally:
@@ -88,7 +89,7 @@ class TestRunExperiment:
         import expdesign.harness as harness_mod
 
         original = harness_mod.make_agent
-        harness_mod.make_agent = lambda *a, **k: SpyAgent()
+        harness_mod.make_agent = lambda *a: SpyAgent(*a)
         try:
             result = run_experiment(
                 ExperimentConfig(agent="random", rounds=4, batch_size=3),
@@ -159,6 +160,35 @@ class TestRunExperiment:
             seed=3, pool=pool, backend=ScriptedBackend(texts=list(fixtures)),
         )
         assert res_true.selections == res_rand.selections
+
+    def test_linucb_fits_on_the_feedback_it_is_handed(self, monkeypatch):
+        # Fresh-each-round randomization re-permutes the whole history every
+        # round; the bandit must fit on exactly the records it is handed.
+        pool = hypergeometric_pool()
+        handed, fits = [], []
+        select, fit_batch = LinUcbAgent.select, LinUcb.fit_batch
+
+        def spy_select(agent, round_num, memory, feedback, rng):
+            handed.append(feedback)
+            fits.append(None)
+            return select(agent, round_num, memory, feedback, rng)
+
+        def spy_fit(model, X, y):
+            fits[-1] = (np.array(X), np.array(y))
+            return fit_batch(model, X, y)
+
+        monkeypatch.setattr(LinUcbAgent, "select", spy_select)
+        monkeypatch.setattr(LinUcb, "fit_batch", spy_fit)
+        config = ExperimentConfig(agent="linucb", rounds=4, batch_size=8,
+                                  feedback="randomized")
+        run_experiment(config, seed=2, pool=pool)
+        assert len(handed) == 4 and handed[0] is None
+        for feedback, (X, y) in zip(handed[1:], fits[1:]):
+            rows = [pool.index_of(r.name) for r in feedback.records]
+            scores = np.array([r.score for r in feedback.records])
+            assert np.array_equal(X, pool.embeddings.matrix[rows])
+            assert np.allclose(y, (scores - scores.mean()) / scores.std(),
+                               rtol=1e-12, atol=1e-12)
 
     def test_frozen_randomization_mode_runs(self):
         pool = hypergeometric_pool()
@@ -303,8 +333,29 @@ class TestExperimentConfig:
             ExperimentConfig(metric="cityblock").validate()
         with pytest.raises(ConfigError, match="needs llm"):
             ExperimentConfig(agent="bda", dataset_key="il2").make_backend()
+        with pytest.raises(ConfigError, match="llm.model"):
+            ExperimentConfig(agent="bda", dataset_key="il2",
+                             llm_endpoint="http://localhost:1/v1").make_backend()
         with pytest.raises(ConfigError, match="descriptors"):
             ExperimentConfig(agent="llmnn", llm_fixtures="x").validate()
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"rounds": "3"}, "rounds"),
+            ({"seed": True}, "seed"),
+            ({"gp": {"beta": "x"}}, "gp.beta"),
+            ({"score_range": [1.0]}, "score_range"),
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, data, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            ExperimentConfig.from_dict(data)
+
+    def test_json_ints_pass_for_float_fields(self):
+        config = ExperimentConfig.from_dict({"gp": {"beta": 3}, "score_range": [0, 5]})
+        assert config.gp_beta == 3
+        assert config.score_range == (0.0, 5.0)
 
     def test_descriptor_resolution_from_registry(self):
         config = ExperimentConfig(agent="llmnn", dataset_key="esol")
@@ -398,6 +449,28 @@ class TestCli:
     def test_bad_config_exit_1(self, tmp_path):
         proc = self.run_cli("run", "--config", str(tmp_path / "missing.json"))
         assert proc.returncode == 1
+
+    def test_mistyped_config_value_exit_1(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"rounds": "3"}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "config key 'rounds'" in capsys.readouterr().err
+
+    def test_zero_cosine_embedding_exit_1(self, tmp_path, capsys):
+        meas, emb = write_cli_dataset(tmp_path)
+        rows = emb.read_text(encoding="utf-8").splitlines()
+        rows[0] = ",".join([rows[0].split(",")[0], "0.0", "0.0", "0.0"])
+        emb.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        data = ["--dataset", str(meas), "--embeddings", str(emb), "--metric", "cosine"]
+        for argv in (
+            ["validate", *data],
+            ["run", *data, "--agent", "random", "--rounds", "1", "--batch", "4",
+             "--runs", "1"],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "zero vector" in err
+            assert err.count("\n") == 1
 
     def test_aborted_runs_exit_2(self, tmp_path):
         # Fixtures cover only round 1 of 2: the run aborts and the CLI

@@ -136,12 +136,6 @@ class TestAllocateBatch:
         with pytest.raises(ValueError, match="empty"):
             memory.allocate_batch([], 4)
 
-    def test_plan_allocation_exposes_quotas(self, line_pool):
-        memory = CandidateMemory(line_pool)
-        plan = memory.plan_allocation([[0.0], [1.0]], 3)
-        assert plan.quotas == (2, 1)
-        assert plan.budget == 3
-
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("metric", ["l2-squared", "cosine"])

@@ -12,6 +12,8 @@ from expdesign.surrogates import (
     select_top_b,
 )
 
+from conftest import random_pool
+
 
 def ridge_theta(xs, ys, lam):
     """Independent closed-form ridge solution (lam*I + X^T X)^-1 X^T y."""
@@ -241,26 +243,46 @@ class TestSelectTopB:
 
     def test_largest_first(self):
         memory = self.make_memory()
-        assert select_top_b({"A": 1.0, "B": 2.0, "C": 3.0}, memory, 2) == ["C", "B"]
+        assert select_top_b(np.arange(3), np.array([1.0, 2.0, 3.0]), memory, 2) == [
+            "C", "B",
+        ]
         assert memory.is_explored("C") and memory.is_explored("B")
         assert not memory.is_explored("A")
 
     def test_ties_by_index(self):
         memory = self.make_memory()
-        assert select_top_b({"A": 1.0, "B": 1.0, "C": 1.0}, memory, 2) == ["A", "B"]
+        assert select_top_b(np.arange(3), np.ones(3), memory, 2) == ["A", "B"]
+        # Ties follow the pool index, not the position in the index array.
+        memory = self.make_memory()
+        assert select_top_b(np.array([2, 0, 1]), np.ones(3), memory, 2) == ["A", "B"]
 
     def test_b_exceeds_available(self):
         memory = self.make_memory()
-        assert select_top_b({"A": 1.0, "B": 3.0, "C": 2.0}, memory, 10) == [
+        assert select_top_b(np.arange(3), np.array([1.0, 3.0, 2.0]), memory, 10) == [
             "B", "C", "A",
         ]
 
     def test_b_must_be_positive(self):
         memory = self.make_memory()
         with pytest.raises(ValueError):
-            select_top_b({"A": 1.0, "B": 1.0, "C": 1.0}, memory, 0)
+            select_top_b(np.arange(3), np.ones(3), memory, 0)
 
-    def test_scores_must_cover_unexplored(self):
+    def test_scores_must_match_indices(self):
         memory = self.make_memory()
-        with pytest.raises(ValueError, match="missing"):
-            select_top_b({"A": 1.0}, memory, 1)
+        with pytest.raises(ValueError):
+            select_top_b(np.arange(3), np.array([1.0]), memory, 1)
+
+    def test_matches_sorted_reference_with_ties(self):
+        # Reference: a plain sort on (-score, index) over the unexplored set.
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            pool = random_pool(rng, n, 2)
+            memory = CandidateMemory(pool)
+            memory.mark_explored([pool.names[i] for i in rng.permutation(n)[: n // 3]])
+            idx = np.flatnonzero(~memory.explored_mask)
+            scores = rng.integers(0, 5, idx.size).astype(float)  # many ties
+            b = int(rng.integers(1, n + 1))
+            ranked = sorted(range(idx.size), key=lambda j: (-scores[j], idx[j]))
+            expected = [pool.names[idx[j]] for j in ranked[:b]]
+            assert select_top_b(idx, scores, memory, b) == expected

@@ -48,7 +48,6 @@ from .memory import (
     embedding_distances,
 )
 from .pool import (
-    Candidate,
     CandidatePool,
     EmbeddingTable,
     HitPolicy,

@@ -2,8 +2,10 @@
 
 Every agent answers one question per round: given the memory's explored
 state and the history observed so far, which candidates go into this round's
-batch? Agents mark their selections explored before returning, so batches
-across rounds are disjoint by construction.
+batch? A selection is an array of pool indices, marked explored before it is
+returned, so batches across rounds are disjoint by construction. Names
+appear only where the LLM reads or writes them: prompts, parsed replies and
+trace events.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ AGENT_RANDOM_CENTROIDS = "random-centroids"
 TraceFn = Callable[[dict], None]
 
 
-def coreset_select(memory: CandidateMemory, batch_size: int) -> list[str]:
+def coreset_select(memory: CandidateMemory, batch_size: int) -> np.ndarray:
     """Greedy farthest-point batch construction (pure diversity).
 
     The covering set starts as everything already explored; with nothing
@@ -56,20 +58,21 @@ def coreset_select(memory: CandidateMemory, batch_size: int) -> list[str]:
     pool = memory.pool
     matrix = pool.embeddings.matrix
     n = len(pool)
-    explored = memory.explored_mask
-    avail = ~explored
-    if not avail.any():
-        return []
+    unexplored = memory.unexplored()
+    if unexplored.size == 0:
+        return unexplored
+    avail = np.zeros(n, dtype=bool)
+    avail[unexplored] = True
     min_dist = np.full(n, np.inf)
 
     def absorb(vec: np.ndarray) -> None:
         np.minimum(min_dist, embedding_distances(matrix, vec, pool.metric), out=min_dist)
 
     selected: list[int] = []
-    for i in np.flatnonzero(explored):
+    for i in np.flatnonzero(~avail):
         absorb(matrix[i])
-    if not explored.any():
-        first = int(np.flatnonzero(avail)[0])
+    if unexplored.size == n:
+        first = int(unexplored[0])
         selected.append(first)
         avail[first] = False
         absorb(matrix[first])
@@ -78,20 +81,20 @@ def coreset_select(memory: CandidateMemory, batch_size: int) -> list[str]:
         selected.append(pick)
         avail[pick] = False
         absorb(matrix[pick])
-    names = [pool.names[i] for i in selected]
-    memory.mark_explored(names)
-    return names
+    chosen = np.array(selected, dtype=np.intp)
+    memory.explore(chosen)
+    return chosen
 
 
-def _take_random(memory: CandidateMemory, k: int, rng: np.random.Generator) -> list[str]:
+def _take_random(memory: CandidateMemory, k: int, rng: np.random.Generator) -> np.ndarray:
     """Up to k uniform-random unexplored candidates, marked explored.
 
     One ``rng.permutation`` over the unexplored indices, which draws nothing
     when none are left.
     """
-    avail = np.flatnonzero(~memory.explored_mask)
-    chosen = [memory.pool.names[i] for i in avail[rng.permutation(avail.size)[:k]]]
-    memory.mark_explored(chosen)
+    avail = memory.unexplored()
+    chosen = avail[rng.permutation(avail.size)[:k]]
+    memory.explore(chosen)
     return chosen
 
 
@@ -130,7 +133,8 @@ class Agent:
         memory: CandidateMemory,
         feedback: Feedback | None,
         rng: np.random.Generator,
-    ) -> list[str]:
+    ) -> np.ndarray:
+        """Pool indices of this round's batch, already marked explored."""
         raise NotImplementedError
 
 
@@ -173,7 +177,7 @@ class LinUcbAgent(Agent):
             sd = float(y.std())
             y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
         self.model.fit_batch(X, y)
-        avail = np.flatnonzero(~memory.explored_mask)
+        avail = memory.unexplored()
         scores = self.model.score_many(pool.embeddings.matrix[avail])
         return select_top_b(avail, scores, memory, self.batch_size)
 
@@ -200,7 +204,7 @@ class GpAgent(Agent):
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
         self.model.fit(*_observations(pool, feedback))
-        avail = np.flatnonzero(~memory.explored_mask)
+        avail = memory.unexplored()
         acq = self.model.acquisition(pool.embeddings.matrix[avail])
         return select_top_b(avail, acq, memory, self.batch_size)
 
@@ -215,14 +219,16 @@ class RandomCentroidsAgent(Agent):
         self.num_centers = config.num_centers
 
     def select(self, round_num, memory, feedback, rng):
-        pool = memory.pool
-        avail = np.flatnonzero(~memory.explored_mask)
+        avail = memory.unexplored()
         if avail.size == 0:
-            return []
+            return avail
         take = min(self.num_centers, avail.size)
         center_idx = avail[rng.permutation(avail.size)[:take]]
-        centers = [pool.embeddings.matrix[i] for i in center_idx]
-        return memory.allocate_batch(centers, self.batch_size)
+        return memory.allocate_batch(center_idx, self.batch_size)
+
+
+def _names(pool: CandidatePool, idx: np.ndarray) -> list[str]:
+    return [pool.names[i] for i in idx]
 
 
 def _dedupe(names: Sequence[str]) -> list[str]:
@@ -299,12 +305,13 @@ class _LlmAgentBase(Agent):
     def _random_top_up(
         self, memory: CandidateMemory, shortfall: int, rng: np.random.Generator,
         round_num: int,
-    ) -> list[str]:
+    ) -> np.ndarray:
         if shortfall <= 0:
-            return []
+            return np.empty(0, dtype=np.intp)
         chosen = _take_random(memory, shortfall, rng)
-        if chosen:
-            self.trace({"event": "random_top_up", "round": round_num, "names": chosen})
+        if chosen.size:
+            self.trace({"event": "random_top_up", "round": round_num,
+                        "names": _names(memory.pool, chosen)})
         return chosen
 
 
@@ -312,9 +319,9 @@ class LlmnnAgent(_LlmAgentBase):
     """LLM proposes cluster centers; the memory expands each center over its
     nearest unexplored neighbors under an equal per-center budget.
 
-    Proposed names are mapped to embeddings by exact pool lookup. A name
-    absent from the pool is replaced by a uniform-random unexplored candidate
-    and logged. Explored names are fine as centers: the expansion only ever
+    Proposed names are mapped to pool indices by exact lookup. A name absent
+    from the pool is replaced by a uniform-random unexplored candidate and
+    logged. Explored names are fine as centers: the expansion only ever
     returns unexplored neighbors.
     """
 
@@ -324,31 +331,30 @@ class LlmnnAgent(_LlmAgentBase):
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
         proposed = self._ask(self._spec(round_num, feedback), self.num_centers, round_num)
-        centers: list[np.ndarray] = []
+        centers: list[int] = []
         for name in proposed:
             if name in pool:
-                centers.append(pool.embeddings.vector(name))
+                centers.append(pool.index_of(name))
                 continue
-            avail = np.flatnonzero(~memory.explored_mask)
+            avail = memory.unexplored()
             if avail.size == 0:
                 continue
-            replacement = pool.names[avail[int(rng.integers(avail.size))]]
-            centers.append(pool.embeddings.vector(replacement))
+            centers.append(int(avail[int(rng.integers(avail.size))]))
             self.trace(
                 {
                     "event": "center_substitution",
                     "round": round_num,
                     "proposed": name,
-                    "replacement": replacement,
+                    "replacement": pool.names[centers[-1]],
                 }
             )
         if not centers:
-            return []
+            return np.empty(0, dtype=np.intp)
         batch = memory.allocate_batch(centers, self.batch_size)
-        batch.extend(
-            self._random_top_up(memory, self.batch_size - len(batch), rng, round_num)
+        batch = np.concatenate(
+            [batch, self._random_top_up(memory, self.batch_size - len(batch), rng, round_num)]
         )
-        self.trace({"event": "selection", "round": round_num, "names": list(batch)})
+        self.trace({"event": "selection", "round": round_num, "names": _names(pool, batch)})
         return batch
 
 
@@ -379,32 +385,38 @@ class BdaAgent(_LlmAgentBase):
         pool = memory.pool
         spec = self._spec(round_num, feedback)
         want = min(self.batch_size, memory.num_unexplored)
-        kept: list[str] = []
-        kept_set: set[str] = set()
+        unexplored = np.zeros(len(pool), dtype=bool)
+        unexplored[memory.unexplored()] = True
+        kept: list[int] = []
+        kept_set: set[int] = set()
         for _ in range(1 + self.max_replacement_prompts):
             if len(kept) >= want:
                 break
             for name in self._ask(spec, self.batch_size, round_num):
                 if len(kept) >= want:
                     break
-                if name in kept_set:
+                i = pool.index_of(name) if name in pool else None
+                if i in kept_set:
                     continue
-                if name not in pool or memory.is_explored(name):
+                if i is None or not unexplored[i]:
                     self.trace(
                         {
                             "event": "rejected_name",
                             "round": round_num,
                             "name": name,
-                            "reason": "explored" if name in pool else "unknown",
+                            "reason": "unknown" if i is None else "explored",
                         }
                     )
                     continue
-                kept.append(name)
-                kept_set.add(name)
-        memory.mark_explored(kept)
-        kept.extend(self._random_top_up(memory, want - len(kept), rng, round_num))
-        self.trace({"event": "selection", "round": round_num, "names": list(kept)})
-        return kept
+                kept.append(i)
+                kept_set.add(i)
+        batch = np.array(kept, dtype=np.intp)
+        memory.explore(batch)
+        batch = np.concatenate(
+            [batch, self._random_top_up(memory, want - len(batch), rng, round_num)]
+        )
+        self.trace({"event": "selection", "round": round_num, "names": _names(pool, batch)})
+        return batch
 
 
 AGENTS: dict[str, type[Agent]] = {

@@ -86,9 +86,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             setattr(config, field_name, value)
     if args.metric is not None:
         config.metric = _METRIC_ALIASES[args.metric]
-    pool = config.load_pool()
-    config.validate(pool_size=len(pool))
-    results = run_many(config, pool=pool)
+    config.validate()
+    results = run_many(config, pool=config.load_pool())
     if not any(r.complete for r in results):
         first_error = next((r.error for r in results if r.error), "unknown")
         print(f"run failure: all {len(results)} run(s) aborted ({first_error})",
@@ -139,7 +138,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not csv_path.is_file():
         raise ConfigError(f"no {RUNS_CSV} in {args.in_dir}")
     results = read_runs_csv(csv_path)
-    summary = aggregate_runs(results)
+    if not any(r.complete for r in results):
+        print(f"run failure: {csv_path} holds no completed runs", file=sys.stderr)
+        return 2
+    try:
+        summary = aggregate_runs(results)
+    except ValueError as exc:  # completed runs of different lengths
+        raise ConfigError(f"{csv_path}: {exc}") from None
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     return 0
 

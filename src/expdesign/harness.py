@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import logging
+import re
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -92,6 +93,28 @@ class ExperimentConfig:
     bda_retries: int = 5
 
     _NESTED = {"llm", "linucb", "gp"}
+    # field -> (bound, strict): the value must exceed the bound (strict) or
+    # reach it; unset optional fields are not checked.
+    _LOWER_BOUNDS = {
+        "linucb_ridge": (0, True),
+        "linucb_alpha": (0, False),
+        "gp_beta": (0, False),
+        "gp_length_scale": (0, True),
+        "gp_signal_var": (0, True),
+        "gp_noise_var": (0, False),
+        "gp_subsample": (2, False),
+        "llm_max_attempts": (1, False),
+        "llm_max_tokens": (1, False),
+        "llm_temperature": (0, False),
+        "bda_retries": (0, False),
+        "expected_dim": (1, False),
+    }
+
+    @classmethod
+    def _label(cls, key: str) -> str:
+        """Config-file spelling of a field: ``llm_model`` is ``llm.model``."""
+        head, _, tail = key.partition("_")
+        return f"{head}.{tail}" if head in cls._NESTED else key
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -111,12 +134,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         hints = typing.get_type_hints(cls)
-        typed = {}
-        for key, value in flat.items():
-            head, _, tail = key.partition("_")
-            label = f"{head}.{tail}" if head in cls._NESTED else key
-            typed[key] = _typed(label, hints[key], value)
-        return cls(**typed)
+        return cls(**{k: _typed(cls._label(k), hints[k], v) for k, v in flat.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -152,6 +170,13 @@ class ExperimentConfig:
             raise ConfigError("rounds, batch, centers, and runs must all be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        for key, (bound, strict) in self._LOWER_BOUNDS.items():
+            value = getattr(self, key)
+            if value is not None and not (value > bound if strict else value >= bound):
+                raise ConfigError(
+                    f"config key {self._label(key)!r} must be "
+                    f"{'>' if strict else '>='} {bound}, got {value!r}"
+                )
         if self.feedback not in (FEEDBACK_TRUE, FEEDBACK_RANDOMIZED):
             raise ConfigError("feedback mode must be 'true' or 'randomized'")
         if self.metric not in METRICS:
@@ -354,16 +379,18 @@ def run_experiment(
                 else:
                     feedback = Feedback(tuple(records))
             try:
-                names = agent.select(round_num, memory, feedback, rng)
+                idx = agent.select(round_num, memory, feedback, rng)
             except BackendError as exc:
                 logger.error("run aborted in round %d: %s", round_num, exc)
                 result.complete = False
                 result.error = str(exc)
                 break
+            names = [pool.names[i] for i in idx]
             round_hits = [n for n in names if pool.is_hit(n)]
             total_hits += len(round_hits)
             records.extend(
-                FeedbackRecord(n, pool.score_of(n), pool.is_hit(n)) for n in names
+                FeedbackRecord(n, float(pool.scores[i]), pool.is_hit(n))
+                for n, i in zip(names, idx)
             )
             result.selections.append(names)
             result.hits.append(round_hits)
@@ -498,17 +525,19 @@ def read_runs_csv(path: str | Path) -> list[RunResult]:
     results: list[RunResult] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "final_hits" not in reader.fieldnames:
+        if not {"seed", "complete", "final_hits"} <= set(reader.fieldnames or ()):
             raise ConfigError(f"{path}: not a runs.csv report")
-        round_cols = [c for c in reader.fieldnames if c.startswith("hits_r")]
+        round_cols = [c for c in reader.fieldnames if re.fullmatch(r"hits_r\d+", c)]
         round_cols.sort(key=lambda c: int(c[len("hits_r") :]))
         for row in reader:
-            cumulative = [int(row[c]) for c in round_cols if row[c] != ""]
-            results.append(
-                RunResult(
-                    seed=int(row["seed"]),
-                    cumulative_hits=cumulative,
-                    complete=row["complete"] == "1",
-                )
-            )
+            try:
+                cumulative = [int(row[c]) for c in round_cols if row[c] != ""]
+                seed = int(row["seed"])
+                complete = {"0": False, "1": True}[row["complete"]]
+            except (TypeError, ValueError, KeyError):
+                raise ConfigError(
+                    f"{path}:{reader.line_num}: seed and hits_r* cells must be "
+                    "integers and complete 0 or 1"
+                ) from None
+            results.append(RunResult(seed=seed, cumulative_hits=cumulative, complete=complete))
     return results

@@ -1,6 +1,8 @@
 """Explored-state tracking and nearest-unexplored-neighbor batch allocation.
 
-The memory wraps an immutable pool with one mutable bit per candidate. All
+The memory wraps an immutable pool with one mutable bit per candidate.
+Candidates are pool indices: queries return index arrays and the batch
+allocator marks what it selects explored before returning it. All
 neighbor queries are exact brute-force scans: pools stay small enough
 (tens of thousands of rows) that O(n*d) per query is cheap, and exactness
 lets tests compare against an independent naive implementation.
@@ -69,8 +71,10 @@ def center_quotas(batch_size: int, num_centers: int) -> list[int]:
 class CandidateMemory:
     """Explored flags over a pool plus exact nearest-unexplored queries.
 
-    Flags only move false -> true. One memory belongs to one run; queries
-    between mutations are safe, concurrent mutation is not supported.
+    Candidates are pool indices; the name-taking ``mark_explored`` and the
+    name-returning ``nearest_unexplored`` are thin wrappers for callers that
+    hold names. Flags only move false -> true. One memory belongs to one run;
+    queries between mutations are safe, concurrent mutation is not supported.
     """
 
     def __init__(self, pool: CandidatePool):
@@ -85,78 +89,67 @@ class CandidateMemory:
         return self._pool
 
     @property
-    def explored_mask(self) -> np.ndarray:
-        """Copy of the explored flags in pool index order."""
-        return self._explored.copy()
-
-    @property
-    def num_explored(self) -> int:
-        return int(self._explored.sum())
-
-    @property
     def num_unexplored(self) -> int:
-        return len(self._pool) - self.num_explored
+        return len(self._pool) - int(self._explored.sum())
 
-    def is_explored(self, name: str) -> bool:
-        return bool(self._explored[self._pool.index_of(name)])
+    def unexplored(self) -> np.ndarray:
+        """Indices of the unexplored candidates, ascending."""
+        return np.flatnonzero(~self._explored)
 
-    def unexplored_names(self) -> list[str]:
-        return [self._pool.names[i] for i in np.flatnonzero(~self._explored)]
-
-    def mark_explored(self, names: Iterable[str]) -> None:
-        """Flag candidates as explored. All-or-nothing: an unknown name
-        leaves every flag untouched. Re-marking is a no-op."""
-        idx = [self._pool.index_of(name) for name in names]
+    def explore(self, idx: Sequence[int] | np.ndarray) -> None:
+        """Flag the candidates at these pool indices as explored."""
         self._explored[idx] = True
 
-    def _query_vector(self, query: Sequence[float]) -> np.ndarray:
+    def mark_explored(self, names: Iterable[str]) -> None:
+        """Flag named candidates as explored. All-or-nothing: an unknown name
+        leaves every flag untouched. Re-marking is a no-op."""
+        self.explore([self._pool.index_of(name) for name in names])
+
+    def nearest(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the k unexplored candidates nearest the query vector.
+
+        Sorted by ascending distance under the pool metric; exact distance
+        ties break toward the lower candidate index. Returns fewer than k
+        only when fewer unexplored candidates remain. The query is used as
+        given: callers pass a pool row or a checked vector.
+        """
+        dists = embedding_distances(
+            self._pool.embeddings.matrix, query, self._pool.metric, self._norms
+        )
+        dists = np.where(self._explored, np.inf, dists)
+        return np.argsort(dists, kind="stable")[: min(k, self.num_unexplored)]
+
+    def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
+        """Names of the k unexplored candidates nearest an outside query
+        vector; see :meth:`nearest`."""
+        if k < 1:
+            raise ValueError("k must be positive")
         q = np.asarray(query, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != self._pool.embeddings.dim:
             raise ValueError(
                 f"query has shape {q.shape}, pool dim is {self._pool.embeddings.dim}"
             )
-        return q
+        return [self._pool.names[i] for i in self.nearest(q, k)]
 
-    def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
-        """The k unexplored candidates nearest the query vector.
+    def allocate_batch(self, center_idx: Sequence[int], batch_size: int) -> np.ndarray:
+        """Fill a batch by expanding each center (a pool index) over its
+        nearest unexplored neighbors.
 
-        Sorted by ascending distance under the pool metric; exact distance
-        ties break toward the lower candidate index. Returns fewer than k
-        names only when fewer unexplored candidates remain.
+        Centers are processed in order under equal quotas; every selected
+        candidate is marked explored immediately, so later centers can never
+        reselect it. Returns the indices of min(batch_size, unexplored)
+        candidates, duplicate-free.
         """
-        if k < 1:
-            raise ValueError("k must be positive")
-        q = self._query_vector(query)
-        dists = embedding_distances(
-            self._pool.embeddings.matrix, q, self._pool.metric, self._norms
-        )
-        dists = np.where(self._explored, np.inf, dists)
-        take = min(k, self.num_unexplored)
-        if take == 0:
-            return []
-        order = np.argsort(dists, kind="stable")[:take]
-        return [self._pool.names[i] for i in order]
-
-    def allocate_batch(
-        self, centers: Sequence[Sequence[float]], batch_size: int
-    ) -> list[str]:
-        """Fill a batch by expanding each center over its nearest unexplored
-        neighbors.
-
-        Centers are processed in list order; every selected candidate is
-        marked explored immediately, so later centers can never reselect it.
-        Returns min(batch_size, unexplored) names, duplicate-free.
-        """
-        if len(centers) == 0:
+        if len(center_idx) == 0:
             raise ValueError("centers list is empty")
-        vecs = [self._query_vector(c) for c in centers]
-        selected: list[str] = []
-        for center, quota in zip(vecs, center_quotas(batch_size, len(vecs))):
+        matrix = self._pool.embeddings.matrix
+        selected: list[int] = []
+        for center, quota in zip(center_idx, center_quotas(batch_size, len(center_idx))):
             if quota == 0:
                 continue
             if self.num_unexplored == 0:
                 break
-            got = self.nearest_unexplored(center, quota)
-            self.mark_explored(got)
+            got = self.nearest(matrix[center], quota)
+            self.explore(got)
             selected.extend(got)
-        return selected
+        return np.array(selected, dtype=np.intp)

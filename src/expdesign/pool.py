@@ -28,38 +28,20 @@ MODE_ABS_TOP_PERCENTILE = "abs-top-percentile"
 HIT_MODES = (MODE_GROUND_TRUTH, MODE_TOP_PERCENTILE, MODE_ABS_TOP_PERCENTILE)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One pool entry: a gene symbol or SMILES string plus its measurement."""
-
-    name: str
-    score: float
-    index: int
-
-
 class EmbeddingTable:
-    """Dense embedding matrix keyed by candidate name.
+    """Dense embedding matrix, one row per candidate in pool index order.
 
-    The matrix is frozen at construction; rows are exposed as read-only views.
+    The matrix is copied and frozen at construction.
     """
 
-    def __init__(self, names: Sequence[str], matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise DatasetError("embedding matrix must be 2-dimensional")
-        if len(names) != matrix.shape[0]:
-            raise DatasetError(
-                f"{len(names)} names but {matrix.shape[0]} embedding rows"
-            )
         if matrix.shape[1] < 1:
             raise DatasetError("embedding dimension must be positive")
         if not np.all(np.isfinite(matrix)):
             raise DatasetError("embedding matrix contains non-finite values")
-        self._index = {}
-        for row, name in enumerate(names):
-            if name in self._index:
-                raise DatasetError(f"duplicate embedding for {name!r}")
-            self._index[name] = row
         self._matrix = matrix.copy()
         self._matrix.setflags(write=False)
 
@@ -74,15 +56,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return self._matrix.shape[0]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def vector(self, name: str) -> np.ndarray:
-        try:
-            return self._matrix[self._index[name]]
-        except KeyError:
-            raise DatasetError(f"no embedding for candidate {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -108,60 +81,55 @@ class HitPolicy:
 
 
 class CandidatePool:
-    """Immutable candidate set with scores, embeddings, metric, and hit policy."""
+    """Immutable candidate set with scores, embeddings, metric, and hit policy.
+
+    Candidate ``i`` is ``names[i]`` with measurement ``scores[i]`` and
+    embedding row ``i``; every array is in this pool index order.
+    """
 
     def __init__(
         self,
-        candidates: Sequence[Candidate],
-        embeddings: EmbeddingTable,
+        names: Sequence[str],
+        scores: Sequence[float] | np.ndarray,
+        embeddings: np.ndarray | Sequence[Sequence[float]],
         hit_policy: HitPolicy,
         metric: str,
     ):
-        if not candidates:
+        if len(names) == 0:
             raise DatasetError("candidate pool is empty")
         if metric not in METRICS:
             raise DatasetError(f"unknown metric {metric!r}")
-        names = []
-        for pos, cand in enumerate(candidates):
-            if not cand.name:
-                raise DatasetError("candidate with empty name")
-            if cand.index != pos:
-                raise DatasetError(
-                    f"candidate {cand.name!r} has index {cand.index}, expected {pos}"
-                )
-            if not math.isfinite(cand.score):
-                raise DatasetError(f"non-finite score for {cand.name!r}")
-            names.append(cand.name)
         self._names = tuple(names)
-        seen: set[str] = set()
-        for name in self._names:
-            if name in seen:
+        self._scores = np.array(scores, dtype=np.float64)
+        if self._scores.shape != (len(self._names),):
+            raise DatasetError("names and scores must have equal length")
+        self._index = {}
+        for i, name in enumerate(self._names):
+            if not name:
+                raise DatasetError("candidate with empty name")
+            if name in self._index:
                 raise DatasetError(f"duplicate candidate name {name!r}")
-            seen.add(name)
-        self._index = {name: i for i, name in enumerate(self._names)}
-        if len(embeddings) != len(self._names) or any(
-            n not in embeddings for n in self._names
-        ):
-            raise DatasetError("embeddings do not cover exactly the candidate set")
+            self._index[name] = i
+        bad = np.flatnonzero(~np.isfinite(self._scores))
+        if bad.size:
+            raise DatasetError(f"non-finite score for {self._names[bad[0]]!r}")
+        self._scores.setflags(write=False)
+        self._embeddings = EmbeddingTable(embeddings)
+        if len(self._embeddings) != len(self._names):
+            raise DatasetError(
+                f"{len(self._names)} names but {len(self._embeddings)} embedding rows"
+            )
         if metric == METRIC_COSINE:
-            zero = np.flatnonzero(np.linalg.norm(embeddings.matrix, axis=1) == 0.0)
+            zero = np.flatnonzero(np.linalg.norm(self._embeddings.matrix, axis=1) == 0.0)
             if zero.size:
                 raise DatasetError(
                     "cosine metric needs nonzero embeddings; "
                     f"{self._names[zero[0]]!r} has a zero vector"
                 )
-        self._candidates = tuple(candidates)
-        self._scores = np.array([c.score for c in candidates], dtype=np.float64)
-        self._scores.setflags(write=False)
-        self._embeddings = embeddings
         self._metric = metric
         self._hit_policy = hit_policy
         if hit_policy.hits is None:
             self._hit_policy = resolve_hit_policy(self)
-
-    @property
-    def candidates(self) -> tuple[Candidate, ...]:
-        return self._candidates
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -198,9 +166,6 @@ class CandidatePool:
             return self._index[name]
         except KeyError:
             raise DatasetError(f"unknown candidate {name!r}") from None
-
-    def score_of(self, name: str) -> float:
-        return float(self._scores[self.index_of(name)])
 
     def is_hit(self, name: str) -> bool:
         """Whether the named candidate counts as a hit under the pool's policy."""
@@ -417,8 +382,8 @@ def load_pool(
     if not rows:
         raise DatasetError(f"{measurements_path}: no candidates left after filtering")
 
-    candidates = [Candidate(name, score, i) for i, (name, score) in enumerate(rows)]
-    kept = {c.name for c in candidates}
+    names = [name for name, _ in rows]
+    kept = set(names)
 
     emb_names, emb_matrix = _read_embeddings(embeddings_path, kept)
     if opts.expected_dim is not None and emb_matrix.shape[1] != opts.expected_dim:
@@ -428,8 +393,7 @@ def load_pool(
         )
     # Reorder rows into pool order.
     row_of = {n: i for i, n in enumerate(emb_names)}
-    emb_matrix = emb_matrix[[row_of[c.name] for c in candidates]]
-    table = EmbeddingTable([c.name for c in candidates], emb_matrix)
+    emb_matrix = emb_matrix[[row_of[n] for n in names]]
 
     mode = opts.hit_mode
     if mode is None:
@@ -451,7 +415,7 @@ def load_pool(
     else:
         policy = HitPolicy(mode=mode, percentile=opts.percentile)
 
-    return CandidatePool(candidates, table, policy, opts.metric)
+    return CandidatePool(names, [s for _, s in rows], emb_matrix, policy, opts.metric)
 
 
 def build_pool(
@@ -465,15 +429,11 @@ def build_pool(
     ground_truth: Iterable[str] = (),
 ) -> CandidatePool:
     """Assemble a pool from in-memory arrays (synthetic benchmarks, tests)."""
-    if len(names) != len(scores):
-        raise DatasetError("names and scores must have equal length")
-    candidates = [Candidate(n, float(s), i) for i, (n, s) in enumerate(zip(names, scores))]
-    table = EmbeddingTable(list(names), np.asarray(embeddings, dtype=np.float64))
     if hit_mode == MODE_GROUND_TRUTH:
         policy = HitPolicy(mode=hit_mode, ground_truth=frozenset(ground_truth))
     else:
         policy = HitPolicy(mode=hit_mode, percentile=percentile)
-    return CandidatePool(candidates, table, policy, metric)
+    return CandidatePool(names, scores, embeddings, policy, metric)
 
 
 def write_measurements(pool: CandidatePool, path: str | Path) -> None:
@@ -485,10 +445,10 @@ def write_measurements(pool: CandidatePool, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "score", "hit"] if ground_truth else ["name", "score"])
-        for cand in pool.candidates:
-            row = [cand.name, repr(cand.score)]
+        for name, score in zip(pool.names, pool.scores):
+            row = [name, repr(float(score))]
             if ground_truth:
-                row.append("1" if cand.name in pool.hit_names else "0")
+                row.append("1" if name in pool.hit_names else "0")
             writer.writerow(row)
 
 

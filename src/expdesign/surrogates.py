@@ -219,17 +219,17 @@ class GaussianProcess:
 
 def select_top_b(
     idx: np.ndarray, scores: np.ndarray, memory: CandidateMemory, batch_size: int
-) -> list[str]:
+) -> np.ndarray:
     """The batch_size candidates of ``idx`` (pool indices, callers pass the
     unexplored ones) with the largest matching ``scores``.
 
-    Ties break toward the lower pool index. Selected candidates are marked
-    explored and returned by name.
+    Ties break toward the lower pool index. The selected indices are marked
+    explored and returned in rank order.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
     idx = np.asarray(idx)
     order = np.lexsort((idx, -np.asarray(scores, dtype=np.float64)))
-    chosen = [memory.pool.names[i] for i in idx[order[:batch_size]]]
-    memory.mark_explored(chosen)
+    chosen = idx[order[:batch_size]]
+    memory.explore(chosen)
     return chosen

@@ -46,8 +46,21 @@ def build(kind, pool, backend=None, trace=None, **fields):
 
 def make_feedback(pool, names):
     return Feedback(
-        tuple(FeedbackRecord(n, pool.score_of(n), pool.is_hit(n)) for n in names)
+        tuple(
+            FeedbackRecord(n, float(pool.scores[pool.index_of(n)]), pool.is_hit(n))
+            for n in names
+        )
     )
+
+
+def names_of(pool, idx):
+    """The names of a selection (an array of pool indices), in order."""
+    assert isinstance(idx, np.ndarray) and idx.dtype.kind == "i"
+    return [pool.names[i] for i in idx]
+
+
+def is_explored(memory, name):
+    return memory.pool.index_of(name) not in memory.unexplored()
 
 
 class TestRandomizeFeedback:
@@ -123,8 +136,8 @@ class TestCoreset:
             [[0.0], [1.0], [2.0], [10.0]], percentile=50.0,
         )
         memory = CandidateMemory(pool)
-        assert coreset_select(memory, 2) == ["a", "d"]
-        assert memory.is_explored("a") and memory.is_explored("d")
+        assert names_of(pool, coreset_select(memory, 2)) == ["a", "d"]
+        assert is_explored(memory, "a") and is_explored(memory, "d")
 
     def test_farthest_from_prior_cover(self):
         pool = build_pool(
@@ -132,7 +145,7 @@ class TestCoreset:
         )
         memory = CandidateMemory(pool)
         memory.mark_explored(["a"])
-        assert coreset_select(memory, 1) == ["c"]
+        assert names_of(pool, coreset_select(memory, 1)) == ["c"]
 
     def test_identical_embeddings_tie_to_index(self):
         pool = build_pool(
@@ -140,12 +153,12 @@ class TestCoreset:
             np.ones((4, 2)), percentile=50.0,
         )
         memory = CandidateMemory(pool)
-        assert coreset_select(memory, 2) == ["a", "b"]
+        assert names_of(pool, coreset_select(memory, 2)) == ["a", "b"]
 
     def test_exhaustion(self):
         pool = build_pool(["a", "b"], [1.0, 2.0], np.eye(2), percentile=50.0)
         memory = CandidateMemory(pool)
-        assert coreset_select(memory, 10) == ["a", "b"]
+        assert names_of(pool, coreset_select(memory, 10)) == ["a", "b"]
 
 
 class TestClassicalAgents:
@@ -156,7 +169,7 @@ class TestClassicalAgents:
         rng = np.random.default_rng(0)
         seen: set[str] = set()
         for round_num in range(1, 6):
-            batch = agent.select(round_num, memory, None, rng)
+            batch = names_of(pool, agent.select(round_num, memory, None, rng))
             assert len(batch) == min(10, 50 - len(seen))
             assert seen.isdisjoint(batch)
             seen.update(batch)
@@ -171,9 +184,9 @@ class TestClassicalAgents:
         pool = build_pool([f"c{i}" for i in range(n)], scores, emb)
         memory = CandidateMemory(pool)
         agent = build("linucb", pool, batch_size=20, linucb_alpha=0.5)
-        batch1 = agent.select(1, memory, None, rng)
+        batch1 = names_of(pool, agent.select(1, memory, None, rng))
         feedback = make_feedback(pool, batch1)
-        batch2 = agent.select(2, memory, feedback, rng)
+        batch2 = names_of(pool, agent.select(2, memory, feedback, rng))
         # After one round of updates the top of the pool should be enriched.
         top = set(np.array(pool.names)[np.argsort(-pool.scores)[:60]])
         assert len(top & set(batch2)) >= 10
@@ -182,7 +195,7 @@ class TestClassicalAgents:
         pool = gene_pool()
         memory = CandidateMemory(pool)
         agent = build("gp", pool, batch_size=5)
-        batch = agent.select(1, memory, None, np.random.default_rng(0))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(0)))
         # No data: constant acquisition, ties resolve to the first indexes.
         assert batch == list(pool.names[:5])
 
@@ -195,8 +208,8 @@ class TestClassicalAgents:
         pool = build_pool([f"c{i}" for i in range(n)], scores, emb)
         memory = CandidateMemory(pool)
         agent = build("gp", pool, batch_size=15, gp_beta=1.0)
-        batch1 = agent.select(1, memory, None, rng)
-        batch2 = agent.select(2, memory, make_feedback(pool, batch1), rng)
+        batch1 = names_of(pool, agent.select(1, memory, None, rng))
+        batch2 = names_of(pool, agent.select(2, memory, make_feedback(pool, batch1), rng))
         top = set(np.array(pool.names)[np.argsort(-pool.scores)[:50]])
         assert len(top & set(batch2)) >= 5
 
@@ -204,10 +217,10 @@ class TestClassicalAgents:
         pool = gene_pool()
         memory = CandidateMemory(pool)
         agent = build("random-centroids", pool, batch_size=10, num_centers=5)
-        batch = agent.select(1, memory, None, np.random.default_rng(1))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(1)))
         assert len(batch) == 10
         assert len(set(batch)) == 10
-        assert all(memory.is_explored(n) for n in batch)
+        assert all(is_explored(memory, n) for n in batch)
 
     def test_linucb_beats_random_3x_on_linear_signal(self):
         # Linear response w.x + noise: the bandit should find at least three
@@ -244,10 +257,10 @@ class TestLlmnnAgent:
         agent = self.make_agent(pool, backend, trace=events.append)
         rng = np.random.default_rng(0)
 
-        batch = agent.select(1, memory, None, rng)
+        batch = names_of(pool, agent.select(1, memory, None, rng))
         call = next(e for e in events if e["event"] == "llm_call")
         assert call["parsed"] == ["ABL1", "HNF4A", "MAPK14", "PAK4", "SMAD2"]
-        centers = [pool.embeddings.vector(n) for n in call["parsed"]]
+        centers = [pool.embeddings.matrix[pool.index_of(n)] for n in call["parsed"]]
         expected = naive_allocate(pool, set(), centers, 10)
         assert batch == expected
         # The proposed centers are nearest to themselves, so they lead
@@ -255,7 +268,7 @@ class TestLlmnnAgent:
         assert set(call["parsed"]) <= set(batch)
 
         feedback = make_feedback(pool, batch)
-        batch2 = agent.select(2, memory, feedback, rng)
+        batch2 = names_of(pool, agent.select(2, memory, feedback, rng))
         call2 = [e for e in events if e["event"] == "llm_call"][1]
         assert call2["parsed"] == ["MYBL2", "GBF1", "DDX41", "ZMAT2", "RPL4"]
         assert set(batch).isdisjoint(batch2)
@@ -269,7 +282,7 @@ class TestLlmnnAgent:
             texts=["**Solution:\n## NOT-A-GENE\n## ABL1\n## MYBL2\n## GBF1\n## DDX41"]
         )
         agent = self.make_agent(pool, backend, trace=events.append)
-        batch = agent.select(1, memory, None, np.random.default_rng(3))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(3)))
         subs = [e for e in events if e["event"] == "center_substitution"]
         assert len(subs) == 1
         assert subs[0]["proposed"] == "NOT-A-GENE"
@@ -284,7 +297,7 @@ class TestLlmnnAgent:
             texts=["**Solution:\n## ABL1\n## MYBL2\n## GBF1\n## DDX41\n## ZMAT2"]
         )
         agent = self.make_agent(pool, backend)
-        batch = agent.select(1, memory, None, np.random.default_rng(0))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(0)))
         assert "ABL1" not in batch  # explored: usable as a center, never reselected
         assert len(batch) == 10
 
@@ -331,9 +344,9 @@ class TestBdaAgent:
             texts=["**Solution:\n" + "\n".join(f"## {n}" for n in wanted)]
         )
         agent = self.make_agent(pool, backend)
-        batch = agent.select(1, memory, None, np.random.default_rng(0))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(0)))
         assert batch == wanted
-        assert all(memory.is_explored(n) for n in wanted)
+        assert all(is_explored(memory, n) for n in wanted)
 
     def test_invalid_names_trigger_replacement_prompt(self):
         pool = gene_pool()
@@ -346,7 +359,7 @@ class TestBdaAgent:
             ]
         )
         agent = self.make_agent(pool, backend, trace=events.append)
-        batch = agent.select(1, memory, None, np.random.default_rng(0))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(0)))
         assert batch == ["ABL1", "MYBL2", "GBF1", "DDX41", "ZMAT2", "RPL4"]
         rejected = [e["name"] for e in events if e["event"] == "rejected_name"]
         assert rejected == ["FAKE1", "FAKE2", "FAKE3"]
@@ -359,7 +372,7 @@ class TestBdaAgent:
         backend = ScriptedBackend(fn=lambda i, s, u: "**Solution:\n## NOPE")
         agent = self.make_agent(pool, backend, batch_size=4,
                                 bda_retries=2, trace=events.append)
-        batch = agent.select(1, memory, None, np.random.default_rng(4))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(4)))
         assert backend.calls == 3  # initial prompt + two replacements
         assert len(batch) == 4
         assert all(n in pool.names for n in batch)
@@ -379,7 +392,7 @@ class TestBdaAgent:
             )
 
         agent = self.make_agent(pool, ScriptedBackend(fn=junk), batch_size=5)
-        batch = agent.select(1, memory, None, np.random.default_rng(9))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(9)))
         assert len(batch) == 5
         assert all(n in pool.names for n in batch)
         assert set(batch).isdisjoint(explored_before)
@@ -391,7 +404,7 @@ class TestBdaAgent:
         backend = ScriptedBackend(fn=lambda i, s, u: "**Solution:\n## b\n## c")
         agent = build("bda", pool, backend, batch_size=5, num_centers=2,
                       **descriptor_kwargs())
-        batch = agent.select(1, memory, None, np.random.default_rng(0))
+        batch = names_of(pool, agent.select(1, memory, None, np.random.default_rng(0)))
         assert sorted(batch) == ["b", "c"]
 
 
@@ -424,3 +437,21 @@ class TestMakeAgent:
         for kind in ("llmnn", "llmnn-noexp", "bda"):
             agent = build(kind, pool, backend, batch_size=4, **descriptor_kwargs())
             assert agent.kind == kind
+
+    @pytest.mark.parametrize("kind", ["random", "coreset", "linucb", "gp", "bda",
+                                      "llmnn", "llmnn-noexp", "random-centroids"])
+    def test_select_returns_explored_pool_indices(self, kind):
+        pool = gene_pool()
+        memory = CandidateMemory(pool)
+        memory.mark_explored(["ABL1", "RPL4"])
+        backend = ScriptedBackend(
+            fn=lambda i, s, u: "**Solution:\n## ABL1\n## NOPE\n## MYBL2\n## MYBL2\n## GBF1"
+        )
+        agent = build(kind, pool, backend, batch_size=7, num_centers=3,
+                      bda_retries=0, **descriptor_kwargs())
+        before = set(memory.unexplored().tolist())
+        batch = agent.select(1, memory, None, np.random.default_rng(2))
+        assert isinstance(batch, np.ndarray) and batch.dtype.kind == "i"
+        assert len(batch) == 7 and len(set(batch.tolist())) == 7
+        assert set(batch.tolist()) <= before
+        assert set(memory.unexplored().tolist()) == before - set(batch.tolist())

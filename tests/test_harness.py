@@ -54,9 +54,9 @@ class TestRunExperiment:
 
             def select(self, round_num, memory, feedback, rng):
                 seen.append(feedback)
-                names = memory.unexplored_names()[:4]
-                memory.mark_explored(names)
-                return names
+                idx = memory.unexplored()[:4]
+                memory.explore(idx)
+                return idx
 
         config = ExperimentConfig(agent="random", rounds=1, batch_size=4)
         # drive the loop manually through a pre-built agent via monkeypatching
@@ -82,9 +82,9 @@ class TestRunExperiment:
                 rounds_seen[round_num] = (
                     None if feedback is None else [r.name for r in feedback.records]
                 )
-                names = memory.unexplored_names()[:3]
-                memory.mark_explored(names)
-                return names
+                idx = memory.unexplored()[:3]
+                memory.explore(idx)
+                return idx
 
         import expdesign.harness as harness_mod
 
@@ -525,3 +525,55 @@ class TestCli:
         events = [json.loads(line) for line in trace]
         assert any(e["event"] == "llm_call" for e in events)
         assert any(e["event"] == "round_complete" for e in events)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"linucb": {"ridge": 0}}, "linucb.ridge"),
+            ({"linucb": {"alpha": -0.5}}, "linucb.alpha"),
+            ({"gp": {"beta": -1}}, "gp.beta"),
+            ({"gp": {"length_scale": -1}}, "gp.length_scale"),
+            ({"gp": {"length_scale": 0}}, "gp.length_scale"),
+            ({"gp": {"signal_var": 0}}, "gp.signal_var"),
+            ({"gp": {"noise_var": -1e-3}}, "gp.noise_var"),
+            ({"gp": {"subsample": 1}}, "gp.subsample"),
+            ({"llm": {"max_attempts": 0}}, "llm.max_attempts"),
+            ({"llm": {"max_tokens": 0}}, "llm.max_tokens"),
+            ({"llm": {"temperature": -0.1}}, "llm.temperature"),
+            ({"bda_retries": -1}, "bda_retries"),
+            ({"expected_dim": 0}, "expected_dim"),
+        ],
+    )
+    def test_out_of_range_config_value_exit_1(self, tmp_path, capsys, data, key):
+        meas, emb = write_cli_dataset(tmp_path)
+        config = {"agent": "random", "rounds": 1, "batch_size": 4, "runs": 1,
+                  "dataset": str(meas), "embeddings": str(emb), **data}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["random,d,1,1,1,2,1,two", "random,d,1,x,1,2,1,2", "random,d,1,1,yes,2,1,2",
+         "random,d,1,1,1,2,1"],
+    )
+    def test_report_rejects_malformed_cells(self, tmp_path, capsys, bad_row):
+        (tmp_path / "runs.csv").write_text(
+            "agent,dataset,run,seed,complete,final_hits,hits_r1,hits_r2\n"
+            f"random,d,0,0,1,3,1,3\n{bad_row}\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{tmp_path / 'runs.csv'}:3:" in err
+        assert err.count("\n") == 1
+
+    def test_report_without_completed_runs_exit_2(self, tmp_path, capsys):
+        results = [RunResult(seed=s, cumulative_hits=[1], complete=False) for s in (0, 1)]
+        summary = aggregate_runs(results, include_incomplete=True)
+        write_report(summary, results, tmp_path, agent="llmnn", dataset="d")
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failure:") and err.count("\n") == 1

@@ -12,7 +12,7 @@ from expdesign.memory import (
 )
 from expdesign.pool import build_pool
 
-from conftest import naive_nearest_unexplored, random_pool
+from conftest import naive_allocate, naive_nearest_unexplored, random_pool
 
 
 class TestDistance:
@@ -82,14 +82,16 @@ class TestCandidateMemory:
         memory = CandidateMemory(line_pool)
         memory.mark_explored(["A"])
         memory.mark_explored(["A"])
-        assert memory.num_explored == 1
+        memory.explore([0])
+        assert memory.num_unexplored == 3
+        assert memory.unexplored().tolist() == [1, 2, 3]
 
     def test_mark_atomic_on_unknown(self, line_pool):
         memory = CandidateMemory(line_pool)
         with pytest.raises(DatasetError, match="unknown"):
             memory.mark_explored(["A", "XYZ-NOT-IN-POOL"])
-        assert memory.num_explored == 0
-        assert not memory.is_explored("A")
+        assert memory.num_unexplored == 4
+        assert memory.unexplored().tolist() == [0, 1, 2, 3]
 
     def test_exhaustion_returns_empty(self, line_pool):
         memory = CandidateMemory(line_pool)
@@ -110,26 +112,29 @@ class TestAllocateBatch:
 
     def test_single_center(self, line_pool):
         memory = CandidateMemory(line_pool)
-        assert memory.allocate_batch([[0.0]], 4) == ["A", "B", "C", "D"]
+        assert memory.allocate_batch([0], 4).tolist() == [0, 1, 2, 3]
+        assert memory.num_unexplored == 0
 
     def test_identical_centers_dedupe(self, line_pool):
         # Sequential marking: the second identical center continues outward.
         memory = CandidateMemory(line_pool)
-        batch = memory.allocate_batch([[0.0], [0.0]], 4)
-        assert batch == ["A", "B", "C", "D"]
-        assert len(set(batch)) == 4
+        batch = memory.allocate_batch([0, 0], 4)
+        assert batch.tolist() == [0, 1, 2, 3]
 
     def test_never_reselects(self, line_pool):
         memory = CandidateMemory(line_pool)
-        first = memory.allocate_batch([[0.0]], 2)
+        first = memory.allocate_batch([0], 2)
         # Re-querying any prior center only ever returns unexplored names.
-        assert set(memory.nearest_unexplored([0.0], 4)).isdisjoint(first)
-        second = memory.allocate_batch([[0.0]], 2)
-        assert set(first).isdisjoint(second)
+        assert set(memory.nearest_unexplored([0.0], 4)).isdisjoint(
+            line_pool.names[i] for i in first
+        )
+        second = memory.allocate_batch([0], 2)
+        assert set(first.tolist()).isdisjoint(second.tolist())
 
     def test_shortfall_on_exhaustion(self, line_pool):
         memory = CandidateMemory(line_pool)
-        assert len(memory.allocate_batch([[0.0]], 10)) == 4
+        assert len(memory.allocate_batch([3], 10)) == 4
+        assert len(memory.allocate_batch([3], 10)) == 0
 
     def test_empty_centers(self, line_pool):
         memory = CandidateMemory(line_pool)
@@ -158,6 +163,26 @@ class TestOracleEquivalence:
             assert memory.nearest_unexplored(query, k) == naive_nearest_unexplored(
                 pool, explored, query, k
             )
+
+    @pytest.mark.parametrize("metric", ["l2-squared", "cosine"])
+    def test_allocate_from_center_indices_matches_naive(self, metric):
+        rng = np.random.default_rng(12)
+        for _ in range(15):
+            n = int(rng.integers(5, 200))
+            pool = random_pool(rng, n, int(rng.integers(1, 8)), metric)
+            memory = CandidateMemory(pool)
+            explored = set(
+                pool.names[i] for i in rng.permutation(n)[: int(rng.integers(0, n))]
+            )
+            memory.mark_explored(sorted(explored))
+            centers = rng.integers(0, n, int(rng.integers(1, 6)))
+            batch_size = int(rng.integers(1, 40))
+            got = memory.allocate_batch(centers, batch_size)
+            expected = naive_allocate(
+                pool, explored, [pool.embeddings.matrix[i] for i in centers], batch_size
+            )
+            assert [pool.names[i] for i in got] == expected
+            assert memory.num_unexplored == n - len(explored) - len(expected)
 
     def test_tied_duplicates_break_by_index(self):
         pool = build_pool(

@@ -27,8 +27,8 @@ class TestLoadPool:
         pool = load_pool(meas, emb, IngestOptions(percentile=50.0))
         assert pool.names == ("MYC", "WDR5", "ABL1")
         assert pool.embeddings.dim == 3
-        assert pool.score_of("WDR5") == 0.82
-        assert [c.index for c in pool.candidates] == [0, 1, 2]
+        assert pool.scores.tolist() == [0.1, 0.82, 0.09]
+        assert [pool.index_of(n) for n in pool.names] == [0, 1, 2]
 
     def test_expected_dim_accepts_and_rejects(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -97,7 +97,8 @@ class TestLoadPool:
         pool = load_pool(meas, emb, opts)
         # CCCl has chlorine, the sodium salt has Na, CC#N is out of range.
         assert pool.names == ("CCO", "CCN", "c1ccccc1")
-        assert [c.index for c in pool.candidates] == [0, 1, 2]
+        assert pool.scores.tolist() == [1.0, 2.0, 4.0]
+        assert np.array_equal(pool.embeddings.matrix, np.eye(6)[[0, 1, 3]])
 
     def test_empty_after_filter(self, tmp_path):
         meas, emb = write_dataset(tmp_path, ["CCCl"], [1.0], [[1.0]])
@@ -111,6 +112,32 @@ class TestLoadPool:
         pool = load_pool(meas, emb)
         assert pool.hit_policy.mode == MODE_GROUND_TRUTH
         assert pool.is_hit("WDR5") and not pool.is_hit("ABL1")
+
+
+class TestBuildPool:
+    @pytest.mark.parametrize(
+        "names, scores, rows, match",
+        [
+            (["a", "b"], [1.0], np.eye(2), "equal length"),
+            (["a", "b"], [1.0, 2.0], np.eye(3), "2 names but 3 embedding rows"),
+            (["a", "a"], [1.0, 2.0], np.eye(2), "duplicate"),
+            (["a", ""], [1.0, 2.0], np.eye(2), "empty name"),
+            (["a", "b"], [1.0, float("inf")], np.eye(2), "non-finite score for 'b'"),
+            (["a", "b"], [1.0, 2.0], [[1.0, float("nan")], [0.0, 1.0]], "non-finite"),
+            (["a", "b"], [1.0, 2.0], [1.0, 2.0], "2-dimensional"),
+            ([], [], np.eye(2), "empty"),
+        ],
+    )
+    def test_rejects_inconsistent_arrays(self, names, scores, rows, match):
+        with pytest.raises(DatasetError, match=match):
+            build_pool(names, scores, rows, percentile=50.0)
+
+    def test_arrays_are_copied(self):
+        scores, rows = np.array([1.0, 2.0]), np.eye(2)
+        pool = build_pool(["a", "b"], scores, rows, percentile=50.0)
+        scores[0] = rows[0, 0] = 9.0
+        assert pool.scores.tolist() == [1.0, 2.0]
+        assert pool.embeddings.matrix[0, 0] == 1.0
 
 
 class TestSmilesElements:

@@ -243,24 +243,21 @@ class TestSelectTopB:
 
     def test_largest_first(self):
         memory = self.make_memory()
-        assert select_top_b(np.arange(3), np.array([1.0, 2.0, 3.0]), memory, 2) == [
-            "C", "B",
-        ]
-        assert memory.is_explored("C") and memory.is_explored("B")
-        assert not memory.is_explored("A")
+        chosen = select_top_b(np.arange(3), np.array([1.0, 2.0, 3.0]), memory, 2)
+        assert chosen.tolist() == [2, 1]
+        assert memory.unexplored().tolist() == [0]
 
     def test_ties_by_index(self):
         memory = self.make_memory()
-        assert select_top_b(np.arange(3), np.ones(3), memory, 2) == ["A", "B"]
+        assert select_top_b(np.arange(3), np.ones(3), memory, 2).tolist() == [0, 1]
         # Ties follow the pool index, not the position in the index array.
         memory = self.make_memory()
-        assert select_top_b(np.array([2, 0, 1]), np.ones(3), memory, 2) == ["A", "B"]
+        assert select_top_b(np.array([2, 0, 1]), np.ones(3), memory, 2).tolist() == [0, 1]
 
     def test_b_exceeds_available(self):
         memory = self.make_memory()
-        assert select_top_b(np.arange(3), np.array([1.0, 3.0, 2.0]), memory, 10) == [
-            "B", "C", "A",
-        ]
+        chosen = select_top_b(np.arange(3), np.array([1.0, 3.0, 2.0]), memory, 10)
+        assert chosen.tolist() == [1, 2, 0]
 
     def test_b_must_be_positive(self):
         memory = self.make_memory()
@@ -280,9 +277,9 @@ class TestSelectTopB:
             pool = random_pool(rng, n, 2)
             memory = CandidateMemory(pool)
             memory.mark_explored([pool.names[i] for i in rng.permutation(n)[: n // 3]])
-            idx = np.flatnonzero(~memory.explored_mask)
+            idx = memory.unexplored()
             scores = rng.integers(0, 5, idx.size).astype(float)  # many ties
             b = int(rng.integers(1, n + 1))
             ranked = sorted(range(idx.size), key=lambda j: (-scores[j], idx[j]))
-            expected = [pool.names[idx[j]] for j in ranked[:b]]
-            assert select_top_b(idx, scores, memory, b) == expected
+            expected = [idx[j] for j in ranked[:b]]
+            assert select_top_b(idx, scores, memory, b).tolist() == expected

@@ -34,7 +34,8 @@ class ScriptedBackend(LlmBackend):
     Sources, exactly one of:
       * ``texts`` - the i-th call returns texts[i-1];
       * ``fn`` - the i-th call returns fn(i, system, user), which must be a
-        pure function of its arguments.
+        pure function of its arguments (``from_dir`` keeps its own prompt
+        index instead).
 
     Each instance owns its call counter, so one backend serves one run.
     """
@@ -52,12 +53,20 @@ class ScriptedBackend(LlmBackend):
 
     @classmethod
     def from_dir(cls, fixtures_dir: str | Path) -> "ScriptedBackend":
-        """Replay UTF-8 fixture files named round-<i>.txt from a directory."""
+        """Replay UTF-8 fixture files named round-<i>.txt from a directory.
+
+        The i-th distinct (system, user) prompt reads round-<i>.txt; a prompt
+        asked again (a re-prompt or a retry after a rejected reply) re-reads
+        its own file, so a transcript replays however often each prompt is
+        sent.
+        """
         fixtures = Path(fixtures_dir)
         if not fixtures.is_dir():
             raise BackendError(f"fixtures directory not found: {fixtures}")
+        prompt_index: dict[tuple[str, str], int] = {}
 
-        def read_fixture(index: int, system: str, user: str) -> str:
+        def read_fixture(call: int, system: str, user: str) -> str:
+            index = prompt_index.setdefault((system, user), len(prompt_index) + 1)
             path = fixtures / f"round-{index}.txt"
             if not path.is_file():
                 raise BackendError(f"missing scripted fixture {path}")

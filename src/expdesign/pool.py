@@ -7,12 +7,13 @@ metric, and a hit policy that decides which candidates count as discoveries.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,8 @@ HIT_MODES = (MODE_GROUND_TRUTH, MODE_TOP_PERCENTILE, MODE_ABS_TOP_PERCENTILE)
 class EmbeddingTable:
     """Dense embedding matrix, one row per candidate in pool index order.
 
-    The matrix is copied and frozen at construction.
+    The matrix is copied and frozen at construction, together with its
+    squared row norms (the l2 scans' expansion reads them every round).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -44,6 +46,8 @@ class EmbeddingTable:
             raise DatasetError("embedding matrix contains non-finite values")
         self._matrix = matrix.copy()
         self._matrix.setflags(write=False)
+        self._sq_norms = np.einsum("ij,ij->i", self._matrix, self._matrix)
+        self._sq_norms.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -53,6 +57,11 @@ class EmbeddingTable:
     def matrix(self) -> np.ndarray:
         """The (n, dim) matrix in pool index order. Read-only."""
         return self._matrix
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """Squared L2 norm of every row, in pool index order. Read-only."""
+        return self._sq_norms
 
     def __len__(self) -> int:
         return self._matrix.shape[0]
@@ -270,9 +279,26 @@ def smiles_elements(smiles: str) -> frozenset[str]:
     return frozenset(elements)
 
 
+@contextlib.contextmanager
+def _csv_reader(path: Path) -> Iterator[Iterator[list[str]]]:
+    """A CSV reader over a UTF-8 file. A file that cannot be opened, read,
+    decoded or parsed as CSV is a DatasetError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            yield reader
+    except csv.Error as exc:
+        raise DatasetError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+        ) from None
+
+
 def _read_measurements(path: Path) -> tuple[list[tuple[str, float]], dict[str, bool] | None]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -318,8 +344,8 @@ def _read_embeddings(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarra
     vectors: list[list[float]] = []
     seen: set[str] = set()
     dim: int | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with _csv_reader(path) as reader:
+        for lineno, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) < 2:

@@ -93,3 +93,28 @@ def naive_allocate(pool, explored: set[str], centers, batch_size: int) -> list[s
         taken.update(got)
         out.extend(got)
     return out
+
+
+def direct_nearest(matrix, explored, query, k: int) -> np.ndarray:
+    """Bit-faithful oracle: the k unexplored rows of least direct l2-squared
+    distance ``np.square(M - q).sum(1)``, by a stable sort, so exact ties go
+    to the lower index. ``explored`` is a boolean mask over the rows."""
+    rows = np.flatnonzero(~np.asarray(explored))
+    dists = np.square(matrix[rows] - query).sum(axis=1)
+    return rows[np.argsort(dists, kind="stable")[:k]]
+
+
+def direct_allocate(matrix, explored, centers, batch_size: int) -> np.ndarray:
+    """Center-by-center allocation over :func:`direct_nearest`; centers are
+    row indices and ``explored`` is not modified."""
+    base, extra = divmod(batch_size, len(centers))
+    quotas = [base + 1] * extra + [base] * (len(centers) - extra)
+    taken = np.array(explored, dtype=bool)
+    out: list[int] = []
+    for center, quota in zip(centers, quotas):
+        if quota == 0:
+            continue
+        got = direct_nearest(matrix, taken, matrix[center], quota)
+        taken[got] = True
+        out.extend(got)
+    return np.array(out, dtype=np.intp)

@@ -32,17 +32,26 @@ class TestScriptedBackend:
 
     def test_from_dir_reads_round_files(self):
         backend = ScriptedBackend.from_dir(DATA_DIR / "il2-fixtures")
-        first = backend.chat("s", "u")
+        first = backend.chat("s", "round 1")
         assert "## ABL1" in first
-        second = backend.chat("s", "u")
+        second = backend.chat("s", "round 2")
         assert "## MYBL2" in second
+
+    def test_from_dir_repeated_prompt_rereads_its_file(self):
+        backend = ScriptedBackend.from_dir(DATA_DIR / "il2-fixtures")
+        first = backend.chat("s", "round 1")
+        assert backend.chat("s", "round 1") == first  # a re-prompt
+        assert "## MYBL2" in backend.chat("s", "round 2")
+        assert backend.chat("s", "round 1") == first
+        assert "## RPS27" in backend.chat("other system", "round 1")  # new prompt
+        assert backend.calls == 5
 
     def test_from_dir_missing_fixture(self, tmp_path):
         (tmp_path / "round-1.txt").write_text("**Solution:\n## A", encoding="utf-8")
         backend = ScriptedBackend.from_dir(tmp_path)
-        backend.chat("s", "u")
+        backend.chat("s", "round 1")
         with pytest.raises(BackendError, match="round-2"):
-            backend.chat("s", "u")
+            backend.chat("s", "round 2")
 
     def test_from_dir_nonexistent(self, tmp_path):
         with pytest.raises(BackendError, match="not found"):
@@ -161,6 +170,7 @@ def chat_server():
     _ChatHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

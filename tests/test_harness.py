@@ -24,6 +24,8 @@ from expdesign.harness import (
 from expdesign.pool import build_pool, write_embeddings, write_measurements
 from expdesign.surrogates import LinUcb
 
+from conftest import DATA_DIR
+
 
 def hypergeometric_pool(seed=0, n=1000, hits=100, dim=4):
     """Pool with exactly `hits` ground-truth hits and random embeddings."""
@@ -471,6 +473,60 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "zero vector" in err
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("broken", ["dataset", "embeddings"])
+    @pytest.mark.parametrize("fault", ["missing", "not-utf8", "oversized-field"])
+    def test_unreadable_data_file_exit_1(self, tmp_path, capsys, broken, fault):
+        meas, emb = write_cli_dataset(tmp_path)
+        paths = {"dataset": meas, "embeddings": emb}
+        if fault == "missing":
+            paths[broken] = tmp_path / "nonexistent.csv"
+        elif fault == "not-utf8":
+            paths[broken].write_bytes(paths[broken].read_bytes() + b"\xff,1.0\n")
+        else:  # beyond the csv module's field size limit
+            paths[broken].write_bytes(paths[broken].read_bytes() + b"x" * 200_000 + b",1.0\n")
+        data = ["--dataset", str(paths["dataset"]), "--embeddings", str(paths["embeddings"])]
+        for argv in (
+            ["validate", *data],
+            ["run", *data, "--agent", "random", "--rounds", "1", "--batch", "4",
+             "--runs", "1", "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {paths[broken]}:") and err.count("\n") == 1
+
+    def test_bda_replays_fixtures_with_default_retries(self, tmp_path):
+        # Each fixture names 5 genes for a batch of 20, so every round
+        # re-prompts; a re-prompt must re-read its own round's file.
+        fixtures = DATA_DIR / "il2-fixtures"
+        genes = sorted({
+            line[3:].strip()
+            for path in fixtures.glob("round-*.txt")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.startswith("## ")
+        })
+        rng = np.random.default_rng(0)
+        names = genes + [f"FILLER{i}" for i in range(100)]
+        pool = build_pool(names, rng.normal(size=len(names)),
+                          rng.standard_normal((len(names), 4)))
+        meas, emb = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, emb)
+        config = {"agent": "bda", "dataset_key": "il2", "rounds": 5, "batch_size": 20,
+                  "runs": 1, "dataset": str(meas), "embeddings": str(emb),
+                  "llm": {"fixtures": str(fixtures)}}
+        assert ExperimentConfig.from_dict(config).bda_retries == 5
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        proc = self.run_cli("run", "--config", str(config_path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        events = [json.loads(line) for line in
+                  (out / "trace-run0.jsonl").read_text(encoding="utf-8").splitlines()]
+        calls = [e for e in events if e["event"] == "llm_call"]
+        assert len({e["round"] for e in calls}) == 5
+        assert len(calls) == 5 * 6  # one prompt and 5 re-prompts per round
+        assert "MYBL2" in next(e for e in calls if e["round"] == 2)["parsed"]
 
     def test_aborted_runs_exit_2(self, tmp_path):
         # Fixtures cover only round 1 of 2: the run aborts and the CLI

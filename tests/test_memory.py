@@ -12,7 +12,13 @@ from expdesign.memory import (
 )
 from expdesign.pool import build_pool
 
-from conftest import naive_allocate, naive_nearest_unexplored, random_pool
+from conftest import (
+    direct_allocate,
+    direct_nearest,
+    naive_allocate,
+    naive_nearest_unexplored,
+    random_pool,
+)
 
 
 class TestDistance:
@@ -209,6 +215,109 @@ class TestOracleEquivalence:
         a = CandidateMemory(pool).nearest_unexplored(query, 7)
         b = CandidateMemory(shuffled).nearest_unexplored(query, 7)
         assert a == b  # no exact ties in continuous random data
+
+
+def hard_embeddings(kind: str, rng: np.random.Generator, n: int = 240, dim: int = 6):
+    """Pools where the expanded l2 distance is far from the direct one or
+    where exact ties abound."""
+    if kind == "duplicate-rows":
+        return rng.integers(-2, 3, (n // 8, dim)).astype(float)[rng.integers(0, n // 8, n)]
+    if kind == "lattice":
+        return rng.integers(-3, 4, (n, dim)).astype(float)
+    if kind == "offset":  # |x|^2 - 2 x.q + |q|^2 cancels catastrophically
+        return 1e6 + rng.standard_normal((n, dim))
+    if kind == "offset-near-ties":
+        near = rng.integers(-2, 3, (n, dim)) * 1e-4 + rng.standard_normal((n, dim)) * 1e-12
+        return 1e6 + near
+    if kind == "near-overflow":  # |x|^2 overflows, |x - q|^2 often does not
+        return 1e154 * (1.0 + 1e-3 * rng.standard_normal((n, dim)))
+    if kind == "overflow":  # direct distances overflow to inf as well
+        return 1e154 * rng.standard_normal((n, dim))
+    if kind == "subnormal":  # squares underflow into the subnormals, and tie
+        lattice = rng.integers(-3, 4, (2, n, dim)).astype(float)
+        return 1e-161 * lattice[0] + 1e-164 * lattice[1]
+    if kind == "mixed-scales":
+        return rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-150, 150, (n, 1))
+    raise ValueError(kind)
+
+
+HARD_KINDS = ("duplicate-rows", "lattice", "offset", "offset-near-ties", "near-overflow",
+              "overflow", "subnormal", "mixed-scales")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestExactScan:
+    """The certified l2 scan returns exactly the direct formula's indices."""
+
+    def memory(self, emb, explored=()):
+        n = len(emb)
+        pool = build_pool([f"c{i}" for i in range(n)], np.arange(n, dtype=float), emb,
+                          percentile=50.0)
+        memory = CandidateMemory(pool)
+        memory.explore(np.asarray(explored, dtype=np.intp))
+        return memory
+
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_allocate_and_nearest_match_direct_formula(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        emb = hard_embeddings(kind, rng)
+        n = len(emb)
+        explored = np.zeros(n, dtype=bool)
+        explored[rng.choice(n, n // 5, replace=False)] = True
+        memory = self.memory(emb, np.flatnonzero(explored))
+        matrix = memory.pool.embeddings.matrix
+        for round_num in range(8):
+            centers = list(rng.integers(0, n, int(rng.integers(1, 6))))
+            if round_num % 3 == 1:
+                centers += centers[:2]  # duplicate centers
+            if round_num % 3 == 2:
+                centers.append(int(np.flatnonzero(explored)[0]))  # an explored center
+            batch_size = int(rng.integers(1, 40))
+            expected = direct_allocate(matrix, explored, centers, batch_size)
+            got = memory.allocate_batch(centers, batch_size)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, expected)
+            explored[expected] = True
+            for query in (matrix[int(rng.integers(n))], matrix[centers[0]] * (1 + 1e-9)):
+                k = int(rng.integers(1, 30))
+                np.testing.assert_array_equal(
+                    memory.nearest(query, k), direct_nearest(matrix, explored, query, k)
+                )
+
+    @pytest.mark.parametrize("kind", ("duplicate-rows", "offset", "overflow"))
+    def test_k_at_least_unexplored(self, kind):
+        rng = np.random.default_rng(7)
+        emb = hard_embeddings(kind, rng, n=40)
+        explored = np.zeros(40, dtype=bool)
+        explored[::3] = True
+        memory = self.memory(emb, np.flatnonzero(explored))
+        matrix = memory.pool.embeddings.matrix
+        for k in (26, 27, 100):
+            np.testing.assert_array_equal(
+                memory.nearest(matrix[0], k), direct_nearest(matrix, explored, matrix[0], k)
+            )
+        expected = direct_allocate(matrix, explored, [0, 5, 5], 100)
+        assert len(expected) == 26
+        np.testing.assert_array_equal(memory.allocate_batch([0, 5, 5], 100), expected)
+        assert memory.num_unexplored == 0
+
+    def test_overflowing_distances_never_return_explored_rows(self):
+        emb = np.array([[1e154], [-1e154], [2e154], [-3e154]])
+        memory = self.memory(emb, explored=[0])
+        # Rows 0, 1 and 2 are all at distance inf from row 3; row 0 is explored.
+        np.testing.assert_array_equal(memory.nearest(emb[3], 2), [3, 1])
+
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    def test_direct_formula_on_rows_matches_full_matrix(self, kind):
+        rng = np.random.default_rng(3)
+        matrix = hard_embeddings(kind, rng, n=500, dim=37)
+        query = matrix[11]
+        full = embedding_distances(matrix, query, "l2-squared")
+        for rows in (np.arange(500), np.array([11]), rng.choice(500, 60, replace=False),
+                     np.sort(rng.choice(500, 7, replace=False))):
+            subset = embedding_distances(matrix[rows], query, "l2-squared")
+            assert subset.tobytes() == full[rows].tobytes()
 
 
 def test_embedding_distances_matches_scalar():

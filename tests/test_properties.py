@@ -1,11 +1,12 @@
 """Property tests: the loop invariants hold for any valid input.
 
 Random small pools (l2-squared and cosine, with tied and duplicated
-embeddings), batch sizes, round counts, center counts and feedback modes,
-for every agent kind. LLM kinds talk to scripted policies that answer with
-junk names, duplicates, already-explored names, short and overlong lists,
-and now and then a reply with no solution at all (never twice in a row, so
-the retry budget always absorbs it).
+embeddings, or a large common offset), batch sizes, round counts, center
+counts and feedback modes, for every agent kind. LLM kinds talk to scripted
+policies that answer with junk names, duplicates, already-explored names,
+short and overlong lists, and now and then a reply with no solution at all
+(never twice in a row, so the retry budget always absorbs it). Center
+allocation on the same pools must match the direct-formula scan exactly.
 """
 
 from __future__ import annotations
@@ -20,16 +21,28 @@ from hypothesis import strategies as st
 from expdesign.agents import AGENT_KINDS
 from expdesign.backends import ScriptedBackend
 from expdesign.harness import ExperimentConfig, run_experiment
-from expdesign.pool import METRICS, build_pool
+from expdesign.memory import CandidateMemory
+from expdesign.pool import METRIC_L2_SQUARED, METRICS, build_pool
+
+from conftest import direct_allocate
 
 FEEDBACK_MODES = (("true", True), ("randomized", True), ("randomized", False))
 
 
-def tied_pool(seed: int, n: int, dim: int, metric: str):
-    """Small-integer embeddings and scores, so distances and scores tie often."""
+EMBEDDINGS = ("tied", "duplicate-rows", "offset")
+
+
+def tied_pool(seed: int, n: int, dim: int, metric: str, embeddings: str):
+    """Small-integer scores, so scores tie often, and embeddings that are
+    small integers (distances tie often), a few repeated rows (exact ties),
+    or a large common offset plus noise (the expanded l2 distance cancels)."""
     rng = np.random.default_rng(seed)
     names = [f"c{i:03d}" for i in range(n)]
     emb = rng.integers(-2, 3, (n, dim)).astype(float)
+    if embeddings == "duplicate-rows":
+        emb = emb[rng.integers(0, max(1, n // 4), n)]
+    elif embeddings == "offset":
+        emb = 1e6 + rng.standard_normal((n, dim))
     emb[np.all(emb == 0.0, axis=1), 0] = 1.0  # cosine needs nonzero rows
     scores = rng.integers(0, 4, n).astype(float)
     truth = [name for name, hit in zip(names, rng.random(n) < 0.3) if hit]
@@ -68,6 +81,7 @@ def messy_policy(names, batch_size: int, seed: int):
     n=st.integers(3, 30),
     dim=st.integers(1, 3),
     metric=st.sampled_from(METRICS),
+    embeddings=st.sampled_from(EMBEDDINGS),
     batch_size=st.integers(1, 9),
     rounds=st.integers(1, 5),
     num_centers=st.integers(1, 4),
@@ -75,9 +89,9 @@ def messy_policy(names, batch_size: int, seed: int):
     bda_retries=st.integers(0, 2),
     seed=st.integers(0, 2**16),
 )
-def test_loop_invariants(kind, pool_seed, n, dim, metric, batch_size, rounds,
+def test_loop_invariants(kind, pool_seed, n, dim, metric, embeddings, batch_size, rounds,
                          num_centers, feedback, bda_retries, seed):
-    pool = tied_pool(pool_seed, n, dim, metric)
+    pool = tied_pool(pool_seed, n, dim, metric, embeddings)
     config = ExperimentConfig(
         agent=kind, rounds=rounds, batch_size=batch_size, num_centers=num_centers,
         feedback=feedback[0], randomize_fresh_each_round=feedback[1],
@@ -108,3 +122,23 @@ def test_loop_invariants(kind, pool_seed, n, dim, metric, batch_size, rounds,
     again = run()
     assert again.selections == result.selections
     assert again.cumulative_hits == result.cumulative_hits
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pool_seed=st.integers(0, 2**16),
+    n=st.integers(3, 60),
+    dim=st.integers(1, 5),
+    embeddings=st.sampled_from(EMBEDDINGS),
+    rounds=st.lists(st.tuples(st.lists(st.integers(0, 59), min_size=1, max_size=5),
+                              st.integers(1, 20)), min_size=1, max_size=6),
+)
+def test_allocation_matches_direct_formula(pool_seed, n, dim, embeddings, rounds):
+    pool = tied_pool(pool_seed, n, dim, METRIC_L2_SQUARED, embeddings)
+    memory = CandidateMemory(pool)
+    explored = np.zeros(n, dtype=bool)
+    for centers, batch_size in rounds:
+        centers = [c % n for c in centers]
+        expected = direct_allocate(pool.embeddings.matrix, explored, centers, batch_size)
+        np.testing.assert_array_equal(memory.allocate_batch(centers, batch_size), expected)
+        explored[expected] = True

@@ -10,11 +10,26 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import pdist
 
 from .errors import NumericalError
 from .memory import CandidateMemory
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower Cholesky factor L by LAPACK's triangular inverse
+    (trtri). It overwrites ``chol`` when that is Fortran-ordered, so callers
+    are done with the factor.
+
+    Callers pass the factor of a successful Cholesky of a finite matrix, so
+    its entries are finite and its diagonal is positive.
+    """
+    inv, info = dtrtri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
+    return inv
 
 
 class LinUcb:
@@ -22,6 +37,10 @@ class LinUcb:
 
     Maintains A = ridge*I + sum(x x^T) and b = sum(y x); the score of a
     feature vector is theta.x + alpha * sqrt(x^T A^-1 x) with theta = A^-1 b.
+    Scoring factors A once as L L^T (lower Cholesky) and inverts L in place;
+    the widths x^T A^-1 x = |L^-1 x|^2 are then row norms of one matrix
+    product X L^-T, so the cost over many candidates is a GEMM rather than
+    triangular solves with one right-hand side per candidate.
     """
 
     def __init__(self, dim: int, ridge: float = 1.0, alpha: float = 1.0):
@@ -64,21 +83,18 @@ class LinUcb:
     @property
     def theta(self) -> np.ndarray:
         """Current ridge estimate A^-1 b (dense solve)."""
-        return cho_solve(cho_factor(self.A), self.b)
+        return cho_solve((cholesky(self.A, lower=True), True), self.b)
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
-        """UCB scores for a stack of feature rows."""
+        """UCB scores for a stack of feature rows, which are taken as finite
+        (pool embeddings are checked at load)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
-        factor = cho_factor(self.A)
-        theta = cho_solve(factor, self.b)
-        solved = cho_solve(factor, X.T)
-        quad = np.einsum("ij,ji->i", X, solved)
-        return X @ theta + self.alpha * np.sqrt(np.clip(quad, 0.0, None))
-
-    def score(self, x: Sequence[float]) -> float:
-        return float(self.score_many(self._check(x)[None, :])[0])
+        chol = cholesky(self.A, lower=True)
+        theta = cho_solve((chol, True), self.b)
+        W = X @ _lower_inverse(chol).T
+        return X @ theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
 
 
 def median_heuristic(X: np.ndarray, max_points: int = 512) -> float:
@@ -106,6 +122,11 @@ class GaussianProcess:
     ``standardize`` on, targets are z-scored before fitting and explicit
     signal/noise variances are interpreted in the standardized space;
     posteriors are mapped back to raw units.
+
+    A fit factors the training kernel once (K + noise*I = L L^T) and keeps
+    L^-1; a posterior applies it to the cross-kernel block by one matrix
+    product (v = L^-1 k_*, var = signal - |v|^2) instead of a triangular
+    solve with one right-hand side per query row.
     """
 
     def __init__(
@@ -130,7 +151,7 @@ class GaussianProcess:
         self.beta = float(beta)
         self.standardize = standardize
         self._X: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
+        self._chol_inv: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._mu = 0.0
         self._sd = 1.0
@@ -138,13 +159,19 @@ class GaussianProcess:
         self._signal = signal_var if signal_var is not None else 1.0
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        sq = (
-            np.square(A).sum(axis=1)[:, None]
-            + np.square(B).sum(axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
+        """k(A, B) as (|a|^2 + |b|^2) - 2 A B^T, clipped at 0, times -0.5,
+        over length^2, exp, times signal: each step in place, in this order,
+        so two blocks of len(A) x len(B) are live at most."""
+        sq = np.add.outer(np.square(A).sum(axis=1), np.square(B).sum(axis=1))
+        cross = A @ B.T
+        cross *= 2.0
+        sq -= cross
         np.clip(sq, 0.0, None, out=sq)
-        return self._signal * np.exp(-0.5 * sq / (self._length**2))
+        sq *= -0.5
+        sq /= self._length**2
+        np.exp(sq, out=sq)
+        sq *= self._signal
+        return sq
 
     def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
         """Refit on the full training set (replaces any previous fit)."""
@@ -154,7 +181,7 @@ class GaussianProcess:
             raise ValueError("X and y must have matching lengths")
         if X.shape[0] == 0:
             self._X = None
-            self._chol = None
+            self._chol_inv = None
             self._alpha = None
             self._mu, self._sd = 0.0, 1.0
             return
@@ -181,7 +208,7 @@ class GaussianProcess:
         jitter = 0.0
         while True:
             try:
-                self._chol = np.linalg.cholesky(K + (noise + jitter) * np.eye(n))
+                chol = np.linalg.cholesky(K + (noise + jitter) * np.eye(n))
                 break
             except np.linalg.LinAlgError:
                 jitter = max(jitter * 10.0, 1e-12 * self._signal)
@@ -190,10 +217,12 @@ class GaussianProcess:
                         "kernel matrix is not positive-definite even after jitter"
                     ) from None
         self._X = X
-        self._alpha = cho_solve((self._chol, True), z)
+        self._alpha = cho_solve((chol, True), z)
+        self._chol_inv = _lower_inverse(chol)
 
     def posterior_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at a stack of query rows (raw units)."""
+        """Posterior mean and variance at a stack of query rows (raw units),
+        which are taken as finite (pool embeddings are checked at load)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self._X is None:
             prior_var = self.signal_var if self.signal_var is not None else 1.0
@@ -203,13 +232,9 @@ class GaussianProcess:
             )
         k_star = self._kernel(self._X, X)
         mean_z = k_star.T @ self._alpha
-        v = solve_triangular(self._chol, k_star, lower=True)
-        var_z = np.clip(self._signal - np.square(v).sum(axis=0), 0.0, None)
+        v = self._chol_inv @ k_star
+        var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
         return self._mu + self._sd * mean_z, self._sd**2 * var_z
-
-    def posterior(self, x: Sequence[float]) -> tuple[float, float]:
-        mean, var = self.posterior_many(np.asarray(x, dtype=np.float64)[None, :])
-        return float(mean[0]), float(var[0])
 
     def acquisition(self, X: np.ndarray) -> np.ndarray:
         """UCB scores: posterior mean + beta * posterior stddev."""

@@ -118,3 +118,51 @@ def direct_allocate(matrix, explored, centers, batch_size: int) -> np.ndarray:
         taken[got] = True
         out.extend(got)
     return np.array(out, dtype=np.intp)
+
+
+def ridge_theta(xs, ys, lam):
+    """Independent closed-form ridge solution (lam*I + X^T X)^-1 X^T y."""
+    X = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    d = X.shape[1]
+    return np.linalg.solve(lam * np.eye(d) + X.T @ X, X.T @ y)
+
+
+def linucb_direct(X, y, lam, alpha, Xq) -> np.ndarray:
+    """LinUCB scores x.theta + alpha * sqrt(x^T (lam*I + X^T X)^-1 x) by dense
+    solves, one query row at a time."""
+    X = np.asarray(X, dtype=float)
+    A = lam * np.eye(X.shape[1]) + X.T @ X
+    theta = np.linalg.solve(A, X.T @ np.asarray(y, dtype=float))
+    return np.array(
+        [x @ theta + alpha * np.sqrt(x @ np.linalg.solve(A, x)) for x in np.asarray(Xq, float)]
+    )
+
+
+def textbook_gp(X, y, Xq, length, signal, noise):
+    """Direct implementation of the GP posterior equations via matrix inverse."""
+    X = np.asarray(X, float)
+    Xq = np.asarray(Xq, float)
+    y = np.asarray(y, float)
+
+    def k(A, B):
+        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
+        return signal * np.exp(-0.5 * sq / length**2)
+
+    Kinv = np.linalg.inv(k(X, X) + noise * np.eye(len(X)))
+    ks = k(X, Xq)
+    mean = ks.T @ Kinv @ y
+    var = signal - np.einsum("ij,jk,ki->i", ks.T, Kinv, ks)
+    return mean, var
+
+
+def one_expression_rbf(A, B, length, signal) -> np.ndarray:
+    """The RBF kernel in expanded form as one expression with temporaries;
+    ``GaussianProcess._kernel`` must reproduce its bits."""
+    sq = (
+        np.square(A).sum(axis=1)[:, None]
+        + np.square(B).sum(axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.clip(sq, 0.0, None, out=sq)
+    return signal * np.exp(-0.5 * sq / (length**2))

@@ -2,42 +2,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from expdesign.errors import NumericalError
 from expdesign.memory import CandidateMemory
 from expdesign.pool import build_pool
 from expdesign.surrogates import (
     GaussianProcess,
     LinUcb,
+    _lower_inverse,
     median_heuristic,
     select_top_b,
 )
 
-from conftest import random_pool
-
-
-def ridge_theta(xs, ys, lam):
-    """Independent closed-form ridge solution (lam*I + X^T X)^-1 X^T y."""
-    X = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    d = X.shape[1]
-    return np.linalg.solve(lam * np.eye(d) + X.T @ X, X.T @ y)
-
-
-def textbook_gp(X, y, Xq, length, signal, noise):
-    """Direct implementation of the GP posterior equations via matrix inverse."""
-    X = np.asarray(X, float)
-    Xq = np.asarray(Xq, float)
-    y = np.asarray(y, float)
-
-    def k(A, B):
-        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
-        return signal * np.exp(-0.5 * sq / length**2)
-
-    Kinv = np.linalg.inv(k(X, X) + noise * np.eye(len(X)))
-    ks = k(X, Xq)
-    mean = ks.T @ Kinv @ y
-    var = signal - np.einsum("ij,jk,ki->i", ks.T, Kinv, ks)
-    return mean, var
+from conftest import (
+    linucb_direct,
+    one_expression_rbf,
+    random_pool,
+    ridge_theta,
+    textbook_gp,
+)
 
 
 class TestLinUcb:
@@ -51,7 +35,7 @@ class TestLinUcb:
     def test_score_after_one_update(self):
         model = LinUcb(1, ridge=1.0, alpha=0.0)
         model.update([1.0], 1.0)
-        assert model.score([1.0]) == pytest.approx(0.5)
+        assert model.score_many(np.array([[1.0]])) == pytest.approx([0.5])
 
     def test_zero_feature_update_is_noop(self):
         model = LinUcb(3)
@@ -119,12 +103,35 @@ class TestLinUcb:
         order2 = np.argsort(model.score_many(pair))
         assert np.array_equal(order0, order2)
 
+    def test_scores_match_direct_formula(self):
+        # x.theta + alpha * sqrt(x^T (lam*I + X^T X)^-1 x) by dense solves,
+        # including an empty history, d > n and ridge weights down to 1e-3.
+        rng = np.random.default_rng(31)
+        for case in range(80):
+            d = int(rng.integers(1, 41))
+            n = 0 if case < 5 else int(rng.integers(0, 81))
+            lam = float(np.exp(rng.uniform(np.log(1e-3), np.log(5.0))))
+            alpha = [0.0, 1.0, 2.5][case % 3]
+            X = rng.standard_normal((n, d))
+            y = rng.standard_normal(n)
+            Xq = np.vstack([rng.standard_normal((20, d)), X[:5]])
+            model = LinUcb(d, ridge=lam, alpha=alpha)
+            model.fit_batch(X, y)
+            expected = linucb_direct(X, y, lam, alpha, Xq)
+            assert np.allclose(model.score_many(Xq), expected, rtol=1e-9, atol=1e-12)
+
+    def test_empty_query(self):
+        model = LinUcb(3)
+        assert model.score_many(np.empty((0, 3))).shape == (0,)
+        model.update([1.0, 2.0, 0.5], 1.0)
+        assert model.score_many(np.empty((0, 3))).shape == (0,)
+
     def test_dim_mismatch(self):
         model = LinUcb(2)
         with pytest.raises(ValueError):
             model.update([1.0], 1.0)
         with pytest.raises(ValueError):
-            model.score([1.0, 2.0, 3.0])
+            model.score_many(np.array([[1.0, 2.0, 3.0]]))
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -142,48 +149,72 @@ class TestGaussianProcess:
         X = np.array([[0.0], [1.5], [3.0]])
         y = [0.2, -1.0, 0.7]
         gp.fit(X, y)
-        for xi, yi in zip(X, y):
-            mean, var = gp.posterior(xi)
-            assert mean == pytest.approx(yi, abs=1e-8)
-            assert var == pytest.approx(0.0, abs=1e-8)
+        mean, var = gp.posterior_many(X)
+        assert mean == pytest.approx(y, abs=1e-8)
+        assert var == pytest.approx([0.0] * 3, abs=1e-8)
 
     def test_far_query_reverts_to_prior(self):
         gp = GaussianProcess(length_scale=1.0, signal_var=2.5, noise_var=1e-6,
                              standardize=False)
         gp.fit(np.array([[0.0]]), [3.0])
-        mean, var = gp.posterior([1e6])
-        assert mean == pytest.approx(0.0, abs=1e-12)
-        assert var == pytest.approx(2.5, abs=1e-8)
+        mean, var = gp.posterior_many(np.array([[1e6]]))
+        assert mean == pytest.approx([0.0], abs=1e-12)
+        assert var == pytest.approx([2.5], abs=1e-8)
 
     def test_single_point_hand_formula(self):
         # mean at query 1.0 = k(0,1) * y / (k(0,0) + noise) ~= exp(-0.5)
         gp = GaussianProcess(length_scale=1.0, signal_var=1.0, noise_var=1e-6,
                              standardize=False)
         gp.fit(np.array([[0.0]]), [1.0])
-        mean, _ = gp.posterior([1.0])
-        assert mean == pytest.approx(np.exp(-0.5), abs=1e-4)
+        mean, _ = gp.posterior_many(np.array([[1.0]]))
+        assert mean == pytest.approx([np.exp(-0.5)], abs=1e-4)
 
     def test_zero_observations_prior(self):
         gp = GaussianProcess(signal_var=1.0)
-        mean, var = gp.posterior([0.3, 0.4])
-        assert mean == 0.0
-        assert var == 1.0
+        mean, var = gp.posterior_many(np.array([[0.3, 0.4]]))
+        assert mean.tolist() == [0.0]
+        assert var.tolist() == [1.0]
 
     def test_matches_textbook_formulas(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            n = int(rng.integers(1, 10))
-            X = rng.uniform(-3, 3, size=(n, 1))
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            d = int(rng.integers(1, 17))
+            n = int(rng.integers(1, 40))
+            X = rng.uniform(-3, 3, size=(n, d))
             y = rng.standard_normal(n)
-            Xq = rng.uniform(-4, 4, size=(5, 1))
-            length, signal, noise = 0.8, 1.3, 1e-4
+            Xq = np.vstack([rng.uniform(-4, 4, size=(6, d)), X[:2] + 0.05])
+            length = float(rng.uniform(0.3, 2.0)) * np.sqrt(d)
+            signal = float(rng.uniform(0.5, 3.0))
+            noise = float(rng.uniform(1e-6, 1e-2))
             gp = GaussianProcess(length_scale=length, signal_var=signal,
                                  noise_var=noise, standardize=False)
             gp.fit(X, y)
             mean, var = gp.posterior_many(Xq)
             emean, evar = textbook_gp(X, y, Xq, length, signal, noise)
             assert np.allclose(mean, emean, rtol=1e-8, atol=1e-10)
-            assert np.allclose(var, np.clip(evar, 0, None), rtol=1e-8, atol=1e-8)
+            assert np.allclose(var, np.clip(evar, 0.0, None), rtol=1e-8, atol=1e-8)
+
+    def test_kernel_bit_identical_to_one_expression(self):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            n, m, d = (int(v) for v in rng.integers(0, 50, 3))
+            A = rng.standard_normal((n, d + 1)) * float(rng.choice([1e-3, 1.0, 30.0]))
+            B = rng.standard_normal((m, d + 1))
+            B[: min(n, m) // 2] = A[: min(n, m) // 2]  # zero distances clip
+            gp = GaussianProcess(length_scale=float(rng.uniform(0.1, 5.0)),
+                                 signal_var=float(rng.uniform(0.1, 3.0)))
+            expected = one_expression_rbf(A, B, gp.length_scale, gp.signal_var)
+            got = gp._kernel(A, B)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_empty_query(self):
+        gp = GaussianProcess(length_scale=1.0, signal_var=1.0)
+        for fitted in (False, True):
+            if fitted:
+                gp.fit(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, -0.5])
+            mean, var = gp.posterior_many(np.empty((0, 2)))
+            assert mean.shape == var.shape == (0,)
+            assert gp.acquisition(np.empty((0, 2))).shape == (0,)
 
     def test_standardization_round_trip(self):
         # Standardized fit must equal manual z-score -> fit -> untransform.
@@ -216,15 +247,43 @@ class TestGaussianProcess:
     def test_constant_targets_do_not_crash(self):
         gp = GaussianProcess()
         gp.fit(np.array([[0.0], [1.0]]), [2.0, 2.0])
-        mean, var = gp.posterior([0.5])
-        assert np.isfinite(mean) and np.isfinite(var)
+        mean, var = gp.posterior_many(np.array([[0.5]]))
+        assert np.isfinite(mean).all() and np.isfinite(var).all()
 
     def test_duplicate_inputs_need_jitter(self):
-        gp = GaussianProcess(length_scale=1.0, signal_var=1.0, noise_var=0.0,
-                             standardize=False)
-        gp.fit(np.array([[1.0], [1.0]]), [0.5, 0.5])
-        mean, _ = gp.posterior([1.0])
-        assert mean == pytest.approx(0.5, abs=1e-3)
+        # Every row appears three times (two copies shifted by ~1e-14) with
+        # equal targets, so K is singular and the fit must add jitter. The
+        # noise-free posterior of the distinct rows is then the oracle: the
+        # textbook inverse of the singular K is too inaccurate to be one.
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            d = int(rng.integers(1, 17))
+            n = int(rng.integers(3, 15))
+            base = rng.uniform(-2, 2, size=(n, d))
+            rows = np.tile(np.arange(n), 3)
+            X = base[rows]
+            X[n:] += 1e-14 * rng.standard_normal((2 * n, d))
+            y_base = rng.standard_normal(n)
+            length = float(rng.uniform(0.3, 1.0)) * pdist(base).min()
+            signal = float(rng.uniform(0.5, 3.0))
+            gp = GaussianProcess(length_scale=length, signal_var=signal,
+                                 noise_var=0.0, standardize=False)
+            gp.fit(X, y_base[rows])
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(gp._kernel(X, X))
+            Xq = np.vstack([rng.uniform(-2.5, 2.5, size=(6, d)), base[:3] + 0.01, base[:2]])
+            mean, var = gp.posterior_many(Xq)
+            emean, evar = textbook_gp(base, y_base, Xq, length, signal, 0.0)
+            assert np.allclose(mean, emean, rtol=1e-8, atol=1e-10)
+            assert np.allclose(var, np.clip(evar, 0.0, None), rtol=1e-8, atol=1e-8)
+
+
+def test_lower_inverse_rejects_singular_factor():
+    L = np.tril(np.arange(1.0, 10.0).reshape(3, 3))
+    assert np.allclose(_lower_inverse(L.copy()) @ L, np.eye(3), rtol=0, atol=1e-12)
+    L[1, 1] = 0.0
+    with pytest.raises(NumericalError):
+        _lower_inverse(L)
 
 
 def test_median_heuristic_basics():

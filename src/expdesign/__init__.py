@@ -41,12 +41,7 @@ from .harness import (
     run_many,
     write_report,
 )
-from .memory import (
-    CandidateMemory,
-    center_quotas,
-    distance,
-    embedding_distances,
-)
+from .memory import CandidateMemory, embedding_distances
 from .pool import (
     CandidatePool,
     EmbeddingTable,
@@ -55,7 +50,6 @@ from .pool import (
     build_pool,
     load_pool,
     resolve_hit_policy,
-    smiles_elements,
     write_embeddings,
     write_measurements,
 )
@@ -68,6 +62,6 @@ from .prompts import (
     render_feedback,
     render_prompt,
 )
-from .surrogates import GaussianProcess, LinUcb, median_heuristic, select_top_b
+from .surrogates import GaussianProcess, LinUcb, select_top_b
 
 __version__ = "0.1.0"

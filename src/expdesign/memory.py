@@ -24,29 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pool import METRIC_COSINE, METRIC_L2_SQUARED, METRICS, CandidatePool, EmbeddingTable
-
-
-def distance(metric: str, a: Sequence[float], b: Sequence[float]) -> float:
-    """Scalar distance between two vectors under a pool metric.
-
-    cosine: 1 - a.b / (|a||b|), defined only for nonzero vectors, in [0, 2].
-    l2-squared: sum((a_i - b_i)^2).
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError(f"vector length mismatch: {av.shape} vs {bv.shape}")
-    if metric == METRIC_L2_SQUARED:
-        diff = av - bv
-        return float(np.square(diff).sum())
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    return float(1.0 - float(av @ bv) / (na * nb))
+from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, EmbeddingTable
 
 
 def embedding_distances(

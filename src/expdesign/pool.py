@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -314,7 +315,8 @@ def _read_measurements(path: Path) -> tuple[list[tuple[str, float]], dict[str, b
         rows: list[tuple[str, float]] = []
         hit_flags: dict[str, bool] = {}
         seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -339,13 +341,115 @@ def _read_measurements(path: Path) -> tuple[list[tuple[str, float]], dict[str, b
     return rows, (hit_flags if has_hit else None)
 
 
+# Bytes a value part may hold for the plain parse: digits, signs, the
+# decimal point, exponents, and the delimiter.
+_PLAIN_VALUE_BYTES = b"0123456789+-.eE,"
+
+
+class _NotPlain(Exception):
+    """A line the plain parse does not vouch for; the csv reader takes over."""
+
+
+def _plain_value_parts(lines: Iterable[str], wanted: set[str], names: list[str]) -> Iterator[str]:
+    """The value parts of the wanted rows in file order, their names appended
+    to ``names``. Raises _NotPlain at the first line that the csv module could
+    split differently, or that holds anything but plain decimal literals."""
+    # The csv module fails on a field longer than this, and before Python
+    # 3.11 on any NUL.
+    limit = csv.field_size_limit()
+    commas = None
+    seen: set[str] = set()
+    for line in lines:
+        if line == "\n":
+            continue
+        line = line.removesuffix("\n")
+        cut = line.find(",")
+        name, rest = line[:cut], line[cut + 1 :]
+        if (
+            cut < 0
+            or not rest
+            or '"' in name
+            or "\r" in name
+            or "\0" in name
+            or len(name) > limit
+            or rest.encode().translate(None, _PLAIN_VALUE_BYTES)
+        ):
+            raise _NotPlain
+        if commas is None:
+            commas = rest.count(",")
+        elif rest.count(",") != commas:
+            raise _NotPlain
+        if len(rest) > limit and max(map(len, rest.split(","))) > limit:
+            raise _NotPlain
+        if name not in wanted:
+            continue
+        if name in seen:
+            raise _NotPlain
+        seen.add(name)
+        names.append(name)
+        yield rest
+
+
 def _read_embeddings(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarray]:
+    """Names and matrix of the wanted embedding rows, in file order.
+
+    Files as :func:`write_embeddings` writes them (unquoted names, LF line
+    ends, plain decimal literals) are parsed in one streamed ``np.loadtxt``
+    pass over the value parts of the wanted rows; every other file, and
+    every error, goes to the csv reader (:func:`_read_embeddings_csv`).
+
+    The plain parse is accepted only when it yields what the csv reader
+    would. Each line must be split by the csv module exactly at its commas
+    (no quote, carriage return or NUL in the name, no field over the csv
+    field size limit), and every row must have the first row's width. A
+    value part may hold only the bytes ``0-9 + - . e E ,`` and must not be
+    empty; on such literals numpy's parser and ``float()`` both call
+    CPython's ``PyOS_string_to_double``, so the bits are the same. That
+    alphabet also shuts out what loadtxt accepts and ``float()`` does not
+    (a trailing control character 0x1c-0x1f), and what ``float()`` accepts
+    and loadtxt does not (``1_0``, non-ASCII digits). Afterwards the matrix
+    must be finite, of shape (rows, width), and every wanted name must have
+    been seen once.
+    """
+    names: list[str] = []
+    matrix = None
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            values = _plain_value_parts(fh, wanted, names)
+            first = next(values, None)
+            # No wanted row at all is an error; loadtxt would only warn.
+            if first is not None:
+                matrix = np.loadtxt(
+                    itertools.chain([first], values),
+                    delimiter=",",
+                    comments=None,
+                    quotechar=None,
+                    dtype=np.float64,
+                    ndmin=2,
+                )
+    except (_NotPlain, OSError, ValueError):
+        # ValueError: a literal loadtxt rejects, or bytes that are not UTF-8.
+        # The csv reader reads the file again and reports the first error.
+        matrix = None
+    if (
+        matrix is not None
+        and matrix.shape == (len(names), first.count(",") + 1)
+        and len(names) == len(wanted)
+        and np.isfinite(matrix).all()
+    ):
+        return names, matrix
+    return _read_embeddings_csv(path, wanted)
+
+
+def _read_embeddings_csv(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarray]:
+    """The csv reader: reads any valid file, and raises every embeddings DatasetError."""
     names: list[str] = []
     vectors: list[list[float]] = []
     seen: set[str] = set()
     dim: int | None = None
     with _csv_reader(path) as reader:
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) < 2:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from expdesign import pool as pool_module
 from expdesign.errors import DatasetError
 from expdesign.pool import (
     IngestOptions,
@@ -112,6 +117,209 @@ class TestLoadPool:
         pool = load_pool(meas, emb)
         assert pool.hit_policy.mode == MODE_GROUND_TRUTH
         assert pool.is_hit("WDR5") and not pool.is_hit("ABL1")
+
+
+class TestErrorLineNumbers:
+    """Errors cite the physical line, also after a name quoted across lines."""
+
+    def test_bad_score_after_multiline_name(self, tmp_path):
+        meas = tmp_path / "m.csv"
+        meas.write_text('name,score\n"a\nb",1.0\nc,2.0\nd,bad\n', encoding="utf-8")
+        _, emb = write_dataset(tmp_path, ["a\nb", "c", "d"], [0, 0, 0], np.eye(3))
+        with pytest.raises(DatasetError, match=r"m\.csv:5: bad score"):
+            load_pool(meas, emb)
+
+    def test_bad_embedding_after_multiline_name(self, tmp_path):
+        meas, _ = write_dataset(tmp_path, ["a"], [1.0], [[1.0]])
+        emb = tmp_path / "e.csv"
+        emb.write_text('"x\ny",1.0\na,bad\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"e\.csv:3: bad embedding value"):
+            load_pool(meas, emb)
+
+
+def _outcome(read, path, wanted):
+    """What an embeddings reader makes of a file: names, shape and matrix
+    bits, or the exact error text."""
+    try:
+        names, matrix = read(path, wanted)
+    except DatasetError as exc:
+        return str(exc)
+    return names, matrix.shape, matrix.tobytes()
+
+
+def read_as_csv_reader_does(path, wanted):
+    """The two-part reader's outcome, asserted equal to the csv reader's."""
+    got = _outcome(pool_module._read_embeddings, path, wanted)
+    assert got == _outcome(pool_module._read_embeddings_csv, path, wanted)
+    return got
+
+
+def write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+# 1 + 2^-53, halfway between 1.0 and the next double, plus a 55th digit that
+# makes it round up.
+_HALFWAY_55 = "1.000000000000000111022302462515654042363166809082031251"
+LITERALS = [
+    "1_0", "\u0661\u0662", "\xa01", "1.5\x1c", "1.5\x1f",
+    "nan", "inf", "1e309",
+    "4.9e-324", "2.2250738585072014e-308", "9007199254740993",
+    _HALFWAY_55, "-0.0", "1.7976931348623157e308",
+    ".5", "5.", "1E5", "+1", "--1", "1e",
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestEmbeddingsReader:
+    """The plain parse either returns the csv reader's names and bits or
+    hands the file to it, so every outcome, error text included, is the
+    csv reader's."""
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    @pytest.mark.parametrize("row", ["a", "b"])
+    def test_literal(self, tmp_path, literal, row):
+        lines = {"a": "a,1.0,2.0", "b": "b,3.0,4.0", "c": "c,5.0,6.0"}
+        lines[row] = f"{row},{literal},7.0"
+        path = write_text(tmp_path / "e.csv", "\n".join(lines.values()) + "\n")
+        read_as_csv_reader_does(path, {"a", "c"})
+
+    def test_exact_literals_take_the_plain_parse(self, tmp_path, monkeypatch):
+        exact = ["4.9e-324", "2.2250738585072014e-308", "9007199254740993",
+                 _HALFWAY_55, "-0.0", "1.7976931348623157e308", ".5", "5.", "1E5", "+1"]
+        path = write_text(tmp_path / "e.csv", "a," + ",".join(exact) + "\n")
+        monkeypatch.setattr(pool_module, "_read_embeddings_csv", _no_csv_reader)
+        names, matrix = pool_module._read_embeddings(path, {"a"})
+        assert names == ["a"]
+        assert matrix.tobytes() == np.array([[float(v) for v in exact]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # loadtxt(usecols=...) would take the first two values.
+            ("a,1.0,2.0\nc,3.0,4.0,5.0\n", "ragged"),
+            ("a,1.0,2.0\nb,3.0,4.0,5.0\nc,6.0,7.0\n", "ragged"),
+            # loadtxt reads 1.5; float() does not.
+            ("a,1.5\x1c\nc,2.0\n", "bad embedding value"),
+            # loadtxt drops the line and reads one row.
+            ("a,\nc,2.0\n", "bad embedding value"),
+            ("a,2.0\nc,\n", "bad embedding value"),
+        ],
+    )
+    def test_loadtxt_traps(self, tmp_path, text, match):
+        path = write_text(tmp_path / "e.csv", text)
+        got = read_as_csv_reader_does(path, {"a", "c"})
+        assert isinstance(got, str) and match in got
+
+    @pytest.mark.parametrize(
+        "text, wanted, expect",
+        [
+            ('a,1.0\n"x,\ny",2.0\n', {"a", "x,\ny"}, ["a", "x,\ny"]),
+            ('"b",1.0\na,2.0\n', {"a", "b"}, ["b", "a"]),
+            ('"b",1.0\n', {'"b"'}, "missing embeddings"),
+            ('a"b,1.0\n', {'a"b'}, ['a"b']),
+            ("a\r,1.0\n", {"a\r"}, "needs name + values"),
+            ("a,1.0,2.0\r\nc,3.0,4.0\r\n", {"a", "c"}, ["a", "c"]),
+            ("a,1.0\rc,3.0\r", {"a", "c"}, ["a", "c"]),
+            ("\na,1.0\n\n\nc,3.0", {"a", "c"}, ["a", "c"]),
+            ("a,1.0\n  \nc,3.0\n", {"a", "c"}, "needs name + values"),
+            ("a,1.0\nb\nc,3.0\n", {"a", "c"}, "needs name + values"),
+            ("a,1.0\nc,2.0\na,3.0\n", {"a", "c"}, "duplicate embedding for 'a'"),
+            ("a,1.0\na,3.0\n", {"a", "c"}, "e.csv:2: duplicate embedding for 'a'"),
+            ("a,1.0\nb,2.0\nb,3.0\n", {"a"}, ["a"]),
+            ("a,1.0\nc,3.0\n", {"a", "c", "d"}, "missing embeddings"),
+            ("b,1.0\n", {"a"}, "missing embeddings"),
+            ("", {"a"}, "empty embeddings file"),
+            ("\n\n", {"a"}, "empty embeddings file"),
+            ("a,1.0\n,2.0\n", {"a"}, ["a"]),
+            # csv rejects NUL before Python 3.11 and keeps it after.
+            ("a,1.0\na\x00,2.0\n", {"a", "a\x00"}, None),
+            ("\ufeffa,1.0\n", {"\ufeffa"}, ["\ufeffa"]),
+            ("a,#1\n", {"a"}, "bad embedding value"),
+            ("a, 1.0\n", {"a"}, ["a"]),
+            # First error by line wins: a bad literal before a quoted name
+            # and before a ragged row.
+            ('a,1e\n"q",1.0\n', {"a", "q"}, "e.csv:1: bad embedding value"),
+            ("c,2.0\na,nan\nb,1.0,2.0\n", {"a", "c"}, "e.csv:2: non-finite"),
+        ],
+    )
+    def test_structure(self, tmp_path, text, wanted, expect):
+        path = write_text(tmp_path / "e.csv", text)
+        got = read_as_csv_reader_does(path, wanted)
+        if isinstance(expect, str):
+            assert isinstance(got, str) and expect in got
+        elif expect is not None:
+            assert got[0] == expect
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"a,1.0\n\xff,2.0\n")
+        assert "not UTF-8" in read_as_csv_reader_does(path, {"a"})
+
+    def test_missing_file(self, tmp_path):
+        assert "cannot read file" in read_as_csv_reader_does(tmp_path / "none.csv", {"a"})
+
+    def test_field_size_limit(self, tmp_path):
+        old = csv.field_size_limit(8)
+        try:
+            for text, wanted in [
+                ("abcdefghi,1.0\n", {"abcdefghi"}),
+                ("abcdefgh,1.0\n", {"abcdefgh"}),
+                ("a,1.0\nb,1.2345678\n", {"a"}),
+                ("a,1.2345678\n", {"a"}),
+                ("a,1.234567,2\n", {"a"}),
+            ]:
+                read_as_csv_reader_does(write_text(tmp_path / "e.csv", text), wanted)
+        finally:
+            csv.field_size_limit(old)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.just(""),
+                st.tuples(
+                    st.sampled_from(["a", "b", "c", '"a"', '"b,c"', "", "a\x1c"]),
+                    st.lists(
+                        st.one_of(
+                            st.sampled_from(["1", "-0.0", "1e5", ".5", "1_0", "nan",
+                                             "1e309", "4.9e-324", ""]),
+                            st.text(alphabet='0123456789.eE+-_,"\r\x1c ', max_size=4),
+                        ),
+                        max_size=3,
+                    ),
+                ).map(lambda t: ",".join([t[0], *t[1]])),
+            ),
+            max_size=5,
+        ),
+        ending=st.sampled_from(["\n", "\r\n", "\r"]),
+        last=st.booleans(),
+        wanted=st.sets(st.sampled_from(["a", "b", "c", "b,c", "a\x1c"]), min_size=1),
+    )
+    def test_property(self, tmp_path, lines, ending, last, wanted):
+        text = ending.join(lines) + (ending if last and lines else "")
+        read_as_csv_reader_does(write_text(tmp_path / "e.csv", text), wanted)
+
+    def test_written_files_take_the_plain_parse(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        names = ["CC(=O)[O-]", "MYC", "c1ccccc1", "x y", "N#N"]
+        emb = rng.standard_normal((5, 40)) * np.logspace(-300, 300, 40)
+        emb[0, :4] = [-0.0, 5e-324, 2.0**53 + 2, np.finfo(float).max]
+        source = build_pool(names, [1.0, 2.0, 3.0, 4.0, 5.0], emb, percentile=50.0)
+        meas, embf = tmp_path / "m.csv", tmp_path / "e.csv"
+        write_measurements(source, meas)
+        write_embeddings(source, embf)
+        monkeypatch.setattr(pool_module, "_read_embeddings_csv", _no_csv_reader)
+        pool = load_pool(meas, embf, IngestOptions(percentile=50.0))
+        assert pool.names == tuple(names)
+        assert pool.embeddings.matrix.tobytes() == source.embeddings.matrix.tobytes()
+
+
+def _no_csv_reader(path, wanted):
+    raise AssertionError(f"{path} fell back to the csv reader")
 
 
 class TestBuildPool:

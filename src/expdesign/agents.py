@@ -27,7 +27,13 @@ from .prompts import (
     parse_solution,
     render_prompt,
 )
-from .surrogates import GaussianProcess, LinUcb, median_heuristic, select_top_b
+from .surrogates import (
+    GaussianProcess,
+    LinUcb,
+    median_heuristic,
+    score_blocks,
+    select_top_b,
+)
 
 if TYPE_CHECKING:
     from .harness import ExperimentConfig
@@ -178,7 +184,8 @@ class LinUcbAgent(Agent):
             y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
         self.model.fit_batch(X, y)
         avail = memory.unexplored()
-        scores = self.model.score_many(pool.embeddings.matrix[avail])
+        matrix = pool.embeddings.matrix
+        scores = score_blocks(avail, lambda rows: self.model.score_many(matrix[rows]))
         return select_top_b(avail, scores, memory, self.batch_size)
 
 
@@ -205,7 +212,10 @@ class GpAgent(Agent):
         pool = memory.pool
         self.model.fit(*_observations(pool, feedback))
         avail = memory.unexplored()
-        acq = self.model.acquisition(pool.embeddings.matrix[avail])
+        table = pool.embeddings
+        acq = score_blocks(
+            avail, lambda rows: self.model.acquisition(table.matrix[rows], table.sq_norms[rows])
+        )
         return select_top_b(avail, acq, memory, self.batch_size)
 
 

@@ -30,11 +30,16 @@ MODE_ABS_TOP_PERCENTILE = "abs-top-percentile"
 HIT_MODES = (MODE_GROUND_TRUTH, MODE_TOP_PERCENTILE, MODE_ABS_TOP_PERCENTILE)
 
 
+# Rows per block of the squared-norm pass (2 MB of squares at d = 256).
+_NORM_BLOCK_ROWS = 1024
+
+
 class EmbeddingTable:
     """Dense embedding matrix, one row per candidate in pool index order.
 
     The matrix is copied and frozen at construction, together with its
-    squared row norms (the l2 scans' expansion reads them every round).
+    squared row norms (the l2 scans' expansion and the GP kernel read them
+    every round).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -47,7 +52,14 @@ class EmbeddingTable:
             raise DatasetError("embedding matrix contains non-finite values")
         self._matrix = matrix.copy()
         self._matrix.setflags(write=False)
-        self._sq_norms = np.einsum("ij,ij->i", self._matrix, self._matrix)
+        # np.square(row).sum() row by row, as the GP kernel computes them, in
+        # row blocks so the squares never take a second matrix. Huge finite
+        # rows overflow to inf; the l2 scans rank those directly.
+        self._sq_norms = np.empty(len(self._matrix))
+        with np.errstate(over="ignore"):
+            for start in range(0, len(self._matrix), _NORM_BLOCK_ROWS):
+                rows = self._matrix[start : start + _NORM_BLOCK_ROWS]
+                self._sq_norms[start : start + len(rows)] = np.square(rows).sum(axis=1)
         self._sq_norms.setflags(write=False)
 
     @property
@@ -375,13 +387,19 @@ def _plain_value_parts(lines: Iterable[str], wanted: set[str], names: list[str])
             or rest.encode().translate(None, _PLAIN_VALUE_BYTES)
         ):
             raise _NotPlain
-        if commas is None:
-            commas = rest.count(",")
-        elif rest.count(",") != commas:
-            raise _NotPlain
+        wanted_row = name in wanted
+        # Every row must have the first row's width. loadtxt rejects a wanted
+        # row whose width differs from the first wanted row's, so only the
+        # first row, the first wanted row and unwanted rows are counted here.
+        if commas is None or not wanted_row or not names:
+            count = rest.count(",")
+            if commas is None:
+                commas = count
+            elif count != commas:
+                raise _NotPlain
         if len(rest) > limit and max(map(len, rest.split(","))) > limit:
             raise _NotPlain
-        if name not in wanted:
+        if not wanted_row:
             continue
         if name in seen:
             raise _NotPlain

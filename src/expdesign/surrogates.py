@@ -7,7 +7,7 @@ a plain top-B over the acquisition scores with index tie-breaking.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -37,10 +37,12 @@ class LinUcb:
 
     Maintains A = ridge*I + sum(x x^T) and b = sum(y x); the score of a
     feature vector is theta.x + alpha * sqrt(x^T A^-1 x) with theta = A^-1 b.
-    Scoring factors A once as L L^T (lower Cholesky) and inverts L in place;
-    the widths x^T A^-1 x = |L^-1 x|^2 are then row norms of one matrix
-    product X L^-T, so the cost over many candidates is a GEMM rather than
-    triangular solves with one right-hand side per candidate.
+    Every change to A factors it once as L L^T (lower Cholesky) and keeps
+    theta and L^-1 (inverted in place). Scoring is then a map over rows: the
+    widths x^T A^-1 x = |L^-1 x|^2 are row norms of one matrix product
+    X L^-T, so a stack of candidates costs a GEMM rather than triangular
+    solves with one right-hand side per candidate, and a pool can be scored
+    in row blocks (:func:`score_blocks`) with temporaries of one block.
     """
 
     def __init__(self, dim: int, ridge: float = 1.0, alpha: float = 1.0):
@@ -55,6 +57,10 @@ class LinUcb:
         self.alpha = float(alpha)
         self.A = ridge * np.eye(dim)
         self.b = np.zeros(dim)
+        # A = ridge*I factors as sqrt(ridge)*I; these are the bits _factor
+        # gives, without its O(dim^3) work for every new agent.
+        self._theta = np.zeros(dim)
+        self._chol_inv = np.eye(dim) / math.sqrt(ridge)
 
     def _check(self, x: Sequence[float]) -> np.ndarray:
         xv = np.asarray(x, dtype=np.float64)
@@ -70,6 +76,7 @@ class LinUcb:
             raise ValueError("response must be finite")
         self.A += np.outer(xv, xv)
         self.b += y * xv
+        self._factor()
 
     def fit_batch(self, X: np.ndarray, y: Sequence[float]) -> None:
         """Reset and ingest a whole batch; equal to update() row by row."""
@@ -79,11 +86,18 @@ class LinUcb:
             raise ValueError("feature matrix and responses do not line up")
         self.A = self.ridge * np.eye(self.dim) + X.T @ X
         self.b = X.T @ y
+        self._factor()
+
+    def _factor(self) -> None:
+        """theta = A^-1 b and L^-1 from one Cholesky factor A = L L^T."""
+        chol = cholesky(self.A, lower=True)
+        self._theta = cho_solve((chol, True), self.b)
+        self._chol_inv = _lower_inverse(chol)
 
     @property
     def theta(self) -> np.ndarray:
-        """Current ridge estimate A^-1 b (dense solve)."""
-        return cho_solve((cholesky(self.A, lower=True), True), self.b)
+        """Current ridge estimate A^-1 b."""
+        return self._theta
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """UCB scores for a stack of feature rows, which are taken as finite
@@ -91,10 +105,8 @@ class LinUcb:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
-        chol = cholesky(self.A, lower=True)
-        theta = cho_solve((chol, True), self.b)
-        W = X @ _lower_inverse(chol).T
-        return X @ theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
+        W = X @ self._chol_inv.T
+        return X @ self._theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
 
 
 def median_heuristic(X: np.ndarray, max_points: int = 512) -> float:
@@ -126,7 +138,10 @@ class GaussianProcess:
     A fit factors the training kernel once (K + noise*I = L L^T) and keeps
     L^-1; a posterior applies it to the cross-kernel block by one matrix
     product (v = L^-1 k_*, var = signal - |v|^2) instead of a triangular
-    solve with one right-hand side per query row.
+    solve with one right-hand side per query row. Each query row's posterior
+    depends on that row alone, so a pool can be scored in row blocks
+    (:func:`score_blocks`), with kernel-sized temporaries of one block rather
+    than of the pool.
     """
 
     def __init__(
@@ -158,11 +173,16 @@ class GaussianProcess:
         self._length = length_scale
         self._signal = signal_var if signal_var is not None else 1.0
 
-    def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def _kernel(
+        self, A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | None = None
+    ) -> np.ndarray:
         """k(A, B) as (|a|^2 + |b|^2) - 2 A B^T, clipped at 0, times -0.5,
         over length^2, exp, times signal: each step in place, in this order,
-        so two blocks of len(A) x len(B) are live at most."""
-        sq = np.add.outer(np.square(A).sum(axis=1), np.square(B).sum(axis=1))
+        so two blocks of len(A) x len(B) are live at most. ``b_sq_norms``,
+        when given, must be ``np.square(B).sum(axis=1)``."""
+        if b_sq_norms is None:
+            b_sq_norms = np.square(B).sum(axis=1)
+        sq = np.add.outer(np.square(A).sum(axis=1), b_sq_norms)
         cross = A @ B.T
         cross *= 2.0
         sq -= cross
@@ -220,9 +240,14 @@ class GaussianProcess:
         self._alpha = cho_solve((chol, True), z)
         self._chol_inv = _lower_inverse(chol)
 
-    def posterior_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def posterior_many(
+        self, X: np.ndarray, sq_norms: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a stack of query rows (raw units),
-        which are taken as finite (pool embeddings are checked at load)."""
+        which are taken as finite (pool embeddings are checked at load).
+        ``sq_norms``, when given, must be the rows' squared norms as
+        ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
+        does); otherwise they are computed here."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self._X is None:
             prior_var = self.signal_var if self.signal_var is not None else 1.0
@@ -230,16 +255,48 @@ class GaussianProcess:
                 np.zeros(X.shape[0]),
                 np.full(X.shape[0], prior_var * self._sd**2),
             )
-        k_star = self._kernel(self._X, X)
+        k_star = self._kernel(self._X, X, sq_norms)
         mean_z = k_star.T @ self._alpha
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
         return self._mu + self._sd * mean_z, self._sd**2 * var_z
 
-    def acquisition(self, X: np.ndarray) -> np.ndarray:
-        """UCB scores: posterior mean + beta * posterior stddev."""
-        mean, var = self.posterior_many(X)
+    def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+        """UCB scores: posterior mean + beta * posterior stddev (``sq_norms``
+        as for :meth:`posterior_many`)."""
+        mean, var = self.posterior_many(X, sq_norms)
         return mean + self.beta * np.sqrt(var)
+
+
+# Rows per scoring block. The temporaries of one block (a 2048 x 256 gather
+# is 4 MB, a 512 x 2048 kernel 8 MB) stay near cache size however large the
+# pool; 2048 beat 1024 and 4096 on gene-screen scale (18k x 256, one thread).
+_BLOCK_ROWS = 2048
+
+
+def score_blocks(idx: np.ndarray, score: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``score(rows)`` over consecutive blocks of _BLOCK_ROWS of the pool
+    indices ``idx``, in one float array aligned with ``idx``. ``score``
+    gathers and scores the rows of one block.
+
+    The last block is the final _BLOCK_ROWS indices, overlapping its
+    predecessor, so with more indices than one block every call has the same
+    shape. BLAS rounds a product's rows alike only within one kernel: a
+    small product, or the last few rows of one whose length is not a
+    multiple of the kernel's tile, can take another summation order. With
+    equal shapes, every row of ``LinUcb.score_many`` and
+    ``GaussianProcess.acquisition`` comes out of the same kernel, so a
+    candidate's score does not depend on how many others are scored. It
+    equals the score from a single call over all of ``idx`` when that call's
+    products, too, use one kernel for every row (with OpenBLAS, for instance,
+    when ``idx.size`` is a multiple of 8 and the products are not small).
+    """
+    idx = np.asarray(idx)
+    out = np.empty(idx.size)
+    for start in range(0, idx.size, _BLOCK_ROWS):
+        lo = max(0, min(start, idx.size - _BLOCK_ROWS))
+        out[start : start + _BLOCK_ROWS] = score(idx[lo : start + _BLOCK_ROWS])[start - lo :]
+    return out
 
 
 def select_top_b(

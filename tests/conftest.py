@@ -20,11 +20,13 @@ def write_dataset(
     hits=None,
     stem: str = "pool",
 ) -> tuple[Path, Path]:
-    """Write a measurements CSV and an embeddings CSV for load_pool tests."""
+    """Write a measurements CSV and an embeddings CSV for load_pool tests,
+    with LF line ends (as ``write_embeddings`` writes them), so the
+    embeddings take the plain parse."""
     meas = directory / f"{stem}-measurements.csv"
     emb = directory / f"{stem}-embeddings.csv"
     with open(meas, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         if hits is None:
             writer.writerow(["name", "score"])
             writer.writerows(zip(names, scores))
@@ -32,7 +34,7 @@ def write_dataset(
             writer.writerow(["name", "score", "hit"])
             writer.writerows(zip(names, scores, hits))
     with open(emb, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         for name, row in zip(names, np.asarray(embeddings)):
             writer.writerow([name] + [repr(float(v)) for v in row])
     return meas, emb

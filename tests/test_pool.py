@@ -35,6 +35,31 @@ class TestLoadPool:
         assert pool.scores.tolist() == [0.1, 0.82, 0.09]
         assert [pool.index_of(n) for n in pool.names] == [0, 1, 2]
 
+    def test_crlf_embeddings_take_the_csv_reader(self, tmp_path, monkeypatch):
+        # write_dataset writes LF line ends, which the plain parse takes;
+        # csv.writer's default \r\n sends a file to the csv reader, which
+        # must read the same pool.
+        rng = np.random.default_rng(2)
+        meas, emb = write_dataset(
+            tmp_path, ["MYC", "WDR5", "ABL1", "KRAS"], [0.1, 0.82, 0.09, 0.5],
+            rng.standard_normal((4, 5)),
+        )
+        crlf = tmp_path / "crlf-embeddings.csv"
+        crlf.write_bytes(emb.read_bytes().replace(b"\n", b"\r\n"))
+        csv_reader = pool_module._read_embeddings_csv
+        read = []
+
+        def spy(path, wanted):
+            read.append(path)
+            return csv_reader(path, wanted)
+
+        monkeypatch.setattr(pool_module, "_read_embeddings_csv", spy)
+        lf_pool = load_pool(meas, emb, IngestOptions(percentile=50.0))
+        crlf_pool = load_pool(meas, crlf, IngestOptions(percentile=50.0))
+        assert read == [crlf]
+        assert crlf_pool.names == lf_pool.names
+        assert crlf_pool.embeddings.matrix.tobytes() == lf_pool.embeddings.matrix.tobytes()
+
     def test_expected_dim_accepts_and_rejects(self, tmp_path):
         rng = np.random.default_rng(0)
         meas, emb = write_dataset(
@@ -201,6 +226,8 @@ class TestEmbeddingsReader:
             # loadtxt(usecols=...) would take the first two values.
             ("a,1.0,2.0\nc,3.0,4.0,5.0\n", "ragged"),
             ("a,1.0,2.0\nb,3.0,4.0,5.0\nc,6.0,7.0\n", "ragged"),
+            # The wanted rows agree; the unwanted first row sets the width.
+            ("b,1.0\na,2.0,3.0\nc,4.0,5.0\n", "ragged"),
             # loadtxt reads 1.5; float() does not.
             ("a,1.5\x1c\nc,2.0\n", "bad embedding value"),
             # loadtxt drops the line and reads one row.

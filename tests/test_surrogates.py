@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from expdesign import surrogates
+from expdesign.agents import make_agent
 from expdesign.errors import NumericalError
+from expdesign.feedback import Feedback, FeedbackRecord
+from expdesign.harness import ExperimentConfig
 from expdesign.memory import CandidateMemory
-from expdesign.pool import build_pool
+from expdesign.pool import EmbeddingTable, build_pool
 from expdesign.surrogates import (
     GaussianProcess,
     LinUcb,
     _lower_inverse,
     median_heuristic,
+    score_blocks,
     select_top_b,
 )
 
@@ -60,6 +67,13 @@ class TestLinUcb:
         xs = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.1, 0.1, 0.1]])
         scores = model.score_many(xs)
         assert scores == pytest.approx(np.linalg.norm(xs, axis=1))
+
+    def test_fresh_state_is_the_empty_fit(self):
+        for d, ridge in ((1, 1.0), (5, 0.3), (40, 7.0)):
+            X = np.random.default_rng(d).standard_normal((9, d))
+            fresh, fitted = LinUcb(d, ridge=ridge), LinUcb(d, ridge=ridge)
+            fitted.fit_batch(np.empty((0, d)), [])
+            assert same_bits(fresh.score_many(X), fitted.score_many(X))
 
     def test_matches_closed_form_ridge(self):
         rng = np.random.default_rng(42)
@@ -276,6 +290,85 @@ class TestGaussianProcess:
             emean, evar = textbook_gp(base, y_base, Xq, length, signal, 0.0)
             assert np.allclose(mean, emean, rtol=1e-8, atol=1e-10)
             assert np.allclose(var, np.clip(evar, 0.0, None), rtol=1e-8, atol=1e-8)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestScoreBlocks:
+    BLOCK = surrogates._BLOCK_ROWS
+
+    def models(self, rng, table, n_train):
+        """A fitted LinUCB, a fitted GP and an unfitted GP, each with its
+        blocked scorer (gathering from ``table``) and its one-shot scorer."""
+        train = rng.choice(len(table), n_train, replace=False)
+        y = rng.standard_normal(n_train)
+        matrix = table.matrix
+        lin = LinUcb(table.dim, ridge=0.5, alpha=1.5)
+        lin.fit_batch(matrix[train], y)
+        fitted = GaussianProcess(length_scale=float(np.sqrt(table.dim)))
+        fitted.fit(matrix[train], y)
+        unfitted = GaussianProcess(signal_var=2.0)
+        sq_norms = table.sq_norms
+        return [
+            (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
+            (lambda rows: fitted.acquisition(matrix[rows], sq_norms[rows]), fitted.acquisition),
+            (lambda rows: unfitted.acquisition(matrix[rows], sq_norms[rows]), unfitted.acquisition),
+        ]
+
+    def test_equals_one_shot_scoring(self):
+        # Non-contiguous indices over three full blocks and a short last one
+        # (a multiple of 8 rows, so the one-shot products use one BLAS
+        # kernel throughout too).
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable(rng.standard_normal((4 * self.BLOCK, 64)))
+        idx = np.sort(rng.choice(len(table), 3 * self.BLOCK + 320, replace=False))
+        assert not np.all(np.diff(idx) == 1)
+        for blocked, one_shot in self.models(rng, table, 64):
+            assert same_bits(score_blocks(idx, blocked), one_shot(table.matrix[idx]))
+
+    def test_score_independent_of_how_many_are_scored(self):
+        # Any number of indices from one block up, with odd-sized remainders:
+        # every candidate's score is the bits it gets among all pool rows.
+        rng = np.random.default_rng(8)
+        table = EmbeddingTable(rng.standard_normal((3 * self.BLOCK + 77, 48)))
+        every = np.arange(len(table))
+        for blocked, _ in self.models(rng, table, 40):
+            reference = score_blocks(every, blocked)
+            for size in (self.BLOCK, self.BLOCK + 1, 2 * self.BLOCK + 37, 3 * self.BLOCK + 5):
+                idx = np.sort(rng.choice(len(table), size, replace=False))
+                assert same_bits(score_blocks(idx, blocked), reference[idx])
+
+    def test_fewer_rows_than_a_block_is_one_call(self):
+        rng = np.random.default_rng(9)
+        table = EmbeddingTable(rng.standard_normal((300, 16)))
+        idx = np.arange(0, 300, 3)
+        for blocked, one_shot in self.models(rng, table, 20):
+            assert same_bits(score_blocks(idx, blocked), one_shot(table.matrix[idx]))
+            assert score_blocks(idx[:0], blocked).shape == (0,)
+
+    def test_gp_select_holds_no_pool_sized_temporary(self):
+        # One gp round over a pool of four blocks and more: its peak of
+        # traced allocations must stay under half the embedding matrix, which
+        # one gather of every unexplored row alone would exceed.
+        rng = np.random.default_rng(3)
+        pool = random_pool(rng, 4 * self.BLOCK + 300, 128)
+        memory = CandidateMemory(pool)
+        agent = make_agent(ExperimentConfig(agent="gp", batch_size=16), pool, None, None)
+        observed = np.arange(16)
+        memory.explore(observed)
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
+        ))
+        tracemalloc.start()
+        try:
+            batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.size == 16
+        assert peak < pool.embeddings.matrix.nbytes / 2, peak
 
 
 def test_lower_inverse_rejects_singular_factor():

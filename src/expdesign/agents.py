@@ -17,7 +17,7 @@ import numpy as np
 from .backends import LlmBackend, RetryPolicy, SamplingParams, chat_with_retry
 from .errors import ConfigError
 from .feedback import Feedback
-from .memory import CandidateMemory, embedding_distances
+from .memory import CandidateMemory, embedding_distances  # noqa: F401 (re-exported)
 from .pool import CandidatePool
 from .prompts import (
     PromptSpec,
@@ -56,40 +56,24 @@ def coreset_select(memory: CandidateMemory, batch_size: int) -> np.ndarray:
     The covering set starts as everything already explored; with nothing
     explored, the lowest-index unexplored candidate seeds the cover and the
     selection. Each step picks the unexplored candidate farthest from the
-    cover (max-min distance, ties to the lower index). Selections are marked
-    explored. The procedure is deterministic.
+    cover (max-min distance, ties to the lower index), which joins the
+    cover. Selections are marked explored. The procedure is deterministic.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
-    pool = memory.pool
-    matrix = pool.embeddings.matrix
-    n = len(pool)
-    unexplored = memory.unexplored()
-    if unexplored.size == 0:
-        return unexplored
-    avail = np.zeros(n, dtype=bool)
-    avail[unexplored] = True
-    min_dist = np.full(n, np.inf)
-
-    def absorb(vec: np.ndarray) -> None:
-        np.minimum(min_dist, embedding_distances(matrix, vec, pool.metric), out=min_dist)
-
+    avail = memory.unexplored()
     selected: list[int] = []
-    for i in np.flatnonzero(~avail):
-        absorb(matrix[i])
-    if unexplored.size == n:
-        first = int(unexplored[0])
-        selected.append(first)
-        avail[first] = False
-        absorb(matrix[first])
-    while len(selected) < batch_size and avail.any():
-        pick = int(np.argmax(np.where(avail, min_dist, -np.inf)))
-        selected.append(pick)
-        avail[pick] = False
-        absorb(matrix[pick])
-    chosen = np.array(selected, dtype=np.intp)
-    memory.explore(chosen)
-    return chosen
+    if avail.size == len(memory.pool):
+        selected.append(int(avail[0]))
+        memory.explore(selected)
+        avail = avail[1:]
+    while len(selected) < batch_size and avail.size:
+        gaps = memory.distance_to_explored()[avail]
+        pick = int(np.argmax(gaps))
+        selected.append(int(avail[pick]))
+        memory.explore(selected[-1:])
+        avail = np.delete(avail, pick)
+    return np.array(selected, dtype=np.intp)
 
 
 def _take_random(memory: CandidateMemory, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Explored-state tracking and nearest-unexplored-neighbor batch allocation.
+"""Explored-state tracking, nearest-unexplored-neighbor batch allocation,
+and the distance-to-explored cover.
 
 The memory wraps an immutable pool with one mutable bit per candidate.
 Candidates are pool indices: queries return index arrays and the batch
@@ -7,24 +8,50 @@ allocator marks what it selects explored before returning it.
 Every query returns exactly what a full scan with the direct formula
 (:func:`embedding_distances`) would return: the k unexplored rows of least
 distance, ties broken toward the lower index. Under l2-squared the scan is
-not made row by row. The expansion ``|x|^2 - 2 x.q + |q|^2`` gives
-approximate distances for all queries of a round in one matrix product over
-the pool (row norms are computed once per pool), each within a proven
-floating-point bound of the direct value (see :func:`_l2_error_bound`). Only
-the rows whose bound interval reaches below the worst bound of an
-approximate top k can be among the k nearest; that shortlist is re-ranked
-with the direct formula, so the result matches the full scan bit for bit,
-exact ties included. Cosine queries keep one direct scan per query, and use
-the same shortlist step with a zero bound in place of a full sort.
+not made row by row. At its first l2 query a memory makes an f32 copy of
+the pool, half the bytes of the matrix, which lives as long as the memory
+(one run). The expansion ``|x|^2 - 2 x.q + |q|^2`` takes the cross terms of
+all queries of a round from one f32 matrix product over that copy, and the
+squared norms from the f64 rows. Each value lies within a proven bound of
+the direct value (see :func:`_l2_error_bound`), which covers the rounding of
+the inputs to f32 and of the f32 sums, subnormal results included. It holds
+inside a range gate, a norm of at most 2^62 for the row and the query,
+within which no f32 value overflows. A row or query outside the gate gets
+an infinite bound: a query outside it, or one that meets an unexplored row
+outside it, ranks every candidate directly. Otherwise only the rows whose
+lower end (approximation minus bound) is at most the k-th least upper end
+can be among the k nearest; that shortlist is re-ranked with the direct
+formula, so the result matches the full scan bit for bit, exact ties
+included. Cosine queries keep one direct scan per query, and use the same
+shortlist step with a zero bound in place of a full sort.
+
+The cover (:meth:`CandidateMemory.distance_to_explored`) holds each
+candidate's distance to its nearest explored candidate, as the direct
+formula gives it. It is updated lazily: a query absorbs only the rows
+explored since the one before. Under l2 the expansion and its bound prove
+most candidates no closer to an absorbed row than their current cover
+distance, and only the rest get a direct distance; cosine absorbs a row by
+one direct scan. Minima are exact, so the cover equals one rebuilt from
+scratch bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, EmbeddingTable
+from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool
+
+# Range gate of the f32 stage (see _l2_error_bound): the greatest squared
+# norm of a row or query.
+_F32_MAX_SQ_NORM = 2.0**124
+
+# Rows per block of direct distances; cover rows absorbed per f32 matrix
+# product.
+_BLOCK_ROWS = 1024
+_ABSORB_ROWS = 32
 
 
 def embedding_distances(
@@ -71,6 +98,14 @@ class CandidateMemory:
         self._norms: np.ndarray | None = None
         if pool.metric == METRIC_COSINE:
             self._norms = np.linalg.norm(pool.embeddings.matrix, axis=1)
+        # The l2 scan's f32 copy and the rows' norms (inf outside the range
+        # gate), built at the first l2 query.
+        self._rows32: np.ndarray | None = None
+        self._scan_norms: np.ndarray | None = None
+        # The cover and which explored rows it has absorbed, built at the
+        # first distance_to_explored call.
+        self._cover: np.ndarray | None = None
+        self._absorbed: np.ndarray | None = None
 
     @property
     def pool(self) -> CandidatePool:
@@ -104,8 +139,12 @@ class CandidateMemory:
         query = np.asarray(query, dtype=np.float64)
         if self._pool.metric == METRIC_COSINE:
             return self._nearest_cosine(query, k)
-        approx, bound = _l2_approximate(self._pool.embeddings, query[None, :])
-        return self._nearest_l2(approx[0], bound[0], query, k)
+        queries = query[None, :]
+        with np.errstate(over="ignore"):
+            sq_norms = np.square(queries).sum(axis=1)
+            queries32 = queries.astype(np.float32)
+        low, high = self._l2_ends(queries32, sq_norms, _gated_norms(sq_norms))
+        return self._nearest_l2(low[0], high[0], query, k)
 
     def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
         """Names of the k unexplored candidates nearest an outside query
@@ -131,124 +170,250 @@ class CandidateMemory:
         if len(center_idx) == 0:
             raise ValueError("centers list is empty")
         centers = np.asarray(center_idx, dtype=np.intp)
-        table = self._pool.embeddings
+        matrix = self._pool.embeddings.matrix
         cosine = self._pool.metric == METRIC_COSINE
         if not cosine:
-            approx, bound = _l2_approximate(table, table.matrix[centers])
+            rows32, norms = self._scan_rows()
+            low, high = self._l2_ends(
+                rows32[centers], self._pool.embeddings.sq_norms[centers], norms[centers]
+            )
+        remaining = self.num_unexplored
         selected: list[np.ndarray] = []
         for j, quota in enumerate(center_quotas(batch_size, len(centers))):
             if quota == 0:
                 continue
-            if self.num_unexplored == 0:
+            if remaining == 0:
                 break
-            query = table.matrix[centers[j]]
+            query = matrix[centers[j]]
             if cosine:
                 got = self._nearest_cosine(query, quota)
             else:
-                got = self._nearest_l2(approx[j], bound[j], query, quota)
+                got = self._nearest_l2(low[j], high[j], query, quota)
+                low[:, got] = np.inf
+                high[:, got] = np.inf
             self.explore(got)
             selected.append(got)
+            remaining -= got.size
         return np.concatenate(selected) if selected else np.empty(0, dtype=np.intp)
+
+    def distance_to_explored(self) -> np.ndarray:
+        """Every candidate's distance under the pool metric to its nearest
+        explored candidate, inf while none is explored. Read-only.
+
+        The values are the direct formula's (the least of
+        :func:`embedding_distances` over the explored rows, bit for bit).
+        Each call absorbs only the rows explored since the previous call.
+        """
+        if self._cover is None:
+            self._cover = np.full(len(self._pool), np.inf)
+            self._absorbed = np.zeros(len(self._pool), dtype=bool)
+        fresh = np.flatnonzero(self._explored & ~self._absorbed)
+        if fresh.size:
+            self._absorb(fresh)
+            self._absorbed[fresh] = True
+        cover = self._cover.view()
+        cover.setflags(write=False)
+        return cover
+
+    def _absorb(self, rows: np.ndarray) -> None:
+        """Lower the cover to each of these rows' direct distances."""
+        table = self._pool.embeddings
+        matrix = table.matrix
+        cover = self._cover
+        if self._pool.metric == METRIC_COSINE:
+            for row in rows:
+                dists = embedding_distances(matrix, matrix[row], METRIC_COSINE, self._norms)
+                np.minimum(cover, dists, out=cover)
+            return
+        rows32, norms = self._scan_rows()
+        for start in range(0, rows.size, _ABSORB_ROWS):
+            block = rows[start : start + _ABSORB_ROWS]
+            approx, bound = self._l2_approximate(
+                rows32[block], table.sq_norms[block], norms[block], table.sq_norms
+            )
+            with np.errstate(invalid="ignore"):
+                approx -= bound
+            for low, row in zip(approx, block):
+                # A row is skipped only when its lower end provably stays at
+                # or above its cover; NaN (a non-finite bound) is never.
+                with np.errstate(invalid="ignore"):
+                    closer = np.flatnonzero(~(low >= cover))
+                if closer.size:
+                    dists = _direct_l2(matrix, closer, matrix[row])
+                    cover[closer] = np.minimum(cover[closer], dists)
 
     def _nearest_cosine(self, query: np.ndarray, k: int) -> np.ndarray:
         dists = embedding_distances(
             self._pool.embeddings.matrix, query, METRIC_COSINE, self._norms
         )
-        return _certified_top_k(self.unexplored(), dists, None, k, dists.__getitem__)
+        explored = self._explored
+        low = high = np.where(explored, np.inf, dists)
+        if not (np.isfinite(dists) | explored).all():
+            low, high = np.where(explored, np.inf, -np.inf), np.full(dists.size, np.inf)
+        return _certified_top_k(low, high, k, dists.__getitem__)
 
     def _nearest_l2(
-        self, approx: np.ndarray, bound: np.ndarray, query: np.ndarray, k: int
+        self, low: np.ndarray, high: np.ndarray, query: np.ndarray, k: int
     ) -> np.ndarray:
         matrix = self._pool.embeddings.matrix
+        return _certified_top_k(low, high, k, lambda rows: _direct_l2(matrix, rows, query))
 
-        def direct(rows: np.ndarray) -> np.ndarray:
-            return embedding_distances(matrix[rows], query, METRIC_L2_SQUARED)
+    def _scan_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The f32 copy of the pool and the rows' gated norms, built at the
+        first call."""
+        if self._rows32 is None:
+            table = self._pool.embeddings
+            with np.errstate(over="ignore"):
+                self._rows32 = table.matrix.astype(np.float32)
+            self._scan_norms = _gated_norms(table.sq_norms)
+        return self._rows32, self._scan_norms
 
-        return _certified_top_k(self.unexplored(), approx, bound, k, direct)
-
-
-def _l2_approximate(
-    table: EmbeddingTable, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expanded l2-squared distances from every row to each query, one
-    matrix product for all queries, and their error bounds; both (q, n).
-    Values that overflow come out non-finite and are ranked directly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        query_sq_norms = np.einsum("ij,ij->i", queries, queries)[:, None]
-        approx = queries @ table.matrix.T
-        approx *= -2.0
-        approx += table.sq_norms
-        approx += query_sq_norms
-        bound = _l2_error_bound(
-            np.sqrt(table.sq_norms), np.sqrt(query_sq_norms), table.dim
+    def _l2_ends(
+        self, queries32: np.ndarray, query_sq_norms: np.ndarray, query_norms: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of every row's l2-squared distance to each
+        query, (q, n), inf on the explored rows (arguments as for
+        :meth:`_l2_approximate`). Inside the range gate the ends are finite;
+        a query outside it, or with an unexplored row outside it, gets -inf
+        and inf on every unexplored row instead, so that all are ranked."""
+        explored = self._explored
+        _, norms = self._scan_rows()
+        approx, bound = self._l2_approximate(
+            queries32,
+            query_sq_norms,
+            query_norms,
+            np.where(explored, np.inf, self._pool.embeddings.sq_norms),
         )
-    return approx, bound
+        with np.errstate(invalid="ignore"):
+            high = approx + bound
+            low = np.subtract(approx, bound, out=approx)
+        certified = np.isfinite(query_norms) & (np.isfinite(norms) | explored).all()
+        if not certified.all():
+            low[~certified] = np.where(explored, np.inf, -np.inf)
+            high[~certified] = np.inf
+        return low, high
+
+    def _l2_approximate(
+        self,
+        queries32: np.ndarray,
+        query_sq_norms: np.ndarray,
+        query_norms: np.ndarray,
+        row_sq_norms: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Expanded l2-squared distances from every row to each query and
+        their error bounds, both (q, n). ``queries32`` are the queries in
+        f32, ``query_sq_norms`` their f64 squared norms, ``query_norms`` their
+        gated norms (inf outside the range gate), and ``row_sq_norms`` the
+        rows' f64 squared norms (inf makes a row's distance inf)."""
+        table = self._pool.embeddings
+        rows32, norms = self._scan_rows()
+        # Outside the gate values may overflow; their bounds are inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = rows32 @ queries32.T
+            approx = np.multiply(cross.T, -2.0, dtype=np.float64)
+            approx += row_sq_norms
+            approx += query_sq_norms[:, None]
+        return approx, _l2_error_bound(norms, query_norms, table.dim)
+
+
+def _gated_norms(sq_norms: np.ndarray) -> np.ndarray:
+    """Norms from f64 squared norms, or inf outside the f32 stage's range
+    gate (a squared norm above 2^124)."""
+    return np.where(sq_norms <= _F32_MAX_SQ_NORM, np.sqrt(sq_norms), np.inf)
+
+
+def _direct_l2(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Direct l2-squared distances of some matrix rows, in blocks of rows,
+    equal bit for bit to those of a scan over the whole matrix."""
+    out = np.empty(rows.size)
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        out[start : start + block.size] = embedding_distances(
+            matrix[block], query, METRIC_L2_SQUARED
+        )
+    return out
 
 
 def _l2_error_bound(row_norms: np.ndarray, query_norms: np.ndarray, dim: int) -> np.ndarray:
-    """Bound on |expanded - direct| for l2-squared distances.
+    """Bound on |expanded - direct| for l2-squared distances whose cross
+    terms come from f32 copies of the rows and queries; (q, n).
 
-    With unit roundoff u = eps/2 and g_m = m*u / (1 - m*u), take a row x, a
-    query q and the exact distance D = |x - q|^2 <= (|x| + |q|)^2.
+    With unit roundoffs u = 2^-53 (f64) and v = 2^-24 (f32), and
+    g_m(w) = m w / (1 - m w), take a row x, a query q and the exact distance
+    D = |x - q|^2 <= (|x| + |q|)^2.
 
-    * Direct formula d = fl(sum fl(fl(x_j - q_j)^2)): each term is off by a
-      relative g_3 and the sum, in any order, by g_(dim-1) of the sum of
-      its nonnegative terms, so |d - D| <= g_(dim+2) * D.
-    * Expansion a = fl(fl(s_x - 2 g) + s_q), where s_x, g and s_q are the
-      computed |x|^2, x.q and |q|^2: any summation order (BLAS blocking,
-      FMA) keeps each within g_dim of the sum of absolute products, which
-      is |x|^2, at most |x||q| (Cauchy-Schwarz) and |q|^2. The two final
-      roundings add g_2 of |s_x| + 2|g| + s_q. So |a - D| <= g_(dim+2) *
-      (|x| + |q|)^2, to first order in u.
+    * Direct formula d = fl(sum fl(fl(x_j - q_j)^2)) in f64: each term is off
+      by a relative g_3(u) and the sum, in any order, by g_(dim-1)(u) of the
+      sum of its nonnegative terms, so |d - D| <= g_(dim+2)(u) D.
+    * Cross term c: the f32 sum of the products of x' = fl32(x) and
+      q' = fl32(q). Inside the range gate |x|, |q| <= 2^62, so no component,
+      product or partial sum overflows f32. Each f32 rounding (of a
+      component, a product, or a sum in any order, BLAS blocking and FMA
+      included) is off by a relative v or, where its result is subnormal,
+      by at most 2^-150 absolute; an addition whose result is subnormal is
+      exact. The relative parts give (1 + g_dim(v))(1 + v)^2 - 1 <=
+      g_(dim+2)(v) of sum |x_j q_j| <= |x| |q| (Cauchy-Schwarz). The
+      absolute parts of the components add at most 2^-150 times their
+      partners' magnitudes, 2^-149 (|x|_1 + |q|_1) <= 2^-149 sqrt(dim)
+      (|x| + |q|) with the sum's relative error, and those of the dim
+      products and dim sums at most 4 dim 2^-150 with it (for dim up to
+      2^23; the bound is inf beyond). So
+      |c - x.q| <= g_(dim+2)(v) |x| |q| + 2^-149 sqrt(dim) (|x| + |q|)
+      + dim 2^-147.
+    * Expansion a = fl(fl(s_x - 2 c) + s_q), where s_x and s_q are the
+      computed f64 |x|^2 and |q|^2, each within g_dim(u) of the sum of its
+      terms. The two final roundings add g_2(u) of |s_x| + 2|c| + s_q. So
+      |a - D| <= 2 |c - x.q| + g_(dim+2)(u) (|x| + |q|)^2, to first order
+      in u.
 
-    Hence |a - d| <= 2 g_(dim+2) (|x| + |q|)^2 < 2 (dim + 3) u (|x| + |q|)^2.
-    The bound returned is twice that, 2 (dim + 3) eps (|x| + |q|)^2. The
-    spare half covers the rounding of the bound itself and of the norms it
-    is computed from, and of a +- e in the comparisons of the shortlist (a
-    few u (|x| + |q|)^2 in all). Products that underflow are off by at most
-    half the smallest subnormal each instead of a relative u; the 4 dim + 4
-    of them a distance can involve are covered by as many times the
-    smallest normal number, added as a floor.
+    Hence |a - d| <= 2 g_(dim+2)(v) |x| |q| + 2^-148 sqrt(dim) (|x| + |q|)
+    + dim 2^-146 + 2 (dim + 3) u (|x| + |q|)^2. The bound returned is the
+    f32 terms as they stand plus twice the f64 term, 2 (dim + 3) eps
+    (|x| + |q|)^2 with eps = 2u. The spare half covers the rounding of the
+    bound itself and of the norms it is computed from, and of a +- e in the
+    comparisons of the shortlist and the cover (a few u (|x| + |q|)^2 in
+    all). Products that underflow in f64 are off by at most half the
+    smallest subnormal each instead of a relative u; the 4 dim + 4 of them
+    a distance can involve are covered by as many times the smallest normal
+    number, added to the floor. A norm of inf (outside the gate) makes the
+    bound inf, or NaN against a zero norm; both send a query to direct
+    ranking.
     """
-    tiny = np.finfo(np.float64).tiny
-    eps = np.finfo(np.float64).eps
-    bound = np.add(row_norms, query_norms)
-    np.square(bound, out=bound)
-    bound *= 2.0 * (dim + 3) * eps
-    bound += 4.0 * (dim + 1) * tiny
+    # The terms in (|x| + |q|)^2 and |x| + |q| are expanded, so that only
+    # the |x| |q| term takes a (q, n) product.
+    c64 = 2.0 * (dim + 3) * np.finfo(np.float64).eps
+    c32 = 2.0**-148 * math.sqrt(dim)
+    m = (dim + 2) * 2.0**-24
+    gamma32 = m / (1.0 - m) if m <= 0.5 else math.inf
+    floor = dim * 2.0**-146 + 4.0 * (dim + 1) * np.finfo(np.float64).tiny
+    with np.errstate(invalid="ignore"):
+        bound = np.multiply.outer((2.0 * c64 + 2.0 * gamma32) * query_norms, row_norms)
+        bound += row_norms * (c64 * row_norms + c32)
+        bound += (query_norms * (c64 * query_norms + c32) + floor)[:, None]
     return bound
 
 
 def _certified_top_k(
-    candidates: np.ndarray,
-    approx: np.ndarray,
-    bound: np.ndarray | None,
+    low: np.ndarray,
+    high: np.ndarray,
     k: int,
     direct: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """The k candidates of least direct distance, ties toward lower index.
 
-    ``candidates`` are ascending row indices; ``approx`` and ``bound`` hold
-    an approximate distance for every row and a bound on its error (None:
-    exact), and ``direct(rows)`` computes the direct distances of some rows.
-    Any k candidates have a k-th least distance at most T, the largest of
-    their approx + bound; a candidate whose approx - bound exceeds T is
-    strictly farther than that and cannot be selected. The rest, ties at
-    the boundary included, are ranked by their direct distances. With a
-    non-finite approximation or bound every candidate is ranked; a direct
-    distance that overflows has an approx + bound that overflows too.
+    The candidates are the rows whose ``low`` is below inf (other rows have
+    inf in both). ``low`` and ``high`` hold, for every candidate, ends
+    ``low <= d <= high`` of its direct distance d, and ``direct(rows)``
+    computes the direct distances of some rows. Any k candidates have a k-th
+    least distance at most T, the k-th least high end; a candidate whose low
+    end exceeds T is strictly farther than that and cannot be selected. The
+    rest, ties at the boundary included, are ranked by their direct
+    distances. With T = inf (fewer than k candidates, or unbounded ones)
+    every candidate is ranked.
     """
-    k = min(k, candidates.size)
+    k = min(k, low.size)
     if k <= 0:
         return np.empty(0, dtype=np.intp)
-    if k < candidates.size:
-        near = approx[candidates]
-        low = high = near
-        if bound is not None:
-            slack = bound[candidates]
-            with np.errstate(over="ignore", invalid="ignore"):
-                low, high = near - slack, near + slack
-        if np.isfinite(low).all() and np.isfinite(high).all():
-            top = np.argpartition(near, k - 1)[:k]
-            candidates = candidates[low <= high[top].max()]
-    return candidates[np.argsort(direct(candidates), kind="stable")[:k]]
+    limit = np.partition(high, k - 1)[k - 1]
+    rows = np.flatnonzero(low <= limit if limit < np.inf else low < np.inf)
+    return rows[np.argsort(direct(rows), kind="stable")[:k]]

@@ -37,20 +37,33 @@ _NORM_BLOCK_ROWS = 1024
 class EmbeddingTable:
     """Dense embedding matrix, one row per candidate in pool index order.
 
-    The matrix is copied and frozen at construction, together with its
-    squared row norms (the l2 scans' expansion and the GP kernel read them
-    every round).
+    The matrix is copied, checked and frozen at construction, together with
+    its squared row norms (the l2 scans' expansion and the GP kernel read
+    them every round).
     """
 
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
+    def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]]):
+        matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise DatasetError("embedding matrix must be 2-dimensional")
         if matrix.shape[1] < 1:
             raise DatasetError("embedding dimension must be positive")
         if not np.all(np.isfinite(matrix)):
             raise DatasetError("embedding matrix contains non-finite values")
-        self._matrix = matrix.copy()
+        self._freeze(matrix)
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> EmbeddingTable:
+        """A table that takes over a matrix nothing else holds, which the
+        caller has checked: float64, 2-d, positive width, finite. Neither
+        copied nor scanned again."""
+        table = cls.__new__(cls)
+        table._freeze(matrix)
+        return table
+
+    def _freeze(self, matrix: np.ndarray) -> None:
+        """Own ``matrix`` read-only, with its squared row norms."""
+        self._matrix = matrix
         self._matrix.setflags(write=False)
         # np.square(row).sum() row by row, as the GP kernel computes them, in
         # row blocks so the squares never take a second matrix. Huge finite
@@ -106,14 +119,16 @@ class CandidatePool:
     """Immutable candidate set with scores, embeddings, metric, and hit policy.
 
     Candidate ``i`` is ``names[i]`` with measurement ``scores[i]`` and
-    embedding row ``i``; every array is in this pool index order.
+    embedding row ``i``; every array is in this pool index order. An
+    ``embeddings`` table is used as it is; any other matrix is copied into
+    a new one.
     """
 
     def __init__(
         self,
         names: Sequence[str],
         scores: Sequence[float] | np.ndarray,
-        embeddings: np.ndarray | Sequence[Sequence[float]],
+        embeddings: EmbeddingTable | np.ndarray | Sequence[Sequence[float]],
         hit_policy: HitPolicy,
         metric: str,
     ):
@@ -136,7 +151,9 @@ class CandidatePool:
         if bad.size:
             raise DatasetError(f"non-finite score for {self._names[bad[0]]!r}")
         self._scores.setflags(write=False)
-        self._embeddings = EmbeddingTable(embeddings)
+        if not isinstance(embeddings, EmbeddingTable):
+            embeddings = EmbeddingTable(embeddings)
+        self._embeddings = embeddings
         if len(self._embeddings) != len(self._names):
             raise DatasetError(
                 f"{len(self._names)} names but {len(self._embeddings)} embedding rows"
@@ -539,9 +556,9 @@ def load_pool(
             f"{embeddings_path}: embedding dim {emb_matrix.shape[1]} "
             f"does not match expected {opts.expected_dim}"
         )
-    # Reorder rows into pool order.
-    row_of = {n: i for i, n in enumerate(emb_names)}
-    emb_matrix = emb_matrix[[row_of[n] for n in names]]
+    if emb_names != names:  # reorder rows into pool order
+        row_of = {n: i for i, n in enumerate(emb_names)}
+        emb_matrix = emb_matrix[[row_of[n] for n in names]]
 
     mode = opts.hit_mode
     if mode is None:
@@ -563,7 +580,9 @@ def load_pool(
     else:
         policy = HitPolicy(mode=mode, percentile=opts.percentile)
 
-    return CandidatePool(names, [s for _, s in rows], emb_matrix, policy, opts.metric)
+    # The readers return a fresh finite matrix; the table takes it over.
+    table = EmbeddingTable._adopt(emb_matrix)
+    return CandidatePool(names, [s for _, s in rows], table, policy, opts.metric)
 
 
 def build_pool(

@@ -43,6 +43,9 @@ class LinUcb:
     X L^-T, so a stack of candidates costs a GEMM rather than triangular
     solves with one right-hand side per candidate, and a pool can be scored
     in row blocks (:func:`score_blocks`) with temporaries of one block.
+    With no observations A = ridge*I, and L^-1 = I/sqrt(ridge) is applied
+    as a scaling: each entry of the GEMM against it has a single nonzero
+    term, so the scores have the same bits.
     """
 
     def __init__(self, dim: int, ridge: float = 1.0, alpha: float = 1.0):
@@ -55,12 +58,15 @@ class LinUcb:
         self.dim = dim
         self.ridge = float(ridge)
         self.alpha = float(alpha)
-        self.A = ridge * np.eye(dim)
-        self.b = np.zeros(dim)
-        # A = ridge*I factors as sqrt(ridge)*I; these are the bits _factor
-        # gives, without its O(dim^3) work for every new agent.
-        self._theta = np.zeros(dim)
-        self._chol_inv = np.eye(dim) / math.sqrt(ridge)
+        self._reset()
+
+    def _reset(self) -> None:
+        """The state without observations: A = ridge*I, theta = 0, and
+        L^-1 = I/sqrt(ridge), kept implicit (None)."""
+        self.A = self.ridge * np.eye(self.dim)
+        self.b = np.zeros(self.dim)
+        self._theta = np.zeros(self.dim)
+        self._chol_inv: np.ndarray | None = None
 
     def _check(self, x: Sequence[float]) -> np.ndarray:
         xv = np.asarray(x, dtype=np.float64)
@@ -84,6 +90,9 @@ class LinUcb:
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim or X.shape[0] != y.shape[0]:
             raise ValueError("feature matrix and responses do not line up")
+        if X.shape[0] == 0:
+            self._reset()
+            return
         self.A = self.ridge * np.eye(self.dim) + X.T @ X
         self.b = X.T @ y
         self._factor()
@@ -105,7 +114,10 @@ class LinUcb:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
-        W = X @ self._chol_inv.T
+        if self._chol_inv is None:
+            W = X * (1.0 / math.sqrt(self.ridge))
+        else:
+            W = X @ self._chol_inv.T
         return X @ self._theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
 
 

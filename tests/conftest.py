@@ -122,6 +122,45 @@ def direct_allocate(matrix, explored, centers, batch_size: int) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
+def coreset_oracle(memory, batch_size: int) -> np.ndarray:
+    """Greedy farthest-point selection rebuilt from scratch: the cover
+    starts as every explored row, each row absorbed by a full direct scan;
+    with nothing explored the lowest unexplored index seeds it. Each step
+    picks the unexplored row farthest from the cover, ties to the lower
+    index. Selections are marked explored."""
+    from expdesign.memory import embedding_distances
+
+    pool = memory.pool
+    matrix = pool.embeddings.matrix
+    n = len(pool)
+    unexplored = memory.unexplored()
+    if unexplored.size == 0:
+        return unexplored
+    avail = np.zeros(n, dtype=bool)
+    avail[unexplored] = True
+    min_dist = np.full(n, np.inf)
+
+    def absorb(vec):
+        np.minimum(min_dist, embedding_distances(matrix, vec, pool.metric), out=min_dist)
+
+    selected: list[int] = []
+    for i in np.flatnonzero(~avail):
+        absorb(matrix[i])
+    if unexplored.size == n:
+        first = int(unexplored[0])
+        selected.append(first)
+        avail[first] = False
+        absorb(matrix[first])
+    while len(selected) < batch_size and avail.any():
+        pick = int(np.argmax(np.where(avail, min_dist, -np.inf)))
+        selected.append(pick)
+        avail[pick] = False
+        absorb(matrix[pick])
+    chosen = np.array(selected, dtype=np.intp)
+    memory.explore(chosen)
+    return chosen
+
+
 def ridge_theta(xs, ys, lam):
     """Independent closed-form ridge solution (lam*I + X^T X)^-1 X^T y."""
     X = np.asarray(xs, dtype=float)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from expdesign.agents import coreset_select
 from expdesign.errors import DatasetError
 from expdesign.memory import CandidateMemory, center_quotas, embedding_distances
 from expdesign.pool import build_pool
 
 from conftest import (
+    coreset_oracle,
     direct_allocate,
     direct_nearest,
     naive_allocate,
@@ -230,11 +232,52 @@ def hard_embeddings(kind: str, rng: np.random.Generator, n: int = 240, dim: int 
         return 1e-161 * lattice[0] + 1e-164 * lattice[1]
     if kind == "mixed-scales":
         return rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-150, 150, (n, 1))
+    if kind == "gate-edge":  # norms at, just inside and just outside 2^62
+        rows = rng.integers(-3, 4, (n, dim)) * 2.0**60  # inside while |row|^2 <= 16 * 2^120
+        edge = rng.choice(n, n // 4, replace=False)
+        rows[edge] = 0.0
+        rows[edge, 0] = 2.0**62 * rng.choice([1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52], edge.size)
+        return rows
+    if kind == "f32-underflow":  # f32 products of about 1e-44 are subnormal
+        return 1e-22 * (rng.integers(-3, 4, (n, dim)) + 0.1 * rng.standard_normal((n, dim)))
+    if kind == "f32-subnormal":  # components are subnormal in f32, products flush to 0
+        return 1e-41 * (rng.integers(-3, 4, (n, dim)) + 0.1 * rng.standard_normal((n, dim)))
+    if kind == "f32-flush":  # components flush to 0 in f32
+        return 1e-47 * (rng.integers(-3, 4, (n, dim)) + 0.1 * rng.standard_normal((n, dim)))
+    if kind == "f32-overflow":  # f32 products overflow
+        return 1e30 * rng.standard_normal((n, dim))
+    if kind == "f32-inf":  # components overflow f32
+        return 1e39 * rng.standard_normal((n, dim))
+    if kind == "f32-worst":
+        return f32_worst_embeddings(rng, n)
     raise ValueError(kind)
 
 
+def f32_worst_embeddings(rng: np.random.Generator, n: int) -> np.ndarray:
+    """1-dim rows whose f32 cross term with the first row is off by nearly
+    the most the bound allows, up for half of them and down for the rest.
+
+    The first row q is an f32 number just above 1, so that products with it
+    stay in [1, 2) and round by up to a relative 2^-24. Every other row lies
+    at an f32 midpoint, about 1e-3 from q, and rounds by nearly as much;
+    the n - 1 rows where both roundings add up are kept. Their distances to
+    q are packed far closer than the errors are wide, so a bound half as
+    large leaves true neighbours off the shortlist.
+    """
+    step = 2.0**-23
+    q = 1.0 + step * int(rng.integers(2**14, 2**15))
+    offsets = np.arange(8400, 10080)
+    offsets = np.concatenate([offsets, -offsets])
+    x = q + step * (np.repeat(offsets, 2) + np.tile([0.499, 0.501], offsets.size))
+    cross = (x.astype(np.float32) * np.float32(q)).astype(np.float64)
+    error = np.abs((x * x - 2.0 * cross + q * q) - (x - q) ** 2)
+    worst = x[np.argsort(-error, kind="stable")[: n - 1]]
+    return np.concatenate([[q], rng.permutation(worst)])[:, None]
+
+
 HARD_KINDS = ("duplicate-rows", "lattice", "offset", "offset-near-ties", "near-overflow",
-              "overflow", "subnormal", "mixed-scales")
+              "overflow", "subnormal", "mixed-scales", "gate-edge", "f32-underflow",
+              "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf", "f32-worst")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -261,6 +304,8 @@ class TestExactScan:
         matrix = memory.pool.embeddings.matrix
         for round_num in range(8):
             centers = list(rng.integers(0, n, int(rng.integers(1, 6))))
+            if round_num % 2 == 0:
+                centers[0] = 0  # the designed query of f32-worst
             if round_num % 3 == 1:
                 centers += centers[:2]  # duplicate centers
             if round_num % 3 == 2:
@@ -310,6 +355,65 @@ class TestExactScan:
                      np.sort(rng.choice(500, 7, replace=False))):
             subset = embedding_distances(matrix[rows], query, "l2-squared")
             assert subset.tobytes() == full[rows].tobytes()
+
+
+COVER_KINDS = ("lattice", "duplicate-rows", "offset", "overflow", "mixed-scales", "gate-edge",
+               "f32-underflow", "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestCover:
+    """The incremental cover and coreset equal a rebuild from scratch."""
+
+    def pool(self, kind, metric, rng, n=120):
+        if metric == "cosine":
+            emb = rng.standard_normal((n, 5))
+            emb[n // 2 :] = emb[: n - n // 2]  # duplicate rows tie exactly
+        else:
+            emb = hard_embeddings(kind, rng, n=n, dim=5)
+        return build_pool([f"c{i}" for i in range(n)], np.arange(n, dtype=float), emb,
+                          metric=metric, percentile=50.0)
+
+    def assert_cover_rebuilt(self, memory):
+        matrix = memory.pool.embeddings.matrix
+        expected = np.full(len(matrix), np.inf)
+        for row in np.setdiff1d(np.arange(len(matrix)), memory.unexplored()):
+            expected = np.minimum(
+                expected, embedding_distances(matrix, matrix[row], memory.pool.metric)
+            )
+        assert memory.distance_to_explored().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, metric", [(k, "l2-squared") for k in COVER_KINDS] + [("gaussian", "cosine")]
+    )
+    def test_coreset_interleaved_with_other_agents_matches_oracle(self, kind, metric):
+        rng = np.random.default_rng(17)
+        pool = self.pool(kind, metric, rng)
+        n = len(pool)
+        memory = CandidateMemory(pool)
+        step = 0
+        while memory.num_unexplored:
+            batch_size = int(rng.integers(1, 12))
+            if step % 3 == 0:
+                oracle = CandidateMemory(pool)
+                oracle.explore(np.setdiff1d(np.arange(n), memory.unexplored()))
+                expected = coreset_oracle(oracle, batch_size)
+                np.testing.assert_array_equal(coreset_select(memory, batch_size), expected)
+                self.assert_cover_rebuilt(memory)
+            elif step % 3 == 1:
+                memory.allocate_batch(rng.integers(0, n, 3), batch_size)
+            else:
+                avail = memory.unexplored()
+                memory.explore(avail[rng.permutation(avail.size)[:batch_size]])
+            step += 1
+        assert coreset_select(memory, 3).size == 0
+
+    def test_cover_is_read_only_and_inf_before_any_exploration(self):
+        memory = CandidateMemory(self.pool("lattice", "l2-squared", np.random.default_rng(1)))
+        cover = memory.distance_to_explored()
+        assert np.isinf(cover).all()
+        with pytest.raises(ValueError):
+            cover[0] = 0.0
 
 
 def test_embedding_distances_matches_scalar():

@@ -104,6 +104,16 @@ class TestLoadPool:
         pool = load_pool(meas, emb, IngestOptions(percentile=50.0))
         assert pool.names == ("a", "b")
 
+    def test_rows_follow_measurement_order(self, tmp_path):
+        rows = np.arange(6.0).reshape(3, 2)
+        meas, _ = write_dataset(tmp_path, ["c", "a", "b"], [1.0, 2.0, 3.0], rows[[2, 0, 1]])
+        _, emb = write_dataset(tmp_path, ["a", "b", "c"], [0, 0, 0], rows, stem="sorted")
+        for embeddings in (emb, tmp_path / "pool-embeddings.csv"):
+            pool = load_pool(meas, embeddings, IngestOptions(percentile=50.0))
+            assert pool.names == ("c", "a", "b")
+            assert pool.embeddings.matrix.tolist() == rows[[2, 0, 1]].tolist()
+            assert not pool.embeddings.matrix.flags.writeable
+
     def test_non_finite_score_rejected(self, tmp_path):
         meas, emb = write_dataset(tmp_path, ["a", "b"], [1.0, "nan"], np.eye(2))
         with pytest.raises(DatasetError, match="non-finite"):
@@ -373,6 +383,13 @@ class TestBuildPool:
         scores[0] = rows[0, 0] = 9.0
         assert pool.scores.tolist() == [1.0, 2.0]
         assert pool.embeddings.matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_embedding_matrix_is_a_frozen_copy(self, order):
+        rows = np.array(np.eye(2), order=order)
+        pool = build_pool(["a", "b"], [1.0, 2.0], rows, percentile=50.0)
+        assert not np.shares_memory(pool.embeddings.matrix, rows)
+        assert rows.flags.writeable and not pool.embeddings.matrix.flags.writeable
 
 
 class TestSmilesElements:

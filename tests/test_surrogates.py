@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,20 @@ class TestLinUcb:
             fresh, fitted = LinUcb(d, ridge=ridge), LinUcb(d, ridge=ridge)
             fitted.fit_batch(np.empty((0, d)), [])
             assert same_bits(fresh.score_many(X), fitted.score_many(X))
+
+    @pytest.mark.parametrize("d", [1, 64, 256, 768])
+    def test_empty_fit_scores_are_the_gemm_against_the_scaled_identity(self, d):
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((300, d))
+        for ridge in (1.0, 0.3, 7.0):
+            model = LinUcb(d, ridge=ridge, alpha=1.7)
+            model.fit_batch(rng.standard_normal((5, d)), rng.standard_normal(5))
+            model.fit_batch(np.empty((0, d)), [])
+            W = X @ (np.eye(d) / math.sqrt(ridge)).T
+            expected = X @ np.zeros(d) + 1.7 * np.sqrt(np.einsum("ij,ij->i", W, W))
+            assert same_bits(model.score_many(X), expected)
+            assert same_bits(model.theta, np.zeros(d))
+            assert same_bits(model.A, ridge * np.eye(d))
 
     def test_matches_closed_form_ridge(self):
         rng = np.random.default_rng(42)

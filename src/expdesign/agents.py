@@ -32,6 +32,7 @@ from .surrogates import (
     LinUcb,
     median_heuristic,
     score_blocks,
+    score_top_b,
     select_top_b,
 )
 
@@ -175,7 +176,12 @@ class LinUcbAgent(Agent):
 
 class GpAgent(Agent):
     """Refits a GP on the records it is handed each round and takes the top
-    UCB batch."""
+    UCB batch.
+
+    With observations, every unexplored candidate gets a certified upper
+    bound on its score, and only those that can reach the batch are scored
+    exactly (:func:`score_top_b`); the batch is the one a full pass picks.
+    """
 
     kind = AGENT_GP
 
@@ -194,13 +200,20 @@ class GpAgent(Agent):
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
-        self.model.fit(*_observations(pool, feedback))
-        avail = memory.unexplored()
+        X, y = _observations(pool, feedback)
+        self.model.fit(X, y)
         table = pool.embeddings
-        acq = score_blocks(
-            avail, lambda rows: self.model.acquisition(table.matrix[rows], table.sq_norms[rows])
+
+        def gathered(method):
+            return lambda rows: method(table.matrix[rows], table.sq_norms[rows])
+
+        idx, acq = score_top_b(
+            memory.unexplored(),
+            gathered(self.model.acquisition),
+            self.batch_size,
+            gathered(self.model.ucb_bound) if y.size else None,
         )
-        return select_top_b(avail, acq, memory, self.batch_size)
+        return select_top_b(idx, acq, memory, self.batch_size)
 
 
 class RandomCentroidsAgent(Agent):

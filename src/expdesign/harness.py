@@ -385,13 +385,11 @@ def run_experiment(
                 result.complete = False
                 result.error = str(exc)
                 break
-            names = [pool.names[i] for i in idx]
-            round_hits = [n for n in names if pool.is_hit(n)]
+            names = [pool.names[i] for i in idx.tolist()]
+            hit = pool.hit_mask[idx].tolist()
+            round_hits = [n for n, h in zip(names, hit) if h]
             total_hits += len(round_hits)
-            records.extend(
-                FeedbackRecord(n, float(pool.scores[i]), pool.is_hit(n))
-                for n, i in zip(names, idx)
-            )
+            records.extend(map(FeedbackRecord, names, pool.scores[idx].tolist(), hit))
             result.selections.append(names)
             result.hits.append(round_hits)
             result.cumulative_hits.append(total_hits)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import re
@@ -210,6 +211,14 @@ class CandidatePool:
         """Whether the named candidate counts as a hit under the pool's policy."""
         self.index_of(name)
         return name in self.hit_names
+
+    @functools.cached_property
+    def hit_mask(self) -> np.ndarray:
+        """Read-only bool array, True at the pool indices of hits."""
+        hits = self.hit_names
+        mask = np.fromiter((name in hits for name in self._names), bool, len(self))
+        mask.setflags(write=False)
+        return mask
 
 
 def resolve_hit_policy(pool: CandidatePool) -> HitPolicy:

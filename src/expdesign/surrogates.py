@@ -2,6 +2,49 @@
 
 Both models score candidates from their embeddings alone; batch selection is
 a plain top-B over the acquisition scores with index tie-breaking.
+
+GP-UCB certifies its top-B from a cheap upper bound on every candidate's
+score and scores exactly only the candidates that can reach it
+(:func:`score_top_b`). With G = L^-1, lower triangular as a fit keeps it,
+the posterior variance of a query with kernel column k is s - |G k|^2, s
+the signal variance. G's first p rows involve only k's first p entries, so
+in real arithmetic |G k|^2 >= P = |G[:p,:p] k[:p]|^2, and s - P bounds the
+variance from above for a p x p product per candidate
+(:meth:`GaussianProcess.ucb_bound`, p = _BOUND_PREFIX).
+
+The bound has to hold for the computed values. The posterior computes
+Q = fl(|fl(G k)|^2) over the n training rows and the variance fl(s - Q),
+clipped at 0; the bound computes P' = fl(|fl(G[:p,:p] k[:p])|^2). Take the
+unit roundoff u = eps/2, g = n u / (1 - n u), a_i = sum_j |G_ij| |k_j| and
+A = |G|_F^2 |k|^2 >= sum_i a_i^2 (Cauchy-Schwarz).
+
+* Each entry of either product is within e_i = g a_i of (G k)_i, in any
+  summation order, FMA and BLAS blocking included, and |(G k)_i| <= a_i.
+  So for i < p the squares of the two products' entries differ by at most
+  4 e_i max(|(G k)_i|, e_i) <= 4 g a_i^2, 4 g A in all.
+* Each sum of squares is within g of its exact value: 2 g (1 + g)^2 A.
+* A product that underflows is off by up to half the smallest subnormal
+  rather than a relative u. Through 2 x y <= x^2 + y^2 that adds at most
+  4 g A and a few n times the smallest subnormal.
+
+Hence P' - Q <= 10 g A (1 + O(g)) + 4 (n + 1) tiny, tiny the smallest
+normal number, and P' exceeds the exact P by no more. The bound takes
+E = 8 g_n A with g_n = n eps / (1 - n eps) >= 2 g, which also covers the
+rounding of E itself; (n + 2) tiny is added to the computed |k|^2, which
+an underflow may leave short, and 4 (n + 2) tiny to E as the underflow
+floor, as ``memory._l2_error_bound`` does. Both operations of s - P' + E
+are rounded up (round to nearest, then ``np.nextafter`` toward inf), so
+var_ub >= s - Q in real arithmetic, and rounding is monotone, so var_ub >=
+fl(s - Q). Clipping var_ub to [0, s], where the computed variance lies,
+keeps that. A non-finite P' (an overflow, outside the rounding model) or E
+gives var_ub = s.
+
+var_ub then goes through exactly the arithmetic that turns the computed
+variance into the score (:meth:`GaussianProcess._moments`, then
+:meth:`GaussianProcess._ucb`): mu + sd mean_z, sd^2 var, mean + beta
+sqrt(var), with the mean's bits the same. Each step is a correctly rounded,
+monotone function of var for sd^2 > 0 and beta >= 0, so the bound is at
+least the score as a float, not only in real arithmetic.
 """
 
 from __future__ import annotations
@@ -189,21 +232,33 @@ class GaussianProcess:
         self, A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | None = None
     ) -> np.ndarray:
         """k(A, B) as (|a|^2 + |b|^2) - 2 A B^T, clipped at 0, times -0.5,
-        over length^2, exp, times signal: each step in place, in this order,
-        so two blocks of len(A) x len(B) are live at most. ``b_sq_norms``,
-        when given, must be ``np.square(B).sum(axis=1)``."""
+        over length^2, exp, times signal. ``b_sq_norms``, when given, must be
+        ``np.square(B).sum(axis=1)``.
+
+        Every step after the product runs in place on _KERNEL_ROWS rows of
+        it at a time, so each chunk stays in cache through all of them and
+        one block of len(A) x len(B) is live. The subtraction is taken as
+        (-2 A B^T) + (|a|^2 + |b|^2): the factor -2 is exact and IEEE
+        addition commutes, so every value keeps the bits of the steps in
+        the order above."""
         if b_sq_norms is None:
             b_sq_norms = np.square(B).sum(axis=1)
-        sq = np.add.outer(np.square(A).sum(axis=1), b_sq_norms)
-        cross = A @ B.T
-        cross *= 2.0
-        sq -= cross
-        np.clip(sq, 0.0, None, out=sq)
-        sq *= -0.5
-        sq /= self._length**2
-        np.exp(sq, out=sq)
-        sq *= self._signal
-        return sq
+        a_sq_norms = np.square(A).sum(axis=1)
+        out = A @ B.T
+        norms = np.empty((min(_KERNEL_ROWS, out.shape[0]), out.shape[1]))
+        length_sq = self._length**2
+        for lo in range(0, out.shape[0], _KERNEL_ROWS):
+            chunk = out[lo : lo + _KERNEL_ROWS]
+            sq = norms[: chunk.shape[0]]
+            np.add.outer(a_sq_norms[lo : lo + _KERNEL_ROWS], b_sq_norms, out=sq)
+            chunk *= -2.0
+            chunk += sq
+            np.clip(chunk, 0.0, None, out=chunk)
+            chunk *= -0.5
+            chunk /= length_sq
+            np.exp(chunk, out=chunk)
+            chunk *= self._signal
+        return out
 
     def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
         """Refit on the full training set (replaces any previous fit)."""
@@ -251,6 +306,10 @@ class GaussianProcess:
         self._X = X
         self._alpha = cho_solve((chol, True), z)
         self._chol_inv = _lower_inverse(chol)
+        m = n * np.finfo(np.float64).eps
+        gamma = m / (1.0 - m) if m < 0.1 else math.inf
+        with np.errstate(over="ignore"):
+            self._slack_scale = 8.0 * gamma * float(np.square(self._chol_inv).sum())
 
     def posterior_many(
         self, X: np.ndarray, sq_norms: np.ndarray | None = None
@@ -268,17 +327,65 @@ class GaussianProcess:
                 np.full(X.shape[0], prior_var * self._sd**2),
             )
         k_star = self._kernel(self._X, X, sq_norms)
-        mean_z = k_star.T @ self._alpha
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
-        return self._mu + self._sd * mean_z, self._sd**2 * var_z
+        return self._moments(k_star, var_z)
+
+    def _moments(self, k_star: np.ndarray, var_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and a variance in raw units, from the cross-kernel
+        block and a variance in standardized units."""
+        return self._mu + self._sd * (k_star.T @ self._alpha), self._sd**2 * var_z
+
+    def _ucb(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+        return mean + self.beta * np.sqrt(var)
 
     def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
         """UCB scores: posterior mean + beta * posterior stddev (``sq_norms``
         as for :meth:`posterior_many`)."""
-        mean, var = self.posterior_many(X, sq_norms)
-        return mean + self.beta * np.sqrt(var)
+        return self._ucb(*self.posterior_many(X, sq_norms))
 
+    def ucb_bound(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+        """Upper bounds on the :meth:`acquisition` scores of a stack of query
+        rows of a model fitted on observations (``sq_norms`` as for
+        :meth:`posterior_many`).
+
+        The kernel block and the mean are computed as the posterior computes
+        them, so for the same shape of ``X`` they have the same bits; the
+        variance is replaced by :meth:`_variance_bound`. Each bound is at
+        least the score ``acquisition`` gives the row in a call of that
+        shape (see the module docstring).
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        k_star = self._kernel(self._X, X, sq_norms)
+        return self._ucb(*self._moments(k_star, self._variance_bound(k_star)))
+
+    def _variance_bound(self, k_star: np.ndarray) -> np.ndarray:
+        """var_ub = min(s, up(up(s - P') + E)), clipped at 0, per column of
+        the cross-kernel block: at least the computed variance, and at least
+        s minus the exact squared norm of G[:p,:p] k[:p]."""
+        n = k_star.shape[0]
+        tiny = np.finfo(np.float64).tiny
+        prefix = self._chol_inv[:_BOUND_PREFIX, :_BOUND_PREFIX]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = prefix @ k_star[: prefix.shape[0]]
+            explained = np.einsum("ij,ij->j", w, w)
+            k_sq = np.einsum("ij,ij->j", k_star, k_star)
+            slack = self._slack_scale * (k_sq + (n + 2) * tiny) + 4.0 * (n + 2) * tiny
+            var_ub = np.nextafter(np.nextafter(self._signal - explained, np.inf) + slack, np.inf)
+            np.clip(var_ub, 0.0, self._signal, out=var_ub)
+        var_ub[~np.isfinite(explained)] = self._signal
+        return var_ub
+
+
+# Rows of the kernel's cross product per elementwise chunk: 16 rows of a
+# 2048-column block are 256 kB. Against whole-block passes this took a
+# 384 x 2048 kernel block from 20 to 15 ms (one thread).
+_KERNEL_ROWS = 16
+
+# Leading rows and columns of L^-1 behind GaussianProcess.ucb_bound. The
+# bound costs a p x p product per candidate; 32 left at most 1,900 of about
+# 18k gene-screen candidates able to reach a top-128.
+_BOUND_PREFIX = 32
 
 # Rows per scoring block. The temporaries of one block (a 2048 x 256 gather
 # is 4 MB, a 512 x 2048 kernel 8 MB) stay near cache size however large the
@@ -309,6 +416,42 @@ def score_blocks(idx: np.ndarray, score: Callable[[np.ndarray], np.ndarray]) -> 
         lo = max(0, min(start, idx.size - _BLOCK_ROWS))
         out[start : start + _BLOCK_ROWS] = score(idx[lo : start + _BLOCK_ROWS])[start - lo :]
     return out
+
+
+def score_top_b(
+    idx: np.ndarray,
+    score: Callable[[np.ndarray], np.ndarray],
+    batch_size: int,
+    bound: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Some of the pool indices ``idx`` and their ``score_blocks`` scores,
+    among them the ``batch_size`` best of all of ``idx``, ties included, so
+    that :func:`select_top_b` over them picks what it picks over all of
+    ``idx``.
+
+    Without ``bound``, or with at most max(_BLOCK_ROWS, batch_size) indices,
+    that is every index. Otherwise ``bound(rows)`` gives upper bounds on the
+    scores of a block of rows, as floats at least the scores
+    ``score_blocks`` gives (:meth:`GaussianProcess.ucb_bound`). Only the k
+    indices of largest bound are scored exactly, k at least _BLOCK_ROWS so
+    every block keeps the shape, and with it the bits, of a full pass. With
+    t the batch_size-th largest of those scores, an index whose bound is
+    below t scores below t and is not selected; k grows until it holds every
+    index whose bound is at least t.
+    """
+    idx = np.asarray(idx)
+    k = max(_BLOCK_ROWS, batch_size)
+    if bound is None or idx.size <= k:
+        return idx, score_blocks(idx, score)
+    ub = score_blocks(idx, bound)
+    while True:
+        short = idx[np.argpartition(ub, idx.size - k)[idx.size - k :]]
+        scores = score_blocks(short, score)
+        t = np.partition(scores, k - batch_size)[k - batch_size]
+        reach = np.count_nonzero(ub >= t)
+        if reach <= k:
+            return short, scores
+        k = reach
 
 
 def select_top_b(

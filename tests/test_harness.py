@@ -12,6 +12,7 @@ from expdesign.agents import Agent, LinUcbAgent
 from expdesign.backends import ScriptedBackend
 from expdesign.cli import main
 from expdesign.errors import ConfigError
+from expdesign.feedback import FeedbackRecord
 from expdesign.harness import (
     ExperimentConfig,
     RunResult,
@@ -104,6 +105,41 @@ class TestRunExperiment:
         for i in (2, 3, 4):
             expected = [n for batch in result.selections[: i - 1] for n in batch]
             assert rounds_seen[i] == expected
+
+    @pytest.mark.parametrize("hit_mode", ["ground-truth-set", "top-percentile"])
+    def test_feedback_and_hits_match_the_is_hit_oracle(self, monkeypatch, hit_mode):
+        rng = np.random.default_rng(11)
+        names = [f"c{i}" for i in range(300)]
+        scores = rng.standard_normal(300)
+        pool = build_pool(names, scores, rng.standard_normal((300, 3)), hit_mode=hit_mode,
+                          ground_truth=set(names[::7]), percentile=80.0)
+        seen = []
+
+        class SpyAgent(Agent):
+            kind = "spy"
+
+            def select(self, round_num, memory, feedback, rng):
+                seen.append(feedback)
+                idx = rng.permutation(memory.unexplored())[:40]
+                memory.explore(idx)
+                return idx
+
+        import expdesign.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "make_agent", lambda *a: SpyAgent(*a))
+        result = run_experiment(
+            ExperimentConfig(agent="random", rounds=4, batch_size=40), seed=3, pool=pool
+        )
+        for selected, hits in zip(result.selections, result.hits):
+            assert hits == [n for n in selected if pool.is_hit(n)]
+        selected = [n for batch in result.selections[:3] for n in batch]
+        expected = [
+            FeedbackRecord(n, float(pool.scores[pool.index_of(n)]), pool.is_hit(n))
+            for n in selected
+        ]
+        assert list(seen[-1].records) == expected
+        assert {(type(r.score), type(r.hit)) for r in seen[-1].records} == {(float, bool)}
+        assert sum(map(len, result.hits)) == result.final_hits > 0
 
     def test_exhaustion_warns_and_selects_fewer(self):
         pool = build_pool(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -384,6 +385,148 @@ class TestScoreBlocks:
             tracemalloc.stop()
         assert batch.size == 16
         assert peak < pool.embeddings.matrix.nbytes / 2, peak
+
+
+def prefix_deficit(model: GaussianProcess, k: np.ndarray) -> Fraction:
+    """s - |G[:p,:p] k[:p]|^2 in exact arithmetic, from the stored floats of
+    G = L^-1 and of one kernel column k."""
+    p = min(surrogates._BOUND_PREFIX, k.size)
+    G = [[Fraction(g) for g in row[: i + 1]] for i, row in enumerate(model._chol_inv[:p].tolist())]
+    kf = [Fraction(v) for v in k[:p].tolist()]
+    return Fraction(model._signal) - sum(sum(g * v for g, v in zip(row, kf)) ** 2 for row in G)
+
+
+class TestGpShortlist:
+    """GpAgent.select against full-pass scoring: same batch, same order, and
+    an upper bound at least the exact score bits on every unexplored row."""
+
+    BLOCK = surrogates._BLOCK_ROWS
+
+    def select(self, pool, observed, batch_size=32, **gp):
+        """One gp round after ``observed``; returns the model, the unexplored
+        indices and their exact scores and bounds from full passes."""
+        agent = make_agent(ExperimentConfig(agent="gp", batch_size=batch_size, **gp), pool,
+                           None, None)
+        memory = CandidateMemory(pool)
+        memory.explore(observed)
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
+        ))
+        avail = memory.unexplored()
+        batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+        model, table = agent.model, pool.embeddings
+
+        def full_pass(method):
+            return score_blocks(avail, lambda rows: method(table.matrix[rows], table.sq_norms[rows]))
+
+        exact = full_pass(model.acquisition)
+        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:batch_size]].tolist()
+        bound = full_pass(model.ucb_bound)
+        assert np.all(bound >= exact)
+        return model, avail, exact, bound
+
+    def check_prefix_deficit(self, model, pool, rows):
+        """The variance bound is at least s minus the exact prefix norm."""
+        table = pool.embeddings
+        k_star = model._kernel(model._X, table.matrix[rows], table.sq_norms[rows])
+        var_ub = model._variance_bound(k_star)
+        for j in range(rows.size):
+            assert Fraction(var_ub[j]) >= prefix_deficit(model, k_star[:, j]), rows[j]
+
+    def test_lower_inverse_is_lower_triangular(self):
+        # The prefix bound needs G[:p, p:] = 0 exactly.
+        rng = np.random.default_rng(1)
+        gp = GaussianProcess(length_scale=3.0)
+        gp.fit(rng.standard_normal((70, 5)), rng.standard_normal(70))
+        assert not np.triu(gp._chol_inv, 1).any()
+
+    @pytest.mark.parametrize("gp", [
+        {},
+        {"gp_beta": 0.0},
+        {"gp_signal_var": 3.0, "gp_noise_var": 1e-3},
+        {"gp_standardize": False},
+        {"gp_standardize": False, "gp_signal_var": 0.5, "gp_noise_var": 0.0, "gp_beta": 5.0},
+    ])
+    def test_matches_full_pass(self, gp):
+        rng = np.random.default_rng(4)
+        pool = random_pool(rng, 2 * self.BLOCK + 500, 6)
+        observed = rng.choice(len(pool), 90, replace=False)
+        model, avail, _, _ = self.select(pool, observed, **gp)
+        self.check_prefix_deficit(model, pool, avail[:40])
+
+    def test_tied_duplicate_rows_around_the_threshold(self):
+        # Every embedding five times over, so equal scores straddle the
+        # batch boundary (batch size 33) and the tie rule decides.
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((900, 4))
+        emb = base[rng.permutation(np.arange(4500) % 900)]
+        pool = build_pool([f"c{i}" for i in range(4500)], rng.standard_normal(4500), emb)
+        observed = rng.choice(4500, 60, replace=False)
+        _, avail, exact, _ = self.select(pool, observed, batch_size=33)
+        threshold = np.sort(exact)[-33]
+        assert np.count_nonzero(exact > threshold) < 33 < np.count_nonzero(exact >= threshold)
+
+    def test_kernel_underflow(self):
+        # A length scale so small that every unexplored row's kernel column
+        # is exactly 0: all scores tie at the prior and every row is scored.
+        rng = np.random.default_rng(7)
+        pool = random_pool(rng, self.BLOCK + 700, 5)
+        observed = np.arange(50)
+        model, avail, exact, bound = self.select(pool, observed, gp_length_scale=1e-3)
+        assert np.all(exact == exact[0]) and np.array_equal(bound, exact)
+        self.check_prefix_deficit(model, pool, avail[:10])
+
+    def test_duplicate_training_rows_need_jitter(self):
+        rng = np.random.default_rng(8)
+        pool = random_pool(rng, self.BLOCK + 600, 4)
+        matrix = pool.embeddings.matrix.copy()
+        matrix[1:40] = matrix[0]  # the first 40 observed rows coincide
+        pool = build_pool(list(pool.names), pool.scores, matrix)
+        observed = np.arange(70)
+        model, avail, _, _ = self.select(pool, observed, gp_noise_var=0.0,
+                                         gp_length_scale=2.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(model._kernel(model._X, model._X))
+        self.check_prefix_deficit(model, pool, avail[:20])
+
+    def test_fewer_observations_than_the_prefix(self):
+        rng = np.random.default_rng(9)
+        pool = random_pool(rng, self.BLOCK + 900, 5)
+        observed = rng.choice(len(pool), surrogates._BOUND_PREFIX - 7, replace=False)
+        model, avail, _, _ = self.select(pool, observed)
+        self.check_prefix_deficit(model, pool, avail[:30])
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_block_and_one_more_row(self, extra):
+        # 2048 unexplored rows take the full pass; 2049 the shortlist.
+        rng = np.random.default_rng(10)
+        pool = random_pool(rng, self.BLOCK + extra + 64, 5)
+        model, avail, _, _ = self.select(pool, np.arange(64))
+        assert avail.size == self.BLOCK + extra
+
+    def test_designed_near_worst_case_rows(self):
+        # The first p observed rows form one tight cluster and the others a
+        # distant one, so G is block diagonal and the prefix sees the whole
+        # posterior of the candidates next to the first cluster: s - P is
+        # their variance, small against s, and their bound is the score but
+        # for the rounding term E. The check in exact arithmetic fails there
+        # if E is left out.
+        rng = np.random.default_rng(12)
+        p = surrogates._BOUND_PREFIX
+        emb = rng.standard_normal((2 * self.BLOCK + 300, 6))
+        emb[:p] = 0.3 * rng.standard_normal((p, 6))
+        emb[p : 3 * p] = 100.0 + 0.3 * rng.standard_normal((2 * p, 6))
+        near = np.arange(3 * p, 3 * p + 200)
+        emb[near] = emb[near % p] + 1e-3 * rng.standard_normal((near.size, 6))
+        pool = build_pool([f"c{i}" for i in range(len(emb))], rng.standard_normal(len(emb)), emb)
+        model, _, _, _ = self.select(pool, np.arange(3 * p), gp_length_scale=0.5)
+        assert not model._chol_inv[p:, :p].any()
+        _, var = model.posterior_many(emb[near])
+        deficit = np.array([float(prefix_deficit(model, k)) for k in
+                            model._kernel(model._X, emb[near]).T])
+        assert np.allclose(var / model._sd**2, deficit, rtol=1e-6, atol=0.0)
+        assert np.all(var / model._sd**2 < 0.01 * model._signal)
+        self.check_prefix_deficit(model, pool, near)
 
 
 def test_lower_inverse_rejects_singular_factor():

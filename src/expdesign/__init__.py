@@ -46,7 +46,6 @@ from .pool import (
     CandidatePool,
     EmbeddingTable,
     HitPolicy,
-    IngestOptions,
     build_pool,
     load_pool,
     resolve_hit_policy,

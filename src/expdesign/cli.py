@@ -20,7 +20,7 @@ from .harness import (
     write_report,
     RUNS_CSV,
 )
-from .pool import IngestOptions, load_pool
+from .pool import load_pool
 
 _METRIC_ALIASES = {"cosine": "cosine", "l2sq": "l2-squared", "l2-squared": "l2-squared"}
 
@@ -118,17 +118,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    options = IngestOptions(
+    pool = load_pool(
+        args.dataset,
+        args.embeddings,
         metric=_METRIC_ALIASES[args.metric],
         expected_dim=args.expected_dim,
         percentile=args.percentile,
     )
-    pool = load_pool(args.dataset, args.embeddings, options)
     policy = pool.hit_policy
     threshold = "n/a" if policy.threshold is None else f"{policy.threshold:.6g}"
     print(
         f"ok: {len(pool)} candidates, dim {pool.embeddings.dim}, "
-        f"{len(pool.hit_names)} hits ({policy.mode}, threshold {threshold})"
+        f"{int(pool.hit_mask.sum())} hits ({policy.mode}, threshold {threshold})"
     )
     return 0
 

@@ -30,7 +30,6 @@ from .memory import CandidateMemory
 from .pool import (
     CandidatePool,
     HIT_MODES,
-    IngestOptions,
     METRIC_L2_SQUARED,
     METRICS,
     load_pool,
@@ -128,9 +127,13 @@ class ExperimentConfig:
                     raise ConfigError(f"config key {key!r} must be an object")
                 for sub, subval in value.items():
                     flat[f"{key}_{sub}"] = subval
+            elif cls._label(key) != key:
+                raise ConfigError(
+                    f"config key {key!r} belongs in a nested object: write {cls._label(key)!r}"
+                )
             else:
                 flat[key] = value
-        unknown = sorted(set(flat) - fields)
+        unknown = sorted(cls._label(key) for key in set(flat) - fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         hints = typing.get_type_hints(cls)
@@ -217,8 +220,12 @@ class ExperimentConfig:
             "candidate_space_info": self.candidate_space_info,
         }
 
-    def ingest_options(self) -> IngestOptions:
-        return IngestOptions(
+    def load_pool(self) -> CandidatePool:
+        if self.dataset is None or self.embeddings is None:
+            raise ConfigError("config needs dataset and embeddings paths")
+        return load_pool(
+            self.dataset,
+            self.embeddings,
             metric=self.metric,
             expected_dim=self.expected_dim,
             hit_mode=self.hit_mode,
@@ -226,11 +233,6 @@ class ExperimentConfig:
             element_filter=self.element_filter,
             score_range=self.score_range,
         )
-
-    def load_pool(self) -> CandidatePool:
-        if self.dataset is None or self.embeddings is None:
-            raise ConfigError("config needs dataset and embeddings paths")
-        return load_pool(self.dataset, self.embeddings, self.ingest_options())
 
     def make_backend(self) -> LlmBackend | None:
         """Fresh backend for one run (scripted call counters are per-run)."""
@@ -289,10 +291,6 @@ class RunResult:
     @property
     def final_hits(self) -> int:
         return self.cumulative_hits[-1] if self.cumulative_hits else 0
-
-    @property
-    def total_selected(self) -> int:
-        return sum(len(s) for s in self.selections)
 
 
 class _TraceWriter:
@@ -451,15 +449,13 @@ class RunSummary:
         }
 
 
-def aggregate_runs(
-    results: Iterable[RunResult], include_incomplete: bool = False
-) -> RunSummary:
+def aggregate_runs(results: Iterable[RunResult]) -> RunSummary:
     """Average the final and per-round cumulative hits across runs.
 
-    Incomplete (aborted) runs are excluded unless asked for; the standard
-    deviation is the population one, matching averaging over a fixed run set.
+    Incomplete (aborted) runs are excluded; the standard deviation is the
+    population one, matching averaging over a fixed run set.
     """
-    used = [r for r in results if r.complete or include_incomplete]
+    used = [r for r in results if r.complete]
     if not used:
         raise ValueError("no completed runs to aggregate")
     lengths = {len(r.cumulative_hits) for r in used}

@@ -7,14 +7,15 @@ allocator marks what it selects explored before returning it.
 
 Every query returns exactly what a full scan with the direct formula
 (:func:`embedding_distances`) would return: the k unexplored rows of least
-distance, ties broken toward the lower index. Under l2-squared the scan is
-not made row by row. At its first l2 query a memory makes an f32 copy of
-the pool, half the bytes of the matrix, which lives as long as the memory
-(one run). The expansion ``|x|^2 - 2 x.q + |q|^2`` takes the cross terms of
-all queries of a round from one f32 matrix product over that copy, and the
-squared norms from the f64 rows. Each value lies within a proven bound of
-the direct value (see :func:`_l2_error_bound`), which covers the rounding of
-the inputs to f32 and of the f32 sums, subnormal results included. It holds
+distance, ties broken toward the lower index. Under l2-squared, center
+allocation does not scan row by row. At its first l2 allocation or cover
+query a memory makes an f32 copy of the pool, half the bytes of the matrix,
+which lives as long as the memory (one run). The expansion
+``|x|^2 - 2 x.q + |q|^2`` takes the cross terms of all centers of a round
+from one f32 matrix product over that copy, and the squared norms from the
+f64 rows. Each value lies within a proven bound of the direct value (see
+:func:`_l2_error_bound`), which covers the rounding of the inputs to f32
+and of the f32 sums, subnormal results included. It holds
 inside a range gate, a norm of at most 2^62 for the row and the query,
 within which no f32 value overflows. A row or query outside the gate gets
 an infinite bound: a query outside it, or one that meets an unexplored row
@@ -22,8 +23,10 @@ outside it, ranks every candidate directly. Otherwise only the rows whose
 lower end (approximation minus bound) is at most the k-th least upper end
 can be among the k nearest; that shortlist is re-ranked with the direct
 formula, so the result matches the full scan bit for bit, exact ties
-included. Cosine queries keep one direct scan per query, and use the same
-shortlist step with a zero bound in place of a full sort.
+included. Cosine allocation, and an outside query under either metric
+(:meth:`CandidateMemory.nearest`), take one direct scan of the pool per
+query, and use the same shortlist step with a zero bound in place of a
+full sort.
 
 The cover (:meth:`CandidateMemory.distance_to_explored`) holds each
 candidate's distance to its nearest explored candidate, as the direct
@@ -137,14 +140,7 @@ class CandidateMemory:
         given: callers pass a pool row or a checked vector.
         """
         query = np.asarray(query, dtype=np.float64)
-        if self._pool.metric == METRIC_COSINE:
-            return self._nearest_cosine(query, k)
-        queries = query[None, :]
-        with np.errstate(over="ignore"):
-            sq_norms = np.square(queries).sum(axis=1)
-            queries32 = queries.astype(np.float32)
-        low, high = self._l2_ends(queries32, sq_norms, _gated_norms(sq_norms))
-        return self._nearest_l2(low[0], high[0], query, k)
+        return self._nearest_direct(query, k)
 
     def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
         """Names of the k unexplored candidates nearest an outside query
@@ -186,7 +182,7 @@ class CandidateMemory:
                 break
             query = matrix[centers[j]]
             if cosine:
-                got = self._nearest_cosine(query, quota)
+                got = self._nearest_direct(query, quota)
             else:
                 got = self._nearest_l2(low[j], high[j], query, quota)
                 low[:, got] = np.inf
@@ -242,10 +238,10 @@ class CandidateMemory:
                     dists = _direct_l2(matrix, closer, matrix[row])
                     cover[closer] = np.minimum(cover[closer], dists)
 
-    def _nearest_cosine(self, query: np.ndarray, k: int) -> np.ndarray:
-        dists = embedding_distances(
-            self._pool.embeddings.matrix, query, METRIC_COSINE, self._norms
-        )
+    def _nearest_direct(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Rank by one direct scan of the whole pool under its metric."""
+        matrix = self._pool.embeddings.matrix
+        dists = embedding_distances(matrix, query, self._pool.metric, self._norms)
         explored = self._explored
         low = high = np.where(explored, np.inf, dists)
         if not (np.isfinite(dists) | explored).all():

@@ -3,17 +3,21 @@
 A pool is the immutable universe of an experiment: named candidates with a
 real-valued measurement each, one embedding vector per candidate, a distance
 metric, and a hit policy that decides which candidates count as discoveries.
+Every pool, loaded (:func:`load_pool`) or built in memory
+(:func:`build_pool`), is made by one :class:`CandidatePool` call, which
+resolves its hits once into a read-only bool mask over pool indices. Names
+matter only at the edges: a ground-truth hit set arrives as names and is
+turned into indices there, and ``is_hit`` and ``hit_names`` read the mask.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -96,24 +100,17 @@ class EmbeddingTable:
 
 @dataclass(frozen=True)
 class HitPolicy:
-    """How hit status is decided for this pool.
+    """How a pool decides its hits, as :func:`resolve_hit_policy` resolved it.
 
-    ``threshold`` and ``hits`` are populated by :func:`resolve_hit_policy`;
-    for percentile modes the explicit ``hits`` set encodes the tie rule
-    (lower pool index wins the last hit slots at the threshold boundary).
+    ``percentile`` applies to the two percentile modes; ``threshold`` is the
+    score (or |score|) of the best candidate that is not a hit there, and
+    None under ground-truth-set. The hits themselves are the pool's
+    :attr:`CandidatePool.hit_mask`.
     """
 
     mode: str
-    percentile: float = 90.0
-    ground_truth: frozenset[str] = frozenset()
-    threshold: float | None = None
-    hits: frozenset[str] | None = None
-
-    def __post_init__(self):
-        if self.mode not in HIT_MODES:
-            raise DatasetError(f"unknown hit mode {self.mode!r}")
-        if self.mode != MODE_GROUND_TRUTH and not 0.0 < self.percentile < 100.0:
-            raise DatasetError("percentile must lie strictly between 0 and 100")
+    percentile: float
+    threshold: float | None
 
 
 class CandidatePool:
@@ -122,7 +119,8 @@ class CandidatePool:
     Candidate ``i`` is ``names[i]`` with measurement ``scores[i]`` and
     embedding row ``i``; every array is in this pool index order. An
     ``embeddings`` table is used as it is; any other matrix is copied into
-    a new one.
+    a new one. The hit set is resolved once, at construction, from
+    ``hit_mode``, ``percentile`` and the ``ground_truth`` names.
     """
 
     def __init__(
@@ -130,8 +128,11 @@ class CandidatePool:
         names: Sequence[str],
         scores: Sequence[float] | np.ndarray,
         embeddings: EmbeddingTable | np.ndarray | Sequence[Sequence[float]],
-        hit_policy: HitPolicy,
+        *,
         metric: str,
+        hit_mode: str,
+        percentile: float,
+        ground_truth: Iterable[str],
     ):
         if len(names) == 0:
             raise DatasetError("candidate pool is empty")
@@ -167,9 +168,9 @@ class CandidatePool:
                     f"{self._names[zero[0]]!r} has a zero vector"
                 )
         self._metric = metric
-        self._hit_policy = hit_policy
-        if hit_policy.hits is None:
-            self._hit_policy = resolve_hit_policy(self)
+        self._hit_policy, self._hit_mask = resolve_hit_policy(
+            self, hit_mode, percentile, ground_truth
+        )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -192,8 +193,13 @@ class CandidatePool:
         return self._hit_policy
 
     @property
+    def hit_mask(self) -> np.ndarray:
+        """Read-only bool array, True at the pool indices of hits."""
+        return self._hit_mask
+
+    @property
     def hit_names(self) -> frozenset[str]:
-        return self._hit_policy.hits or frozenset()
+        return frozenset(self._names[i] for i in np.flatnonzero(self._hit_mask))
 
     def __len__(self) -> int:
         return len(self._names)
@@ -209,68 +215,52 @@ class CandidatePool:
 
     def is_hit(self, name: str) -> bool:
         """Whether the named candidate counts as a hit under the pool's policy."""
-        self.index_of(name)
-        return name in self.hit_names
-
-    @functools.cached_property
-    def hit_mask(self) -> np.ndarray:
-        """Read-only bool array, True at the pool indices of hits."""
-        hits = self.hit_names
-        mask = np.fromiter((name in hits for name in self._names), bool, len(self))
-        mask.setflags(write=False)
-        return mask
+        return bool(self._hit_mask[self.index_of(name)])
 
 
-def resolve_hit_policy(pool: CandidatePool) -> HitPolicy:
-    """Populate the hit threshold and explicit hit set for a pool's policy.
+def resolve_hit_policy(
+    pool: CandidatePool, mode: str, percentile: float, ground_truth: Iterable[str]
+) -> tuple[HitPolicy, np.ndarray]:
+    """A pool's hit policy and its hits, as a read-only bool mask over pool
+    indices.
 
-    Top-percentile with percentile p keeps the k = floor((100 - p)/100 * n)
-    largest-scoring candidates as hits; the threshold is the (k+1)-th largest
-    score. Score ties at the boundary are broken in favor of the lower pool
-    index. The absolute variant applies the same rule to |score|.
+    Ground-truth-set makes the ``ground_truth`` names the hits; each must be
+    in the pool. Top-percentile with percentile p keeps the
+    k = floor((100 - p)/100 * n) largest-scoring candidates as hits; the
+    threshold is the (k+1)-th largest score. Score ties at the boundary are
+    broken in favor of the lower pool index. The absolute variant applies
+    the same rule to |score|.
     """
-    policy = pool.hit_policy
-    if policy.mode == MODE_GROUND_TRUTH:
-        unknown = sorted(policy.ground_truth - set(pool.names))
+    if mode not in HIT_MODES:
+        raise DatasetError(f"unknown hit mode {mode!r}")
+    mask = np.zeros(len(pool), dtype=bool)
+    threshold = None
+    if mode == MODE_GROUND_TRUTH:
+        truth = set(ground_truth)
+        unknown = sorted(name for name in truth if name not in pool)
         if unknown:
             raise DatasetError(
                 f"ground-truth names not present in the pool: {unknown[:5]}"
             )
-        return replace(policy, threshold=None, hits=frozenset(policy.ground_truth))
-
-    n = len(pool)
-    # (100 - p) stays exact for integer percentiles; avoids 1 - p/100 rounding.
-    k = int(math.floor(n * (100.0 - policy.percentile) / 100.0))
-    if k == 0:
-        raise DatasetError(
-            f"top-percentile policy selects zero hits on a pool of {n}; "
-            "supply an explicit ground-truth hit set instead"
-        )
-    key = np.abs(pool.scores) if policy.mode == MODE_ABS_TOP_PERCENTILE else pool.scores
-    order = sorted(range(n), key=lambda i: (-key[i], i))
-    threshold = float(key[order[k]])
-    hits = frozenset(pool.names[i] for i in order[:k])
-    return replace(policy, threshold=threshold, hits=hits)
-
-
-@dataclass(frozen=True)
-class IngestOptions:
-    """Knobs applied while loading a pool from CSV files.
-
-    ``hit_mode=None`` selects ground-truth-set when the measurements file has
-    a ``hit`` column (the gene-screen convention) and top-percentile
-    otherwise (the molecular convention). ``element_filter`` drops candidates
-    whose SMILES names contain atoms outside the allowed set; ``score_range``
-    drops candidates with measurements outside the closed interval.
-    """
-
-    metric: str = METRIC_L2_SQUARED
-    expected_dim: int | None = None
-    hit_mode: str | None = None
-    percentile: float = 90.0
-    ground_truth: frozenset[str] | None = None
-    element_filter: tuple[str, ...] | None = None
-    score_range: tuple[float, float] | None = None
+        mask[[pool.index_of(name) for name in truth]] = True
+    else:
+        if not 0.0 < percentile < 100.0:
+            raise DatasetError("percentile must lie strictly between 0 and 100")
+        n = len(pool)
+        # (100 - p) stays exact for integer percentiles; avoids 1 - p/100 rounding.
+        k = int(math.floor(n * (100.0 - percentile) / 100.0))
+        if k == 0:
+            raise DatasetError(
+                f"top-percentile policy selects zero hits on a pool of {n}; "
+                "supply an explicit ground-truth hit set instead"
+            )
+        key = np.abs(pool.scores) if mode == MODE_ABS_TOP_PERCENTILE else pool.scores
+        # Stable: equal keys (-0.0 equals 0.0) keep ascending pool index.
+        order = np.argsort(-key, kind="stable")
+        threshold = float(key[order[k]])
+        mask[order[:k]] = True
+    mask.setflags(write=False)
+    return HitPolicy(mode, percentile, threshold), mask
 
 
 _BRACKET_SYMBOL = re.compile(r"^\d*(se|as|[A-Z][a-z]?|[bcnops])")
@@ -336,7 +326,9 @@ def _csv_reader(path: Path) -> Iterator[Iterator[list[str]]]:
         ) from None
 
 
-def _read_measurements(path: Path) -> tuple[list[tuple[str, float]], dict[str, bool] | None]:
+def _read_measurements(path: Path) -> tuple[list[tuple[str, float, bool]], bool]:
+    """The ``(name, score, hit)`` rows of a measurements file, and whether it
+    has a ``hit`` column (without one every hit flag is False)."""
     with _csv_reader(path) as reader:
         try:
             header = [h.strip() for h in next(reader)]
@@ -350,8 +342,7 @@ def _read_measurements(path: Path) -> tuple[list[tuple[str, float]], dict[str, b
                 f"{path}: expected header 'name,score[,hit]', got {','.join(header)!r}"
             )
         has_hit = len(header) == 3
-        rows: list[tuple[str, float]] = []
-        hit_flags: dict[str, bool] = {}
+        rows: list[tuple[str, float, bool]] = []
         seen: set[str] = set()
         for row in reader:
             lineno = reader.line_num
@@ -371,12 +362,10 @@ def _read_measurements(path: Path) -> tuple[list[tuple[str, float]], dict[str, b
                 raise DatasetError(f"{path}:{lineno}: bad score {row[1]!r}") from None
             if not math.isfinite(score):
                 raise DatasetError(f"{path}:{lineno}: non-finite score for {name!r}")
-            if has_hit:
-                if row[2] not in ("0", "1"):
-                    raise DatasetError(f"{path}:{lineno}: hit flag must be 0 or 1")
-                hit_flags[name] = row[2] == "1"
-            rows.append((name, score))
-    return rows, (hit_flags if has_hit else None)
+            if has_hit and row[2] not in ("0", "1"):
+                raise DatasetError(f"{path}:{lineno}: hit flag must be 0 or 1")
+            rows.append((name, score, has_hit and row[2] == "1"))
+    return rows, has_hit
 
 
 # Bytes a value part may hold for the plain parse: digits, signs, the
@@ -531,9 +520,15 @@ def _read_embeddings_csv(path: Path, wanted: set[str]) -> tuple[list[str], np.nd
 
 
 def load_pool(
-    measurements_path: str | Path,
-    embeddings_path: str | Path,
-    options: IngestOptions | None = None,
+    measurements: str | Path,
+    embeddings: str | Path,
+    *,
+    metric: str = METRIC_L2_SQUARED,
+    expected_dim: int | None = None,
+    hit_mode: str | None = None,
+    percentile: float = 90.0,
+    element_filter: Sequence[str] | None = None,
+    score_range: tuple[float, float] | None = None,
 ) -> CandidatePool:
     """Load a candidate pool from a measurements CSV and an embeddings CSV.
 
@@ -541,57 +536,52 @@ def load_pool(
     embeddings file is header-less ``name,v1,...,vd``. Embedding rows for
     names absent from the (filtered) measurements are ignored, so one
     embeddings file can serve several pool preparations.
+
+    ``hit_mode=None`` selects ground-truth-set when the measurements file has
+    a ``hit`` column (the gene-screen convention) and top-percentile
+    otherwise (the molecular convention). ``element_filter`` drops candidates
+    whose SMILES names contain atoms outside the allowed set; ``score_range``
+    drops candidates with measurements outside the closed interval.
     """
-    opts = options or IngestOptions()
-    measurements_path = Path(measurements_path)
-    embeddings_path = Path(embeddings_path)
-    rows, hit_flags = _read_measurements(measurements_path)
+    measurements = Path(measurements)
+    embeddings = Path(embeddings)
+    rows, has_hit = _read_measurements(measurements)
 
-    if opts.element_filter is not None:
-        allowed = set(opts.element_filter)
-        rows = [(n, s) for n, s in rows if smiles_elements(n) <= allowed]
-    if opts.score_range is not None:
-        lo, hi = opts.score_range
-        rows = [(n, s) for n, s in rows if lo <= s <= hi]
+    if element_filter is not None:
+        allowed = set(element_filter)
+        rows = [row for row in rows if smiles_elements(row[0]) <= allowed]
+    if score_range is not None:
+        lo, hi = score_range
+        rows = [row for row in rows if lo <= row[1] <= hi]
     if not rows:
-        raise DatasetError(f"{measurements_path}: no candidates left after filtering")
+        raise DatasetError(f"{measurements}: no candidates left after filtering")
 
-    names = [name for name, _ in rows]
-    kept = set(names)
-
-    emb_names, emb_matrix = _read_embeddings(embeddings_path, kept)
-    if opts.expected_dim is not None and emb_matrix.shape[1] != opts.expected_dim:
+    names = [row[0] for row in rows]
+    emb_names, emb_matrix = _read_embeddings(embeddings, set(names))
+    if expected_dim is not None and emb_matrix.shape[1] != expected_dim:
         raise DatasetError(
-            f"{embeddings_path}: embedding dim {emb_matrix.shape[1]} "
-            f"does not match expected {opts.expected_dim}"
+            f"{embeddings}: embedding dim {emb_matrix.shape[1]} "
+            f"does not match expected {expected_dim}"
         )
     if emb_names != names:  # reorder rows into pool order
         row_of = {n: i for i, n in enumerate(emb_names)}
         emb_matrix = emb_matrix[[row_of[n] for n in names]]
 
-    mode = opts.hit_mode
-    if mode is None:
-        mode = (
-            MODE_GROUND_TRUTH
-            if (hit_flags is not None or opts.ground_truth is not None)
-            else MODE_TOP_PERCENTILE
-        )
-    if mode == MODE_GROUND_TRUTH:
-        if opts.ground_truth is not None:
-            truth = frozenset(opts.ground_truth)
-        elif hit_flags is not None:
-            truth = frozenset(n for n in kept if hit_flags.get(n, False))
-        else:
-            raise DatasetError(
-                "ground-truth-set mode needs a 'hit' column or an explicit set"
-            )
-        policy = HitPolicy(mode=mode, ground_truth=truth)
-    else:
-        policy = HitPolicy(mode=mode, percentile=opts.percentile)
+    if hit_mode is None:
+        hit_mode = MODE_GROUND_TRUTH if has_hit else MODE_TOP_PERCENTILE
+    if hit_mode == MODE_GROUND_TRUTH and not has_hit:
+        raise DatasetError("ground-truth-set mode needs a 'hit' column")
 
     # The readers return a fresh finite matrix; the table takes it over.
-    table = EmbeddingTable._adopt(emb_matrix)
-    return CandidatePool(names, [s for _, s in rows], table, policy, opts.metric)
+    return CandidatePool(
+        names,
+        [row[1] for row in rows],
+        EmbeddingTable._adopt(emb_matrix),
+        metric=metric,
+        hit_mode=hit_mode,
+        percentile=percentile,
+        ground_truth=[name for name, _, hit in rows if hit],
+    )
 
 
 def build_pool(
@@ -605,11 +595,15 @@ def build_pool(
     ground_truth: Iterable[str] = (),
 ) -> CandidatePool:
     """Assemble a pool from in-memory arrays (synthetic benchmarks, tests)."""
-    if hit_mode == MODE_GROUND_TRUTH:
-        policy = HitPolicy(mode=hit_mode, ground_truth=frozenset(ground_truth))
-    else:
-        policy = HitPolicy(mode=hit_mode, percentile=percentile)
-    return CandidatePool(names, scores, embeddings, policy, metric)
+    return CandidatePool(
+        names,
+        scores,
+        embeddings,
+        metric=metric,
+        hit_mode=hit_mode,
+        percentile=percentile,
+        ground_truth=ground_truth,
+    )
 
 
 def write_measurements(pool: CandidatePool, path: str | Path) -> None:
@@ -621,10 +615,10 @@ def write_measurements(pool: CandidatePool, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "score", "hit"] if ground_truth else ["name", "score"])
-        for name, score in zip(pool.names, pool.scores):
+        for name, score, hit in zip(pool.names, pool.scores, pool.hit_mask):
             row = [name, repr(float(score))]
             if ground_truth:
-                row.append("1" if name in pool.hit_names else "0")
+                row.append("1" if hit else "0")
             writer.writerow(row)
 
 

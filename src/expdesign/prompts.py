@@ -285,27 +285,11 @@ class ParsedResponse:
     """Structured view of an agent reply."""
 
     solution: list[str]
-    reflection: str | None = None
-    research_plan: str | None = None
     short: bool = False
     truncated: bool = False
 
 
 _SOLUTION_MARKER = "**Solution:"
-
-
-def _section(text: str, start: str, enders: tuple[str, ...]) -> str | None:
-    begin = text.find(start)
-    if begin < 0:
-        return None
-    begin += len(start)
-    end = len(text)
-    for marker in enders:
-        pos = text.find(marker, begin)
-        if pos >= 0:
-            end = min(end, pos)
-    value = text[begin:end].strip().strip("*").strip()
-    return value or None
 
 
 def parse_solution(text: str, expected: int) -> ParsedResponse:
@@ -335,8 +319,6 @@ def parse_solution(text: str, expected: int) -> ParsedResponse:
         names = names[:expected]
     return ParsedResponse(
         solution=names,
-        reflection=_section(text[:pos], "**Reflection:", ("**Research Plan:", "**Solution:")),
-        research_plan=_section(text[:pos], "**Research Plan:", ("**Solution:",)),
         short=len(names) < expected,
         truncated=truncated,
     )

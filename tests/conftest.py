@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,24 @@ def random_pool(rng: np.random.Generator, n: int, dim: int, metric: str = "l2-sq
     return build_pool(names, scores, emb, metric=metric)
 
 
+def name_hit_oracle(names, scores, mode: str, percentile: float, ground_truth):
+    """The name-based hit rule: (hit names, threshold), or None when a
+    percentile mode selects no hit. Percentile modes rank by the Python sort
+    key (-score, index), on |score| for the absolute mode, and keep the
+    first floor(n * (100 - p) / 100); the threshold is the next key."""
+    if mode == "ground-truth-set":
+        return frozenset(ground_truth), None
+    n = len(names)
+    k = int(math.floor(n * (100.0 - percentile) / 100.0))
+    if k == 0:
+        return None
+    key = [abs(s) for s in scores] if mode == "abs-top-percentile" else list(scores)
+    order = sorted(range(n), key=lambda i: (-key[i], i))
+    return frozenset(names[i] for i in order[:k]), float(key[order[k]])
+
+
 def naive_nearest_unexplored(pool, explored: set[str], query, k: int) -> list[str]:
     """Independent oracle: plain-python full scan sorted by (distance, index)."""
-    import math
-
     scored = []
     for i, name in enumerate(pool.names):
         if name in explored:

@@ -356,9 +356,20 @@ class TestExperimentConfig:
         back = config.to_dict()
         assert back["llm"]["endpoint"] == "http://x"
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"agnet": "random"})
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"agnet": "random"}, r"unknown config keys: \['agnet'\]"),
+            ({"llm": {"modle": "x"}}, r"unknown config keys: \['llm.modle'\]"),
+            ({"llm_model": "x"}, r"'llm_model' belongs in a nested object: write 'llm.model'"),
+            ({"gp_beta": 1.0}, r"write 'gp.beta'"),
+            ({"linucb_ridge": 1.0}, r"write 'linucb.ridge'"),
+        ],
+        ids=["top-level", "nested", "flat-llm", "flat-gp", "flat-linucb"],
+    )
+    def test_unknown_keys_rejected(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(data)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError, match="agent"):
@@ -663,9 +674,11 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_report_without_completed_runs_exit_2(self, tmp_path, capsys):
-        results = [RunResult(seed=s, cumulative_hits=[1], complete=False) for s in (0, 1)]
-        summary = aggregate_runs(results, include_incomplete=True)
-        write_report(summary, results, tmp_path, agent="llmnn", dataset="d")
+        (tmp_path / "runs.csv").write_text(
+            "agent,dataset,run,seed,complete,final_hits,hits_r1\n"
+            "llmnn,d,0,0,0,1,1\nllmnn,d,1,1,0,1,1\n",
+            encoding="utf-8",
+        )
         assert main(["report", "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("run failure:") and err.count("\n") == 1

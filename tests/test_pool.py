@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from expdesign import pool as pool_module
 from expdesign.errors import DatasetError
 from expdesign.pool import (
-    IngestOptions,
+    HIT_MODES,
     MODE_ABS_TOP_PERCENTILE,
     MODE_GROUND_TRUTH,
     build_pool,
@@ -21,7 +21,7 @@ from expdesign.pool import (
     write_measurements,
 )
 
-from conftest import write_dataset
+from conftest import name_hit_oracle, write_dataset
 
 
 class TestLoadPool:
@@ -29,7 +29,7 @@ class TestLoadPool:
         meas, emb = write_dataset(
             tmp_path, ["MYC", "WDR5", "ABL1"], [0.1, 0.82, 0.09], np.eye(3)
         )
-        pool = load_pool(meas, emb, IngestOptions(percentile=50.0))
+        pool = load_pool(meas, emb, percentile=50.0)
         assert pool.names == ("MYC", "WDR5", "ABL1")
         assert pool.embeddings.dim == 3
         assert pool.scores.tolist() == [0.1, 0.82, 0.09]
@@ -54,8 +54,8 @@ class TestLoadPool:
             return csv_reader(path, wanted)
 
         monkeypatch.setattr(pool_module, "_read_embeddings_csv", spy)
-        lf_pool = load_pool(meas, emb, IngestOptions(percentile=50.0))
-        crlf_pool = load_pool(meas, crlf, IngestOptions(percentile=50.0))
+        lf_pool = load_pool(meas, emb, percentile=50.0)
+        crlf_pool = load_pool(meas, crlf, percentile=50.0)
         assert read == [crlf]
         assert crlf_pool.names == lf_pool.names
         assert crlf_pool.embeddings.matrix.tobytes() == lf_pool.embeddings.matrix.tobytes()
@@ -65,17 +65,17 @@ class TestLoadPool:
         meas, emb = write_dataset(
             tmp_path, ["a", "b", "c"], [1.0, 2.0, 3.0], rng.standard_normal((3, 808))
         )
-        pool = load_pool(meas, emb, IngestOptions(expected_dim=808, percentile=50.0))
+        pool = load_pool(meas, emb, expected_dim=808, percentile=50.0)
         assert pool.embeddings.dim == 808
         with pytest.raises(DatasetError, match="dim"):
-            load_pool(meas, emb, IngestOptions(expected_dim=800, percentile=50.0))
+            load_pool(meas, emb, expected_dim=800, percentile=50.0)
 
     def test_expected_dim_768(self, tmp_path):
         rng = np.random.default_rng(1)
         meas, emb = write_dataset(
             tmp_path, ["CCO", "CCN"], [1.0, 2.0], rng.standard_normal((2, 768))
         )
-        pool = load_pool(meas, emb, IngestOptions(expected_dim=768, percentile=50.0))
+        pool = load_pool(meas, emb, expected_dim=768, percentile=50.0)
         assert pool.embeddings.dim == 768
 
     def test_duplicate_name_error(self, tmp_path):
@@ -101,7 +101,7 @@ class TestLoadPool:
         _, emb = write_dataset(
             tmp_path, ["a", "b", "zzz"], [0, 0, 0], np.eye(3)[:, :2], stem="wide"
         )
-        pool = load_pool(meas, emb, IngestOptions(percentile=50.0))
+        pool = load_pool(meas, emb, percentile=50.0)
         assert pool.names == ("a", "b")
 
     def test_rows_follow_measurement_order(self, tmp_path):
@@ -109,7 +109,7 @@ class TestLoadPool:
         meas, _ = write_dataset(tmp_path, ["c", "a", "b"], [1.0, 2.0, 3.0], rows[[2, 0, 1]])
         _, emb = write_dataset(tmp_path, ["a", "b", "c"], [0, 0, 0], rows, stem="sorted")
         for embeddings in (emb, tmp_path / "pool-embeddings.csv"):
-            pool = load_pool(meas, embeddings, IngestOptions(percentile=50.0))
+            pool = load_pool(meas, embeddings, percentile=50.0)
             assert pool.names == ("c", "a", "b")
             assert pool.embeddings.matrix.tolist() == rows[[2, 0, 1]].tolist()
             assert not pool.embeddings.matrix.flags.writeable
@@ -130,11 +130,10 @@ class TestLoadPool:
         names = ["CCO", "CCN", "CCCl", "c1ccccc1", "CC(=O)[O-].[Na+]", "CC#N"]
         scores = [1.0, 2.0, 3.0, 4.0, 5.0, 50.0]
         meas, emb = write_dataset(tmp_path, names, scores, np.eye(6))
-        opts = IngestOptions(
-            element_filter=("C", "H", "N", "O"), score_range=(-10.0, 10.0),
+        pool = load_pool(
+            meas, emb, element_filter=("C", "H", "N", "O"), score_range=(-10.0, 10.0),
             percentile=50.0,
         )
-        pool = load_pool(meas, emb, opts)
         # CCCl has chlorine, the sodium salt has Na, CC#N is out of range.
         assert pool.names == ("CCO", "CCN", "c1ccccc1")
         assert pool.scores.tolist() == [1.0, 2.0, 4.0]
@@ -143,7 +142,21 @@ class TestLoadPool:
     def test_empty_after_filter(self, tmp_path):
         meas, emb = write_dataset(tmp_path, ["CCCl"], [1.0], [[1.0]])
         with pytest.raises(DatasetError, match="no candidates left"):
-            load_pool(meas, emb, IngestOptions(element_filter=("C", "H")))
+            load_pool(meas, emb, element_filter=("C", "H"))
+
+    def test_filters_keep_the_surviving_flagged_rows(self, tmp_path):
+        names = ["CCO", "CCCl", "CCN", "CC#N", "CO", "OCCO", "CBr"]
+        scores = [1.0, 2.0, 3.0, 50.0, 4.0, -20.0, 5.0]
+        hits = [1, 1, 0, 1, 1, 1, 0]
+        meas, emb = write_dataset(tmp_path, names, scores, np.eye(7), hits=hits)
+        pool = load_pool(
+            meas, emb, element_filter=("C", "H", "N", "O"), score_range=(-10.0, 10.0)
+        )
+        # CCCl and CBr fail the filter; CC#N and OCCO fall outside the range.
+        assert pool.names == ("CCO", "CCN", "CO")
+        assert pool.hit_policy.mode == MODE_GROUND_TRUTH
+        assert pool.hit_names == {"CCO", "CO"}
+        assert pool.hit_mask.tolist() == [True, False, True]
 
     def test_hit_column_activates_ground_truth(self, tmp_path):
         meas, emb = write_dataset(
@@ -350,7 +363,7 @@ class TestEmbeddingsReader:
         write_measurements(source, meas)
         write_embeddings(source, embf)
         monkeypatch.setattr(pool_module, "_read_embeddings_csv", _no_csv_reader)
-        pool = load_pool(meas, embf, IngestOptions(percentile=50.0))
+        pool = load_pool(meas, embf, percentile=50.0)
         assert pool.names == tuple(names)
         assert pool.embeddings.matrix.tobytes() == source.embeddings.matrix.tobytes()
 
@@ -503,6 +516,34 @@ class TestHitPolicy:
                 ground_truth={"zzz"},
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        levels=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(HIT_MODES),
+        percentile=st.sampled_from([10.0, 33.3, 90.0, 99.5]),
+    )
+    def test_mask_matches_name_oracle(self, n, levels, seed, mode, percentile):
+        # Heavy ties: at most nine distinct values, and both signed zeros.
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-levels, levels + 1, n) * 0.5
+        scores[rng.random(n) < 0.2] = -0.0
+        names = [f"c{i}" for i in range(n)]
+        truth = {names[i] for i in np.flatnonzero(rng.random(n) < 0.1)}
+        expected = name_hit_oracle(names, scores.tolist(), mode, percentile, truth)
+        args = (names, scores, np.ones((n, 1)))
+        kwargs = {"hit_mode": mode, "percentile": percentile, "ground_truth": truth}
+        if expected is None:
+            with pytest.raises(DatasetError, match="zero hits"):
+                build_pool(*args, **kwargs)
+            return
+        hits, threshold = expected
+        pool = build_pool(*args, **kwargs)
+        assert pool.hit_names == hits
+        assert pool.hit_mask.tolist() == [name in hits for name in names]
+        assert repr(pool.hit_policy.threshold) == repr(threshold)
+
     def test_unknown_name(self, line_pool):
         with pytest.raises(DatasetError, match="unknown"):
             line_pool.is_hit("nope")
@@ -513,9 +554,10 @@ class TestHitPolicy:
         assert first == list(reversed(second))
 
     def test_resolve_is_stable(self, line_pool):
-        again = resolve_hit_policy(line_pool)
-        assert again.hits == line_pool.hit_policy.hits
-        assert again.threshold == line_pool.hit_policy.threshold
+        policy, mask = resolve_hit_policy(line_pool, "top-percentile", 75.0, ())
+        assert policy == line_pool.hit_policy
+        assert mask.tolist() == line_pool.hit_mask.tolist() == [False, False, False, True]
+        assert not mask.flags.writeable and not line_pool.hit_mask.flags.writeable
 
 
 class TestSerialization:

@@ -17,7 +17,7 @@ import numpy as np
 from .backends import LlmBackend, RetryPolicy, SamplingParams, chat_with_retry
 from .errors import ConfigError
 from .feedback import Feedback
-from .memory import CandidateMemory, embedding_distances  # noqa: F401 (re-exported)
+from .memory import CandidateMemory, certified_least, embedding_distances  # noqa: F401
 from .pool import CandidatePool
 from .prompts import (
     PromptSpec,
@@ -28,11 +28,11 @@ from .prompts import (
     render_prompt,
 )
 from .surrogates import (
+    _BLOCK_ROWS,
     GaussianProcess,
     LinUcb,
     median_heuristic,
     score_blocks,
-    score_top_b,
     select_top_b,
 )
 
@@ -178,9 +178,11 @@ class GpAgent(Agent):
     """Refits a GP on the records it is handed each round and takes the top
     UCB batch.
 
-    With observations, every unexplored candidate gets a certified upper
-    bound on its score, and only those that can reach the batch are scored
-    exactly (:func:`score_top_b`); the batch is the one a full pass picks.
+    With observations and more than one scoring block of unexplored
+    candidates, every candidate gets a certified upper bound on its score,
+    and :func:`certified_least` (on negated scores) scores exactly only
+    those that can reach the batch, at least one block so that every call
+    has the full pass's shape and bits; the batch is the full pass's.
     """
 
     kind = AGENT_GP
@@ -207,13 +209,17 @@ class GpAgent(Agent):
         def gathered(method):
             return lambda rows: method(table.matrix[rows], table.sq_norms[rows])
 
-        idx, acq = score_top_b(
-            memory.unexplored(),
-            gathered(self.model.acquisition),
+        avail = memory.unexplored()
+        score = gathered(self.model.acquisition)
+        if y.size == 0 or avail.size <= _BLOCK_ROWS:
+            return select_top_b(avail, score_blocks(avail, score), memory, self.batch_size)
+        pos, keys = certified_least(
+            -score_blocks(avail, gathered(self.model.ucb_bound)),
             self.batch_size,
-            gathered(self.model.ucb_bound) if y.size else None,
+            lambda part: -score_blocks(avail[part], score),
+            min_rows=_BLOCK_ROWS,
         )
-        return select_top_b(idx, acq, memory, self.batch_size)
+        return select_top_b(avail[pos], -keys, memory, self.batch_size)
 
 
 class RandomCentroidsAgent(Agent):

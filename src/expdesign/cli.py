@@ -20,7 +20,6 @@ from .harness import (
     write_report,
     RUNS_CSV,
 )
-from .pool import load_pool
 
 _METRIC_ALIASES = {"cosine": "cosine", "l2sq": "l2-squared", "l2-squared": "l2-squared"}
 
@@ -47,19 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fixtures", help="scripted LLM fixtures directory")
     run.add_argument("--out", help="output directory for runs.csv / summary.json / traces")
 
-    val = sub.add_parser("validate", help="ingestion checks only")
-    val.add_argument("--dataset", required=True)
-    val.add_argument("--embeddings", required=True)
-    val.add_argument("--metric", choices=sorted(_METRIC_ALIASES), default="l2sq")
-    val.add_argument("--expected-dim", type=int, default=None)
-    val.add_argument("--percentile", type=float, default=90.0)
+    val = sub.add_parser("validate", help="ingestion checks only: load the pool as run does")
+    val.add_argument("--config", help="JSON config file; flags below override it")
+    val.add_argument("--dataset", help="measurements CSV (name,score[,hit])")
+    val.add_argument("--embeddings", help="embeddings CSV (name,v1,...,vd)")
+    val.add_argument("--metric", choices=sorted(_METRIC_ALIASES), help="distance metric")
+    val.add_argument("--expected-dim", type=int, help="required embedding dimension")
+    val.add_argument("--percentile", type=float, help="hit percentile")
 
     rep = sub.add_parser("report", help="re-aggregate a finished run directory")
     rep.add_argument("--in", dest="in_dir", required=True, help="directory holding runs.csv")
     return parser
 
 
-_RUN_OVERRIDES = {
+# Command-line flag -> config field, for the flags each command has.
+_OVERRIDES = {
     "agent": "agent",
     "rounds": "rounds",
     "batch": "batch_size",
@@ -71,22 +72,26 @@ _RUN_OVERRIDES = {
     "embeddings": "embeddings",
     "fixtures": "llm_fixtures",
     "out": "out",
+    "expected_dim": "expected_dim",
+    "percentile": "percentile",
 }
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = (
-        ExperimentConfig.from_file(args.config)
-        if args.config
-        else ExperimentConfig()
-    )
-    for flag, field_name in _RUN_OVERRIDES.items():
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(config, field_name, value)
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ``--config`` file's config (defaults without one), overridden by
+    the flags given on the command line, validated."""
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    for flag, value in vars(args).items():
+        if flag in _OVERRIDES and value is not None:
+            setattr(config, _OVERRIDES[flag], value)
     if args.metric is not None:
         config.metric = _METRIC_ALIASES[args.metric]
     config.validate()
+    return config
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _config(args)
     results = run_many(config, pool=config.load_pool())
     if not any(r.complete for r in results):
         first_error = next((r.error for r in results if r.error), "unknown")
@@ -118,13 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    pool = load_pool(
-        args.dataset,
-        args.embeddings,
-        metric=_METRIC_ALIASES[args.metric],
-        expected_dim=args.expected_dim,
-        percentile=args.percentile,
-    )
+    pool = _config(args).load_pool()
     policy = pool.hit_policy
     threshold = "n/a" if policy.threshold is None else f"{policy.threshold:.6g}"
     print(

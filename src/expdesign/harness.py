@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import re
+import sys
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -255,8 +256,10 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str:
 def _typed(label: str, hint, value):
     """``value`` if it fits the config field type ``hint``; else ConfigError.
 
-    JSON ints pass for float fields and bools never pass for numbers. Lists
-    become tuples, with float members converted.
+    JSON ints pass for float fields and bools never pass for numbers; a
+    number for a float field must be a finite float (``json`` parses
+    ``Infinity``, ``NaN`` and integers of any size). Lists become tuples,
+    with float members converted.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -273,6 +276,8 @@ def _typed(label: str, hint, value):
     accepted = (int, float) if hint is float else hint
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"config key {label!r} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {label!r} must be a finite number, got {value!r}")
     return value
 
 

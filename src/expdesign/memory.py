@@ -19,14 +19,15 @@ and of the f32 sums, subnormal results included. It holds
 inside a range gate, a norm of at most 2^62 for the row and the query,
 within which no f32 value overflows. A row or query outside the gate gets
 an infinite bound: a query outside it, or one that meets an unexplored row
-outside it, ranks every candidate directly. Otherwise only the rows whose
-lower end (approximation minus bound) is at most the k-th least upper end
-can be among the k nearest; that shortlist is re-ranked with the direct
-formula, so the result matches the full scan bit for bit, exact ties
+outside it, gives every candidate a lower end of -inf. Otherwise each
+row's lower end is its approximation minus its bound.
+:func:`certified_least` turns lower ends into the exact top k: it ranks
+the rows of least lower end with the direct formula, then, if need be,
+every row whose lower end reaches the k-th least direct distance among
+them, so the result matches the full scan bit for bit, exact ties
 included. Cosine allocation, and an outside query under either metric
 (:meth:`CandidateMemory.nearest`), take one direct scan of the pool per
-query, and use the same shortlist step with a zero bound in place of a
-full sort.
+query and pass its distances as their own lower ends.
 
 The cover (:meth:`CandidateMemory.distance_to_explored`) holds each
 candidate's distance to its nearest explored candidate, as the direct
@@ -140,7 +141,12 @@ class CandidateMemory:
         given: callers pass a pool row or a checked vector.
         """
         query = np.asarray(query, dtype=np.float64)
-        return self._nearest_direct(query, k)
+        dists = embedding_distances(
+            self._pool.embeddings.matrix, query, self._pool.metric, self._norms
+        )
+        low = np.where(np.isfinite(dists), dists, -np.inf)
+        low[self._explored] = np.inf
+        return certified_least(low, k, dists.__getitem__)[0]
 
     def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
         """Names of the k unexplored candidates nearest an outside query
@@ -170,7 +176,7 @@ class CandidateMemory:
         cosine = self._pool.metric == METRIC_COSINE
         if not cosine:
             rows32, norms = self._scan_rows()
-            low, high = self._l2_ends(
+            low = self._l2_lower_ends(
                 rows32[centers], self._pool.embeddings.sq_norms[centers], norms[centers]
             )
         remaining = self.num_unexplored
@@ -182,11 +188,12 @@ class CandidateMemory:
                 break
             query = matrix[centers[j]]
             if cosine:
-                got = self._nearest_direct(query, quota)
+                got = self.nearest(query, quota)
             else:
-                got = self._nearest_l2(low[j], high[j], query, quota)
+                got = certified_least(
+                    low[j], quota, lambda rows: _direct_l2(matrix, rows, query)
+                )[0]
                 low[:, got] = np.inf
-                high[:, got] = np.inf
             self.explore(got)
             selected.append(got)
             remaining -= got.size
@@ -238,22 +245,6 @@ class CandidateMemory:
                     dists = _direct_l2(matrix, closer, matrix[row])
                     cover[closer] = np.minimum(cover[closer], dists)
 
-    def _nearest_direct(self, query: np.ndarray, k: int) -> np.ndarray:
-        """Rank by one direct scan of the whole pool under its metric."""
-        matrix = self._pool.embeddings.matrix
-        dists = embedding_distances(matrix, query, self._pool.metric, self._norms)
-        explored = self._explored
-        low = high = np.where(explored, np.inf, dists)
-        if not (np.isfinite(dists) | explored).all():
-            low, high = np.where(explored, np.inf, -np.inf), np.full(dists.size, np.inf)
-        return _certified_top_k(low, high, k, dists.__getitem__)
-
-    def _nearest_l2(
-        self, low: np.ndarray, high: np.ndarray, query: np.ndarray, k: int
-    ) -> np.ndarray:
-        matrix = self._pool.embeddings.matrix
-        return _certified_top_k(low, high, k, lambda rows: _direct_l2(matrix, rows, query))
-
     def _scan_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The f32 copy of the pool and the rows' gated norms, built at the
         first call."""
@@ -264,30 +255,28 @@ class CandidateMemory:
             self._scan_norms = _gated_norms(table.sq_norms)
         return self._rows32, self._scan_norms
 
-    def _l2_ends(
+    def _l2_lower_ends(
         self, queries32: np.ndarray, query_sq_norms: np.ndarray, query_norms: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of every row's l2-squared distance to each
-        query, (q, n), inf on the explored rows (arguments as for
+    ) -> np.ndarray:
+        """Lower ends of every row's l2-squared distance to each query,
+        (q, n), inf or NaN on the explored rows (arguments as for
         :meth:`_l2_approximate`). Inside the range gate the ends are finite;
         a query outside it, or with an unexplored row outside it, gets -inf
-        and inf on every unexplored row instead, so that all are ranked."""
+        on every unexplored row instead, so that all are ranked."""
         explored = self._explored
         _, norms = self._scan_rows()
-        approx, bound = self._l2_approximate(
+        low, bound = self._l2_approximate(
             queries32,
             query_sq_norms,
             query_norms,
             np.where(explored, np.inf, self._pool.embeddings.sq_norms),
         )
         with np.errstate(invalid="ignore"):
-            high = approx + bound
-            low = np.subtract(approx, bound, out=approx)
+            low -= bound
         certified = np.isfinite(query_norms) & (np.isfinite(norms) | explored).all()
         if not certified.all():
             low[~certified] = np.where(explored, np.inf, -np.inf)
-            high[~certified] = np.inf
-        return low, high
+        return low
 
     def _l2_approximate(
         self,
@@ -389,27 +378,39 @@ def _l2_error_bound(row_norms: np.ndarray, query_norms: np.ndarray, dim: int) ->
     return bound
 
 
-def _certified_top_k(
+def certified_least(
     low: np.ndarray,
-    high: np.ndarray,
     k: int,
-    direct: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """The k candidates of least direct distance, ties toward lower index.
+    exact: Callable[[np.ndarray], np.ndarray],
+    min_rows: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the k candidates of least exact key, ranked, ties toward
+    the lower position, and their keys.
 
-    The candidates are the rows whose ``low`` is below inf (other rows have
-    inf in both). ``low`` and ``high`` hold, for every candidate, ends
-    ``low <= d <= high`` of its direct distance d, and ``direct(rows)``
-    computes the direct distances of some rows. Any k candidates have a k-th
-    least distance at most T, the k-th least high end; a candidate whose low
-    end exceeds T is strictly farther than that and cannot be selected. The
-    rest, ties at the boundary included, are ranked by their direct
-    distances. With T = inf (fewer than k candidates, or unbounded ones)
-    every candidate is ranked.
+    ``low`` holds a lower end of every candidate's key, and inf (or NaN) at
+    a position that is not a candidate; ``exact(positions)`` computes the
+    exact keys of some candidates, given in ascending order. First the
+    candidates whose lower end is at most the m-th least, m = max(k,
+    min_rows), are computed (all candidates, if fewer than m). With t the
+    k-th least of their keys, a candidate whose lower end exceeds t has a
+    key above t and is not among the k least. If any candidate with a lower
+    end of at most t (ties at the boundary included) was left out, the keys
+    of all of them are computed; that set holds the k least, so one growth
+    certifies the result. With t = inf (or NaN) that is every candidate. So
+    the result is that of ranking all candidates by exact key, and each
+    ``exact`` call gets at least min(min_rows, candidates) positions.
     """
-    k = min(k, low.size)
     if k <= 0:
-        return np.empty(0, dtype=np.intp)
-    limit = np.partition(high, k - 1)[k - 1]
-    rows = np.flatnonzero(low <= limit if limit < np.inf else low < np.inf)
-    return rows[np.argsort(direct(rows), kind="stable")[:k]]
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    m = max(k, min_rows)
+    edge = np.partition(low, m - 1)[m - 1] if m < low.size else np.inf
+    rows = np.flatnonzero(low <= edge if edge < np.inf else low < np.inf)
+    keys = exact(rows)
+    if edge < np.inf:
+        t = np.partition(keys, k - 1)[k - 1]
+        if not t <= edge:
+            more = np.flatnonzero(low <= t if t < np.inf else low < np.inf)
+            if more.size > rows.size:
+                rows, keys = more, exact(more)
+    order = np.argsort(keys, kind="stable")[:k]
+    return rows[order], keys[order]

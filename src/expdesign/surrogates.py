@@ -5,12 +5,13 @@ a plain top-B over the acquisition scores with index tie-breaking.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
-(:func:`score_top_b`). With G = L^-1, lower triangular as a fit keeps it,
-the posterior variance of a query with kernel column k is s - |G k|^2, s
-the signal variance. G's first p rows involve only k's first p entries, so
-in real arithmetic |G k|^2 >= P = |G[:p,:p] k[:p]|^2, and s - P bounds the
-variance from above for a p x p product per candidate
-(:meth:`GaussianProcess.ucb_bound`, p = _BOUND_PREFIX).
+(``agents.GpAgent``, through ``memory.certified_least``). With G = L^-1,
+lower triangular as a fit keeps it, the posterior variance of a query with
+kernel column k is s - |G k|^2, s the signal variance. G's first p rows
+involve only k's first p entries, so in real arithmetic |G k|^2 >= P =
+|G[:p,:p] k[:p]|^2, and s - P bounds the variance from above for a p x p
+product per candidate (:meth:`GaussianProcess.ucb_bound`, p =
+_BOUND_PREFIX).
 
 The bound has to hold for the computed values. The posterior computes
 Q = fl(|fl(G k)|^2) over the n training rows and the variance fl(s - Q),
@@ -416,42 +417,6 @@ def score_blocks(idx: np.ndarray, score: Callable[[np.ndarray], np.ndarray]) -> 
         lo = max(0, min(start, idx.size - _BLOCK_ROWS))
         out[start : start + _BLOCK_ROWS] = score(idx[lo : start + _BLOCK_ROWS])[start - lo :]
     return out
-
-
-def score_top_b(
-    idx: np.ndarray,
-    score: Callable[[np.ndarray], np.ndarray],
-    batch_size: int,
-    bound: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Some of the pool indices ``idx`` and their ``score_blocks`` scores,
-    among them the ``batch_size`` best of all of ``idx``, ties included, so
-    that :func:`select_top_b` over them picks what it picks over all of
-    ``idx``.
-
-    Without ``bound``, or with at most max(_BLOCK_ROWS, batch_size) indices,
-    that is every index. Otherwise ``bound(rows)`` gives upper bounds on the
-    scores of a block of rows, as floats at least the scores
-    ``score_blocks`` gives (:meth:`GaussianProcess.ucb_bound`). Only the k
-    indices of largest bound are scored exactly, k at least _BLOCK_ROWS so
-    every block keeps the shape, and with it the bits, of a full pass. With
-    t the batch_size-th largest of those scores, an index whose bound is
-    below t scores below t and is not selected; k grows until it holds every
-    index whose bound is at least t.
-    """
-    idx = np.asarray(idx)
-    k = max(_BLOCK_ROWS, batch_size)
-    if bound is None or idx.size <= k:
-        return idx, score_blocks(idx, score)
-    ub = score_blocks(idx, bound)
-    while True:
-        short = idx[np.argpartition(ub, idx.size - k)[idx.size - k :]]
-        scores = score_blocks(short, score)
-        t = np.partition(scores, k - batch_size)[k - batch_size]
-        reach = np.count_nonzero(ub >= t)
-        if reach <= k:
-            return short, scores
-        k = reach
 
 
 def select_top_b(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from expdesign.agents import Agent, LinUcbAgent
 from expdesign.backends import ScriptedBackend
+from expdesign import cli
 from expdesign.cli import main
 from expdesign.errors import ConfigError
 from expdesign.feedback import FeedbackRecord
@@ -395,6 +397,13 @@ class TestExperimentConfig:
             ({"seed": True}, "seed"),
             ({"gp": {"beta": "x"}}, "gp.beta"),
             ({"score_range": [1.0]}, "score_range"),
+            ({"linucb": {"alpha": math.inf}}, "linucb.alpha"),
+            ({"gp": {"beta": math.inf}}, "gp.beta"),
+            ({"gp": {"length_scale": math.inf}}, "gp.length_scale"),
+            ({"percentile": math.nan}, "percentile"),
+            ({"llm": {"temperature": -math.inf}}, "llm.temperature"),
+            ({"score_range": [0.0, math.inf]}, "score_range"),
+            ({"gp": {"beta": 10**400}}, "gp.beta"),  # overflows a float
         ],
     )
     def test_wrongly_typed_values_rejected(self, data, key):
@@ -504,6 +513,44 @@ class TestCli:
         config_path.write_text(json.dumps({"rounds": "3"}), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 1
         assert "config key 'rounds'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_finite_config_value_exit_1(self, tmp_path, capsys, command):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"agent": "gp", "gp": {"beta": Infinity}}', encoding="utf-8")
+        assert main([command, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key 'gp.beta' must be a finite number, got inf\n"
+
+    def test_validate_loads_the_pool_run_loads(self, tmp_path, capsys, monkeypatch):
+        # The config's element filter drops the chlorine rows for validate
+        # as for run; a flag still overrides the file.
+        names = [f"{'C' * i}O" for i in range(1, 31)] + [f"{'C' * i}Cl" for i in range(1, 11)]
+        rng = np.random.default_rng(3)
+        pool = build_pool(names, rng.permutation(40).astype(float),
+                          rng.standard_normal((40, 3)))
+        meas, emb = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, emb)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "dataset": str(meas), "embeddings": str(emb), "element_filter": ["C", "H", "O"],
+            "percentile": 80.0, "rounds": 1, "batch_size": 4, "runs": 1,
+        }), encoding="utf-8")
+        loaded = []
+        real_run_many = cli.run_many
+        monkeypatch.setattr(cli, "run_many", lambda config, pool: (
+            loaded.append(pool) or real_run_many(config, pool=pool)))
+        assert main(["run", "--config", str(config_path)]) == 0
+        hits = int(loaded[0].hit_mask.sum())
+        assert (len(loaded[0]), hits) == (30, 6)
+        assert main(["validate", "--config", str(config_path)]) == 0
+        assert main(["validate", "--dataset", str(meas), "--embeddings", str(emb)]) == 0
+        assert main(["validate", "--config", str(config_path), "--percentile", "90"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3].startswith(f"ok: 30 candidates, dim 3, {hits} hits (top-percentile")
+        assert out[-2].startswith("ok: 40 candidates, dim 3, 4 hits (top-percentile")
+        assert out[-1].startswith("ok: 30 candidates, dim 3, 3 hits (top-percentile")
 
     def test_zero_cosine_embedding_exit_1(self, tmp_path, capsys):
         meas, emb = write_cli_dataset(tmp_path)

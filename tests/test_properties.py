@@ -6,11 +6,14 @@ counts and feedback modes, for every agent kind. LLM kinds talk to scripted
 policies that answer with junk names, duplicates, already-explored names,
 short and overlong lists, and now and then a reply with no solution at all
 (never twice in a row, so the retry budget always absorbs it). Center
-allocation on the same pools must match the direct-formula scan exactly.
+allocation on the same pools must match the direct-formula scan exactly,
+and the certified shortlist behind it must match a full sort on adversarial
+keys and lower ends.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from expdesign.agents import AGENT_KINDS
 from expdesign.backends import ScriptedBackend
 from expdesign.harness import ExperimentConfig, run_experiment
-from expdesign.memory import CandidateMemory
+from expdesign.memory import CandidateMemory, certified_least
 from expdesign.pool import METRIC_L2_SQUARED, METRICS, build_pool
 
 from conftest import direct_allocate
@@ -142,3 +145,41 @@ def test_allocation_matches_direct_formula(pool_seed, n, dim, embeddings, rounds
         expected = direct_allocate(pool.embeddings.matrix, explored, centers, batch_size)
         np.testing.assert_array_equal(memory.allocate_batch(centers, batch_size), expected)
         explored[expected] = True
+
+
+@st.composite
+def shortlist_inputs(draw):
+    """Keys with heavy ties and inf and NaN among them, lower ends equal to
+    the keys, below them or -inf, non-candidates (inf or NaN lower end)
+    whose keys would win, and k and min_rows up to and past the number of
+    candidates."""
+    n = draw(st.integers(0, 40))
+    keys = np.array(draw(st.lists(
+        st.sampled_from([-1.0, 0.0, 1.0, 2.0, math.inf, math.nan]), min_size=n, max_size=n)))
+    low = keys.copy()
+    for i in range(n):
+        end = draw(st.sampled_from(["key", "below", "-inf", "none"]))
+        if end == "none":
+            low[i], keys[i] = draw(st.sampled_from([math.inf, math.nan])), -2.0
+        elif end == "-inf":
+            low[i] = -math.inf
+        elif end == "below" or not keys[i] < 2.0:
+            low[i] = (keys[i] if keys[i] < 2.0 else 2.0) - draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    return low, keys, draw(st.integers(0, n + 3)), draw(st.integers(0, n + 5))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(shortlist_inputs())
+def test_certified_least_matches_full_sort(inputs):
+    low, keys, k, min_rows = inputs
+    live = np.flatnonzero(low < np.inf)
+    expected = live[np.lexsort((live, keys[live]))[:k]]
+
+    def exact(rows):
+        assert np.all(np.diff(rows) > 0) and np.all(low[rows] < np.inf)
+        assert rows.size >= min(min_rows, live.size)
+        return keys[rows]
+
+    got, got_keys = certified_least(low, k, exact, min_rows=min_rows)
+    np.testing.assert_array_equal(got, expected)
+    assert got_keys.tobytes() == keys[expected].tobytes()

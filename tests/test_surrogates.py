@@ -504,6 +504,30 @@ class TestGpShortlist:
         model, avail, _, _ = self.select(pool, np.arange(64))
         assert avail.size == self.BLOCK + extra
 
+    @pytest.mark.parametrize("observed", [64, 0])
+    def test_full_pass_computes_no_bound(self, monkeypatch, observed):
+        # One block of unexplored rows after 64 observations, and a first
+        # round over a pool of more than two blocks: both score every row
+        # in one full pass, so the bound is never computed.
+        def no_bound(*args):
+            raise AssertionError("ucb_bound called")
+
+        monkeypatch.setattr(GaussianProcess, "ucb_bound", no_bound)
+        rng = np.random.default_rng(13)
+        pool = random_pool(rng, self.BLOCK + 64 if observed else 2 * self.BLOCK + 300, 5)
+        memory = CandidateMemory(pool)
+        memory.explore(np.arange(observed))
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in range(observed)
+        )) if observed else None
+        agent = make_agent(ExperimentConfig(agent="gp", batch_size=32), pool, None, None)
+        avail = memory.unexplored()
+        batch = agent.select(2 if observed else 1, memory, feedback, np.random.default_rng(0))
+        table = pool.embeddings
+        exact = score_blocks(avail, lambda rows: agent.model.acquisition(
+            table.matrix[rows], table.sq_norms[rows]))
+        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
+
     def test_designed_near_worst_case_rows(self):
         # The first p observed rows form one tight cluster and the others a
         # distant one, so G is block diagonal and the prefix sees the whole

@@ -170,7 +170,9 @@ class LinUcbAgent(Agent):
         self.model.fit_batch(X, y)
         avail = memory.unexplored()
         matrix = pool.embeddings.matrix
-        scores = score_blocks(avail, lambda rows: self.model.score_many(matrix[rows]))
+        scores = _score_unexplored(
+            avail, len(pool), lambda rows: self.model.score_many(matrix[rows])
+        )
         return select_top_b(avail, scores, memory, self.batch_size)
 
 
@@ -206,20 +208,34 @@ class GpAgent(Agent):
         self.model.fit(X, y)
         table = pool.embeddings
 
-        def gathered(method):
-            return lambda rows: method(table.matrix[rows], table.sq_norms[rows])
+        def rows_of(method):
+            return lambda rows: method(table.matrix, table.sq_norms, rows)
 
         avail = memory.unexplored()
-        score = gathered(self.model.acquisition)
+        score = rows_of(self.model.acquisition)
         if y.size == 0 or avail.size <= _BLOCK_ROWS:
-            return select_top_b(avail, score_blocks(avail, score), memory, self.batch_size)
+            scores = _score_unexplored(avail, len(pool), score)
+            return select_top_b(avail, scores, memory, self.batch_size)
         pos, keys = certified_least(
-            -score_blocks(avail, gathered(self.model.ucb_bound)),
+            -_score_unexplored(avail, len(pool), rows_of(self.model.ucb_bound)),
             self.batch_size,
             lambda part: -score_blocks(avail[part], score),
             min_rows=_BLOCK_ROWS,
         )
         return select_top_b(avail[pos], -keys, memory, self.batch_size)
+
+
+def _score_unexplored(
+    avail: np.ndarray, size: int, score: Callable[[np.ndarray | slice], np.ndarray]
+) -> np.ndarray:
+    """:func:`score_blocks` scores of the unexplored rows ``avail`` of a
+    pool of ``size`` rows. Up to one block they are scored as they are: the
+    call's shape sets the bits. Past one block every block has the full
+    shape either way, so the blocks are slices of the whole pool, scored
+    without a gather, and the explored rows' scores are dropped after."""
+    if avail.size <= _BLOCK_ROWS:
+        return score_blocks(avail, score)
+    return score_blocks(size, score)[avail]
 
 
 class RandomCentroidsAgent(Agent):

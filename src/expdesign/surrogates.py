@@ -3,6 +3,15 @@
 Both models score candidates from their embeddings alone; batch selection is
 a plain top-B over the acquisition scores with index tie-breaking.
 
+A pass over many candidates runs in same-shape blocks of _BLOCK_ROWS rows
+(:func:`score_blocks`), on as many threads as the process has CPUs and
+blocks. With one BLAS thread per product, a row's bits depend only on its
+block's shape, not on the thread that scored it or on the block's other
+rows, so passes over the whole pool slice the embedding matrix instead of
+gathering the unexplored rows, and drop the explored rows' scores after.
+The temporaries alive are those of one block per thread: at 512 training
+rows, a GP block's kernel and its product with L^-1 are 8 MB each.
+
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
 (``agents.GpAgent``, through ``memory.certified_least``). With G = L^-1,
@@ -50,7 +59,10 @@ least the score as a float, not only in real arithmetic.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,12 +204,12 @@ class GaussianProcess:
     posteriors are mapped back to raw units.
 
     A fit factors the training kernel once (K + noise*I = L L^T) and keeps
-    L^-1; a posterior applies it to the cross-kernel block by one matrix
-    product (v = L^-1 k_*, var = signal - |v|^2) instead of a triangular
-    solve with one right-hand side per query row. Each query row's posterior
-    depends on that row alone, so a pool can be scored in row blocks
-    (:func:`score_blocks`), with kernel-sized temporaries of one block rather
-    than of the pool.
+    L^-1 and the training rows' squared norms; a posterior applies L^-1 to
+    the cross-kernel block by one matrix product (v = L^-1 k_*,
+    var = signal - |v|^2) instead of a triangular solve with one right-hand
+    side per query row. Each query row's posterior depends on that row alone, so a pool can
+    be scored in row blocks (:func:`score_blocks`), with kernel-sized
+    temporaries of one block rather than of the pool.
     """
 
     def __init__(
@@ -222,6 +234,7 @@ class GaussianProcess:
         self.beta = float(beta)
         self.standardize = standardize
         self._X: np.ndarray | None = None
+        self._sq_norms: np.ndarray | None = None
         self._chol_inv: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._mu = 0.0
@@ -230,11 +243,16 @@ class GaussianProcess:
         self._signal = signal_var if signal_var is not None else 1.0
 
     def _kernel(
-        self, A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | None = None
+        self,
+        A: np.ndarray,
+        B: np.ndarray,
+        b_sq_norms: np.ndarray | None = None,
+        a_sq_norms: np.ndarray | None = None,
     ) -> np.ndarray:
         """k(A, B) as (|a|^2 + |b|^2) - 2 A B^T, clipped at 0, times -0.5,
-        over length^2, exp, times signal. ``b_sq_norms``, when given, must be
-        ``np.square(B).sum(axis=1)``.
+        over length^2, exp, times signal. ``b_sq_norms`` and ``a_sq_norms``,
+        when given, must be ``np.square(B).sum(axis=1)`` and
+        ``np.square(A).sum(axis=1)``.
 
         Every step after the product runs in place on _KERNEL_ROWS rows of
         it at a time, so each chunk stays in cache through all of them and
@@ -244,7 +262,8 @@ class GaussianProcess:
         the order above."""
         if b_sq_norms is None:
             b_sq_norms = np.square(B).sum(axis=1)
-        a_sq_norms = np.square(A).sum(axis=1)
+        if a_sq_norms is None:
+            a_sq_norms = np.square(A).sum(axis=1)
         out = A @ B.T
         norms = np.empty((min(_KERNEL_ROWS, out.shape[0]), out.shape[1]))
         length_sq = self._length**2
@@ -261,6 +280,17 @@ class GaussianProcess:
             chunk *= self._signal
         return out
 
+    def _cross_kernel(
+        self, X: np.ndarray, sq_norms: np.ndarray | None, rows: np.ndarray | slice | None
+    ) -> np.ndarray:
+        """k(training rows, queries), the queries being ``X[rows]`` (all of
+        ``X`` when ``rows`` is None). A gathered copy of the queries lives
+        only while this call builds the block."""
+        if rows is not None:
+            X = X[rows]
+            sq_norms = None if sq_norms is None else sq_norms[rows]
+        return self._kernel(self._X, X, sq_norms, self._sq_norms)
+
     def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
         """Refit on the full training set (replaces any previous fit)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -269,6 +299,7 @@ class GaussianProcess:
             raise ValueError("X and y must have matching lengths")
         if X.shape[0] == 0:
             self._X = None
+            self._sq_norms = None
             self._chol_inv = None
             self._alpha = None
             self._mu, self._sd = 0.0, 1.0
@@ -291,7 +322,8 @@ class GaussianProcess:
             self._signal = var if var > 0.0 else 1.0
         noise = self.noise_var if self.noise_var is not None else 1e-4 * self._signal
 
-        K = self._kernel(X, X)
+        sq_norms = np.square(X).sum(axis=1)
+        K = self._kernel(X, X, sq_norms, sq_norms)
         n = K.shape[0]
         jitter = 0.0
         while True:
@@ -305,6 +337,7 @@ class GaussianProcess:
                         "kernel matrix is not positive-definite even after jitter"
                     ) from None
         self._X = X
+        self._sq_norms = sq_norms
         self._alpha = cho_solve((chol, True), z)
         self._chol_inv = _lower_inverse(chol)
         m = n * np.finfo(np.float64).eps
@@ -313,21 +346,24 @@ class GaussianProcess:
             self._slack_scale = 8.0 * gamma * float(np.square(self._chol_inv).sum())
 
     def posterior_many(
-        self, X: np.ndarray, sq_norms: np.ndarray | None = None
+        self,
+        X: np.ndarray,
+        sq_norms: np.ndarray | None = None,
+        rows: np.ndarray | slice | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a stack of query rows (raw units),
         which are taken as finite (pool embeddings are checked at load).
         ``sq_norms``, when given, must be the rows' squared norms as
         ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does); otherwise they are computed here."""
+        does); otherwise they are computed here. With ``rows`` (indices or a
+        slice), the queries are ``X[rows]`` with norms ``sq_norms[rows]``; a
+        gathered copy of them is dropped before the ``L^-1`` product."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self._X is None:
+            count = X.shape[0] if rows is None else X[rows].shape[0]
             prior_var = self.signal_var if self.signal_var is not None else 1.0
-            return (
-                np.zeros(X.shape[0]),
-                np.full(X.shape[0], prior_var * self._sd**2),
-            )
-        k_star = self._kernel(self._X, X, sq_norms)
+            return np.zeros(count), np.full(count, prior_var * self._sd**2)
+        k_star = self._cross_kernel(X, sq_norms, rows)
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
         return self._moments(k_star, var_z)
@@ -340,24 +376,34 @@ class GaussianProcess:
     def _ucb(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
         return mean + self.beta * np.sqrt(var)
 
-    def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
-        """UCB scores: posterior mean + beta * posterior stddev (``sq_norms``
+    def acquisition(
+        self,
+        X: np.ndarray,
+        sq_norms: np.ndarray | None = None,
+        rows: np.ndarray | slice | None = None,
+    ) -> np.ndarray:
+        """UCB scores: posterior mean + beta * posterior stddev (arguments
         as for :meth:`posterior_many`)."""
-        return self._ucb(*self.posterior_many(X, sq_norms))
+        return self._ucb(*self.posterior_many(X, sq_norms, rows))
 
-    def ucb_bound(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    def ucb_bound(
+        self,
+        X: np.ndarray,
+        sq_norms: np.ndarray | None = None,
+        rows: np.ndarray | slice | None = None,
+    ) -> np.ndarray:
         """Upper bounds on the :meth:`acquisition` scores of a stack of query
-        rows of a model fitted on observations (``sq_norms`` as for
+        rows of a model fitted on observations (arguments as for
         :meth:`posterior_many`).
 
         The kernel block and the mean are computed as the posterior computes
-        them, so for the same shape of ``X`` they have the same bits; the
-        variance is replaced by :meth:`_variance_bound`. Each bound is at
+        them, so for the same shape of the queries they have the same bits;
+        the variance is replaced by :meth:`_variance_bound`. Each bound is at
         least the score ``acquisition`` gives the row in a call of that
         shape (see the module docstring).
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k_star = self._kernel(self._X, X, sq_norms)
+        k_star = self._cross_kernel(X, sq_norms, rows)
         return self._ucb(*self._moments(k_star, self._variance_bound(k_star)))
 
     def _variance_bound(self, k_star: np.ndarray) -> np.ndarray:
@@ -394,10 +440,22 @@ _BOUND_PREFIX = 32
 _BLOCK_ROWS = 2048
 
 
-def score_blocks(idx: np.ndarray, score: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def score_blocks(
+    idx: np.ndarray | int, score: Callable[[np.ndarray | slice], np.ndarray]
+) -> np.ndarray:
     """``score(rows)`` over consecutive blocks of _BLOCK_ROWS of the pool
     indices ``idx``, in one float array aligned with ``idx``. ``score``
-    gathers and scores the rows of one block.
+    scores the rows of one block, a part of ``idx``. An int ``idx`` = n
+    stands for the rows 0..n-1, and each block is then passed as a slice, so
+    that ``score`` can read a view of the rows rather than gather them.
 
     The last block is the final _BLOCK_ROWS indices, overlapping its
     predecessor, so with more indices than one block every call has the same
@@ -406,17 +464,77 @@ def score_blocks(idx: np.ndarray, score: Callable[[np.ndarray], np.ndarray]) -> 
     multiple of the kernel's tile, can take another summation order. With
     equal shapes, every row of ``LinUcb.score_many`` and
     ``GaussianProcess.acquisition`` comes out of the same kernel, so a
-    candidate's score does not depend on how many others are scored. It
-    equals the score from a single call over all of ``idx`` when that call's
-    products, too, use one kernel for every row (with OpenBLAS, for instance,
-    when ``idx.size`` is a multiple of 8 and the products are not small).
+    candidate's score does not depend on how many others are scored, nor on
+    whether its block was gathered or sliced. It equals the score from a
+    single call over all of ``idx`` when that call's products, too, use one
+    kernel for every row (with OpenBLAS, for instance, when ``idx.size`` is
+    a multiple of 8 and the products are not small).
+
+    The blocks run on min(CPUs available to the process, blocks) threads,
+    the calling thread one of them. A block's rows and shape are fixed
+    before any thread takes it, each thread scores whole blocks and writes
+    only their part of the result, and with one BLAS thread per product (as
+    CI and the benchmark run) the kernel does not depend on the calling
+    thread either, so neither do a row's bits. Each thread has one block in
+    flight, so the temporaries of at most that many blocks are alive at
+    once. With one CPU or one block the blocks run in turn on the calling
+    thread and no thread starts. Threads live for one call; an exception
+    raised by ``score`` is re-raised here once every thread has stopped.
     """
-    idx = np.asarray(idx)
-    out = np.empty(idx.size)
-    for start in range(0, idx.size, _BLOCK_ROWS):
-        lo = max(0, min(start, idx.size - _BLOCK_ROWS))
-        out[start : start + _BLOCK_ROWS] = score(idx[lo : start + _BLOCK_ROWS])[start - lo :]
+    gather = not isinstance(idx, (int, np.integer))
+    if gather:
+        idx = np.asarray(idx)
+    size = idx.size if gather else int(idx)
+    out = np.empty(size)
+
+    def run(start: int) -> None:
+        lo = max(0, min(start, size - _BLOCK_ROWS))
+        end = min(start + _BLOCK_ROWS, size)
+        out[start:end] = score(idx[lo:end] if gather else slice(lo, end))[start - lo :]
+
+    starts = range(0, size, _BLOCK_ROWS)
+    _on_threads(run, starts, min(_available_cpus(), len(starts)))
     return out
+
+
+def _on_threads(task: Callable[[int], None], items: Sequence[int], workers: int) -> None:
+    """``task(item)`` for every item, on ``workers`` threads counting the
+    calling one (with at most one, only the calling thread runs), each
+    taking the next item when done with its last. After an exception no
+    item is started, and the first is re-raised once all threads have
+    stopped."""
+    pending = iter(items)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while True:
+            with lock:
+                item = None if errors else next(pending, None)
+            if item is None:
+                return
+            try:
+                task(item)
+            except BaseException as exc:  # re-raised in the caller
+                with lock:
+                    errors.append(exc)
+                return
+
+    # Each thread runs in a copy of the caller's context, so that settings
+    # kept in context variables (numpy's errstate) hold for its items too.
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(workers - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def select_top_b(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -9,10 +11,10 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from expdesign import surrogates
-from expdesign.agents import make_agent
+from expdesign.agents import _score_unexplored, make_agent
 from expdesign.errors import NumericalError
 from expdesign.feedback import Feedback, FeedbackRecord
-from expdesign.harness import ExperimentConfig
+from expdesign.harness import ExperimentConfig, aggregate_runs, run_many, write_report
 from expdesign.memory import CandidateMemory
 from expdesign.pool import EmbeddingTable, build_pool
 from expdesign.surrogates import (
@@ -316,8 +318,9 @@ class TestScoreBlocks:
     BLOCK = surrogates._BLOCK_ROWS
 
     def models(self, rng, table, n_train):
-        """A fitted LinUCB, a fitted GP and an unfitted GP, each with its
-        blocked scorer (gathering from ``table``) and its one-shot scorer."""
+        """A fitted LinUCB, a fitted GP, an unfitted GP and the fitted GP's
+        bound, each with its blocked scorer (reading from ``table``) and its
+        one-shot scorer."""
         train = rng.choice(len(table), n_train, replace=False)
         y = rng.standard_normal(n_train)
         matrix = table.matrix
@@ -331,6 +334,7 @@ class TestScoreBlocks:
             (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
             (lambda rows: fitted.acquisition(matrix[rows], sq_norms[rows]), fitted.acquisition),
             (lambda rows: unfitted.acquisition(matrix[rows], sq_norms[rows]), unfitted.acquisition),
+            (lambda rows: fitted.ucb_bound(matrix[rows], sq_norms[rows]), fitted.ucb_bound),
         ]
 
     def test_equals_one_shot_scoring(self):
@@ -364,15 +368,13 @@ class TestScoreBlocks:
             assert same_bits(score_blocks(idx, blocked), one_shot(table.matrix[idx]))
             assert score_blocks(idx[:0], blocked).shape == (0,)
 
-    def test_gp_select_holds_no_pool_sized_temporary(self):
-        # One gp round over a pool of four blocks and more: its peak of
-        # traced allocations must stay under half the embedding matrix, which
-        # one gather of every unexplored row alone would exceed.
-        rng = np.random.default_rng(3)
-        pool = random_pool(rng, 4 * self.BLOCK + 300, 128)
+    @staticmethod
+    def gp_round(pool, observed, workers, monkeypatch):
+        """The batch and the traced allocation peak of one gp round after
+        ``observed``, scoring blocks on ``workers`` threads."""
+        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
         memory = CandidateMemory(pool)
         agent = make_agent(ExperimentConfig(agent="gp", batch_size=16), pool, None, None)
-        observed = np.arange(16)
         memory.explore(observed)
         feedback = Feedback(tuple(
             FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
@@ -383,8 +385,162 @@ class TestScoreBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return batch, peak, agent.model
+
+    def test_gp_select_holds_no_pool_sized_temporary(self, monkeypatch):
+        # One gp round over a pool of four blocks and more: its peak of
+        # traced allocations must stay under half the embedding matrix, which
+        # one gather of every unexplored row alone would exceed. On two
+        # threads, with two blocks in flight, it may exceed the serial peak
+        # by one block's temporaries at most.
+        rng = np.random.default_rng(3)
+        pool = random_pool(rng, 4 * self.BLOCK + 300, 128)
+        observed = np.arange(64)
+        batch, serial, model = self.gp_round(pool, observed, 1, monkeypatch)
         assert batch.size == 16
-        assert peak < pool.embeddings.matrix.nbytes / 2, peak
+        assert serial < pool.embeddings.matrix.nbytes / 2, serial
+        table = pool.embeddings
+        tracemalloc.start()
+        try:
+            model.acquisition(table.matrix, table.sq_norms, np.arange(self.BLOCK) + 64)
+            _, block = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        threaded, peak, _ = self.gp_round(pool, observed, 2, monkeypatch)
+        assert threaded.tolist() == batch.tolist()
+        assert peak <= serial + block, (peak, serial, block)
+
+    def test_exact_block_drops_its_gather_before_the_product(self):
+        # A block of 2048 gathered rows of 256 dims (4 MB) against 256
+        # training rows: the kernel block and L^-1 times it are 4 MB each.
+        # With the gather alive through the product the peak would be 12 MB.
+        rng = np.random.default_rng(6)
+        table = EmbeddingTable(rng.standard_normal((self.BLOCK + 300, 256)))
+        model = GaussianProcess(length_scale=16.0)
+        model.fit(table.matrix[:256], rng.standard_normal(256))
+        rows = np.arange(256, 256 + self.BLOCK)
+        kernel_bytes = 256 * self.BLOCK * 8
+        tracemalloc.start()
+        try:
+            scores = model.acquisition(table.matrix, table.sq_norms, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_bits(scores, model.acquisition(table.matrix[rows], table.sq_norms[rows]))
+        assert peak < 2 * kernel_bytes + table.matrix[rows].nbytes / 2, peak
+
+    SIZES = (0, 300, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 5)
+
+    def test_threads_give_the_serial_bits(self, monkeypatch):
+        # Zero to four blocks, an overlapping last block among them, scored
+        # by index arrays and by slices (an int ``idx``): every scorer gives
+        # the bits of the serial loop over the same indices on 1 to 3
+        # threads (three may exceed the CPU count).
+        rng = np.random.default_rng(12)
+        table = EmbeddingTable(rng.standard_normal((3 * self.BLOCK + 40, 24)))
+        models = [blocked for blocked, _ in self.models(rng, table, 40)]
+        model = GaussianProcess(length_scale=5.0)
+        model.fit(table.matrix[:30], rng.standard_normal(30))
+        models.append(lambda rows: model.acquisition(table.matrix, table.sq_norms, rows))
+        monkeypatch.setattr(surrogates, "_available_cpus", lambda: 1)
+        reference = {
+            (i, size): score_blocks(np.arange(size), blocked)
+            for i, blocked in enumerate(models) for size in self.SIZES
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+                for (i, size), expected in reference.items():
+                    assert same_bits(score_blocks(np.arange(size), models[i]), expected)
+                    assert same_bits(score_blocks(size, models[i]), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unexplored_rows_keep_their_call_shape(self):
+        # Up to one block, the unexplored rows are scored as they are (the
+        # call's shape sets the bits, and a 2048-row slice gives other
+        # bits); past one block, by same-shape slices of the whole pool.
+        rng = np.random.default_rng(13)
+        table = EmbeddingTable(rng.standard_normal((2 * self.BLOCK + 300, 16)))
+        model = GaussianProcess(length_scale=4.0)
+        model.fit(table.matrix[:40], rng.standard_normal(40))
+
+        def score(rows):
+            return model.acquisition(table.matrix, table.sq_norms, rows)
+
+        every = score_blocks(len(table), score)
+        for size in (301, self.BLOCK, self.BLOCK + 1, len(table) - 40):
+            avail = np.sort(rng.choice(len(table), size, replace=False))
+            got = _score_unexplored(avail, len(table), score)
+            expected = score_blocks(avail, score) if size <= self.BLOCK else every[avail]
+            assert same_bits(got, expected)
+
+    @staticmethod
+    def count_thread_starts(monkeypatch) -> list:
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(surrogates.threading, "Thread", Counted)
+        return started
+
+    @pytest.mark.parametrize("workers, size, threads", [
+        (1, 3 * BLOCK + 5, 0), (3, BLOCK, 0), (3, 300, 0), (2, 3 * BLOCK + 5, 1),
+        (3, 2 * BLOCK, 1), (3, 3 * BLOCK + 5, 2),
+    ])
+    def test_threads_start_only_for_several_blocks_and_cpus(
+        self, monkeypatch, workers, size, threads
+    ):
+        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+        started = self.count_thread_starts(monkeypatch)
+        callers = []
+
+        def score(rows):
+            callers.append(threading.get_ident())
+            return np.zeros(len(range(size)[rows]))
+
+        before = threading.active_count()
+        assert score_blocks(size, score).shape == (size,)
+        assert len(callers) == len(range(0, size, self.BLOCK))
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+        if not threads:
+            assert set(callers) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing", ["one", "all"])
+    def test_block_exception_reaches_the_caller(self, monkeypatch, workers, failing):
+        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+
+        def score(rows):
+            if failing == "all" or rows.start == 2 * self.BLOCK:
+                raise FloatingPointError(f"block at {rows.start}")
+            return np.zeros(len(range(4 * self.BLOCK)[rows]))
+
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="block at"):
+            score_blocks(4 * self.BLOCK, score)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("agent", ["linucb", "gp"])
+    def test_reports_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, agent):
+        pool = random_pool(np.random.default_rng(4), 3 * self.BLOCK + 100, 16)
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+            out = tmp_path / str(workers)
+            config = ExperimentConfig(agent=agent, rounds=3, batch_size=32, runs=2,
+                                      out=str(out))
+            results = run_many(config, pool=pool)
+            write_report(aggregate_runs(results), results, out, agent=agent, dataset="d")
+            reports.append([(out / name).read_bytes() for name in ("runs.csv", "summary.json")])
+        assert reports[0] == reports[1]
 
 
 def prefix_deficit(model: GaussianProcess, k: np.ndarray) -> Fraction:

@@ -8,6 +8,18 @@ Every pool, loaded (:func:`load_pool`) or built in memory
 resolves its hits once into a read-only bool mask over pool indices. Names
 matter only at the edges: a ground-truth hit set arrives as names and is
 turned into indices there, and ``is_hit`` and ``hit_names`` read the mask.
+
+Embeddings ingest (:func:`_read_embeddings`) parses a plain file (unquoted
+names, LF line ends, plain decimal literals) with ``np.loadtxt``, and any
+other file with the csv reader, to the same names and bits. A plain file of
+at least two ``_SPLIT_MIN_BYTES`` is cut at line starts into one byte range
+per CPU, and, on Linux and while the process runs one OS thread, ranges
+after the first are parsed by forked children (:func:`_read_plain`). The
+children's memory is their own: it does not show in this process's
+``RUSAGE_SELF`` peak resident size. Every child is reaped before the load
+returns or raises. numpy's BLAS starts its threads at import unless
+``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``), and then the whole
+file is parsed in this process.
 """
 
 from __future__ import annotations
@@ -16,7 +28,11 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import re
+import signal
+import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -377,14 +393,17 @@ class _NotPlain(Exception):
     """A line the plain parse does not vouch for; the csv reader takes over."""
 
 
-def _plain_value_parts(lines: Iterable[str], wanted: set[str], names: list[str]) -> Iterator[str]:
+def _plain_value_parts(
+    lines: Iterable[str], wanted: set[str], names: list[str], commas: int | None = None
+) -> Iterator[str]:
     """The value parts of the wanted rows in file order, their names appended
     to ``names``. Raises _NotPlain at the first line that the csv module could
-    split differently, or that holds anything but plain decimal literals."""
+    split differently, that holds anything but plain decimal literals, or
+    whose value part has other than ``commas`` commas (by default the first
+    line's count)."""
     # The csv module fails on a field longer than this, and before Python
     # 3.11 on any NUL.
     limit = csv.field_size_limit()
-    commas = None
     seen: set[str] = set()
     for line in lines:
         if line == "\n":
@@ -423,13 +442,44 @@ def _plain_value_parts(lines: Iterable[str], wanted: set[str], names: list[str])
         yield rest
 
 
+# Embeddings files of at least twice this size are parsed by several
+# processes, one range of lines each, of at least this size; such a range
+# parses in about 90 ms on one CPU. Forking and reaping a 180 MB process
+# takes about 2.5 ms, but the first fork also costs 4-8 MB of resident
+# memory for the rest of the process: OpenBLAS's fork handler makes it take
+# fresh work buffers, and the pages of the old ones stay resident.
+_SPLIT_MIN_BYTES = 4 << 20
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork parsers: on Linux, and only while it
+    runs one OS thread. A fork copies just the calling thread, so a lock
+    that another thread holds (in the allocator, in a library's thread
+    pool) would stay locked in the child."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def _read_embeddings(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarray]:
     """Names and matrix of the wanted embedding rows, in file order.
 
     Files as :func:`write_embeddings` writes them (unquoted names, LF line
-    ends, plain decimal literals) are parsed in one streamed ``np.loadtxt``
-    pass over the value parts of the wanted rows; every other file, and
-    every error, goes to the csv reader (:func:`_read_embeddings_csv`).
+    ends, plain decimal literals) are parsed by streaming the value parts of
+    the wanted rows into ``np.loadtxt`` (:func:`_read_plain`); every other
+    file, and every error, goes to the csv reader
+    (:func:`_read_embeddings_csv`).
 
     The plain parse is accepted only when it yields what the csv reader
     would. Each line must be split by the csv module exactly at its commas
@@ -444,34 +494,193 @@ def _read_embeddings(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarra
     must be finite, of shape (rows, width), and every wanted name must have
     been seen once.
     """
-    names: list[str] = []
-    matrix = None
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            values = _plain_value_parts(fh, wanted, names)
-            first = next(values, None)
-            # No wanted row at all is an error; loadtxt would only warn.
-            if first is not None:
-                matrix = np.loadtxt(
-                    itertools.chain([first], values),
-                    delimiter=",",
-                    comments=None,
-                    quotechar=None,
-                    dtype=np.float64,
-                    ndmin=2,
-                )
+        return _read_plain(path, wanted)
     except (_NotPlain, OSError, ValueError):
         # ValueError: a literal loadtxt rejects, or bytes that are not UTF-8.
-        # The csv reader reads the file again and reports the first error.
-        matrix = None
-    if (
-        matrix is not None
-        and matrix.shape == (len(names), first.count(",") + 1)
-        and len(names) == len(wanted)
-        and np.isfinite(matrix).all()
-    ):
-        return names, matrix
+        pass
+    # The csv reader reads the file again and reports the first error.
     return _read_embeddings_csv(path, wanted)
+
+
+def _read_plain(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarray]:
+    """The plain parse, on k = min(CPUs, size // _SPLIT_MIN_BYTES) processes.
+
+    The file is cut into k byte ranges of about equal size, each moved
+    forward to a line start. This process parses the first range; ranges
+    2..k go to forked children, which send their names and raw float64 rows
+    back over a pipe, read in file order into one preallocated matrix. Every
+    range must have the first line's width, and the names of all ranges
+    must be the wanted names, each once. With k = 1 (one CPU, a small file,
+    not Linux, or more than one OS thread here) this process parses the
+    whole file and forks nothing. Every child is reaped before this returns
+    or raises; where the parse is not accepted (any range rejects its lines,
+    a child fails, or the ranges disagree), the children are killed first.
+    Raises _NotPlain, OSError or ValueError where the csv reader must read
+    the file.
+    """
+    starts, commas = _range_starts(path)
+    ends = [*starts[1:], None]
+    children: list[tuple[int, int]] = []
+    accepted = False
+    try:
+        for start, end in zip(starts[1:], ends[1:]):
+            children.append(
+                _fork_range(path, wanted, start, end, commas, [fd for _, fd in children])
+            )
+        names, matrix = _parse_range(path, wanted, 0, ends[0], commas)
+        if children:
+            own, matrix = matrix, np.empty((len(wanted), commas + 1))
+            if own is not None:
+                matrix[: len(own)] = own
+            del own
+            for _, fd in children:
+                _receive_range(fd, names, matrix)
+        if matrix is None or len(names) != len(wanted) or len(set(names)) != len(names):
+            raise _NotPlain
+        accepted = True
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if not accepted:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    if any(statuses):
+        raise _NotPlain
+    return names, matrix
+
+
+def _range_starts(path: Path) -> tuple[list[int], int | None]:
+    """The byte offsets at which the plain parse's ranges start, the first
+    0, and, where the file may be split, the comma count of the value part
+    of its first line, which every range must match (None otherwise)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        k = min(_available_cpus(), size // _SPLIT_MIN_BYTES)
+        if k < 2 or not _may_fork():
+            return [0], None
+        starts = [0]
+        for i in range(1, k):
+            # The byte before the cut ends a line, or readline skips the
+            # rest of the line the cut falls in.
+            fh.seek(i * size // k - 1)
+            fh.readline()
+            if starts[-1] < fh.tell() < size:
+                starts.append(fh.tell())
+        fh.seek(0)
+        first = next((line for line in fh if line != b"\n"), b"")
+    # A first line without a comma leaves -1, which no range matches.
+    return starts, first.count(b",") - 1
+
+
+def _parse_range(
+    path: Path, wanted: set[str], start: int, end: int | None, commas: int | None
+) -> tuple[list[str], np.ndarray | None]:
+    """Names and finite matrix of the wanted rows between the byte offsets
+    ``start`` and ``end`` (a line start, or None for the end of the file),
+    parsed by one ``np.loadtxt`` call; the matrix is None without a wanted
+    row. Raises _NotPlain, OSError or ValueError as :func:`_read_plain`."""
+    names: list[str] = []
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        # A line start is a position that fh.tell() could return: no
+        # character is split there, so the decoder starts afresh.
+        fh.seek(start)
+        lines = fh if end is None else _lines_within(fh, end - start)
+        values = _plain_value_parts(lines, wanted, names, commas)
+        first = next(values, None)
+        # No wanted row at all is left to the caller; loadtxt would warn.
+        if first is None:
+            return names, None
+        matrix = np.loadtxt(
+            itertools.chain([first], values),
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            dtype=np.float64,
+            ndmin=2,
+        )
+    if matrix.shape != (len(names), first.count(",") + 1) or not np.isfinite(matrix).all():
+        raise _NotPlain
+    return names, matrix
+
+
+def _lines_within(lines: Iterable[str], size: int) -> Iterator[str]:
+    """The first lines of ``lines`` that take up ``size`` bytes in UTF-8."""
+    for line in lines:
+        yield line
+        size -= len(line) if line.isascii() else len(line.encode())
+        if size <= 0:
+            return
+
+
+def _fork_range(
+    path: Path,
+    wanted: set[str],
+    start: int,
+    end: int | None,
+    commas: int,
+    inherited: list[int],
+) -> tuple[int, int]:
+    """Fork a child that parses one range (:func:`_parse_range`), writes its
+    name count, the byte length of its names, the names joined by LF (which
+    no line holds) and its raw float64 rows to a pipe, and exits; the child
+    exits 1 without a word on any error. Returns the child's pid and the
+    read end of its pipe. ``inherited`` are the read ends of earlier
+    children, which the child closes: a process holding a read end would
+    keep a writer blocked on a full pipe that this process stopped reading."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child: parse, write, exit
+        status = 1
+        try:
+            for fd in (read_fd, *inherited):
+                os.close(fd)
+            names, matrix = _parse_range(path, wanted, start, end, commas)
+            blob = "\n".join(names).encode()
+            with open(write_fd, "wb") as out:
+                out.write(struct.pack("<qq", len(names), len(blob)))
+                out.write(blob)
+                if matrix is not None:
+                    out.write(memoryview(matrix).cast("B"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive_range(fd: int, names: list[str], matrix: np.ndarray) -> None:
+    """Read a child's names onto ``names`` and its rows into ``matrix`` after
+    the rows so far. Raises _NotPlain where the child sent less, or more
+    rows than ``matrix`` has left."""
+    header = bytearray(16)
+    _fill(fd, memoryview(header))
+    count, size = struct.unpack("<qq", header)
+    row = len(names)
+    if row + count > len(matrix):
+        raise _NotPlain
+    if count:
+        blob = bytearray(size)
+        _fill(fd, memoryview(blob))
+        names.extend(blob.decode().split("\n"))
+        if len(names) != row + count:
+            raise _NotPlain
+        _fill(fd, memoryview(matrix[row : row + count]).cast("B"))
+
+
+def _fill(fd: int, view: memoryview) -> None:
+    """Fill ``view`` from ``fd``; an early end (a child that failed) raises
+    _NotPlain."""
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise _NotPlain
+        view = view[got:]
 
 
 def _read_embeddings_csv(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarray]:

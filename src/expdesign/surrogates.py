@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 import threading
 from typing import Callable, Sequence
 
@@ -72,6 +71,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError
 from .memory import CandidateMemory
+from .pool import _available_cpus
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -149,7 +149,11 @@ class LinUcb:
         if X.shape[0] == 0:
             self._reset()
             return
-        self.A = self.ridge * np.eye(self.dim) + X.T @ X
+        # ridge*I + X^T X without d x d temporaries and with the same bits:
+        # adding 0.0 turns -0.0 into +0.0 as the zeros of ridge*I do.
+        self.A = X.T @ X
+        self.A += 0.0
+        self.A.flat[:: self.dim + 1] += self.ridge
         self.b = X.T @ y
         self._factor()
 
@@ -440,14 +444,6 @@ _BOUND_PREFIX = 32
 _BLOCK_ROWS = 2048
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def score_blocks(
     idx: np.ndarray | int, score: Callable[[np.ndarray | slice], np.ndarray]
 ) -> np.ndarray:
@@ -543,13 +539,23 @@ def select_top_b(
     """The batch_size candidates of ``idx`` (pool indices, callers pass the
     unexplored ones) with the largest matching ``scores``.
 
-    Ties break toward the lower pool index. The selected indices are marked
-    explored and returned in rank order.
+    Ties break toward the lower pool index, and NaN scores rank last. The
+    selected indices are marked explored and returned in rank order.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
     idx = np.asarray(idx)
-    order = np.lexsort((idx, -np.asarray(scores, dtype=np.float64)))
+    keys = -np.asarray(scores, dtype=np.float64)
+    if keys.shape != idx.shape:
+        raise ValueError("scores and indices do not line up")
+    if batch_size < keys.size:
+        # Only rows at or above the batch_size-th key can be chosen. Every
+        # row tied with it is kept, so the kept rows rank as in a full sort.
+        kth = np.partition(keys, batch_size - 1)[batch_size - 1]
+        if not np.isnan(kth):
+            keep = np.flatnonzero(keys <= kth)
+            idx, keys = idx[keep], keys[keep]
+    order = np.lexsort((idx, keys))
     chosen = idx[order[:batch_size]]
     memory.explore(chosen)
     return chosen

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +225,31 @@ LITERALS = [
 ]
 
 
+EMBEDDING_TEXTS = st.builds(
+    lambda lines, ending, last: ending.join(lines) + (ending if last and lines else ""),
+    lines=st.lists(
+        st.one_of(
+            st.just(""),
+            st.tuples(
+                st.sampled_from(["a", "b", "c", '"a"', '"b,c"', "", "a\x1c"]),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["1", "-0.0", "1e5", ".5", "1_0", "nan",
+                                         "1e309", "4.9e-324", ""]),
+                        st.text(alphabet='0123456789.eE+-_,"\r\x1c ', max_size=4),
+                    ),
+                    max_size=3,
+                ),
+            ).map(lambda t: ",".join([t[0], *t[1]])),
+        ),
+        max_size=5,
+    ),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    last=st.booleans(),
+)
+WANTED = st.sets(st.sampled_from(["a", "b", "c", "b,c", "a\x1c"]), min_size=1)
+
+
 @pytest.mark.filterwarnings("error")
 class TestEmbeddingsReader:
     """The plain parse either returns the csv reader's names and bits or
@@ -327,30 +357,8 @@ class TestEmbeddingsReader:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        lines=st.lists(
-            st.one_of(
-                st.just(""),
-                st.tuples(
-                    st.sampled_from(["a", "b", "c", '"a"', '"b,c"', "", "a\x1c"]),
-                    st.lists(
-                        st.one_of(
-                            st.sampled_from(["1", "-0.0", "1e5", ".5", "1_0", "nan",
-                                             "1e309", "4.9e-324", ""]),
-                            st.text(alphabet='0123456789.eE+-_,"\r\x1c ', max_size=4),
-                        ),
-                        max_size=3,
-                    ),
-                ).map(lambda t: ",".join([t[0], *t[1]])),
-            ),
-            max_size=5,
-        ),
-        ending=st.sampled_from(["\n", "\r\n", "\r"]),
-        last=st.booleans(),
-        wanted=st.sets(st.sampled_from(["a", "b", "c", "b,c", "a\x1c"]), min_size=1),
-    )
-    def test_property(self, tmp_path, lines, ending, last, wanted):
-        text = ending.join(lines) + (ending if last and lines else "")
+    @given(text=EMBEDDING_TEXTS, wanted=WANTED)
+    def test_property(self, tmp_path, text, wanted):
         read_as_csv_reader_does(write_text(tmp_path / "e.csv", text), wanted)
 
     def test_written_files_take_the_plain_parse(self, tmp_path, monkeypatch):
@@ -370,6 +378,226 @@ class TestEmbeddingsReader:
 
 def _no_csv_reader(path, wanted):
     raise AssertionError(f"{path} fell back to the csv reader")
+
+
+def _one_os_thread():
+    """Whether this process runs one OS thread, the gate of a split ingest.
+    numpy's BLAS starts its threads at import unless OPENBLAS_NUM_THREADS
+    (or OMP_NUM_THREADS) is 1."""
+    return sys.platform.startswith("linux") and len(os.listdir("/proc/self/task")) == 1
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(k)`` makes every embeddings file split into k ranges (as on k
+    CPUs, with no size floor) and returns the list of pids that os.fork
+    gives this process from then on."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(pool_module, "_SPLIT_MIN_BYTES", 1)
+
+    def force(k):
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: k)
+        forks.clear()
+        return forks
+
+    return force
+
+
+def _rows_file(tmp_path):
+    """A plain file of rows n0..n29."""
+    return write_text(tmp_path / "e.csv", "".join(f"n{i},{i}.5\n" for i in range(30)))
+
+
+def _shifted(text):
+    """``text`` behind 0, 1, 2, ... blank lines, which every reader skips,
+    so that the cuts fall at every line of it in turn."""
+    return ["\n" * i + text for i in range(len(text) + 1)]
+
+
+# Plain files that every split must read without falling back.
+PLAIN_CASES = [
+    pytest.param("a,1.0,2.0\nb,3.0,4.0\nc,5.0,6.0\nd,7.0,8.0\n", {"a", "b", "c", "d"},
+                 id="all-wanted"),
+    pytest.param("x,0.5\na,1.0\ny,0.5\nb,-0.0\nz,0.5\nc,4.9e-324\n", {"a", "b", "c"},
+                 id="every-other-wanted"),
+]
+# What only a later range sees sits behind lines that range 1 takes.
+SPLIT_CASES = PLAIN_CASES + [
+    pytest.param("a,1.0\n\n\n\nb,2.0\n\n\nc,3.0\n\n", {"a", "c"}, id="blank-line-at-cut"),
+    pytest.param("a,1.0\nb,2.0\nd,3.0\ne,4.0\nf,5.0\nc,6.0\n", {"a", "c"},
+                 id="range-without-wanted-row"),
+    pytest.param("a,1.0\nb,2.0\nd,3.0\ne,4.0\nc,5.0,6.0\n", {"a", "c"},
+                 id="later-wanted-row-wider"),
+    pytest.param("a,1.0\nc,2.0\nx,1.0,2.0\ny,3.0,4.0\n", {"a", "c"},
+                 id="later-unwanted-rows-wider"),
+    pytest.param("b,1.0,2.0\nx,1.0,2.0\na,1.0\nc,2.0\n", {"a", "c"},
+                 id="unwanted-first-line-sets-width"),
+    pytest.param("b,1.0,2.0\nx,1.0,2.0\ny,1.0,2.0\na,1.0\n", {"a"},
+                 id="unwanted-first-line-sets-width-one-row"),
+    pytest.param("a,1.0\nb,2.0\nc,3.0\nx,4.0\na,5.0\n", {"a", "b", "c"},
+                 id="duplicate-across-ranges"),
+    pytest.param("a,1.0\nx,2.0\ny,3.0\nz,4.0\na,5.0\n", {"a", "c"},
+                 id="duplicate-across-ranges-and-missing"),
+    pytest.param('a,1.0\nb,2.0\nx,3.0\n"c",4.0\n', {"a", "c"}, id="later-quote"),
+    pytest.param("a,1.0\nb,2.0\nx,3.0\nc\r,4.0\n", {"a", "c\r"}, id="later-cr-in-name"),
+    pytest.param("a,1.0\nb,2.0\nx,3.0\nc,4.0\r\n", {"a", "c"}, id="later-crlf"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestSplitIngest:
+    """A plain file cut into k ranges, each parsed by its own process, reads
+    as the csv reader reads it, and leaves no process behind."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_bytes_equal_the_in_process_parse(self, tmp_path, monkeypatch, split, k):
+        rng = np.random.default_rng(k)
+        names = [f"g{i}" if i % 7 else f"CC(=O)[O-]{i}" for i in range(60)]
+        emb = rng.standard_normal((60, 9)) * np.logspace(-300, 300, 9)
+        emb[0, :4] = [-0.0, 5e-324, 2.0**53 + 2, np.finfo(float).max]
+        source = build_pool(names, np.arange(60.0), emb, percentile=50.0)
+        meas, embf = tmp_path / "m.csv", tmp_path / "e.csv"
+        write_measurements(source, meas)
+        write_embeddings(source, embf)
+        wanted = set(names[::2]) | {names[-1]}
+        one = pool_module._read_embeddings(embf, wanted)
+        monkeypatch.setattr(pool_module, "_read_embeddings_csv", _no_csv_reader)
+        forks = split(k)
+        got = pool_module._read_embeddings(embf, wanted)
+        assert len(forks) == (k - 1 if _one_os_thread() else 0)
+        assert got[0] == one[0] == [n for n in names if n in wanted]
+        assert got[1].tobytes() == one[1].tobytes()
+        pool = load_pool(meas, embf, percentile=50.0)
+        assert pool.embeddings.matrix.tobytes() == source.embeddings.matrix.tobytes()
+        _assert_no_child_left()
+
+    def test_one_os_thread_forks(self, tmp_path, split):
+        if not _one_os_thread():
+            pytest.skip("numpy's BLAS runs threads here, so no split forks")
+        assert pool_module._may_fork()
+        forks = split(3)
+        path = _rows_file(tmp_path)
+        assert read_as_csv_reader_does(path, {"n0", "n29"})[0] == ["n0", "n29"]
+        assert len(forks) == 2
+
+    def test_live_thread_means_no_fork(self, tmp_path, split):
+        path = _rows_file(tmp_path)
+        forks = split(3)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not pool_module._may_fork()
+            assert read_as_csv_reader_does(path, {"n0", "n29"})[0] == ["n0", "n29"]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("text, wanted", SPLIT_CASES)
+    def test_boundaries(self, tmp_path, split, k, text, wanted):
+        split(k)
+        for shifted in _shifted(text):
+            read_as_csv_reader_does(write_text(tmp_path / "e.csv", shifted), wanted)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_plain_cases_never_fall_back(self, tmp_path, monkeypatch, split, k):
+        # Where a cut is moved to a line start, no plain file is rejected.
+        monkeypatch.setattr(pool_module, "_read_embeddings_csv", _no_csv_reader)
+        forks = split(k)
+        for case in PLAIN_CASES:
+            text, wanted = case.values
+            for shifted in _shifted(text):
+                pool_module._read_embeddings(write_text(tmp_path / "e.csv", shifted), wanted)
+        assert forks or not _one_os_thread()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=EMBEDDING_TEXTS, wanted=WANTED, k=st.sampled_from([2, 3]))
+    def test_property(self, tmp_path, split, text, wanted, k):
+        split(k)
+        read_as_csv_reader_does(write_text(tmp_path / "e.csv", text), wanted)
+
+    @pytest.mark.parametrize(
+        "failure", [ValueError("child"), RuntimeError("child"), 0, 3],
+        ids=["value-error", "runtime-error", "exit-0", "exit-3"],
+    )
+    def test_failing_child_falls_back(self, tmp_path, monkeypatch, split, failure):
+        # A child raises, or exits with a status before writing anything.
+        parent = os.getpid()
+        parse = pool_module._parse_range
+
+        def child_fails(*args):
+            if os.getpid() != parent:
+                if isinstance(failure, int):
+                    os._exit(failure)
+                raise failure
+            return parse(*args)
+
+        monkeypatch.setattr(pool_module, "_parse_range", child_fails)
+        forks = split(3)
+        path = _rows_file(tmp_path)
+        assert read_as_csv_reader_does(path, {"n0", "n29"})[0] == ["n0", "n29"]
+        assert len(forks) == (2 if _one_os_thread() else 0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_parent_range_error_leaves_no_child(self, tmp_path, monkeypatch, split, error):
+        parent = os.getpid()
+        parse = pool_module._parse_range
+
+        def parent_fails(path, wanted, start, *rest):
+            if os.getpid() == parent and start == 0:
+                raise error("parent")
+            return parse(path, wanted, start, *rest)
+
+        monkeypatch.setattr(pool_module, "_parse_range", parent_fails)
+        split(3)
+        path = _rows_file(tmp_path)
+        if error is ValueError:  # rejected, so the csv reader reads the file
+            assert pool_module._read_embeddings(path, {"n0", "n29"})[0] == ["n0", "n29"]
+        else:
+            with pytest.raises(RuntimeError, match="parent"):
+                pool_module._read_embeddings(path, {"n0", "n29"})
+        _assert_no_child_left()
+
+
+def test_split_ingest_forks_under_one_blas_thread():
+    """TestSplitIngest again, in a process with one BLAS thread, where the
+    ranges are parsed by forked processes."""
+    if _one_os_thread():
+        pytest.skip("this process runs one OS thread; TestSplitIngest forked in it")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::TestSplitIngest"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    summary = result.stdout.strip().splitlines()[-1:]
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    assert summary and "passed" in summary[0] and "skipped" not in summary[0], summary
 
 
 class TestBuildPool:

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from expdesign import surrogates
@@ -151,6 +153,25 @@ class TestLinUcb:
             model.fit_batch(X, y)
             expected = linucb_direct(X, y, lam, alpha, Xq)
             assert np.allclose(model.score_many(Xq), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, n", [(1, 1), (1, 512), (2, 3), (17, 5), (64, 128), (256, 512), (768, 1), (768, 512)]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-160, 1e150, 1e160])
+    def test_fit_matrix_is_the_old_expression(self, monkeypatch, d, n, scale):
+        # A = ridge*I + X^T X, bit for bit, on inputs whose products
+        # underflow to +-0.0 or subnormals, or overflow to inf and NaN.
+        rng = np.random.default_rng([d, n])
+        X = rng.standard_normal((n, d)) * scale
+        X[:, ::3] = 0.0
+        X[rng.random((n, d)) < 0.1] *= -1e-200
+        monkeypatch.setattr(LinUcb, "_factor", lambda self: None)
+        for ridge in (1.0, 0.3, 1e-300):
+            model = LinUcb(d, ridge=ridge)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                model.fit_batch(X, np.ones(n))
+                expected = ridge * np.eye(d) + X.T @ X
+            assert model.A.tobytes() == expected.tobytes()
 
     def test_empty_query(self):
         model = LinUcb(3)
@@ -758,6 +779,26 @@ class TestSelectTopB:
         memory = self.make_memory()
         with pytest.raises(ValueError):
             select_top_b(np.arange(3), np.array([1.0]), memory, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+            min_size=1,
+            max_size=40,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 50),
+    )
+    def test_matches_full_lexsort(self, scores, seed, batch):
+        # Heavy ties, +-inf, NaN and batch sizes at or above the size.
+        n = len(scores)
+        pool = build_pool([f"c{i}" for i in range(n)], np.zeros(n), np.ones((n, 1)),
+                          hit_mode="ground-truth-set")
+        idx = np.random.default_rng(seed).permutation(n)
+        expected = idx[np.lexsort((idx, -np.array(scores)))[:batch]]
+        chosen = select_top_b(idx, np.array(scores), CandidateMemory(pool), batch)
+        assert chosen.tolist() == expected.tolist()
 
     def test_matches_sorted_reference_with_ties(self):
         # Reference: a plain sort on (-score, index) over the unexplored set.

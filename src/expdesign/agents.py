@@ -10,7 +10,8 @@ trace events.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+import dataclasses
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -19,14 +20,7 @@ from .errors import ConfigError
 from .feedback import Feedback
 from .memory import CandidateMemory, certified_least, embedding_distances  # noqa: F401
 from .pool import CandidatePool
-from .prompts import (
-    PromptSpec,
-    VARIANT_BDA,
-    VARIANT_LLMNN,
-    VARIANT_LLMNN_NOEXP,
-    parse_solution,
-    render_prompt,
-)
+from .prompts import parse_solution, render_prompt
 from .surrogates import (
     _BLOCK_ROWS,
     GaussianProcess,
@@ -260,30 +254,15 @@ def _names(pool: CandidatePool, idx: np.ndarray) -> list[str]:
     return [pool.names[i] for i in idx]
 
 
-def _dedupe(names: Sequence[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
-    return out
-
-
 class _LlmAgentBase(Agent):
-    """Prompt descriptors, sampling and retry settings, all from the config."""
-
-    variant: str = ""
+    """Sampling and retry settings and the round-1 prompt spec, all from the
+    config; each round's spec replaces the round number and feedback."""
 
     def __init__(self, config, pool, backend, trace):
         super().__init__(config, pool, backend, trace)
         if backend is None:
             raise ConfigError(f"agent {self.kind!r} needs an LLM backend")
-        self.descriptors = config.descriptor_args()
-        if self.descriptors["domain"] is None or self.descriptors["func_desc"] is None:
-            raise ConfigError(f"agent {self.kind!r} needs a domain and task descriptors")
-        self.num_centers = config.num_centers
-        self.num_rounds = config.rounds
+        self.spec = config.prompt_spec()
         self.backend = backend
         self.retry_policy = RetryPolicy(max_attempts=config.llm_max_attempts)
         self.sampling = SamplingParams(
@@ -295,18 +274,8 @@ class _LlmAgentBase(Agent):
         if self._trace is not None:
             self._trace(event)
 
-    def _spec(self, round_num: int, feedback: Feedback | None) -> PromptSpec:
-        return PromptSpec(
-            variant=self.variant,
-            round_num=round_num,
-            batch_len=self.batch_size,
-            num_centers=self.num_centers,
-            feedback=feedback,
-            num_rounds=self.num_rounds,
-            **self.descriptors,
-        )
-
-    def _ask(self, spec: PromptSpec, expected: int, round_num: int) -> list[str]:
+    def _ask(self, round_num: int, feedback: Feedback | None, expected: int) -> list[str]:
+        spec = dataclasses.replace(self.spec, round_num=round_num, feedback=feedback)
         system, user = render_prompt(spec)
         raw = chat_with_retry(
             self.backend,
@@ -329,19 +298,7 @@ class _LlmAgentBase(Agent):
                 "truncated": parsed.truncated,
             }
         )
-        return _dedupe(parsed.solution)
-
-    def _random_top_up(
-        self, memory: CandidateMemory, shortfall: int, rng: np.random.Generator,
-        round_num: int,
-    ) -> np.ndarray:
-        if shortfall <= 0:
-            return np.empty(0, dtype=np.intp)
-        chosen = _take_random(memory, shortfall, rng)
-        if chosen.size:
-            self.trace({"event": "random_top_up", "round": round_num,
-                        "names": _names(memory.pool, chosen)})
-        return chosen
+        return list(dict.fromkeys(parsed.solution))
 
 
 class LlmnnAgent(_LlmAgentBase):
@@ -351,15 +308,15 @@ class LlmnnAgent(_LlmAgentBase):
     Proposed names are mapped to pool indices by exact lookup. A name absent
     from the pool is replaced by a uniform-random unexplored candidate and
     logged. Explored names are fine as centers: the expansion only ever
-    returns unexplored neighbors.
+    returns unexplored neighbors, min(B, unexplored) of them, so the batch
+    is never short while candidates remain.
     """
 
     kind = AGENT_LLMNN
-    variant = VARIANT_LLMNN
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
-        proposed = self._ask(self._spec(round_num, feedback), self.num_centers, round_num)
+        proposed = self._ask(round_num, feedback, self.spec.num_centers)
         centers: list[int] = []
         for name in proposed:
             if name in pool:
@@ -380,9 +337,6 @@ class LlmnnAgent(_LlmAgentBase):
         if not centers:
             return np.empty(0, dtype=np.intp)
         batch = memory.allocate_batch(centers, self.batch_size)
-        batch = np.concatenate(
-            [batch, self._random_top_up(memory, self.batch_size - len(batch), rng, round_num)]
-        )
         self.trace({"event": "selection", "round": round_num, "names": _names(pool, batch)})
         return batch
 
@@ -391,7 +345,6 @@ class LlmnnNoexpAgent(LlmnnAgent):
     """``llmnn`` with a solution-only response format."""
 
     kind = AGENT_LLMNN_NOEXP
-    variant = VARIANT_LLMNN_NOEXP
 
 
 class BdaAgent(_LlmAgentBase):
@@ -404,7 +357,6 @@ class BdaAgent(_LlmAgentBase):
     """
 
     kind = AGENT_BDA
-    variant = VARIANT_BDA
 
     def __init__(self, config, pool, backend, trace):
         super().__init__(config, pool, backend, trace)
@@ -412,7 +364,6 @@ class BdaAgent(_LlmAgentBase):
 
     def select(self, round_num, memory, feedback, rng):
         pool = memory.pool
-        spec = self._spec(round_num, feedback)
         want = min(self.batch_size, memory.num_unexplored)
         unexplored = np.zeros(len(pool), dtype=bool)
         unexplored[memory.unexplored()] = True
@@ -421,7 +372,7 @@ class BdaAgent(_LlmAgentBase):
         for _ in range(1 + self.max_replacement_prompts):
             if len(kept) >= want:
                 break
-            for name in self._ask(spec, self.batch_size, round_num):
+            for name in self._ask(round_num, feedback, self.batch_size):
                 if len(kept) >= want:
                     break
                 i = pool.index_of(name) if name in pool else None
@@ -441,9 +392,11 @@ class BdaAgent(_LlmAgentBase):
                 kept_set.add(i)
         batch = np.array(kept, dtype=np.intp)
         memory.explore(batch)
-        batch = np.concatenate(
-            [batch, self._random_top_up(memory, want - len(batch), rng, round_num)]
-        )
+        if len(batch) < want:  # a full batch draws nothing from rng
+            extra = _take_random(memory, want - len(batch), rng)
+            self.trace({"event": "random_top_up", "round": round_num,
+                        "names": _names(pool, extra)})
+            batch = np.concatenate([batch, extra])
         self.trace({"event": "selection", "round": round_num, "names": _names(pool, batch)})
         return batch
 

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fixtures", help="scripted LLM fixtures directory")
     run.add_argument("--out", help="output directory for runs.csv / summary.json / traces")
 
-    val = sub.add_parser("validate", help="ingestion checks only: load the pool as run does")
+    val = sub.add_parser("validate", help="config checks and load the pool, as run does")
     val.add_argument("--config", help="JSON config file; flags below override it")
     val.add_argument("--dataset", help="measurements CSV (name,score[,hit])")
     val.add_argument("--embeddings", help="embeddings CSV (name,v1,...,vd)")
@@ -79,7 +79,8 @@ _OVERRIDES = {
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     """The ``--config`` file's config (defaults without one), overridden by
-    the flags given on the command line, validated."""
+    the flags given on the command line, validated, with its backend
+    settings checked as each run checks them."""
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     for flag, value in vars(args).items():
         if flag in _OVERRIDES and value is not None:
@@ -87,6 +88,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     if args.metric is not None:
         config.metric = _METRIC_ALIASES[args.metric]
     config.validate()
+    config.make_backend()  # checked before the pool loads; the backend goes unused
     return config
 
 

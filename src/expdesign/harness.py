@@ -25,7 +25,7 @@ import numpy as np
 
 from .agents import AGENT_KINDS, LLM_AGENT_KINDS, make_agent
 from .backends import HttpBackend, LlmBackend, ScriptedBackend
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, PromptError
 from .feedback import Feedback, FeedbackRecord, randomize_feedback
 from .memory import CandidateMemory
 from .pool import (
@@ -35,7 +35,7 @@ from .pool import (
     METRICS,
     load_pool,
 )
-from .prompts import DATASET_DESCRIPTORS, DOMAINS
+from .prompts import DATASET_DESCRIPTORS, DOMAINS, DatasetDescriptors, PromptSpec
 
 logger = logging.getLogger(__name__)
 
@@ -192,10 +192,7 @@ class ExperimentConfig:
         if self.dataset_key is not None and self.dataset_key not in DATASET_DESCRIPTORS:
             raise ConfigError(f"unknown dataset key {self.dataset_key!r}")
         if self.agent in LLM_AGENT_KINDS:
-            if self.descriptor_args()["func_desc"] is None:
-                raise ConfigError(
-                    f"agent {self.agent!r} needs dataset_key or explicit descriptors"
-                )
+            self.prompt_spec()
         if pool_size is not None and self.rounds * self.batch_size > pool_size:
             warnings.warn(
                 f"budget {self.rounds}x{self.batch_size} exceeds pool size "
@@ -204,22 +201,28 @@ class ExperimentConfig:
             )
 
     def descriptor_args(self) -> dict:
-        """Resolved prompt descriptors (registry entry or explicit strings)."""
-        if self.dataset_key is not None:
-            desc = DATASET_DESCRIPTORS[self.dataset_key]
-            return {
-                "domain": self.domain or desc.domain,
-                "func_desc": self.func_desc or desc.func_desc,
-                "score_desc": self.score_desc or desc.score_desc,
-                "candidate_space_info": self.candidate_space_info
-                or desc.candidate_space_info,
-            }
+        """Resolved prompt descriptors: each explicit string, else the
+        ``dataset_key`` registry entry's."""
+        desc = DATASET_DESCRIPTORS.get(self.dataset_key)
         return {
-            "domain": self.domain,
-            "func_desc": self.func_desc,
-            "score_desc": self.score_desc,
-            "candidate_space_info": self.candidate_space_info,
+            f.name: getattr(self, f.name) or getattr(desc, f.name, None)
+            for f in dataclasses.fields(DatasetDescriptors)
         }
+
+    def prompt_spec(self) -> PromptSpec:
+        """Round 1's prompt spec for LLM agent ``self.agent`` (its kind is the
+        prompt variant); a spec that cannot render is a ConfigError."""
+        try:
+            return PromptSpec(
+                variant=self.agent,
+                round_num=1,
+                batch_len=self.batch_size,
+                num_centers=self.num_centers,
+                num_rounds=self.rounds,
+                **self.descriptor_args(),
+            )
+        except PromptError as exc:
+            raise ConfigError(f"agent {self.agent!r} prompt descriptors: {exc}") from None
 
     def load_pool(self) -> CandidatePool:
         if self.dataset is None or self.embeddings is None:
@@ -236,12 +239,15 @@ class ExperimentConfig:
         )
 
     def make_backend(self) -> LlmBackend | None:
-        """Fresh backend for one run (scripted call counters are per-run)."""
+        """Fresh backend for one run (scripted call counters are per-run);
+        unusable backend settings are a ConfigError."""
         if self.agent not in LLM_AGENT_KINDS:
             return None
         if self.llm_fixtures is not None:
+            if not Path(self.llm_fixtures).is_dir():
+                raise ConfigError(f"llm.fixtures directory not found: {self.llm_fixtures}")
             return ScriptedBackend.from_dir(self.llm_fixtures)
-        if self.llm_endpoint is None:
+        if not self.llm_endpoint:
             raise ConfigError(
                 f"agent {self.agent!r} needs llm.fixtures or llm.endpoint"
             )

@@ -101,7 +101,7 @@ class CandidateMemory:
         self._explored = np.zeros(len(pool), dtype=bool)
         self._norms: np.ndarray | None = None
         if pool.metric == METRIC_COSINE:
-            self._norms = np.linalg.norm(pool.embeddings.matrix, axis=1)
+            self._norms = np.sqrt(pool.embeddings.sq_norms)
         # The l2 scan's f32 copy and the rows' norms (inf outside the range
         # gate), built at the first l2 query.
         self._rows32: np.ndarray | None = None

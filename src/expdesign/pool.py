@@ -4,7 +4,8 @@ A pool is the immutable universe of an experiment: named candidates with a
 real-valued measurement each, one embedding vector per candidate, a distance
 metric, and a hit policy that decides which candidates count as discoveries.
 Every pool, loaded (:func:`load_pool`) or built in memory
-(:func:`build_pool`), is made by one :class:`CandidatePool` call, which
+(``build_pool``, another name for the class), is made by one
+:class:`CandidatePool` call, which
 resolves its hits once into a read-only bool mask over pool indices. Names
 matter only at the edges: a ground-truth hit set arrives as names and is
 turned into indices there, and ``is_hit`` and ``hit_names`` read the mask.
@@ -136,7 +137,10 @@ class CandidatePool:
     embedding row ``i``; every array is in this pool index order. An
     ``embeddings`` table is used as it is; any other matrix is copied into
     a new one. The hit set is resolved once, at construction, from
-    ``hit_mode``, ``percentile`` and the ``ground_truth`` names.
+    ``hit_mode``, ``percentile`` and the ``ground_truth`` names; the
+    defaults (l2-squared, top 10% of scores) suit in-memory pools, which
+    are built by this constructor too (``build_pool`` names it). A cosine
+    pool rejects a row whose squared norm is 0.
     """
 
     def __init__(
@@ -145,10 +149,10 @@ class CandidatePool:
         scores: Sequence[float] | np.ndarray,
         embeddings: EmbeddingTable | np.ndarray | Sequence[Sequence[float]],
         *,
-        metric: str,
-        hit_mode: str,
-        percentile: float,
-        ground_truth: Iterable[str],
+        metric: str = METRIC_L2_SQUARED,
+        hit_mode: str = MODE_TOP_PERCENTILE,
+        percentile: float = 90.0,
+        ground_truth: Iterable[str] = (),
     ):
         if len(names) == 0:
             raise DatasetError("candidate pool is empty")
@@ -177,7 +181,7 @@ class CandidatePool:
                 f"{len(self._names)} names but {len(self._embeddings)} embedding rows"
             )
         if metric == METRIC_COSINE:
-            zero = np.flatnonzero(np.linalg.norm(self._embeddings.matrix, axis=1) == 0.0)
+            zero = np.flatnonzero(self._embeddings.sq_norms == 0.0)
             if zero.size:
                 raise DatasetError(
                     "cosine metric needs nonzero embeddings; "
@@ -793,26 +797,8 @@ def load_pool(
     )
 
 
-def build_pool(
-    names: Sequence[str],
-    scores: Sequence[float],
-    embeddings: np.ndarray | Sequence[Sequence[float]],
-    *,
-    metric: str = METRIC_L2_SQUARED,
-    hit_mode: str = MODE_TOP_PERCENTILE,
-    percentile: float = 90.0,
-    ground_truth: Iterable[str] = (),
-) -> CandidatePool:
-    """Assemble a pool from in-memory arrays (synthetic benchmarks, tests)."""
-    return CandidatePool(
-        names,
-        scores,
-        embeddings,
-        metric=metric,
-        hit_mode=hit_mode,
-        percentile=percentile,
-        ground_truth=ground_truth,
-    )
+# The name the in-memory callers (synthetic benchmarks, tests) build by.
+build_pool = CandidatePool
 
 
 def write_measurements(pool: CandidatePool, path: str | Path) -> None:

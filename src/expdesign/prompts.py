@@ -119,6 +119,8 @@ class PromptSpec:
             raise PromptError("round 1 must not carry feedback")
         if self.round_num > 1 and self.feedback is None:
             raise PromptError("rounds after the first require feedback")
+        if not self.func_desc:
+            raise PromptError("prompts need a task description (func_desc)")
         if self.domain == DOMAIN_GENES and not self.score_desc:
             raise PromptError("gene prompts need a score description")
         if self.domain == DOMAIN_MOLECULES and not self.candidate_space_info:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expdesign.agents import coreset_select, make_agent
 from expdesign.backends import ScriptedBackend
@@ -315,6 +317,55 @@ class TestLlmnnAgent:
         # three centers after dedup -> quotas 4/3/3 on a batch of 10
         sel = next(e for e in events if e["event"] == "selection")
         assert len(sel["names"]) == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_explored=st.integers(0, 49),
+        batch_size=st.integers(1, 60),
+        num_centers=st.integers(1, 6),
+        picks=st.lists(
+            st.tuples(st.sampled_from(["unknown", "explored", "unexplored", "repeat"]),
+                      st.integers(0, 99)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_batch_is_full_without_a_top_up(self, seed, num_explored, batch_size,
+                                            num_centers, picks):
+        # Allocation fills min(B, unexplored) slots whatever the centers, so
+        # the generator moves only for the substitutes of unknown names.
+        pool = gene_pool()
+        memory = CandidateMemory(pool)
+        memory.explore(np.arange(num_explored, dtype=np.intp))
+        explored, unexplored = pool.names[:num_explored], pool.names[num_explored:]
+        proposed: list[str] = []
+        for pick, k in picks:
+            if pick == "unknown":
+                proposed.append(f"NOT-A-GENE-{k % 3}")
+            elif pick == "explored" and explored:
+                proposed.append(explored[k % len(explored)])
+            elif pick == "repeat" and proposed:
+                proposed.append(proposed[k % len(proposed)])
+            else:
+                proposed.append(unexplored[k % len(unexplored)])
+        events = []
+        reply = "**Solution:\n" + "\n".join(f"## {n}" for n in proposed)
+        backend = ScriptedBackend(texts=[reply])
+        agent = build("llmnn", pool, backend, events.append, batch_size=batch_size,
+                      num_centers=num_centers, **descriptor_kwargs())
+        rng = np.random.default_rng(seed)
+        batch = names_of(pool, agent.select(1, memory, None, rng))
+
+        assert len(batch) == min(batch_size, len(unexplored))
+        assert len(set(batch)) == len(batch) and set(batch) <= set(unexplored)
+        assert not any(e["event"] == "random_top_up" for e in events)
+        subs = [e for e in events if e["event"] == "center_substitution"]
+        centers = dict.fromkeys(proposed[:num_centers])
+        assert len(subs) == sum(name not in pool for name in centers)
+        reference = np.random.default_rng(seed)
+        for _ in subs:
+            reference.integers(len(unexplored))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_noexp_variant_prompts_without_reasoning(self):
         pool = gene_pool()

@@ -552,6 +552,37 @@ class TestCli:
         assert out[-2].startswith("ok: 40 candidates, dim 3, 4 hits (top-percentile")
         assert out[-1].startswith("ok: 30 candidates, dim 3, 3 hits (top-percentile")
 
+    UNUSABLE_LLM_CONFIGS = {
+        "gene-without-score-desc": "gene prompts need a score description",
+        "bda-on-molecules": "'bda' is not supported for domain 'molecules'",
+        "missing-fixtures": "llm.fixtures directory not found",
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("case", UNUSABLE_LLM_CONFIGS)
+    def test_unusable_llm_config_exit_1(self, tmp_path, capsys, case, command):
+        # validate accepts what run accepts, and both check before the pool
+        # loads: the dataset does not exist.
+        config = {"agent": "llmnn", "dataset_key": "il2", "rounds": 1, "batch_size": 4,
+                  "runs": 1, "dataset": str(tmp_path / "missing.csv"),
+                  "embeddings": str(tmp_path / "missing-embeddings.csv"),
+                  "llm": {"fixtures": str(DATA_DIR / "il2-fixtures")}}
+        if case == "gene-without-score-desc":
+            del config["dataset_key"]
+            config.update(domain="genes", func_desc="regulate the production of IL-2")
+        elif case == "bda-on-molecules":
+            config.update(agent="bda", dataset_key="esol")
+        else:
+            config.update(llm={"fixtures": str(tmp_path / "none")})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert self.UNUSABLE_LLM_CONFIGS[case] in err
+        if case != "missing-fixtures":
+            assert "descriptors" in err
+
     def test_zero_cosine_embedding_exit_1(self, tmp_path, capsys):
         meas, emb = write_cli_dataset(tmp_path)
         rows = emb.read_text(encoding="utf-8").splitlines()

@@ -281,6 +281,20 @@ HARD_KINDS = ("duplicate-rows", "lattice", "offset", "offset-near-ties", "near-o
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", HARD_KINDS)
+def test_cosine_norms_from_squared_norms(kind):
+    """The cosine norms, sqrt of the table's squared norms, are the bits of
+    np.linalg.norm on the rows, overflow and underflow included."""
+    emb = hard_embeddings(kind, np.random.default_rng(5))
+    emb[np.all(emb == 0.0, axis=1), 0] = 1.0
+    pool = build_pool([f"c{i}" for i in range(len(emb))], np.zeros(len(emb)), emb,
+                      metric="cosine")
+    norms = CandidateMemory(pool)._norms
+    expected = np.linalg.norm(pool.embeddings.matrix, axis=1)
+    assert norms.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestExactScan:
     """The certified l2 scan returns exactly the direct formula's indices."""
 

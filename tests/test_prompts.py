@@ -128,6 +128,14 @@ class TestRenderPrompt:
                 "il2", variant="llmnn", round_num=2, batch_len=128, num_centers=5
             )
 
+    @pytest.mark.parametrize("func_desc", ["", None])
+    def test_empty_task_description_rejected(self, func_desc):
+        with pytest.raises(PromptError, match="func_desc"):
+            PromptSpec(
+                domain="genes", variant="llmnn", round_num=1, batch_len=128,
+                num_centers=5, func_desc=func_desc, score_desc="log fold change",
+            )
+
     def test_bda_molecules_unsupported(self):
         with pytest.raises(PromptError, match="not supported"):
             PromptSpec.for_dataset(

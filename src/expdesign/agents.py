@@ -119,7 +119,9 @@ class Agent:
         feedback: Feedback | None,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Pool indices of this round's batch, already marked explored."""
+        """Pool indices of this round's batch, already marked explored.
+
+        Called only while at least one candidate is unexplored."""
         raise NotImplementedError
 
 
@@ -243,8 +245,6 @@ class RandomCentroidsAgent(Agent):
 
     def select(self, round_num, memory, feedback, rng):
         avail = memory.unexplored()
-        if avail.size == 0:
-            return avail
         take = min(self.num_centers, avail.size)
         center_idx = avail[rng.permutation(avail.size)[:take]]
         return memory.allocate_batch(center_idx, self.batch_size)
@@ -323,8 +323,6 @@ class LlmnnAgent(_LlmAgentBase):
                 centers.append(pool.index_of(name))
                 continue
             avail = memory.unexplored()
-            if avail.size == 0:
-                continue
             centers.append(int(avail[int(rng.integers(avail.size))]))
             self.trace(
                 {
@@ -334,8 +332,6 @@ class LlmnnAgent(_LlmAgentBase):
                     "replacement": pool.names[centers[-1]],
                 }
             )
-        if not centers:
-            return np.empty(0, dtype=np.intp)
         batch = memory.allocate_batch(centers, self.batch_size)
         self.trace({"event": "selection", "round": round_num, "names": _names(pool, batch)})
         return batch

@@ -7,36 +7,37 @@ allocator marks what it selects explored before returning it.
 
 Every query returns exactly what a full scan with the direct formula
 (:func:`embedding_distances`) would return: the k unexplored rows of least
-distance, ties broken toward the lower index. Under l2-squared, center
-allocation does not scan row by row. At its first l2 allocation or cover
-query a memory makes an f32 copy of the pool, half the bytes of the matrix,
-which lives as long as the memory (one run). The expansion
-``|x|^2 - 2 x.q + |q|^2`` takes the cross terms of all centers of a round
-from one f32 matrix product over that copy, and the squared norms from the
-f64 rows. Each value lies within a proven bound of the direct value (see
-:func:`_l2_error_bound`), which covers the rounding of the inputs to f32
-and of the f32 sums, subnormal results included. It holds
-inside a range gate, a norm of at most 2^62 for the row and the query,
-within which no f32 value overflows. A row or query outside the gate gets
-an infinite bound: a query outside it, or one that meets an unexplored row
-outside it, gives every candidate a lower end of -inf. Otherwise each
-row's lower end is its approximation minus its bound.
+distance, ties broken toward the lower index. Center allocation, the cover
+and an outside query (:meth:`CandidateMemory.nearest`) all take one path:
+lower ends of every row's distance to each query vector, then the direct
+formula only where a lower end says it can matter. Under cosine a query's
+lower ends are its own direct scan of the pool. Under l2-squared the pool
+is not scanned row by row. At its first l2 query a memory makes an f32
+copy of the pool, half the bytes of the matrix, which lives as long as the
+memory (one run). The expansion ``|x|^2 - 2 x.q + |q|^2`` takes the cross
+terms of all queries of a call from one f32 matrix product over that copy,
+and the squared norms from the f64 rows. Each value lies within a proven
+bound of the direct value (see :func:`_l2_error_bound`), which covers the
+rounding of the inputs to f32 and of the f32 sums, subnormal results
+included. It holds inside a range gate, a norm of at most 2^62 for the row
+and the query, within which no f32 value overflows. A row or query outside
+the gate gets an infinite bound. Each row's lower end is its approximation
+minus its bound; under either metric a non-finite lower end is made -inf,
+so that its row is always ranked by its direct distance.
+
 :func:`certified_least` turns lower ends into the exact top k: it ranks
 the rows of least lower end with the direct formula, then, if need be,
 every row whose lower end reaches the k-th least direct distance among
 them, so the result matches the full scan bit for bit, exact ties
-included. Cosine allocation, and an outside query under either metric
-(:meth:`CandidateMemory.nearest`), take one direct scan of the pool per
-query and pass its distances as their own lower ends.
+included.
 
 The cover (:meth:`CandidateMemory.distance_to_explored`) holds each
 candidate's distance to its nearest explored candidate, as the direct
 formula gives it. It is updated lazily: a query absorbs only the rows
-explored since the one before. Under l2 the expansion and its bound prove
-most candidates no closer to an absorbed row than their current cover
-distance, and only the rest get a direct distance; cosine absorbs a row by
-one direct scan. Minima are exact, so the cover equals one rebuilt from
-scratch bit for bit.
+explored since the one before. The lower ends prove most candidates no
+closer to an absorbed row than their current cover distance, and only the
+rest take a direct distance. Minima are exact, so the cover equals one
+rebuilt from scratch bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool
 # norm of a row or query.
 _F32_MAX_SQ_NORM = 2.0**124
 
-# Rows per block of direct distances; cover rows absorbed per f32 matrix
-# product.
+# Rows per block of direct distances; cover rows absorbed per lower-ends
+# call.
 _BLOCK_ROWS = 1024
 _ABSORB_ROWS = 32
 
@@ -140,13 +141,9 @@ class CandidateMemory:
         only when fewer unexplored candidates remain. The query is used as
         given: callers pass a pool row or a checked vector.
         """
-        query = np.asarray(query, dtype=np.float64)
-        dists = embedding_distances(
-            self._pool.embeddings.matrix, query, self._pool.metric, self._norms
-        )
-        low = np.where(np.isfinite(dists), dists, -np.inf)
-        low[self._explored] = np.inf
-        return certified_least(low, k, dists.__getitem__)[0]
+        queries = np.asarray(query, dtype=np.float64)[None, :]
+        low, exact = self._lower_ends(queries, np.square(queries).sum(axis=1), self._explored)
+        return certified_least(low[0], k, lambda rows: exact(0, rows))[0]
 
     def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
         """Names of the k unexplored candidates nearest an outside query
@@ -172,13 +169,10 @@ class CandidateMemory:
         if len(center_idx) == 0:
             raise ValueError("centers list is empty")
         centers = np.asarray(center_idx, dtype=np.intp)
-        matrix = self._pool.embeddings.matrix
-        cosine = self._pool.metric == METRIC_COSINE
-        if not cosine:
-            rows32, norms = self._scan_rows()
-            low = self._l2_lower_ends(
-                rows32[centers], self._pool.embeddings.sq_norms[centers], norms[centers]
-            )
+        table = self._pool.embeddings
+        low, exact = self._lower_ends(
+            table.matrix[centers], table.sq_norms[centers], self._explored
+        )
         remaining = self.num_unexplored
         selected: list[np.ndarray] = []
         for j, quota in enumerate(center_quotas(batch_size, len(centers))):
@@ -186,14 +180,8 @@ class CandidateMemory:
                 continue
             if remaining == 0:
                 break
-            query = matrix[centers[j]]
-            if cosine:
-                got = self.nearest(query, quota)
-            else:
-                got = certified_least(
-                    low[j], quota, lambda rows: _direct_l2(matrix, rows, query)
-                )[0]
-                low[:, got] = np.inf
+            got = certified_least(low[j], quota, lambda rows: exact(j, rows))[0]
+            low[:, got] = np.inf
             self.explore(got)
             selected.append(got)
             remaining -= got.size
@@ -221,29 +209,61 @@ class CandidateMemory:
     def _absorb(self, rows: np.ndarray) -> None:
         """Lower the cover to each of these rows' direct distances."""
         table = self._pool.embeddings
-        matrix = table.matrix
         cover = self._cover
-        if self._pool.metric == METRIC_COSINE:
-            for row in rows:
-                dists = embedding_distances(matrix, matrix[row], METRIC_COSINE, self._norms)
-                np.minimum(cover, dists, out=cover)
-            return
-        rows32, norms = self._scan_rows()
+        skip = np.empty(0, dtype=np.intp)
         for start in range(0, rows.size, _ABSORB_ROWS):
             block = rows[start : start + _ABSORB_ROWS]
-            approx, bound = self._l2_approximate(
-                rows32[block], table.sq_norms[block], norms[block], table.sq_norms
-            )
-            with np.errstate(invalid="ignore"):
-                approx -= bound
-            for low, row in zip(approx, block):
+            low, exact = self._lower_ends(table.matrix[block], table.sq_norms[block], skip)
+            for j in range(block.size):
                 # A row is skipped only when its lower end provably stays at
-                # or above its cover; NaN (a non-finite bound) is never.
-                with np.errstate(invalid="ignore"):
-                    closer = np.flatnonzero(~(low >= cover))
+                # or above its cover; a NaN cover is never.
+                closer = np.flatnonzero(~(low[j] >= cover))
                 if closer.size:
-                    dists = _direct_l2(matrix, closer, matrix[row])
-                    cover[closer] = np.minimum(cover[closer], dists)
+                    cover[closer] = np.minimum(cover[closer], exact(j, closer))
+
+    def _lower_ends(
+        self, queries: np.ndarray, query_sq_norms: np.ndarray, skip: np.ndarray
+    ) -> tuple[np.ndarray, Callable[[int, np.ndarray], np.ndarray]]:
+        """Lower ends of every row's distance to each query vector, (q, n),
+        inf on the ``skip`` rows (a mask or indices), and ``exact(j, rows)``,
+        the direct formula's distances of some rows to query j.
+
+        ``query_sq_norms`` are the queries' f64 squared norms. Under cosine
+        each query takes one direct scan, whose distances are their own
+        lower ends. Under l2-squared a row's lower end is its expanded
+        distance minus its error bound, the cross terms of all queries from
+        one f32 matrix product. Either way a non-finite lower end (a
+        non-finite cosine distance, or an l2 row or query outside the range
+        gate, whose bound is inf) is made -inf, so that its row is ranked by
+        its direct distance.
+        """
+        matrix = self._pool.embeddings.matrix
+        if self._pool.metric == METRIC_COSINE:
+            dists = np.stack(
+                [embedding_distances(matrix, q, METRIC_COSINE, self._norms) for q in queries]
+            )
+            low = dists.copy()
+
+            def exact(j: int, rows: np.ndarray) -> np.ndarray:
+                return dists[j, rows]
+
+        else:
+            rows32, norms = self._scan_rows()
+            query_norms = _gated_norms(query_sq_norms)
+            # Outside the gate values may overflow; their bounds are inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cross = rows32 @ queries.astype(np.float32).T
+                low = np.multiply(cross.T, -2.0, dtype=np.float64)
+                low += self._pool.embeddings.sq_norms
+                low += query_sq_norms[:, None]
+                low -= _l2_error_bound(norms, query_norms, matrix.shape[1])
+
+            def exact(j: int, rows: np.ndarray) -> np.ndarray:
+                return _direct_l2(matrix, rows, queries[j])
+
+        low[~np.isfinite(low)] = -np.inf
+        low[:, skip] = np.inf
+        return low, exact
 
     def _scan_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The f32 copy of the pool and the rows' gated norms, built at the
@@ -254,51 +274,6 @@ class CandidateMemory:
                 self._rows32 = table.matrix.astype(np.float32)
             self._scan_norms = _gated_norms(table.sq_norms)
         return self._rows32, self._scan_norms
-
-    def _l2_lower_ends(
-        self, queries32: np.ndarray, query_sq_norms: np.ndarray, query_norms: np.ndarray
-    ) -> np.ndarray:
-        """Lower ends of every row's l2-squared distance to each query,
-        (q, n), inf or NaN on the explored rows (arguments as for
-        :meth:`_l2_approximate`). Inside the range gate the ends are finite;
-        a query outside it, or with an unexplored row outside it, gets -inf
-        on every unexplored row instead, so that all are ranked."""
-        explored = self._explored
-        _, norms = self._scan_rows()
-        low, bound = self._l2_approximate(
-            queries32,
-            query_sq_norms,
-            query_norms,
-            np.where(explored, np.inf, self._pool.embeddings.sq_norms),
-        )
-        with np.errstate(invalid="ignore"):
-            low -= bound
-        certified = np.isfinite(query_norms) & (np.isfinite(norms) | explored).all()
-        if not certified.all():
-            low[~certified] = np.where(explored, np.inf, -np.inf)
-        return low
-
-    def _l2_approximate(
-        self,
-        queries32: np.ndarray,
-        query_sq_norms: np.ndarray,
-        query_norms: np.ndarray,
-        row_sq_norms: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Expanded l2-squared distances from every row to each query and
-        their error bounds, both (q, n). ``queries32`` are the queries in
-        f32, ``query_sq_norms`` their f64 squared norms, ``query_norms`` their
-        gated norms (inf outside the range gate), and ``row_sq_norms`` the
-        rows' f64 squared norms (inf makes a row's distance inf)."""
-        table = self._pool.embeddings
-        rows32, norms = self._scan_rows()
-        # Outside the gate values may overflow; their bounds are inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cross = rows32 @ queries32.T
-            approx = np.multiply(cross.T, -2.0, dtype=np.float64)
-            approx += row_sq_norms
-            approx += query_sq_norms[:, None]
-        return approx, _l2_error_bound(norms, query_norms, table.dim)
 
 
 def _gated_norms(sq_norms: np.ndarray) -> np.ndarray:
@@ -361,8 +336,8 @@ def _l2_error_bound(row_norms: np.ndarray, query_norms: np.ndarray, dim: int) ->
     smallest subnormal each instead of a relative u; the 4 dim + 4 of them
     a distance can involve are covered by as many times the smallest normal
     number, added to the floor. A norm of inf (outside the gate) makes the
-    bound inf, or NaN against a zero norm; both send a query to direct
-    ranking.
+    bound inf, or NaN against a zero norm; either makes the lower end
+    non-finite, which ranks the row by its direct distance.
     """
     # The terms in (|x| + |q|)^2 and |x| + |q| are expanded, so that only
     # the |x| |q| term takes a (q, n) product.

@@ -398,13 +398,12 @@ class _NotPlain(Exception):
 
 
 def _plain_value_parts(
-    lines: Iterable[str], wanted: set[str], names: list[str], commas: int | None = None
+    lines: Iterable[str], wanted: set[str], names: list[str], commas: int
 ) -> Iterator[str]:
     """The value parts of the wanted rows in file order, their names appended
     to ``names``. Raises _NotPlain at the first line that the csv module could
     split differently, that holds anything but plain decimal literals, or
-    whose value part has other than ``commas`` commas (by default the first
-    line's count)."""
+    whose value part has other than ``commas`` commas."""
     # The csv module fails on a field longer than this, and before Python
     # 3.11 on any NUL.
     limit = csv.field_size_limit()
@@ -428,13 +427,9 @@ def _plain_value_parts(
         wanted_row = name in wanted
         # Every row must have the first row's width. loadtxt rejects a wanted
         # row whose width differs from the first wanted row's, so only the
-        # first row, the first wanted row and unwanted rows are counted here.
-        if commas is None or not wanted_row or not names:
-            count = rest.count(",")
-            if commas is None:
-                commas = count
-            elif count != commas:
-                raise _NotPlain
+        # first wanted row and unwanted rows are counted here.
+        if (not wanted_row or not names) and rest.count(",") != commas:
+            raise _NotPlain
         if len(rest) > limit and max(map(len, rest.split(","))) > limit:
             raise _NotPlain
         if not wanted_row:
@@ -554,15 +549,15 @@ def _read_plain(path: Path, wanted: set[str]) -> tuple[list[str], np.ndarray]:
     return names, matrix
 
 
-def _range_starts(path: Path) -> tuple[list[int], int | None]:
+def _range_starts(path: Path) -> tuple[list[int], int]:
     """The byte offsets at which the plain parse's ranges start, the first
-    0, and, where the file may be split, the comma count of the value part
-    of its first line, which every range must match (None otherwise)."""
+    0, and the comma count of the value part of the file's first line,
+    which every row must match."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         k = min(_available_cpus(), size // _SPLIT_MIN_BYTES)
         if k < 2 or not _may_fork():
-            return [0], None
+            k = 1
         starts = [0]
         for i in range(1, k):
             # The byte before the cut ends a line, or readline skips the
@@ -573,12 +568,12 @@ def _range_starts(path: Path) -> tuple[list[int], int | None]:
                 starts.append(fh.tell())
         fh.seek(0)
         first = next((line for line in fh if line != b"\n"), b"")
-    # A first line without a comma leaves -1, which no range matches.
+    # A first line without a comma leaves -1, which no row matches.
     return starts, first.count(b",") - 1
 
 
 def _parse_range(
-    path: Path, wanted: set[str], start: int, end: int | None, commas: int | None
+    path: Path, wanted: set[str], start: int, end: int | None, commas: int
 ) -> tuple[list[str], np.ndarray | None]:
     """Names and finite matrix of the wanted rows between the byte offsets
     ``start`` and ``end`` (a line start, or None for the end of the file),
@@ -603,7 +598,7 @@ def _parse_range(
             dtype=np.float64,
             ndmin=2,
         )
-    if matrix.shape != (len(names), first.count(",") + 1) or not np.isfinite(matrix).all():
+    if matrix.shape != (len(names), commas + 1) or not np.isfinite(matrix).all():
         raise _NotPlain
     return names, matrix
 

@@ -112,16 +112,25 @@ def naive_allocate(pool, explored: set[str], centers, batch_size: int) -> list[s
     return out
 
 
-def direct_nearest(matrix, explored, query, k: int) -> np.ndarray:
-    """Bit-faithful oracle: the k unexplored rows of least direct l2-squared
-    distance ``np.square(M - q).sum(1)``, by a stable sort, so exact ties go
-    to the lower index. ``explored`` is a boolean mask over the rows."""
+def direct_nearest(matrix, explored, query, k: int, metric: str = "l2-squared") -> np.ndarray:
+    """Bit-faithful oracle: the k unexplored rows of least direct distance,
+    ``np.square(M - q).sum(1)`` under l2-squared and
+    ``embedding_distances(M, q, "cosine")`` over the whole matrix under
+    cosine, by a stable sort, so exact ties go to the lower index and NaN
+    comes last. ``explored`` is a boolean mask over the rows."""
+    from expdesign.memory import embedding_distances
+
     rows = np.flatnonzero(~np.asarray(explored))
-    dists = np.square(matrix[rows] - query).sum(axis=1)
+    if metric == "cosine":
+        dists = embedding_distances(matrix, query, metric)[rows]
+    else:
+        dists = np.square(matrix[rows] - query).sum(axis=1)
     return rows[np.argsort(dists, kind="stable")[:k]]
 
 
-def direct_allocate(matrix, explored, centers, batch_size: int) -> np.ndarray:
+def direct_allocate(
+    matrix, explored, centers, batch_size: int, metric: str = "l2-squared"
+) -> np.ndarray:
     """Center-by-center allocation over :func:`direct_nearest`; centers are
     row indices and ``explored`` is not modified."""
     base, extra = divmod(batch_size, len(centers))
@@ -131,7 +140,7 @@ def direct_allocate(matrix, explored, centers, batch_size: int) -> np.ndarray:
     for center, quota in zip(centers, quotas):
         if quota == 0:
             continue
-        got = direct_nearest(matrix, taken, matrix[center], quota)
+        got = direct_nearest(matrix, taken, matrix[center], quota, metric)
         taken[got] = True
         out.extend(got)
     return np.array(out, dtype=np.intp)

@@ -508,6 +508,27 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(tmp_path / "missing.json"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "config file is not valid JSON"),
+            ("[]", "config file must hold a JSON object"),
+            ('{"seed": -1}', "seed must be nonnegative"),
+            ('{"hit_mode": "top-3"}', "unknown hit mode 'top-3'"),
+            ('{"domain": "plants"}', "unknown domain 'plants'"),
+            ('{"dataset_key": "nope"}', "unknown dataset key 'nope'"),
+            ('{"agent": "random"}', "config needs dataset and embeddings paths"),
+        ],
+        ids=["invalid-json", "json-list", "negative-seed", "hit-mode", "domain", "dataset-key",
+             "no-dataset-paths"],
+    )
+    def test_unusable_config_file_exit_1(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_mistyped_config_value_exit_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"rounds": "3"}), encoding="utf-8")
@@ -679,6 +700,19 @@ class TestCli:
         )
         assert proc.returncode == 2
 
+    def test_some_runs_aborted_exit_2_and_report_written(self, tmp_path, capsys, monkeypatch):
+        meas, emb = write_cli_dataset(tmp_path)
+        results = [RunResult(seed=0, cumulative_hits=[1, 2]),
+                   RunResult(seed=1, cumulative_hits=[1], complete=False, error="aborted")]
+        monkeypatch.setattr(cli, "run_many", lambda config, pool: results)
+        out = tmp_path / "out"
+        argv = ["run", "--agent", "random", "--rounds", "2", "--batch", "4", "--runs", "2",
+                "--dataset", str(meas), "--embeddings", str(emb), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "1 run(s) aborted and were excluded\n"
+        assert [r.complete for r in read_runs_csv(out / "runs.csv")] == [True, False]
+        assert json.loads((out / "summary.json").read_text())["summary"]["num_runs"] == 1
+
     def test_scripted_llmnn_run_via_cli(self, tmp_path):
         meas, emb = write_cli_dataset(tmp_path)
         fixtures = tmp_path / "fixtures"
@@ -723,6 +757,7 @@ class TestCli:
             ({"llm": {"temperature": -0.1}}, "llm.temperature"),
             ({"bda_retries": -1}, "bda_retries"),
             ({"expected_dim": 0}, "expected_dim"),
+            ({"llm": 5}, "llm"),
         ],
     )
     def test_out_of_range_config_value_exit_1(self, tmp_path, capsys, data, key):
@@ -760,3 +795,19 @@ class TestCli:
         assert main(["report", "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("run failure:") and err.count("\n") == 1
+
+    def test_report_without_runs_csv_exit_1(self, tmp_path, capsys):
+        assert main(["report", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: no runs.csv in {tmp_path}\n"
+
+    def test_report_of_mixed_run_shapes_exit_1(self, tmp_path, capsys):
+        (tmp_path / "runs.csv").write_text(
+            "agent,dataset,run,seed,complete,final_hits,hits_r1,hits_r2\n"
+            "random,d,0,0,1,3,1,3\nrandom,d,1,1,1,1,1,\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mixed run shapes" in err
+        assert err.count("\n") == 1

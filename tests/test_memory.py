@@ -278,6 +278,23 @@ def f32_worst_embeddings(rng: np.random.Generator, n: int) -> np.ndarray:
 HARD_KINDS = ("duplicate-rows", "lattice", "offset", "offset-near-ties", "near-overflow",
               "overflow", "subnormal", "mixed-scales", "gate-edge", "f32-underflow",
               "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf", "f32-worst")
+METRICS = ("l2-squared", "cosine")
+
+
+def nonzero_rows(emb: np.ndarray) -> np.ndarray:
+    """The rows, with a 1 in the first component of each row whose squared
+    norm is 0 (a cosine pool rejects such rows)."""
+    emb[np.square(emb).sum(axis=1) == 0.0, 0] = 1.0
+    return emb
+
+
+def hard_pool(emb: np.ndarray, metric: str):
+    """A pool of these rows under the metric, scores by index."""
+    if metric == "cosine":
+        emb = nonzero_rows(emb)
+    n = len(emb)
+    return build_pool([f"c{i}" for i in range(n)], np.arange(n, dtype=float), emb,
+                      metric=metric, percentile=50.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -285,8 +302,7 @@ HARD_KINDS = ("duplicate-rows", "lattice", "offset", "offset-near-ties", "near-o
 def test_cosine_norms_from_squared_norms(kind):
     """The cosine norms, sqrt of the table's squared norms, are the bits of
     np.linalg.norm on the rows, overflow and underflow included."""
-    emb = hard_embeddings(kind, np.random.default_rng(5))
-    emb[np.all(emb == 0.0, axis=1), 0] = 1.0
+    emb = nonzero_rows(hard_embeddings(kind, np.random.default_rng(5)))
     pool = build_pool([f"c{i}" for i in range(len(emb))], np.zeros(len(emb)), emb,
                       metric="cosine")
     norms = CandidateMemory(pool)._norms
@@ -295,26 +311,29 @@ def test_cosine_norms_from_squared_norms(kind):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestExactScan:
-    """The certified l2 scan returns exactly the direct formula's indices."""
+    """Allocation and nearest return exactly the direct formula's indices."""
 
-    def memory(self, emb, explored=()):
-        n = len(emb)
-        pool = build_pool([f"c{i}" for i in range(n)], np.arange(n, dtype=float), emb,
-                          percentile=50.0)
-        memory = CandidateMemory(pool)
+    def memory(self, emb, explored=(), metric="l2-squared"):
+        memory = CandidateMemory(hard_pool(emb, metric))
         memory.explore(np.asarray(explored, dtype=np.intp))
         return memory
 
-    @pytest.mark.parametrize("kind", HARD_KINDS)
+    # The l2 cases keep the bare kind as their id.
+    @pytest.mark.parametrize(
+        "kind, metric",
+        [pytest.param(k, m, id=k if m == "l2-squared" else f"{k}-{m}")
+         for m in METRICS for k in HARD_KINDS],
+    )
     @pytest.mark.parametrize("seed", range(3))
-    def test_allocate_and_nearest_match_direct_formula(self, kind, seed):
+    def test_allocate_and_nearest_match_direct_formula(self, kind, metric, seed):
         rng = np.random.default_rng(seed)
         emb = hard_embeddings(kind, rng)
         n = len(emb)
         explored = np.zeros(n, dtype=bool)
         explored[rng.choice(n, n // 5, replace=False)] = True
-        memory = self.memory(emb, np.flatnonzero(explored))
+        memory = self.memory(emb, np.flatnonzero(explored), metric)
         matrix = memory.pool.embeddings.matrix
         for round_num in range(8):
             centers = list(rng.integers(0, n, int(rng.integers(1, 6))))
@@ -325,7 +344,7 @@ class TestExactScan:
             if round_num % 3 == 2:
                 centers.append(int(np.flatnonzero(explored)[0]))  # an explored center
             batch_size = int(rng.integers(1, 40))
-            expected = direct_allocate(matrix, explored, centers, batch_size)
+            expected = direct_allocate(matrix, explored, centers, batch_size, metric)
             got = memory.allocate_batch(centers, batch_size)
             assert got.dtype == np.intp
             np.testing.assert_array_equal(got, expected)
@@ -333,7 +352,7 @@ class TestExactScan:
             for query in (matrix[int(rng.integers(n))], matrix[centers[0]] * (1 + 1e-9)):
                 k = int(rng.integers(1, 30))
                 np.testing.assert_array_equal(
-                    memory.nearest(query, k), direct_nearest(matrix, explored, query, k)
+                    memory.nearest(query, k), direct_nearest(matrix, explored, query, k, metric)
                 )
 
     @pytest.mark.parametrize("kind", ("duplicate-rows", "offset", "overflow"))
@@ -376,17 +395,17 @@ COVER_KINDS = ("lattice", "duplicate-rows", "offset", "overflow", "mixed-scales"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestCover:
     """The incremental cover and coreset equal a rebuild from scratch."""
 
     def pool(self, kind, metric, rng, n=120):
-        if metric == "cosine":
+        if kind == "gaussian":
             emb = rng.standard_normal((n, 5))
             emb[n // 2 :] = emb[: n - n // 2]  # duplicate rows tie exactly
         else:
             emb = hard_embeddings(kind, rng, n=n, dim=5)
-        return build_pool([f"c{i}" for i in range(n)], np.arange(n, dtype=float), emb,
-                          metric=metric, percentile=50.0)
+        return hard_pool(emb, metric)
 
     def assert_cover_rebuilt(self, memory):
         matrix = memory.pool.embeddings.matrix
@@ -398,7 +417,7 @@ class TestCover:
         assert memory.distance_to_explored().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
-        "kind, metric", [(k, "l2-squared") for k in COVER_KINDS] + [("gaussian", "cosine")]
+        "kind, metric", [(k, m) for m in METRICS for k in COVER_KINDS] + [("gaussian", "cosine")]
     )
     def test_coreset_interleaved_with_other_agents_matches_oracle(self, kind, metric):
         rng = np.random.default_rng(17)

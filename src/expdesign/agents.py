@@ -179,8 +179,10 @@ class GpAgent(Agent):
     With observations and more than one scoring block of unexplored
     candidates, every candidate gets a certified upper bound on its score,
     and :func:`certified_least` (on negated scores) scores exactly only
-    those that can reach the batch, at least one block so that every call
-    has the full pass's shape and bits; the batch is the full pass's.
+    those that can reach the batch, at least one block. Every call of
+    either pass then scores half a block, whatever the CPU count, so a
+    bound and a score come from calls of one shape and the exact scores
+    have the full pass's bits; the batch is the full pass's.
     """
 
     kind = AGENT_GP
@@ -189,7 +191,13 @@ class GpAgent(Agent):
         super().__init__(config, pool, backend, trace)
         length_scale = config.gp_length_scale
         if length_scale is None:
-            length_scale = median_heuristic(pool.embeddings.matrix, config.gp_subsample)
+            # The table is immutable, so one heuristic serves every run on it.
+            memo = pool.embeddings._length_scales
+            if config.gp_subsample not in memo:
+                memo[config.gp_subsample] = median_heuristic(
+                    pool.embeddings.matrix, config.gp_subsample
+                )
+            length_scale = memo[config.gp_subsample]
         self.model = GaussianProcess(
             length_scale=length_scale,
             signal_var=config.gp_signal_var,

@@ -61,7 +61,8 @@ class EmbeddingTable:
 
     The matrix is copied, checked and frozen at construction, together with
     its squared row norms (the l2 scans' expansion and the GP kernel read
-    them every round).
+    them every round). ``_length_scales`` memoizes the GP agent's median
+    heuristic over the matrix, keyed by subsample size.
     """
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]]):
@@ -96,6 +97,7 @@ class EmbeddingTable:
                 rows = self._matrix[start : start + _NORM_BLOCK_ROWS]
                 self._sq_norms[start : start + len(rows)] = np.square(rows).sum(axis=1)
         self._sq_norms.setflags(write=False)
+        self._length_scales: dict[int, float] = {}
 
     @property
     def dim(self) -> int:

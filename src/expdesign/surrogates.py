@@ -4,13 +4,15 @@ Both models score candidates from their embeddings alone; batch selection is
 a plain top-B over the acquisition scores with index tie-breaking.
 
 A pass over many candidates runs in same-shape blocks of _BLOCK_ROWS rows
-(:func:`score_blocks`), on as many threads as the process has CPUs and
-blocks. With one BLAS thread per product, a row's bits depend only on its
-block's shape, not on the thread that scored it or on the block's other
-rows, so passes over the whole pool slice the embedding matrix instead of
-gathering the unexplored rows, and drop the explored rows' scores after.
-The temporaries alive are those of one block per thread: at 512 training
-rows, a GP block's kernel and its product with L^-1 are 8 MB each.
+(:func:`score_blocks`), each scored as two half-block calls where its row
+count allows, on as many threads as the process has CPUs and calls. Which
+calls are made depends on the row count alone. With one BLAS thread per
+product, a row's bits depend only on its call's shape, not on the thread
+that scored it or on the call's other rows, so passes over the whole pool
+slice the embedding matrix instead of gathering the unexplored rows, and
+drop the explored rows' scores after. The temporaries alive are those of
+one call per thread: at 512 training rows, a GP half block's kernel and its
+product with L^-1 are 4 MB each.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
@@ -440,8 +442,15 @@ _BOUND_PREFIX = 32
 
 # Rows per scoring block. The temporaries of one block (a 2048 x 256 gather
 # is 4 MB, a 512 x 2048 kernel 8 MB) stay near cache size however large the
-# pool; 2048 beat 1024 and 4096 on gene-screen scale (18k x 256, one thread).
+# pool. With blocks cut into half-block calls on 2 CPUs (one BLAS thread,
+# perfbench seed 0, two runs each), gene-screen (18k x 256) `experiment_s`
+# read 0.79-0.80 s at 1024, 0.66-0.68 s at 2048 and 0.68-0.72 s at 4096, whose
+# `peak_rss_mb` was 224 MB against 202 MB.
 _BLOCK_ROWS = 2048
+
+# Fewest rows of either half of a block scored as two calls. Products of a
+# few hundred rows may take other BLAS kernels than the whole block's.
+_HALF_MIN_ROWS = 256
 
 
 def score_blocks(
@@ -454,28 +463,37 @@ def score_blocks(
     that ``score`` can read a view of the rows rather than gather them.
 
     The last block is the final _BLOCK_ROWS indices, overlapping its
-    predecessor, so with more indices than one block every call has the same
-    shape. BLAS rounds a product's rows alike only within one kernel: a
-    small product, or the last few rows of one whose length is not a
-    multiple of the kernel's tile, can take another summation order. With
-    equal shapes, every row of ``LinUcb.score_many`` and
-    ``GaussianProcess.acquisition`` comes out of the same kernel, so a
-    candidate's score does not depend on how many others are scored, nor on
-    whether its block was gathered or sliced. It equals the score from a
-    single call over all of ``idx`` when that call's products, too, use one
-    kernel for every row (with OpenBLAS, for instance, when ``idx.size`` is
-    a multiple of 8 and the products are not small).
+    predecessor, so with more indices than one block every block has the
+    same shape. A block whose row count is a multiple of 8 is scored as two
+    calls, cut at the multiple of 64 at or below its middle, when each half
+    keeps at least _HALF_MIN_ROWS rows: a full block as two calls of
+    _BLOCK_ROWS / 2 rows. Any other block is one call. Each call writes only
+    the rows from its block's first unwritten row on, and a half with no
+    such row is not called. The calls are a function of the row count alone.
 
-    The blocks run on min(CPUs available to the process, blocks) threads,
-    the calling thread one of them. A block's rows and shape are fixed
-    before any thread takes it, each thread scores whole blocks and writes
-    only their part of the result, and with one BLAS thread per product (as
-    CI and the benchmark run) the kernel does not depend on the calling
-    thread either, so neither do a row's bits. Each thread has one block in
-    flight, so the temporaries of at most that many blocks are alive at
-    once. With one CPU or one block the blocks run in turn on the calling
-    thread and no thread starts. Threads live for one call; an exception
-    raised by ``score`` is re-raised here once every thread has stopped.
+    BLAS rounds a product's rows alike only within one kernel: a small
+    product, or the last few rows of one whose length is not a multiple of
+    the kernel's tile, can take another summation order. With more indices
+    than one block every call is a half block, so every row of
+    ``LinUcb.score_many`` and ``GaussianProcess.acquisition`` comes out of
+    the same kernel: a candidate's score does not depend on how many others
+    are scored, nor on whether its block was gathered or sliced. It equals
+    the score from a single call over all of ``idx`` when that call's
+    products, too, use one kernel for every row. With OpenBLAS a row's bits
+    are the same in any call of a multiple of 8 rows that is not small,
+    which is why only such blocks are cut: a block of at most _BLOCK_ROWS
+    rows gives the bits of one call over it.
+
+    The calls run on min(CPUs available to the process, calls) threads, the
+    calling thread one of them. The calls are fixed before any thread takes
+    one, each thread writes only its calls' part of the result, and with
+    one BLAS thread per product (as CI and the benchmark run) the kernel
+    does not depend on the calling thread either, so neither do a row's
+    bits. Each thread has one call in flight, so the temporaries of at most
+    that many calls are alive at once. With one CPU or one call the calls
+    run in turn on the calling thread and no thread starts. Threads live for
+    one ``score_blocks`` call; an exception raised by ``score`` is re-raised
+    here once every thread has stopped.
     """
     gather = not isinstance(idx, (int, np.integer))
     if gather:
@@ -483,14 +501,27 @@ def score_blocks(
     size = idx.size if gather else int(idx)
     out = np.empty(size)
 
-    def run(start: int) -> None:
-        lo = max(0, min(start, size - _BLOCK_ROWS))
-        end = min(start + _BLOCK_ROWS, size)
-        out[start:end] = score(idx[lo:end] if gather else slice(lo, end))[start - lo :]
+    def run(call: tuple[int, int, int]) -> None:
+        lo, end, keep = call
+        out[keep:end] = score(idx[lo:end] if gather else slice(lo, end))[keep - lo :]
 
-    starts = range(0, size, _BLOCK_ROWS)
-    _on_threads(run, starts, min(_available_cpus(), len(starts)))
+    calls = [call for start in range(0, size, _BLOCK_ROWS) for call in _block_calls(start, size)]
+    _on_threads(run, calls, min(_available_cpus(), len(calls)))
     return out
+
+
+def _block_calls(start: int, size: int) -> list[tuple[int, int, int]]:
+    """The ``score`` calls ``(lo, end, keep)`` for the block of
+    :func:`score_blocks` that writes rows ``start`` on of ``size``: rows
+    lo..end-1 are scored and rows keep..end-1 written. A block of a multiple
+    of 8 rows is cut at the multiple of 64 at or below its middle when both
+    halves keep at least _HALF_MIN_ROWS rows; a half that would write no
+    row is not called."""
+    lo = max(0, min(start, size - _BLOCK_ROWS))
+    end = min(start + _BLOCK_ROWS, size)
+    cut = (end - lo) // 128 * 64
+    cuts = [lo, lo + cut, end] if (end - lo) % 8 == 0 and cut >= _HALF_MIN_ROWS else [lo, end]
+    return [(a, b, max(a, start)) for a, b in zip(cuts, cuts[1:]) if b > start]
 
 
 def _on_threads(task: Callable[[int], None], items: Sequence[int], workers: int) -> None:

@@ -215,6 +215,33 @@ class TestClassicalAgents:
         top = set(np.array(pool.names)[np.argsort(-pool.scores)[:50]])
         assert len(top & set(batch2)) >= 5
 
+    def test_gp_length_scale_is_computed_once_per_subsample(self, monkeypatch):
+        # The median heuristic depends only on the immutable table and the
+        # subsample size: two runs on one pool compute it once, with the
+        # bits of a fresh computation, and another size gets its own.
+        from expdesign import agents
+        from expdesign.harness import run_many
+        from expdesign.surrogates import median_heuristic
+
+        sizes = []
+
+        def counted(X, max_points):
+            sizes.append(max_points)
+            return median_heuristic(X, max_points)
+
+        monkeypatch.setattr(agents, "median_heuristic", counted)
+        pool = gene_pool()
+        matrix = pool.embeddings.matrix
+        run_many(ExperimentConfig(agent="gp", rounds=2, batch_size=5, runs=2), pool=pool)
+        assert sizes == [512]
+        memoized = build("gp", pool, batch_size=5).model.length_scale
+        assert sizes == [512]
+        assert np.float64(memoized).tobytes() == np.float64(median_heuristic(matrix, 512)).tobytes()
+        other = build("gp", pool, batch_size=5, gp_subsample=7).model.length_scale
+        build("gp", pool, batch_size=5, gp_subsample=7)
+        assert sizes == [512, 7]
+        assert other == median_heuristic(matrix, 7) != memoized
+
     def test_random_centroids_uses_allocation(self):
         pool = gene_pool()
         memory = CandidateMemory(pool)

@@ -510,13 +510,74 @@ class TestScoreBlocks:
         monkeypatch.setattr(surrogates.threading, "Thread", Counted)
         return started
 
+    # The score calls (row ranges, in row order) each row count makes on any
+    # number of CPUs: a block of a multiple of 8 rows is cut into halves at
+    # the multiple of 64 at or below its middle when both keep 256 rows or
+    # more, and the overlapping last block's first half is not called when
+    # all its rows belong to the block before.
+    CALLS = {
+        0: [],
+        300: [(0, 300)],
+        504: [(0, 504)],
+        512: [(0, 256), (256, 512)],
+        1001: [(0, 1001)],
+        2000: [(0, 960), (960, 2000)],
+        BLOCK - 1: [(0, BLOCK - 1)],
+        BLOCK: [(0, BLOCK // 2), (BLOCK // 2, BLOCK)],
+        BLOCK + 1: [(0, BLOCK // 2), (BLOCK // 2, BLOCK), (BLOCK // 2 + 1, BLOCK + 1)],
+        2 * BLOCK: list(zip(range(0, 2 * BLOCK, BLOCK // 2), range(BLOCK // 2, 2 * BLOCK + 1, BLOCK // 2))),
+        3 * BLOCK + 5: list(zip(range(0, 3 * BLOCK, BLOCK // 2), range(BLOCK // 2, 3 * BLOCK + 1, BLOCK // 2)))
+        + [(3 * BLOCK + 5 - BLOCK // 2, 3 * BLOCK + 5)],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_calls_depend_on_the_row_count_alone(self, monkeypatch, workers):
+        # Every row is written by the first call that scores it: the score
+        # returns each call's first row, so a row written by another call,
+        # twice or not at all shows in the result.
+        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+        for size, expected in self.CALLS.items():
+            calls = []
+
+            def score(rows):
+                calls.append((rows.start, rows.stop))
+                return np.full(rows.stop - rows.start, float(rows.start))
+
+            owner = np.empty(size)
+            for lo, end in reversed(expected):
+                owner[lo:end] = lo
+            assert same_bits(score_blocks(size, score), owner), size
+            assert sorted(calls) == expected, size
+
+    def test_halves_give_the_one_call_bits(self, monkeypatch):
+        # A block cut into two calls gives every row the bits of one call
+        # over all of ``idx`` (and over the first rows, sliced), for row
+        # counts cut in two and not, with 512 training rows, on 1 to 3 CPUs.
+        rng = np.random.default_rng(14)
+        for dim in (24, 256, 768):
+            table = EmbeddingTable(rng.standard_normal((self.BLOCK + 100, dim)))
+            models = self.models(rng, table, 512)
+            for size in (512, 1000, 1488, 2000, self.BLOCK, 1001, 1999):
+                idx = np.sort(rng.choice(len(table), size, replace=False))
+                for blocked, one_shot in models:
+                    gathered = one_shot(table.matrix[idx])
+                    sliced = one_shot(table.matrix[:size])
+                    for workers in (1, 2, 3):
+                        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+                        assert same_bits(score_blocks(idx, blocked), gathered), (dim, size)
+                        assert same_bits(score_blocks(size, blocked), sliced), (dim, size)
+
     @pytest.mark.parametrize("workers, size, threads", [
-        (1, 3 * BLOCK + 5, 0), (3, BLOCK, 0), (3, 300, 0), (2, 3 * BLOCK + 5, 1),
-        (3, 2 * BLOCK, 1), (3, 3 * BLOCK + 5, 2),
+        (1, 3 * BLOCK + 5, 0), (3, BLOCK, 1), (3, 300, 0), (2, 3 * BLOCK + 5, 1),
+        (3, 2 * BLOCK, 2), (3, 3 * BLOCK + 5, 2), (3, 504, 0), (3, BLOCK - 1, 0),
+        (2, 512, 1),
     ])
     def test_threads_start_only_for_several_blocks_and_cpus(
         self, monkeypatch, workers, size, threads
     ):
+        # Threads start for several calls and CPUs: a block cut in two is
+        # two calls, a block that is not (too few rows, or not a multiple
+        # of 8) one.
         monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
         started = self.count_thread_starts(monkeypatch)
         callers = []
@@ -527,7 +588,7 @@ class TestScoreBlocks:
 
         before = threading.active_count()
         assert score_blocks(size, score).shape == (size,)
-        assert len(callers) == len(range(0, size, self.BLOCK))
+        assert len(callers) == len(self.CALLS[size])
         assert len(started) == threads
         assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() == before
@@ -680,6 +741,39 @@ class TestGpShortlist:
         pool = random_pool(rng, self.BLOCK + extra + 64, 5)
         model, avail, _, _ = self.select(pool, np.arange(64))
         assert avail.size == self.BLOCK + extra
+
+    def test_bound_and_exact_calls_have_one_shape_on_any_cpu_count(self, monkeypatch):
+        # The bound's proof holds for a bound and a score computed in calls
+        # of one shape: over more than one block, every call of the bound
+        # pass and of the exact pass scores half a block, whatever the CPU
+        # count, and so the calls and the batch do not depend on it.
+        rng = np.random.default_rng(15)
+        pool = random_pool(rng, 2 * self.BLOCK + 500, 6)
+        observed = rng.choice(len(pool), 90, replace=False)
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
+        ))
+        log = {"ucb_bound": [], "acquisition": []}
+        for name, calls in log.items():
+            def recorded(self, X, sq_norms=None, rows=None, method=getattr(GaussianProcess, name),
+                         calls=calls):
+                calls.append(len(range(len(X))[rows]) if isinstance(rows, slice) else len(rows))
+                return method(self, X, sq_norms, rows)
+
+            monkeypatch.setattr(GaussianProcess, name, recorded)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+            for calls in log.values():
+                calls.clear()
+            memory = CandidateMemory(pool)
+            memory.explore(observed)
+            agent = make_agent(ExperimentConfig(agent="gp", batch_size=32), pool, None, None)
+            batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+            assert log["ucb_bound"] and log["acquisition"]
+            assert set(log["ucb_bound"]) | set(log["acquisition"]) == {self.BLOCK // 2}
+            runs.append((batch.tolist(), {name: list(calls) for name, calls in log.items()}))
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("observed", [64, 0])
     def test_full_pass_computes_no_bound(self, monkeypatch, observed):

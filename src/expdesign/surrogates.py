@@ -64,7 +64,7 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -511,12 +511,9 @@ def score_blocks(
 
 
 def _block_calls(start: int, size: int) -> list[tuple[int, int, int]]:
-    """The ``score`` calls ``(lo, end, keep)`` for the block of
-    :func:`score_blocks` that writes rows ``start`` on of ``size``: rows
-    lo..end-1 are scored and rows keep..end-1 written. A block of a multiple
-    of 8 rows is cut at the multiple of 64 at or below its middle when both
-    halves keep at least _HALF_MIN_ROWS rows; a half that would write no
-    row is not called."""
+    """The ``score`` calls ``(lo, end, keep)`` of the :func:`score_blocks`
+    block that writes rows ``start`` on of ``size``: each scores rows
+    lo..end-1 and writes rows keep..end-1."""
     lo = max(0, min(start, size - _BLOCK_ROWS))
     end = min(start + _BLOCK_ROWS, size)
     cut = (end - lo) // 128 * 64
@@ -524,7 +521,10 @@ def _block_calls(start: int, size: int) -> list[tuple[int, int, int]]:
     return [(a, b, max(a, start)) for a, b in zip(cuts, cuts[1:]) if b > start]
 
 
-def _on_threads(task: Callable[[int], None], items: Sequence[int], workers: int) -> None:
+_Item = TypeVar("_Item")
+
+
+def _on_threads(task: Callable[[_Item], None], items: Sequence[_Item], workers: int) -> None:
     """``task(item)`` for every item, on ``workers`` threads counting the
     calling one (with at most one, only the calling thread runs), each
     taking the next item when done with its last. After an exception no

@@ -236,7 +236,8 @@ class TestClassicalAgents:
         assert sizes == [512]
         memoized = build("gp", pool, batch_size=5).model.length_scale
         assert sizes == [512]
-        assert np.float64(memoized).tobytes() == np.float64(median_heuristic(matrix, 512)).tobytes()
+        fresh = median_heuristic(matrix, 512)
+        assert np.float64(memoized).tobytes() == np.float64(fresh).tobytes()
         other = build("gp", pool, batch_size=5, gp_subsample=7).model.length_scale
         build("gp", pool, batch_size=5, gp_subsample=7)
         assert sizes == [512, 7]

@@ -525,9 +525,11 @@ class TestScoreBlocks:
         BLOCK - 1: [(0, BLOCK - 1)],
         BLOCK: [(0, BLOCK // 2), (BLOCK // 2, BLOCK)],
         BLOCK + 1: [(0, BLOCK // 2), (BLOCK // 2, BLOCK), (BLOCK // 2 + 1, BLOCK + 1)],
-        2 * BLOCK: list(zip(range(0, 2 * BLOCK, BLOCK // 2), range(BLOCK // 2, 2 * BLOCK + 1, BLOCK // 2))),
-        3 * BLOCK + 5: list(zip(range(0, 3 * BLOCK, BLOCK // 2), range(BLOCK // 2, 3 * BLOCK + 1, BLOCK // 2)))
-        + [(3 * BLOCK + 5 - BLOCK // 2, 3 * BLOCK + 5)],
+        2 * BLOCK: [(0, BLOCK // 2), (BLOCK // 2, BLOCK), (BLOCK, 3 * BLOCK // 2),
+                    (3 * BLOCK // 2, 2 * BLOCK)],
+        3 * BLOCK + 5: [(0, BLOCK // 2), (BLOCK // 2, BLOCK), (BLOCK, 3 * BLOCK // 2),
+                        (3 * BLOCK // 2, 2 * BLOCK), (2 * BLOCK, 5 * BLOCK // 2),
+                        (5 * BLOCK // 2, 3 * BLOCK), (5 * BLOCK // 2 + 5, 3 * BLOCK + 5)],
     }
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -755,8 +757,8 @@ class TestGpShortlist:
         ))
         log = {"ucb_bound": [], "acquisition": []}
         for name, calls in log.items():
-            def recorded(self, X, sq_norms=None, rows=None, method=getattr(GaussianProcess, name),
-                         calls=calls):
+            def recorded(self, X, sq_norms=None, rows=None,
+                         method=getattr(GaussianProcess, name), calls=calls):
                 calls.append(len(range(len(X))[rows]) if isinstance(rows, slice) else len(rows))
                 return method(self, X, sq_norms, rows)
 

@@ -234,9 +234,10 @@ def _score_unexplored(
 ) -> np.ndarray:
     """:func:`score_blocks` scores of the unexplored rows ``avail`` of a
     pool of ``size`` rows. Up to one block they are scored as they are: the
-    call's shape sets the bits. Past one block every block has the full
-    shape either way, so the blocks are slices of the whole pool, scored
-    without a gather, and the explored rows' scores are dropped after."""
+    block's row count sets the calls and the bits. Past one block every call
+    is a half block either way, so the calls are slices of the whole pool,
+    scored without a gather, and the explored rows' scores are dropped
+    after."""
     if avail.size <= _BLOCK_ROWS:
         return score_blocks(avail, score)
     return score_blocks(size, score)[avail]

@@ -458,9 +458,9 @@ def score_blocks(
 ) -> np.ndarray:
     """``score(rows)`` over consecutive blocks of _BLOCK_ROWS of the pool
     indices ``idx``, in one float array aligned with ``idx``. ``score``
-    scores the rows of one block, a part of ``idx``. An int ``idx`` = n
-    stands for the rows 0..n-1, and each block is then passed as a slice, so
-    that ``score`` can read a view of the rows rather than gather them.
+    scores the rows of one call, a part of ``idx``. An int ``idx`` = n
+    stands for the rows 0..n-1, and each call's rows are then passed as a
+    slice, so that ``score`` can read a view of them rather than gather them.
 
     The last block is the final _BLOCK_ROWS indices, overlapping its
     predecessor, so with more indices than one block every block has the

@@ -13,9 +13,16 @@ of the processes it forked (``RUSAGE_CHILDREN``), which the benchmark does
 not report: the run calls ``main`` of the directory's ``perfbench/run.py``
 with ``ExperimentConfig.load_pool`` wrapped (``--measure-loads``).
 
+Each run also keeps where the time went, from its details file:
+``extras.experiment_wall_s``, every ``extras.agent_s.*`` and
+``rounds.median_adjusted_ms_by_kind``. The benchmark's adjusted times count
+the CPU time of worker threads as waiting, so these show a saving apart
+from the end-to-end metrics.
+
 The output holds, per workload: the pair count, each side's median and
 quartiles of every end-to-end metric with the change's wins, each side's
-load times, and the seed-0 fingerprints; then every run.
+medians of those time breakdowns and of the load times, and the seed-0
+fingerprints; then every run.
 """
 
 from __future__ import annotations
@@ -76,12 +83,19 @@ def run_side(checkout: Path, workload: str, seed: int, tmp: Path) -> dict:
         (checkout / ".perfbench" / "results" / f"{workload}-full-seed{seed}-trace0.json")
         .read_text()
     )
+    extras = details["extras"]
     return {
         "exit": proc.returncode,
         "correct": details["correct"],
         "metrics": {name: m["value"] for name, m in details["metrics"].items()},
         "units": {name: m["unit"] for name, m in details["metrics"].items()},
-        "setup_wall_s": details["extras"]["setup_wall_s"],
+        "setup_wall_s": extras["setup_wall_s"],
+        "breakdown": {
+            "experiment_wall_s": extras["experiment_wall_s"],
+            **{name: value for name, value in extras.items() if name.startswith("agent_s.")},
+            **{f"round_ms.{kind}": value for kind, value
+               in details["rounds"]["median_adjusted_ms_by_kind"].items()},
+        },
         "loads": json.loads(loads.read_text()) if loads.exists() else [],
         "fingerprints": details["fingerprints"],
         "machine": details["machine"],
@@ -116,6 +130,11 @@ def summarize(runs: list[dict]) -> dict:
                    for key in ("wall_s", "cpu_s", "children_cpu_s", "children_peak_rss_mb")}
             for side in ("parent", "change")
         }
+        breakdown = {
+            side: {key: statistics.median(p[side]["breakdown"][key] for p in pairs)
+                   for key in pairs[0][side]["breakdown"]}
+            for side in ("parent", "change")
+        }
         seed0 = [p for p in pairs if p["seed"] == 0]
         out[workload] = {
             "pairs": len(pairs),
@@ -123,6 +142,7 @@ def summarize(runs: list[dict]) -> dict:
             "correct": all(p[s]["correct"] and p[s]["exit"] == 0
                            for p in pairs for s in ("parent", "change")),
             "metrics": metrics,
+            "breakdown_median": breakdown,
             "loads_median": loads,
             "fingerprints_seed0": {
                 "parent": seed0[0]["parent"]["fingerprints"] if seed0 else None,

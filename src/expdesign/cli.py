@@ -1,9 +1,20 @@
 """Command-line entry point: run experiments, validate datasets, re-aggregate.
 
 Exit codes: 0 success, 1 configuration/dataset error, 2 run failure.
+
+Each product runs on one BLAS thread unless the environment says otherwise:
+the defaults below are set before numpy is first imported (``import
+expdesign`` loads none), and a value already set is kept. Bit-identical
+selections on any CPU count and the forked embeddings ingest assume one
+BLAS thread.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json

@@ -57,6 +57,54 @@ variance into the score (:meth:`GaussianProcess._moments`, then
 sqrt(var), with the mean's bits the same. Each step is a correctly rounded,
 monotone function of var for sd^2 > 0 and beta >= 0, so the bound is at
 least the score as a float, not only in real arithmetic.
+
+LinUCB certifies its top-B the same way (``agents.LinUcbAgent``), from a
+bound that recomputes the score in f32 (:meth:`LinUcb.ucb_bound`). With G =
+L^-1 and theta as a fit keeps them, the score of a row x is S = x.theta +
+alpha |G x| in real arithmetic, and ``score_many`` computes s =
+fl(fl(x.theta) + fl(alpha fl(sqrt(fl(|fl(G x)|^2))))) in f64. The bound
+takes f32 copies x', G' and theta' (G' and theta' made once per fit), one
+f32 product x' G'^T whose row norms r' are summed and rooted in f32, and
+the f32 product m' = x'.theta'. Take u = 2^-53, v = 2^-24, g_k(w) = k w /
+(1 - k w), and the norms |x|, |theta| and |G|_F.
+
+* The f64 score. Each entry of fl(G x) is within g_d(u) sum_j |G_ij| |x_j|
+  of (G x)_i in any summation order, so fl(G x) is within g_d(u) |G|_F |x|
+  of G x; its sum of squares and root add g_(d+1)(u) of its norm, the
+  product with alpha and the final sum one u each, and fl(x.theta) is
+  within g_d(u) |x| |theta| of x.theta. So |s - S| <= g_(3d+3)(u) |x|
+  (|theta| + alpha |G|_F), and a few (d + 2) tiny and alpha sqrt((d + 2)
+  tiny) more for products that underflow, tiny the smallest normal f64.
+* The f32 mean, as the cross term of ``memory._l2_error_bound``: each f32
+  rounding is off by a relative v or, where its result is subnormal, by at
+  most 2^-150, so |m' - x.theta| <= g_(d+2)(v) |x| |theta| + 2^-149
+  sqrt(d) (|x| + |theta|) + d 2^-147.
+* The f32 width. Entry i of x' G'^T is off from (G x)_i as the mean is,
+  with row i of G for theta; over the d entries that is g_(d+2)(v) |G|_F
+  |x| + 2^-149 sqrt(d) (sqrt(d) |x| + |G|_F) + d^1.5 2^-147 in norm. The
+  f32 sum of squares is within g_d(v) of its terms' sum and d 2^-147 for
+  the ones that underflow, and sqrt(a + b) <= sqrt(a) + sqrt(b); with the
+  root's own rounding, |r' - |G x|| <= g_(2d+3)(v) |G|_F |x| + 2^-148 (d
+  |x| + sqrt(d) |G|_F) + d^1.5 2^-146 + sqrt(d) 2^-73.
+
+The bound is up(fl(m' + alpha r') + E), rounded to nearest and then, for
+the last sum, ``np.nextafter`` toward inf, with E the f32 mean's terms,
+alpha times the f32 width's, and twice the f64 score's relative term,
+(3d + 6) eps |x| (|theta| + alpha |G|_F), eps = 2u. The f32 floors exceed
+the f64 score's underflow terms many times over. m' and r' are f32 values,
+exact in f64, and fl(m' + alpha r') is within 2u (1 + g_(2d+3)(v)) |x|
+(|theta| + alpha |G|_F) of m' + alpha r', plus 2u of the floors. The spare
+half of the f64 term, and the factor of 1.4 or more by which each floor
+exceeds what it covers, take up that rounding, the rounding of E itself and
+that of the norms it is computed from (``EmbeddingTable.sq_norms``, whose
+underflow the floors cover too). So the bound is at least fl(m' + alpha r')
++ E >= S + |s - S| >= s in real arithmetic, for a call of any shape. The
+range gate of ``memory._gated_norms`` (a norm of at most 2^62) makes E inf
+for a row, and for every row when theta or G is outside it; so does a
+dimension with (2d + 3) v > 0.1, which keeps each g_k(v) below 0.12. An
+overflow in the f32 stage, possible when |x| |G|_F exceeds 2^64, leaves a
+non-finite value; every non-finite bound is made inf, so its row is always
+scored exactly.
 """
 
 from __future__ import annotations
@@ -72,7 +120,7 @@ from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import pdist
 
 from .errors import NumericalError
-from .memory import CandidateMemory
+from .memory import CandidateMemory, _gated_norms
 from .pool import _available_cpus
 
 
@@ -103,7 +151,9 @@ class LinUcb:
     in row blocks (:func:`score_blocks`) with temporaries of one block.
     With no observations A = ridge*I, and L^-1 = I/sqrt(ridge) is applied
     as a scaling: each entry of the GEMM against it has a single nonzero
-    term, so the scores have the same bits.
+    term, so the scores have the same bits. :meth:`ucb_bound` bounds the
+    scores of a fitted model from f32 copies of L^-1 and theta, made at its
+    first call after a fit.
     """
 
     def __init__(self, dim: int, ridge: float = 1.0, alpha: float = 1.0):
@@ -125,6 +175,7 @@ class LinUcb:
         self.b = np.zeros(self.dim)
         self._theta = np.zeros(self.dim)
         self._chol_inv: np.ndarray | None = None
+        self._bound_terms: tuple[np.ndarray, np.ndarray, float, float] | None = None
 
     def _check(self, x: Sequence[float]) -> np.ndarray:
         xv = np.asarray(x, dtype=np.float64)
@@ -164,6 +215,7 @@ class LinUcb:
         chol = cholesky(self.A, lower=True)
         self._theta = cho_solve((chol, True), self.b)
         self._chol_inv = _lower_inverse(chol)
+        self._bound_terms = None
 
     @property
     def theta(self) -> np.ndarray:
@@ -181,6 +233,63 @@ class LinUcb:
         else:
             W = X @ self._chol_inv.T
         return X @ self._theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
+
+    def ucb_bound(self, X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+        """Upper bounds on the :meth:`score_many` scores of a stack of rows,
+        for a model fitted on observations. ``sq_norms`` must be the rows'
+        squared norms as ``np.square(X).sum(axis=1)`` computes them
+        (``EmbeddingTable.sq_norms`` does).
+
+        The rows are converted to f32 here, one call's rows at a time; each
+        bound is at least the row's score from a call of any shape, and is
+        inf for a row outside the range gate (see the module docstring).
+        """
+        if self._bound_terms is None:
+            self._bound_terms = _linucb_bound_terms(self._chol_inv, self._theta, self.alpha)
+        chol_inv32, theta32, per_norm, floor = self._bound_terms
+        with np.errstate(over="ignore", invalid="ignore"):
+            X32 = np.asarray(X, dtype=np.float32)
+            W = X32 @ chol_inv32.T
+            width = np.sqrt(np.einsum("ij,ij->i", W, W)).astype(np.float64)
+            approx = (X32 @ theta32).astype(np.float64) + self.alpha * width
+            error = _gated_norms(sq_norms) * per_norm + floor
+            bound = np.nextafter(approx + error, np.inf)
+        bound[~np.isfinite(bound)] = np.inf
+        return bound
+
+
+def _linucb_bound_terms(
+    chol_inv: np.ndarray, theta: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """f32 copies of L^-1 and theta, and the error term of
+    :meth:`LinUcb.ucb_bound` as E = |x| per_norm + floor (see the module
+    docstring); per_norm is inf or NaN outside the range gate, which makes
+    every bound inf."""
+    dim = theta.size
+    with np.errstate(over="ignore"):
+        theta_norm, inv_norm = _gated_norms(
+            np.array([np.square(theta).sum(), np.square(chol_inv).sum()])
+        )
+        chol_inv32, theta32 = chol_inv.astype(np.float32), theta.astype(np.float32)
+    v = 2.0**-24
+    gamma_mean = gamma_width = math.inf
+    if (2 * dim + 3) * v <= 0.1:
+        gamma_mean = (dim + 2) * v / (1.0 - (dim + 2) * v)
+        gamma_width = (2 * dim + 3) * v / (1.0 - (2 * dim + 3) * v)
+    c64 = (3 * dim + 6) * np.finfo(np.float64).eps
+    root = math.sqrt(dim)
+    with np.errstate(invalid="ignore"):
+        per_norm = (
+            (gamma_mean + c64) * theta_norm
+            + 2.0**-149 * root
+            + alpha * ((gamma_width + c64) * inv_norm + 2.0**-148 * dim)
+        )
+        floor = (
+            2.0**-149 * root * theta_norm
+            + dim * 2.0**-147
+            + alpha * (2.0**-148 * root * inv_norm + dim * root * 2.0**-146 + root * 2.0**-73)
+        )
+    return chol_inv32, theta32, float(per_norm), float(floor)
 
 
 def median_heuristic(X: np.ndarray, max_points: int = 512) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from expdesign.agents import Agent, LinUcbAgent
 from expdesign.backends import ScriptedBackend
 from expdesign import cli
+from expdesign import pool as pool_module
 from expdesign.cli import main
 from expdesign.errors import ConfigError
 from expdesign.feedback import FeedbackRecord
@@ -443,6 +445,35 @@ def write_cli_dataset(tmp_path: Path, n=60, dim=3, hits=6):
     return meas, emb
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Loaded at start-up from a directory put first on PYTHONPATH: it logs each
+# fork made by the process and, at exit, the BLAS thread variables it ran
+# with. A forked parser leaves through os._exit and logs nothing.
+FORK_LOG_HOOK = """\
+import atexit
+import os
+
+_log = os.environ.get("EXPDESIGN_FORK_LOG")
+if _log:
+    _fork = os.fork
+
+    def _logged_fork():
+        pid = _fork()
+        if pid:
+            with open(_log, "a") as fh:
+                fh.write("fork\\n")
+        return pid
+
+    def _log_blas():
+        with open(_log, "a") as fh:
+            fh.write(" ".join(os.environ.get(v, "-") for v in %r) + "\\n")
+
+    os.fork = _logged_fork
+    atexit.register(_log_blas)
+""" % (BLAS_VARS,)
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -450,6 +481,52 @@ class TestCli:
             capture_output=True,
             text=True,
         )
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the split needs two CPUs")
+    def test_run_sets_one_blas_thread_and_splits_ingest(self, tmp_path):
+        # With the BLAS thread variables unset, `expdesign run` sets them to
+        # 1 before numpy loads, so its process has one OS thread at ingest
+        # and a file of over two split sizes is parsed by a forked child.
+        # Its reports equal those of a run with the variables set to 1, and
+        # a value the user sets is kept.
+        rng = np.random.default_rng(3)
+        n, dim = 4200, 128  # more than two scoring blocks, LinUCB's bound path
+        pool = build_pool([f"g{i}" for i in range(n)], rng.standard_normal(n),
+                          rng.standard_normal((n, dim)))
+        meas, emb = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, emb)
+        assert emb.stat().st_size > 2 * pool_module._SPLIT_MIN_BYTES
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(FORK_LOG_HOOK, encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+
+        def run(name, **blas):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+            env.update(blas, EXPDESIGN_FORK_LOG=str(tmp_path / f"{name}.log"))
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(hook), str(src), os.environ.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "expdesign", "run", "--agent", "linucb",
+                 "--rounds", "3", "--batch", "16", "--runs", "2", "--seed", "4",
+                 "--dataset", str(meas), "--embeddings", str(emb),
+                 "--out", str(tmp_path / name)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = tmp_path / name
+            reports = [(out / "runs.csv").read_bytes()]
+            reports += [(out / f"trace-run{r}.jsonl").read_bytes() for r in range(2)]
+            return (tmp_path / f"{name}.log").read_text().splitlines(), reports
+
+        unset_log, unset_reports = run("unset")
+        set_log, set_reports = run("set", **dict.fromkeys(BLAS_VARS, "1"))
+        assert unset_log == set_log == ["fork", "1 1 1"]
+        assert unset_reports == set_reports
+        kept_log, _ = run("kept", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="1")
+        assert kept_log == ["2 1 1"]  # BLAS threads run, so ingest does not fork
 
     def test_validate_ok(self, tmp_path):
         meas, emb = write_cli_dataset(tmp_path)

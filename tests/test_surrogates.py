@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from expdesign import agents as agents_module
 from expdesign import surrogates
 from expdesign.agents import _score_unexplored, make_agent
 from expdesign.errors import NumericalError
@@ -636,34 +637,134 @@ def prefix_deficit(model: GaussianProcess, k: np.ndarray) -> Fraction:
     return Fraction(model._signal) - sum(sum(g * v for g, v in zip(row, kf)) ** 2 for row in G)
 
 
+def exact_scorer(model, table):
+    """Exact scores of pool rows (indices or a slice) from a fitted model."""
+    if isinstance(model, LinUcb):
+        return lambda rows: model.score_many(table.matrix[rows])
+    return lambda rows: model.acquisition(table.matrix[rows], table.sq_norms[rows])
+
+
+def surrogate_round(kind, pool, observed, batch_size=32, **config):
+    """One round of the ``kind`` agent after ``observed``, against full-pass
+    scoring: the batch is the full pass's, in the same order, and the bound
+    is at least the exact score bits on every unexplored row. Returns the
+    model, the unexplored indices and their exact scores and bounds."""
+    agent = make_agent(ExperimentConfig(agent=kind, batch_size=batch_size, **config), pool,
+                       None, None)
+    memory = CandidateMemory(pool)
+    memory.explore(observed)
+    feedback = Feedback(tuple(
+        FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
+    ))
+    avail = memory.unexplored()
+    batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+    model, table = agent.model, pool.embeddings
+    exact = score_blocks(avail, exact_scorer(model, table))
+    assert batch.tolist() == avail[np.lexsort((avail, -exact))[:batch_size]].tolist()
+    bound = score_blocks(avail, lambda rows: model.ucb_bound(table.matrix[rows],
+                                                             table.sq_norms[rows]))
+    assert np.all(bound >= exact)
+    return model, avail, exact, bound
+
+
+@pytest.fixture
+def linucb_bound_on_any_dim(monkeypatch):
+    """LinUCB takes the bound path on the small test pools too."""
+    monkeypatch.setattr(agents_module, "_LINUCB_BOUND_MIN_DIM", 1)
+
+
+# Per agent kind: the model class and the names of its bound and exact
+# scoring methods.
+SURROGATES = {
+    "gp": (GaussianProcess, "ucb_bound", "acquisition"),
+    "linucb": (LinUcb, "ucb_bound", "score_many"),
+}
+
+
+@pytest.mark.usefixtures("linucb_bound_on_any_dim")
+class TestShortlist:
+    """Either surrogate agent's path: the full pass, or a bound pass and an
+    exact pass over the shortlist, whose calls all score half a block."""
+
+    BLOCK = surrogates._BLOCK_ROWS
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("kind", SURROGATES)
+    def test_one_block_and_one_more_row(self, kind, extra):
+        # 2048 unexplored rows take the full pass; 2049 the shortlist.
+        rng = np.random.default_rng(10)
+        pool = random_pool(rng, self.BLOCK + extra + 64, 5)
+        _, avail, _, _ = surrogate_round(kind, pool, np.arange(64))
+        assert avail.size == self.BLOCK + extra
+
+    @pytest.mark.parametrize("kind", SURROGATES)
+    def test_bound_and_exact_calls_have_one_shape_on_any_cpu_count(self, monkeypatch, kind):
+        # The bound and the exact pass are compared row by row: over more
+        # than one block, every call of the bound pass and of the exact pass
+        # scores half a block, whatever the CPU count, and so the calls and
+        # the batch do not depend on it.
+        rng = np.random.default_rng(15)
+        pool = random_pool(rng, 2 * self.BLOCK + 500, 6)
+        observed = rng.choice(len(pool), 90, replace=False)
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
+        ))
+        cls, *names = SURROGATES[kind]
+        log = {name: [] for name in names}
+        for name, calls in log.items():
+            def recorded(self, X, *args, method=getattr(cls, name), calls=calls):
+                rows = args[1] if len(args) > 1 else None
+                calls.append(len(X) if rows is None else
+                             len(range(len(X))[rows]) if isinstance(rows, slice) else len(rows))
+                return method(self, X, *args)
+
+            monkeypatch.setattr(cls, name, recorded)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+            for calls in log.values():
+                calls.clear()
+            memory = CandidateMemory(pool)
+            memory.explore(observed)
+            agent = make_agent(ExperimentConfig(agent=kind, batch_size=32), pool, None, None)
+            batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+            assert all(log.values())
+            assert set().union(*log.values()) == {self.BLOCK // 2}
+            runs.append((batch.tolist(), {name: list(calls) for name, calls in log.items()}))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("observed", [64, 0])
+    @pytest.mark.parametrize("kind", SURROGATES)
+    def test_full_pass_computes_no_bound(self, monkeypatch, kind, observed):
+        # One block of unexplored rows after 64 observations, and a first
+        # round over a pool of more than two blocks: both score every row
+        # in one full pass, so the bound is never computed.
+        def no_bound(*args):
+            raise AssertionError("ucb_bound called")
+
+        monkeypatch.setattr(SURROGATES[kind][0], "ucb_bound", no_bound)
+        rng = np.random.default_rng(13)
+        pool = random_pool(rng, self.BLOCK + 64 if observed else 2 * self.BLOCK + 300, 5)
+        memory = CandidateMemory(pool)
+        memory.explore(np.arange(observed))
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in range(observed)
+        )) if observed else None
+        agent = make_agent(ExperimentConfig(agent=kind, batch_size=32), pool, None, None)
+        avail = memory.unexplored()
+        batch = agent.select(2 if observed else 1, memory, feedback, np.random.default_rng(0))
+        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
+        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
+
+
 class TestGpShortlist:
-    """GpAgent.select against full-pass scoring: same batch, same order, and
-    an upper bound at least the exact score bits on every unexplored row."""
+    """GP-UCB's prefix bound: at least the exact score bits on every
+    unexplored row, and at least s minus the exact prefix norm."""
 
     BLOCK = surrogates._BLOCK_ROWS
 
     def select(self, pool, observed, batch_size=32, **gp):
-        """One gp round after ``observed``; returns the model, the unexplored
-        indices and their exact scores and bounds from full passes."""
-        agent = make_agent(ExperimentConfig(agent="gp", batch_size=batch_size, **gp), pool,
-                           None, None)
-        memory = CandidateMemory(pool)
-        memory.explore(observed)
-        feedback = Feedback(tuple(
-            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
-        ))
-        avail = memory.unexplored()
-        batch = agent.select(2, memory, feedback, np.random.default_rng(0))
-        model, table = agent.model, pool.embeddings
-
-        def full_pass(method):
-            return score_blocks(avail, lambda rows: method(table.matrix[rows], table.sq_norms[rows]))
-
-        exact = full_pass(model.acquisition)
-        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:batch_size]].tolist()
-        bound = full_pass(model.ucb_bound)
-        assert np.all(bound >= exact)
-        return model, avail, exact, bound
+        return surrogate_round("gp", pool, observed, batch_size, **gp)
 
     def check_prefix_deficit(self, model, pool, rows):
         """The variance bound is at least s minus the exact prefix norm."""
@@ -736,71 +837,6 @@ class TestGpShortlist:
         model, avail, _, _ = self.select(pool, observed)
         self.check_prefix_deficit(model, pool, avail[:30])
 
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_one_block_and_one_more_row(self, extra):
-        # 2048 unexplored rows take the full pass; 2049 the shortlist.
-        rng = np.random.default_rng(10)
-        pool = random_pool(rng, self.BLOCK + extra + 64, 5)
-        model, avail, _, _ = self.select(pool, np.arange(64))
-        assert avail.size == self.BLOCK + extra
-
-    def test_bound_and_exact_calls_have_one_shape_on_any_cpu_count(self, monkeypatch):
-        # The bound's proof holds for a bound and a score computed in calls
-        # of one shape: over more than one block, every call of the bound
-        # pass and of the exact pass scores half a block, whatever the CPU
-        # count, and so the calls and the batch do not depend on it.
-        rng = np.random.default_rng(15)
-        pool = random_pool(rng, 2 * self.BLOCK + 500, 6)
-        observed = rng.choice(len(pool), 90, replace=False)
-        feedback = Feedback(tuple(
-            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
-        ))
-        log = {"ucb_bound": [], "acquisition": []}
-        for name, calls in log.items():
-            def recorded(self, X, sq_norms=None, rows=None,
-                         method=getattr(GaussianProcess, name), calls=calls):
-                calls.append(len(range(len(X))[rows]) if isinstance(rows, slice) else len(rows))
-                return method(self, X, sq_norms, rows)
-
-            monkeypatch.setattr(GaussianProcess, name, recorded)
-        runs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
-            for calls in log.values():
-                calls.clear()
-            memory = CandidateMemory(pool)
-            memory.explore(observed)
-            agent = make_agent(ExperimentConfig(agent="gp", batch_size=32), pool, None, None)
-            batch = agent.select(2, memory, feedback, np.random.default_rng(0))
-            assert log["ucb_bound"] and log["acquisition"]
-            assert set(log["ucb_bound"]) | set(log["acquisition"]) == {self.BLOCK // 2}
-            runs.append((batch.tolist(), {name: list(calls) for name, calls in log.items()}))
-        assert runs[0] == runs[1] == runs[2]
-
-    @pytest.mark.parametrize("observed", [64, 0])
-    def test_full_pass_computes_no_bound(self, monkeypatch, observed):
-        # One block of unexplored rows after 64 observations, and a first
-        # round over a pool of more than two blocks: both score every row
-        # in one full pass, so the bound is never computed.
-        def no_bound(*args):
-            raise AssertionError("ucb_bound called")
-
-        monkeypatch.setattr(GaussianProcess, "ucb_bound", no_bound)
-        rng = np.random.default_rng(13)
-        pool = random_pool(rng, self.BLOCK + 64 if observed else 2 * self.BLOCK + 300, 5)
-        memory = CandidateMemory(pool)
-        memory.explore(np.arange(observed))
-        feedback = Feedback(tuple(
-            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in range(observed)
-        )) if observed else None
-        agent = make_agent(ExperimentConfig(agent="gp", batch_size=32), pool, None, None)
-        avail = memory.unexplored()
-        batch = agent.select(2 if observed else 1, memory, feedback, np.random.default_rng(0))
-        table = pool.embeddings
-        exact = score_blocks(avail, lambda rows: agent.model.acquisition(
-            table.matrix[rows], table.sq_norms[rows]))
-        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
-
     def test_designed_near_worst_case_rows(self):
         # The first p observed rows form one tight cluster and the others a
         # distant one, so G is block diagonal and the prefix sees the whole
@@ -824,6 +860,218 @@ class TestGpShortlist:
         assert np.allclose(var / model._sd**2, deficit, rtol=1e-6, atol=0.0)
         assert np.all(var / model._sd**2 < 0.01 * model._signal)
         self.check_prefix_deficit(model, pool, near)
+
+
+def linucb_error_reference(dim, alpha, row_norm, theta_norm, inv_norm) -> Fraction:
+    """What the error term of LinUcb.ucb_bound must cover, as the module
+    docstring derives it, in exact arithmetic from upper ends of the norms
+    (dim a square): the f32 mean's relative term and alpha times the f32
+    width's, the f64 score's g_(3d+3)(u) term, and the floors for
+    subnormal f32 values, which E states at 1.4 times or more of what they
+    cover."""
+    u, v = Fraction(1, 2**53), Fraction(1, 2**24)
+    root = math.isqrt(dim)
+    assert root * root == dim
+
+    def g(k, w):
+        return k * w / (1 - k * w)
+
+    x, t, G = (Fraction(n) for n in (row_norm, theta_norm, inv_norm))
+    a = Fraction(alpha)
+    relative = g(dim + 2, v) * x * t + a * g(2 * dim + 3, v) * G * x
+    floors = (Fraction(root, 2**149) * (x + t) + Fraction(dim, 2**147)
+              + a * (Fraction(1, 2**148) * (dim * x + root * G) + Fraction(dim * root, 2**146)
+                     + Fraction(root, 2**73)))
+    return relative + floors / Fraction(14, 10) + g(3 * dim + 3, u) * x * (t + a * G)
+
+
+def upper_norm(values: np.ndarray) -> float:
+    """A float at least the exact Euclidean norm of the values."""
+    sq = sum(Fraction(v) ** 2 for v in values.ravel().tolist())
+    norm = math.sqrt(float(sq))
+    while Fraction(norm) ** 2 < sq:
+        norm = float(np.nextafter(norm, np.inf))
+    return norm
+
+
+def fitted_linucb(dim, alpha, theta, chol_inv, ridge=1.0):
+    """A LinUcb with the given theta and L^-1 (the state a fit keeps)."""
+    model = LinUcb(dim, ridge=ridge, alpha=alpha)
+    model.fit_batch(np.ones((1, dim)), [1.0])
+    model._theta = np.asarray(theta, dtype=np.float64)
+    model._chol_inv = np.asarray(chol_inv, dtype=np.float64)
+    model._bound_terms = None
+    return model
+
+
+def linucb_worst_case(rng, n, alpha):
+    """A 1-dim LinUCB state and n rows whose f32 recomputation of the score
+    falls short by nearly the most the f32 terms of the bound allow.
+
+    theta and L^-1 lie just below f32 midpoints a little above 1, and so
+    does every row, so each rounds down by nearly a relative 2^-24. Of many
+    such rows, eight in each f32 cell, the n whose f32 mean and width fall
+    furthest below their f64 score are kept: there the roundings of x,
+    L^-1, theta and the f32 products add up. Rows of one cell differ by far
+    less than the error is wide.
+    """
+    step = 2.0**-23
+    theta, g = (1.0 + step * (int(rng.integers(2**14, 2**15)) + 0.4999) for _ in range(2))
+    cells = np.arange(2**14, 2**14 + 3 * n)
+    x = 1.0 + step * (np.repeat(cells, 8) + np.tile(0.49 + 0.00125 * np.arange(8), cells.size))
+    x32 = x.astype(np.float32)
+    w = x32 * np.float32(g)
+    mean = (x32 * np.float32(theta)).astype(np.float64)
+    approx = mean + alpha * np.sqrt(w * w).astype(np.float64)
+    short = x * theta + alpha * np.sqrt((x * g) ** 2) - approx
+    rows = x[np.argsort(-short, kind="stable")[:n]]
+    return theta, g, rng.permutation(rows)[:, None]
+
+
+def linucb_hard_pool(kind, rng, n, dim=4):
+    """A pool and the rows to observe for one LinUCB hard kind."""
+    observed = np.arange(64)
+    if kind == "f32-worst":
+        emb = linucb_worst_case(rng, n, 1.0)[2]
+    elif kind == "subnormal":  # components subnormal in f32, scores about 1e-41
+        emb = 1e-41 * (rng.integers(-3, 4, (n, dim)) + 0.1 * rng.standard_normal((n, dim)))
+    elif kind == "near-overflow":  # squared norms near the f64 limit, far outside the gate
+        emb = 1e150 * (1.0 + 1e-3 * rng.standard_normal((n, dim)))
+    elif kind == "gate-edge":  # norms at, just inside and just outside 2^62
+        emb = rng.integers(-3, 4, (n, dim)) * 2.0**59
+        edge = rng.choice(np.arange(64, n), n // 4, replace=False)
+        emb[edge] = 0.0
+        emb[edge, 0] = 2.0**62 * rng.choice([1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52], edge.size)
+    elif kind == "inf-bound":  # x' (L^-1)'^T overflows f32 off the observed span
+        emb = rng.standard_normal((n, dim))
+        emb[:, -1] = 0.0
+        far = rng.choice(np.arange(64, n), n // 8, replace=False)
+        emb[far, -1] = 1e18 * rng.uniform(1.0, 2.0, far.size)
+    else:
+        raise ValueError(kind)
+    pool = build_pool([f"c{i}" for i in range(n)], rng.standard_normal(n), emb)
+    return pool, observed
+
+
+LINUCB_HARD_KINDS = ("f32-worst", "subnormal", "near-overflow", "gate-edge", "inf-bound")
+
+
+class TestLinUcbBound:
+    """LinUcb.ucb_bound: at least the f64 score of every row, for the
+    computed floats; and the agent's shortlist against its full pass."""
+
+    BLOCK = surrogates._BLOCK_ROWS
+
+    @pytest.mark.parametrize("dim", [1, 4, 16, 64, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.5])
+    def test_error_term_covers_every_rounding(self, dim, alpha):
+        # The error term, as computed, covers the f32 mean, alpha times the
+        # f32 width and the f64 score in exact arithmetic, for row norms from
+        # subnormal in f32 to large.
+        rng = np.random.default_rng(dim)
+        X = rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-45, 18, (40, 1))
+        lin = LinUcb(dim, ridge=0.3, alpha=alpha)
+        lin.fit_batch(rng.standard_normal((2 * dim + 3, dim)), rng.standard_normal(2 * dim + 3))
+        _, _, per_norm, floor = surrogates._linucb_bound_terms(lin._chol_inv, lin.theta, alpha)
+        theta_norm, inv_norm = upper_norm(lin.theta), upper_norm(lin._chol_inv)
+        sq_norms = np.square(X).sum(axis=1)
+        error = np.sqrt(sq_norms) * per_norm + floor  # as ucb_bound computes it
+        for row, e in zip(X, error):
+            assert Fraction(e) >= linucb_error_reference(dim, alpha, upper_norm(row),
+                                                         theta_norm, inv_norm)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.0**-30])
+    def test_bound_is_the_rounded_up_sum(self, alpha):
+        # In exact arithmetic the bound is at least fl(m' + alpha r') + E:
+        # the f32 mean and width and the error term, the last sum rounded
+        # up.
+        rng = np.random.default_rng(21)
+        theta, g, X = linucb_worst_case(rng, 400, alpha)
+        model = fitted_linucb(1, alpha, [theta], [[g]])
+        bound = model.ucb_bound(X, np.square(X).sum(axis=1))
+        _, _, per_norm, floor = model._bound_terms
+        error = np.sqrt(np.square(X).sum(axis=1)) * per_norm + floor
+        x32 = X[:, 0].astype(np.float32)
+        w = x32 * np.float32(g)
+        mean = (x32 * np.float32(theta)).astype(np.float64)
+        approx = mean + alpha * np.sqrt(w * w).astype(np.float64)
+        for b, a, e in zip(bound, approx, error):
+            assert Fraction(b) >= Fraction(a) + Fraction(e)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+    def test_designed_worst_case_rows(self, alpha):
+        # The f32 roundings of x, L^-1 and theta add up on every row, and
+        # the short fall of the f32 recomputation is more than half the f32
+        # terms of the bound on some of them: a bound with half those terms
+        # fails here.
+        rng = np.random.default_rng(22)
+        theta, g, X = linucb_worst_case(rng, 600, alpha)
+        model = fitted_linucb(1, alpha, [theta], [[g]])
+        exact = model.score_many(X)
+        bound = model.ucb_bound(X, np.square(X).sum(axis=1))
+        assert np.all(bound >= exact)
+        v = 2.0**-24
+        f32_terms = X[:, 0] * (3 * v * theta + alpha * 5 * v * g)
+        x32 = X[:, 0].astype(np.float32)
+        w = x32 * np.float32(g)
+        mean = (x32 * np.float32(theta)).astype(np.float64)
+        approx = mean + alpha * np.sqrt(w * w).astype(np.float64)
+        assert np.max((exact - approx) / f32_terms) > 0.55
+        # The scores lie closer together than the bound is above them.
+        assert np.median(bound - exact) > 10 * np.median(np.diff(np.sort(exact)))
+
+    @pytest.mark.parametrize("kind", LINUCB_HARD_KINDS)
+    def test_hard_kinds_match_full_pass(self, monkeypatch, kind):
+        monkeypatch.setattr(agents_module, "_LINUCB_BOUND_MIN_DIM", 1)
+        rng = np.random.default_rng(LINUCB_HARD_KINDS.index(kind))
+        pool, observed = linucb_hard_pool(kind, rng, 2 * self.BLOCK + 300)
+        config = {"linucb_ridge": 1e-6} if kind == "inf-bound" else {}
+        model, avail, exact, bound = surrogate_round("linucb", pool, observed, batch_size=40,
+                                                     **config)
+        sq = pool.embeddings.sq_norms[avail]
+        outside = ~(sq <= 2.0**124)
+        assert np.all(np.isinf(bound[outside]))
+        if kind in ("near-overflow",):
+            assert outside.all()
+        if kind == "gate-edge":
+            assert outside.any() and not outside.all()
+        if kind == "inf-bound":
+            far = pool.embeddings.matrix[avail, -1] != 0.0
+            assert far.any() and not outside[far].any()
+            assert np.all(np.isinf(bound[far])) and np.all(np.isfinite(bound[~far]))
+        if kind in ("f32-worst", "subnormal"):
+            assert np.all(np.isfinite(bound))
+
+    def test_refit_drops_the_f32_state(self):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((3000, 8))
+        model = LinUcb(8, ridge=0.5, alpha=1.2)
+        for scale in (1.0, 30.0):
+            model.fit_batch(scale * X[:50], rng.standard_normal(50))
+            assert model._bound_terms is None
+            bound = model.ucb_bound(X, np.square(X).sum(axis=1))
+            assert np.all(bound >= model.score_many(X))
+            assert model._bound_terms[0].dtype == np.float32
+
+    def test_low_dimensions_take_the_full_pass(self, monkeypatch):
+        # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every
+        # round scores every unexplored row in one full pass.
+        def no_bound(*args):
+            raise AssertionError("ucb_bound called")
+
+        monkeypatch.setattr(LinUcb, "ucb_bound", no_bound)
+        rng = np.random.default_rng(24)
+        pool = random_pool(rng, 2 * self.BLOCK + 300, agents_module._LINUCB_BOUND_MIN_DIM - 1)
+        agent = make_agent(ExperimentConfig(agent="linucb", batch_size=32), pool, None, None)
+        memory = CandidateMemory(pool)
+        memory.explore(np.arange(64))
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in range(64)
+        ))
+        avail = memory.unexplored()
+        batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
+        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
 
 
 def test_lower_inverse_rejects_singular_factor():

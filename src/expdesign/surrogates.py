@@ -166,6 +166,9 @@ class LinUcb:
         self.dim = dim
         self.ridge = float(ridge)
         self.alpha = float(alpha)
+        # Bound calls of one pass run on several threads; the first builds
+        # the f32 state under this lock.
+        self._bound_lock = threading.Lock()
         self._reset()
 
     def _reset(self) -> None:
@@ -240,13 +243,14 @@ class LinUcb:
         squared norms as ``np.square(X).sum(axis=1)`` computes them
         (``EmbeddingTable.sq_norms`` does).
 
-        The rows are converted to f32 here, one call's rows at a time; each
-        bound is at least the row's score from a call of any shape, and is
-        inf for a row outside the range gate (see the module docstring).
+        Only these rows are converted to f32. Each bound is at least the
+        row's score from a call of any shape, and is inf for a row outside
+        the range gate (see the module docstring).
         """
-        if self._bound_terms is None:
-            self._bound_terms = _linucb_bound_terms(self._chol_inv, self._theta, self.alpha)
-        chol_inv32, theta32, per_norm, floor = self._bound_terms
+        with self._bound_lock:
+            if self._bound_terms is None:
+                self._bound_terms = _linucb_bound_terms(self._chol_inv, self._theta, self.alpha)
+            chol_inv32, theta32, per_norm, floor = self._bound_terms
         with np.errstate(over="ignore", invalid="ignore"):
             X32 = np.asarray(X, dtype=np.float32)
             W = X32 @ chol_inv32.T

@@ -929,8 +929,7 @@ def linucb_worst_case(rng, n, alpha):
 
 
 def linucb_hard_pool(kind, rng, n, dim=4):
-    """A pool and the rows to observe for one LinUCB hard kind."""
-    observed = np.arange(64)
+    """A pool of one LinUCB hard kind; its first 64 rows are observed."""
     if kind == "f32-worst":
         emb = linucb_worst_case(rng, n, 1.0)[2]
     elif kind == "subnormal":  # components subnormal in f32, scores about 1e-41
@@ -949,8 +948,7 @@ def linucb_hard_pool(kind, rng, n, dim=4):
         emb[far, -1] = 1e18 * rng.uniform(1.0, 2.0, far.size)
     else:
         raise ValueError(kind)
-    pool = build_pool([f"c{i}" for i in range(n)], rng.standard_normal(n), emb)
-    return pool, observed
+    return build_pool([f"c{i}" for i in range(n)], rng.standard_normal(n), emb)
 
 
 LINUCB_HARD_KINDS = ("f32-worst", "subnormal", "near-overflow", "gate-edge", "inf-bound")
@@ -1020,18 +1018,18 @@ class TestLinUcbBound:
         # The scores lie closer together than the bound is above them.
         assert np.median(bound - exact) > 10 * np.median(np.diff(np.sort(exact)))
 
+    @pytest.mark.usefixtures("linucb_bound_on_any_dim")
     @pytest.mark.parametrize("kind", LINUCB_HARD_KINDS)
-    def test_hard_kinds_match_full_pass(self, monkeypatch, kind):
-        monkeypatch.setattr(agents_module, "_LINUCB_BOUND_MIN_DIM", 1)
+    def test_hard_kinds_match_full_pass(self, kind):
         rng = np.random.default_rng(LINUCB_HARD_KINDS.index(kind))
-        pool, observed = linucb_hard_pool(kind, rng, 2 * self.BLOCK + 300)
+        pool = linucb_hard_pool(kind, rng, 2 * self.BLOCK + 300)
         config = {"linucb_ridge": 1e-6} if kind == "inf-bound" else {}
-        model, avail, exact, bound = surrogate_round("linucb", pool, observed, batch_size=40,
-                                                     **config)
+        _, avail, _, bound = surrogate_round("linucb", pool, np.arange(64), batch_size=40,
+                                             **config)
         sq = pool.embeddings.sq_norms[avail]
         outside = ~(sq <= 2.0**124)
         assert np.all(np.isinf(bound[outside]))
-        if kind in ("near-overflow",):
+        if kind == "near-overflow":
             assert outside.all()
         if kind == "gate-edge":
             assert outside.any() and not outside.all()
@@ -1052,6 +1050,42 @@ class TestLinUcbBound:
             bound = model.ucb_bound(X, np.square(X).sum(axis=1))
             assert np.all(bound >= model.score_many(X))
             assert model._bound_terms[0].dtype == np.float32
+
+    def test_concurrent_first_calls_build_the_f32_state_once(self, monkeypatch):
+        # score_blocks makes the first bound calls after a fit on several
+        # threads at once; they share one f32 state.
+        built = []
+        terms = surrogates._linucb_bound_terms
+
+        def counted(*args):
+            built.append(1)
+            return terms(*args)
+
+        monkeypatch.setattr(surrogates, "_linucb_bound_terms", counted)
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((64, 6))
+        model = LinUcb(6)
+        model.fit_batch(X[:20], rng.standard_normal(20))
+        results = [None] * 8
+        start = threading.Barrier(len(results))
+
+        def call(i):
+            start.wait(timeout=10)
+            results[i] = model.ucb_bound(X, np.square(X).sum(axis=1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 1
+        assert all(same_bits(r, results[0]) for r in results)
 
     def test_low_dimensions_take_the_full_pass(self, monkeypatch):
         # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every

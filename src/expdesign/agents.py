@@ -18,6 +18,7 @@ import numpy as np
 from .backends import LlmBackend, RetryPolicy, SamplingParams, chat_with_retry
 from .errors import ConfigError
 from .feedback import Feedback
+# embedding_distances is imported for perfbench/tracer.py, which wraps it here.
 from .memory import CandidateMemory, certified_least, embedding_distances  # noqa: F401
 from .pool import CandidatePool
 from .prompts import parse_solution, render_prompt
@@ -168,7 +169,6 @@ class LinUcbAgent(Agent):
         )
 
     def select(self, round_num, memory, feedback, rng):
-        table = memory.pool.embeddings
         X, y = _observations(memory.pool, feedback)
         if self.standardize and y.size:
             sd = float(y.std())
@@ -177,9 +177,9 @@ class LinUcbAgent(Agent):
         return _certified_top_b(
             memory,
             self.batch_size,
-            y.size > 0 and table.dim >= _LINUCB_BOUND_MIN_DIM,
-            lambda rows: self.model.score_many(table.matrix[rows]),
-            lambda rows: self.model.ucb_bound(table.matrix[rows], table.sq_norms[rows]),
+            y.size > 0 and self.model.dim >= _LINUCB_BOUND_MIN_DIM,
+            lambda X, sq_norms: self.model.score_many(X),
+            self.model.ucb_bound,
         )
 
 
@@ -209,19 +209,10 @@ class GpAgent(Agent):
         )
 
     def select(self, round_num, memory, feedback, rng):
-        table = memory.pool.embeddings
         X, y = _observations(memory.pool, feedback)
         self.model.fit(X, y)
-
-        def rows_of(method):
-            return lambda rows: method(table.matrix, table.sq_norms, rows)
-
         return _certified_top_b(
-            memory,
-            self.batch_size,
-            y.size > 0,
-            rows_of(self.model.acquisition),
-            rows_of(self.model.ucb_bound),
+            memory, self.batch_size, y.size > 0, self.model.acquisition, self.model.ucb_bound
         )
 
 
@@ -229,14 +220,16 @@ def _certified_top_b(
     memory: CandidateMemory,
     batch_size: int,
     bounded: bool,
-    score: Callable[[np.ndarray | slice], np.ndarray],
-    bound: Callable[[np.ndarray | slice], np.ndarray],
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """The top-``batch_size`` batch of the unexplored candidates by
-    ``score(rows)``, marked explored, as :func:`select_top_b` ranks a full
-    pass. ``bound(rows)`` is an upper bound on each row's score, computed
-    only when ``bounded`` (callers pass False for a model with no
-    observations).
+    ``score(X, sq_norms)``, marked explored, as :func:`select_top_b` ranks a
+    full pass. ``bound(X, sq_norms)`` is an upper bound on each row's score,
+    computed only when ``bounded`` (callers pass False for a model with no
+    observations). Both take a call's embedding rows and their squared
+    norms, which only this function reads from the pool's table: a view for
+    a call's slice of the pool, a gathered copy for its index array.
 
     When ``bounded`` and with more than one scoring block of unexplored
     candidates, every candidate gets its bound, and :func:`certified_least`
@@ -246,6 +239,12 @@ def _certified_top_b(
     and the batch is the full pass's, in the same order. Otherwise every
     candidate is scored in one full pass and no bound is computed.
     """
+    table = memory.pool.embeddings
+
+    def on_rows(scorer):
+        return lambda rows: scorer(table.matrix[rows], table.sq_norms[rows])
+
+    score, bound = on_rows(score), on_rows(bound)
     avail = memory.unexplored()
     size = len(memory.pool)
     if not bounded or avail.size <= _BLOCK_ROWS:

@@ -364,27 +364,20 @@ def run_experiment(
                 result.cumulative_hits.append(total_hits)
                 continue
             feedback: Feedback | None = None
-            if round_num > 1 and records:
+            if records:
                 if config.feedback == FEEDBACK_RANDOMIZED:
-                    fb_rng = _feedback_rng(seed, round_num)
+                    # Fresh shuffles randomize every record each round; frozen
+                    # ones randomize each round's records once, on arrival.
                     if config.randomize_fresh_each_round:
-                        feedback = randomize_feedback(
-                            Feedback(tuple(records)),
-                            config.randomize_level1,
-                            config.randomize_level2,
-                            fb_rng,
-                        )
-                    else:
-                        # Randomize each round's records once, on arrival.
-                        tail = records[len(frozen_randomized) :]
-                        shuffled = randomize_feedback(
-                            Feedback(tuple(tail)),
-                            config.randomize_level1,
-                            config.randomize_level2,
-                            fb_rng,
-                        )
-                        frozen_randomized.extend(shuffled.records)
-                        feedback = Feedback(tuple(frozen_randomized))
+                        frozen_randomized.clear()
+                    shuffled = randomize_feedback(
+                        Feedback(tuple(records[len(frozen_randomized) :])),
+                        config.randomize_level1,
+                        config.randomize_level2,
+                        _feedback_rng(seed, round_num),
+                    )
+                    frozen_randomized.extend(shuffled.records)
+                    feedback = Feedback(tuple(frozen_randomized))
                 else:
                     feedback = Feedback(tuple(records))
             try:

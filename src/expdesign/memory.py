@@ -8,10 +8,10 @@ allocator marks what it selects explored before returning it.
 Every query returns exactly what a full scan with the direct formula
 (:func:`embedding_distances`) would return: the k unexplored rows of least
 distance, ties broken toward the lower index. Center allocation, the cover
-and an outside query (:meth:`CandidateMemory.nearest`) all take one path:
-lower ends of every row's distance to each query vector, then the direct
-formula only where a lower end says it can matter. Under cosine a query's
-lower ends are its own direct scan of the pool. Under l2-squared the pool
+and an outside query (:meth:`CandidateMemory.nearest_unexplored`) all take
+one path: lower ends of every row's distance to each query vector, then the
+direct formula only where a lower end says it can matter. Under cosine a
+query's lower ends are its own direct scan of the pool. Under l2-squared the pool
 is not scanned row by row. At its first l2 query a memory makes an f32
 copy of the pool, half the bytes of the matrix, which lives as long as the
 memory (one run). The expansion ``|x|^2 - 2 x.q + |q|^2`` takes the cross
@@ -92,9 +92,9 @@ class CandidateMemory:
     """Explored flags over a pool plus exact nearest-unexplored queries.
 
     Candidates are pool indices; the name-taking ``mark_explored`` and the
-    name-returning ``nearest_unexplored`` are thin wrappers for callers that
-    hold names. Flags only move false -> true. One memory belongs to one run;
-    queries between mutations are safe, concurrent mutation is not supported.
+    name-returning ``nearest_unexplored`` serve callers that hold names.
+    Flags only move false -> true. One memory belongs to one run; queries
+    between mutations are safe, concurrent mutation is not supported.
     """
 
     def __init__(self, pool: CandidatePool):
@@ -133,21 +133,14 @@ class CandidateMemory:
         leaves every flag untouched. Re-marking is a no-op."""
         self.explore([self._pool.index_of(name) for name in names])
 
-    def nearest(self, query: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k unexplored candidates nearest the query vector.
+    def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
+        """Names of the k unexplored candidates nearest an outside query
+        vector.
 
         Sorted by ascending distance under the pool metric; exact distance
         ties break toward the lower candidate index. Returns fewer than k
-        only when fewer unexplored candidates remain. The query is used as
-        given: callers pass a pool row or a checked vector.
+        only when fewer unexplored candidates remain.
         """
-        queries = np.asarray(query, dtype=np.float64)[None, :]
-        low, exact = self._lower_ends(queries, np.square(queries).sum(axis=1), self._explored)
-        return certified_least(low[0], k, lambda rows: exact(0, rows))[0]
-
-    def nearest_unexplored(self, query: Sequence[float], k: int) -> list[str]:
-        """Names of the k unexplored candidates nearest an outside query
-        vector; see :meth:`nearest`."""
         if k < 1:
             raise ValueError("k must be positive")
         q = np.asarray(query, dtype=np.float64)
@@ -155,7 +148,10 @@ class CandidateMemory:
             raise ValueError(
                 f"query has shape {q.shape}, pool dim is {self._pool.embeddings.dim}"
             )
-        return [self._pool.names[i] for i in self.nearest(q, k)]
+        queries = q[None, :]
+        low, exact = self._lower_ends(queries, np.square(queries).sum(axis=1), self._explored)
+        idx = certified_least(low[0], k, lambda rows: exact(0, rows))[0]
+        return [self._pool.names[i] for i in idx]
 
     def allocate_batch(self, center_idx: Sequence[int], batch_size: int) -> np.ndarray:
         """Fill a batch by expanding each center (a pool index) over its

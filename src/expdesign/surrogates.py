@@ -10,9 +10,11 @@ calls are made depends on the row count alone. With one BLAS thread per
 product, a row's bits depend only on its call's shape, not on the thread
 that scored it or on the call's other rows, so passes over the whole pool
 slice the embedding matrix instead of gathering the unexplored rows, and
-drop the explored rows' scores after. The temporaries alive are those of
-one call per thread: at 512 training rows, a GP half block's kernel and its
-product with L^-1 are 4 MB each.
+drop the explored rows' scores after. Both models score the rows they are
+handed; only ``agents._certified_top_b`` reads a call's rows and squared
+norms from the pool. The temporaries alive are those of one call per
+thread: at 512 training rows, a GP half block's kernel and its product
+with L^-1 are 4 MB each, besides its rows when they are gathered.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
@@ -247,6 +249,8 @@ class LinUcb:
         row's score from a call of any shape, and is inf for a row outside
         the range gate (see the module docstring).
         """
+        if self._chol_inv is None:
+            raise ValueError("the UCB bound needs a model fitted on observations")
         with self._bound_lock:
             if self._bound_terms is None:
                 self._bound_terms = _linucb_bound_terms(self._chol_inv, self._theta, self.alpha)
@@ -326,8 +330,10 @@ class GaussianProcess:
     L^-1 and the training rows' squared norms; a posterior applies L^-1 to
     the cross-kernel block by one matrix product (v = L^-1 k_*,
     var = signal - |v|^2) instead of a triangular solve with one right-hand
-    side per query row. Each query row's posterior depends on that row alone, so a pool can
-    be scored in row blocks (:func:`score_blocks`), with kernel-sized
+    side per query row. The posterior, the acquisition and the bound build
+    that block from the query rows they are handed and their squared norms.
+    Each query row's posterior depends on that row alone, so a pool can be
+    scored in row blocks (:func:`score_blocks`), with kernel-sized
     temporaries of one block rather than of the pool.
     """
 
@@ -399,17 +405,6 @@ class GaussianProcess:
             chunk *= self._signal
         return out
 
-    def _cross_kernel(
-        self, X: np.ndarray, sq_norms: np.ndarray | None, rows: np.ndarray | slice | None
-    ) -> np.ndarray:
-        """k(training rows, queries), the queries being ``X[rows]`` (all of
-        ``X`` when ``rows`` is None). A gathered copy of the queries lives
-        only while this call builds the block."""
-        if rows is not None:
-            X = X[rows]
-            sq_norms = None if sq_norms is None else sq_norms[rows]
-        return self._kernel(self._X, X, sq_norms, self._sq_norms)
-
     def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
         """Refit on the full training set (replaces any previous fit)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -465,24 +460,18 @@ class GaussianProcess:
             self._slack_scale = 8.0 * gamma * float(np.square(self._chol_inv).sum())
 
     def posterior_many(
-        self,
-        X: np.ndarray,
-        sq_norms: np.ndarray | None = None,
-        rows: np.ndarray | slice | None = None,
+        self, X: np.ndarray, sq_norms: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a stack of query rows (raw units),
         which are taken as finite (pool embeddings are checked at load).
         ``sq_norms``, when given, must be the rows' squared norms as
         ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does); otherwise they are computed here. With ``rows`` (indices or a
-        slice), the queries are ``X[rows]`` with norms ``sq_norms[rows]``; a
-        gathered copy of them is dropped before the ``L^-1`` product."""
+        does); otherwise they are computed here."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self._X is None:
-            count = X.shape[0] if rows is None else X[rows].shape[0]
             prior_var = self.signal_var if self.signal_var is not None else 1.0
-            return np.zeros(count), np.full(count, prior_var * self._sd**2)
-        k_star = self._cross_kernel(X, sq_norms, rows)
+            return np.zeros(X.shape[0]), np.full(X.shape[0], prior_var * self._sd**2)
+        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms)
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
         return self._moments(k_star, var_z)
@@ -495,22 +484,12 @@ class GaussianProcess:
     def _ucb(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
         return mean + self.beta * np.sqrt(var)
 
-    def acquisition(
-        self,
-        X: np.ndarray,
-        sq_norms: np.ndarray | None = None,
-        rows: np.ndarray | slice | None = None,
-    ) -> np.ndarray:
+    def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
         """UCB scores: posterior mean + beta * posterior stddev (arguments
         as for :meth:`posterior_many`)."""
-        return self._ucb(*self.posterior_many(X, sq_norms, rows))
+        return self._ucb(*self.posterior_many(X, sq_norms))
 
-    def ucb_bound(
-        self,
-        X: np.ndarray,
-        sq_norms: np.ndarray | None = None,
-        rows: np.ndarray | slice | None = None,
-    ) -> np.ndarray:
+    def ucb_bound(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
         """Upper bounds on the :meth:`acquisition` scores of a stack of query
         rows of a model fitted on observations (arguments as for
         :meth:`posterior_many`).
@@ -521,8 +500,10 @@ class GaussianProcess:
         least the score ``acquisition`` gives the row in a call of that
         shape (see the module docstring).
         """
+        if self._X is None:
+            raise ValueError("the UCB bound needs a model fitted on observations")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k_star = self._cross_kernel(X, sq_norms, rows)
+        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms)
         return self._ucb(*self._moments(k_star, self._variance_bound(k_star)))
 
     def _variance_bound(self, k_star: np.ndarray) -> np.ndarray:

@@ -422,34 +422,16 @@ class TestScoreBlocks:
         assert batch.size == 16
         assert serial < pool.embeddings.matrix.nbytes / 2, serial
         table = pool.embeddings
+        rows = np.arange(self.BLOCK) + 64
         tracemalloc.start()
         try:
-            model.acquisition(table.matrix, table.sq_norms, np.arange(self.BLOCK) + 64)
+            model.acquisition(table.matrix[rows], table.sq_norms[rows])
             _, block = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         threaded, peak, _ = self.gp_round(pool, observed, 2, monkeypatch)
         assert threaded.tolist() == batch.tolist()
         assert peak <= serial + block, (peak, serial, block)
-
-    def test_exact_block_drops_its_gather_before_the_product(self):
-        # A block of 2048 gathered rows of 256 dims (4 MB) against 256
-        # training rows: the kernel block and L^-1 times it are 4 MB each.
-        # With the gather alive through the product the peak would be 12 MB.
-        rng = np.random.default_rng(6)
-        table = EmbeddingTable(rng.standard_normal((self.BLOCK + 300, 256)))
-        model = GaussianProcess(length_scale=16.0)
-        model.fit(table.matrix[:256], rng.standard_normal(256))
-        rows = np.arange(256, 256 + self.BLOCK)
-        kernel_bytes = 256 * self.BLOCK * 8
-        tracemalloc.start()
-        try:
-            scores = model.acquisition(table.matrix, table.sq_norms, rows)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert same_bits(scores, model.acquisition(table.matrix[rows], table.sq_norms[rows]))
-        assert peak < 2 * kernel_bytes + table.matrix[rows].nbytes / 2, peak
 
     SIZES = (0, 300, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK + 5)
 
@@ -463,7 +445,7 @@ class TestScoreBlocks:
         models = [blocked for blocked, _ in self.models(rng, table, 40)]
         model = GaussianProcess(length_scale=5.0)
         model.fit(table.matrix[:30], rng.standard_normal(30))
-        models.append(lambda rows: model.acquisition(table.matrix, table.sq_norms, rows))
+        models.append(lambda rows: model.acquisition(table.matrix[rows], table.sq_norms[rows]))
         monkeypatch.setattr(surrogates, "_available_cpus", lambda: 1)
         reference = {
             (i, size): score_blocks(np.arange(size), blocked)
@@ -490,7 +472,7 @@ class TestScoreBlocks:
         model.fit(table.matrix[:40], rng.standard_normal(40))
 
         def score(rows):
-            return model.acquisition(table.matrix, table.sq_norms, rows)
+            return model.acquisition(table.matrix[rows], table.sq_norms[rows])
 
         every = score_blocks(len(table), score)
         for size in (301, self.BLOCK, self.BLOCK + 1, len(table) - 40):
@@ -713,9 +695,7 @@ class TestShortlist:
         log = {name: [] for name in names}
         for name, calls in log.items():
             def recorded(self, X, *args, method=getattr(cls, name), calls=calls):
-                rows = args[1] if len(args) > 1 else None
-                calls.append(len(X) if rows is None else
-                             len(range(len(X))[rows]) if isinstance(rows, slice) else len(rows))
+                calls.append(len(X))
                 return method(self, X, *args)
 
             monkeypatch.setattr(cls, name, recorded)
@@ -1114,6 +1094,23 @@ def test_lower_inverse_rejects_singular_factor():
     L[1, 1] = 0.0
     with pytest.raises(NumericalError):
         _lower_inverse(L)
+
+
+@pytest.mark.parametrize("kind", ["linucb", "gp"])
+def test_bound_needs_observations(kind):
+    # Fresh, and refitted on no observations after a fit on some: the bound
+    # is a ValueError, not an arithmetic error on the missing fit.
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((5, 4))
+    model = LinUcb(4) if kind == "linucb" else GaussianProcess()
+    refit = model.fit_batch if kind == "linucb" else model.fit
+    for observed in (0, 5, 0):
+        refit(X[:observed], rng.standard_normal(observed))
+        if observed:
+            assert model.ucb_bound(X, np.square(X).sum(axis=1)).shape == (5,)
+            continue
+        with pytest.raises(ValueError, match="fitted on observations"):
+            model.ucb_bound(X, np.square(X).sum(axis=1))
 
 
 def test_median_heuristic_basics():

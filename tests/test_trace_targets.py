@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from expdesign.agents import make_agent
 from expdesign.feedback import Feedback, FeedbackRecord
 from expdesign.harness import ExperimentConfig
 from expdesign.memory import CandidateMemory
-from expdesign.agents import make_agent
 
 from conftest import random_pool
 

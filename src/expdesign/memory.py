@@ -9,21 +9,28 @@ Every query returns exactly what a full scan with the direct formula
 (:func:`embedding_distances`) would return: the k unexplored rows of least
 distance, ties broken toward the lower index. Center allocation, the cover
 and an outside query (:meth:`CandidateMemory.nearest_unexplored`) all take
-one path: lower ends of every row's distance to each query vector, then the
-direct formula only where a lower end says it can matter. Under cosine a
-query's lower ends are its own direct scan of the pool. Under l2-squared the pool
-is not scanned row by row. At its first l2 query a memory makes an f32
-copy of the pool, half the bytes of the matrix, which lives as long as the
-memory (one run). The expansion ``|x|^2 - 2 x.q + |q|^2`` takes the cross
-terms of all queries of a call from one f32 matrix product over that copy,
-and the squared norms from the f64 rows. Each value lies within a proven
-bound of the direct value (see :func:`_l2_error_bound`), which covers the
-rounding of the inputs to f32 and of the f32 sums, subnormal results
-included. It holds inside a range gate, a norm of at most 2^62 for the row
-and the query, within which no f32 value overflows. A row or query outside
-the gate gets an infinite bound. Each row's lower end is its approximation
-minus its bound; under either metric a non-finite lower end is made -inf,
-so that its row is always ranked by its direct distance.
+one path under both metrics: lower ends of every row's distance to each
+query vector, then the direct formula only where a lower end says it can
+matter. The pool is not scanned row by row. At its first query a memory
+makes an f32 copy of the pool, half the bytes of the matrix, which lives as
+long as the memory (one run), and takes the cross terms ``x.q`` of all
+queries of a call from one f32 matrix product over that copy. Under
+l2-squared they enter the expansion ``|x|^2 - 2 x.q + |q|^2`` with the f64
+squared norms; under cosine they enter ``1 - x.q / (|x| |q|)`` with the
+direct formula's own f64 norms and denominator. Each value lies within a
+proven bound of the direct value (see :func:`_l2_error_bound` and
+:func:`_cosine_error_bound`), which covers the rounding of the inputs to
+f32 and of the f32 sums, subnormal results included. It holds inside a
+range gate, a norm of at most 2^62 for the row and the query, within which
+no f32 value overflows. A row or query outside the gate gets an infinite
+bound. Each row's lower end is its approximation minus its bound; a
+non-finite lower end is made -inf, so that its row is always ranked by its
+direct distance.
+
+The direct formula gives a row the same bits whatever other rows share its
+call: the l2 sum and the cosine dot are reductions along the row (not a
+BLAS product, whose blocking depends on the call's shape), so ranking a
+shortlist directly matches the full scan bit for bit.
 
 :func:`certified_least` turns lower ends into the exact top k: it ranks
 the rows of least lower end with the direct formula, then, if need be,
@@ -65,16 +72,28 @@ def embedding_distances(
     metric: str,
     norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Distances from every matrix row to the query vector (vectorized)."""
+    """Distances from every matrix row to the query vector (vectorized).
+
+    The direct formula: ``sum((x - q)^2)`` under l2-squared, and
+    ``1 - x.q / (|x| |q|)`` under cosine, ``norms`` being the rows' norms
+    (computed when not given). Both reduce along each row on their own, so
+    a row's distance has the same bits in a call over any set of rows.
+    """
     if metric == METRIC_L2_SQUARED:
         diff = matrix - query
         return np.square(diff).sum(axis=1)
     if norms is None:
         norms = np.linalg.norm(matrix, axis=1)
+    return 1.0 - np.einsum("ij,j->i", matrix, query) / (norms * _query_norm(query))
+
+
+def _query_norm(query: np.ndarray) -> float:
+    """The cosine query norm of the direct formula; a zero norm is a
+    ValueError."""
     qn = float(np.linalg.norm(query))
     if qn == 0.0:
         raise ValueError("cosine distance undefined for a zero query vector")
-    return 1.0 - (matrix @ query) / (norms * qn)
+    return qn
 
 
 def center_quotas(batch_size: int, num_centers: int) -> list[int]:
@@ -100,11 +119,12 @@ class CandidateMemory:
     def __init__(self, pool: CandidatePool):
         self._pool = pool
         self._explored = np.zeros(len(pool), dtype=bool)
+        # The cosine direct formula's row norms.
         self._norms: np.ndarray | None = None
         if pool.metric == METRIC_COSINE:
             self._norms = np.sqrt(pool.embeddings.sq_norms)
-        # The l2 scan's f32 copy and the rows' norms (inf outside the range
-        # gate), built at the first l2 query.
+        # The scan's f32 copy and the rows' norms (inf outside the range
+        # gate), built at the first query.
         self._rows32: np.ndarray | None = None
         self._scan_norms: np.ndarray | None = None
         # The cover and which explored rows it has absorbed, built at the
@@ -139,7 +159,8 @@ class CandidateMemory:
 
         Sorted by ascending distance under the pool metric; exact distance
         ties break toward the lower candidate index. Returns fewer than k
-        only when fewer unexplored candidates remain.
+        only when fewer unexplored candidates remain. A query of the wrong
+        shape or with a non-finite component is a ValueError.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -148,6 +169,8 @@ class CandidateMemory:
             raise ValueError(
                 f"query has shape {q.shape}, pool dim is {self._pool.embeddings.dim}"
             )
+        if not np.isfinite(q).all():
+            raise ValueError("query has a non-finite component")
         queries = q[None, :]
         low, exact = self._lower_ends(queries, np.square(queries).sum(axis=1), self._explored)
         idx = certified_least(low[0], k, lambda rows: exact(0, rows))[0]
@@ -224,46 +247,43 @@ class CandidateMemory:
         inf on the ``skip`` rows (a mask or indices), and ``exact(j, rows)``,
         the direct formula's distances of some rows to query j.
 
-        ``query_sq_norms`` are the queries' f64 squared norms. Under cosine
-        each query takes one direct scan, whose distances are their own
-        lower ends. Under l2-squared a row's lower end is its expanded
-        distance minus its error bound, the cross terms of all queries from
-        one f32 matrix product. Either way a non-finite lower end (a
-        non-finite cosine distance, or an l2 row or query outside the range
-        gate, whose bound is inf) is made -inf, so that its row is ranked by
-        its direct distance.
+        ``query_sq_norms`` are the queries' f64 squared norms. The cross
+        terms of all queries come from one f32 matrix product. A row's lower
+        end is its approximate distance minus its error bound: under
+        l2-squared the expanded distance, under cosine ``1 - c / D`` with D
+        the direct formula's own denominator (the same bits). A non-finite
+        lower end (a row or query outside the range gate, whose bound is
+        inf) is made -inf, so that its row is ranked by its direct distance.
         """
-        matrix = self._pool.embeddings.matrix
-        if self._pool.metric == METRIC_COSINE:
-            dists = np.stack(
-                [embedding_distances(matrix, q, METRIC_COSINE, self._norms) for q in queries]
-            )
-            low = dists.copy()
-
-            def exact(j: int, rows: np.ndarray) -> np.ndarray:
-                return dists[j, rows]
-
-        else:
-            rows32, norms = self._scan_rows()
-            query_norms = _gated_norms(query_sq_norms)
-            # Outside the gate values may overflow; their bounds are inf.
-            with np.errstate(over="ignore", invalid="ignore"):
-                cross = rows32 @ queries.astype(np.float32).T
-                low = np.multiply(cross.T, -2.0, dtype=np.float64)
-                low += self._pool.embeddings.sq_norms
+        table = self._pool.embeddings
+        matrix = table.matrix
+        cosine = self._pool.metric == METRIC_COSINE
+        if cosine:
+            denom = np.multiply.outer([_query_norm(q) for q in queries], self._norms)
+        rows32, norms = self._scan_rows()
+        query_norms = _gated_norms(query_sq_norms)
+        # Outside the gate values may overflow; their bounds are inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = (rows32 @ queries.astype(np.float32).T).T
+            if cosine:
+                low = 1.0 - cross / denom
+                low -= _cosine_error_bound(norms, query_norms, denom, matrix.shape[1])
+            else:
+                low = np.multiply(cross, -2.0, dtype=np.float64)
+                low += table.sq_norms
                 low += query_sq_norms[:, None]
                 low -= _l2_error_bound(norms, query_norms, matrix.shape[1])
-
-            def exact(j: int, rows: np.ndarray) -> np.ndarray:
-                return _direct_l2(matrix, rows, queries[j])
-
         low[~np.isfinite(low)] = -np.inf
         low[:, skip] = np.inf
+
+        def exact(j: int, rows: np.ndarray) -> np.ndarray:
+            return _direct(matrix, rows, queries[j], self._pool.metric, self._norms)
+
         return low, exact
 
     def _scan_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The f32 copy of the pool and the rows' gated norms, built at the
-        first call."""
+        first query under either metric."""
         if self._rows32 is None:
             table = self._pool.embeddings
             with np.errstate(over="ignore"):
@@ -278,14 +298,21 @@ def _gated_norms(sq_norms: np.ndarray) -> np.ndarray:
     return np.where(sq_norms <= _F32_MAX_SQ_NORM, np.sqrt(sq_norms), np.inf)
 
 
-def _direct_l2(matrix: np.ndarray, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Direct l2-squared distances of some matrix rows, in blocks of rows,
-    equal bit for bit to those of a scan over the whole matrix."""
+def _direct(
+    matrix: np.ndarray,
+    rows: np.ndarray,
+    query: np.ndarray,
+    metric: str,
+    norms: np.ndarray | None,
+) -> np.ndarray:
+    """Direct distances of some matrix rows, in blocks of rows, equal bit
+    for bit to those of a scan over the whole matrix; ``norms`` are every
+    row's cosine norms (None under l2-squared)."""
     out = np.empty(rows.size)
     for start in range(0, rows.size, _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         out[start : start + block.size] = embedding_distances(
-            matrix[block], query, METRIC_L2_SQUARED
+            matrix[block], query, metric, None if norms is None else norms[block]
         )
     return out
 
@@ -346,6 +373,68 @@ def _l2_error_bound(row_norms: np.ndarray, query_norms: np.ndarray, dim: int) ->
         bound = np.multiply.outer((2.0 * c64 + 2.0 * gamma32) * query_norms, row_norms)
         bound += row_norms * (c64 * row_norms + c32)
         bound += (query_norms * (c64 * query_norms + c32) + floor)[:, None]
+    return bound
+
+
+def _cosine_error_bound(
+    row_norms: np.ndarray, query_norms: np.ndarray, denom: np.ndarray, dim: int
+) -> np.ndarray:
+    """Bound on |approximate - direct| for cosine distances whose cross
+    terms come from f32 copies of the rows and queries; (q, n).
+
+    With u, v and g_m(w) as in :func:`_l2_error_bound`, take a row x, a
+    query q, S = sum |x_j q_j| <= |x| |q|, and the direct formula's norms
+    n_x, n_q and denominator D = fl(n_x n_q), which the approximation
+    shares bit for bit. The direct distance is d = fl(1 - fl(p / D)), p the
+    f64 dot, and the approximation a = fl(1 - fl(c / D)), c the f32 cross
+    term. Both divide by the same D, so the norms' own rounding cancels
+    from the difference; it only enters through S / D.
+
+    * Cross term, as in :func:`_l2_error_bound` (inside the range gate):
+      |c - x.q| <= g_(dim+2)(v) S + 2^-149 sqrt(dim) (|x| + |q|) + dim 2^-147.
+    * Direct dot, the f64 sum of the dim products in any order: each
+      product is off by a relative u or, if it underflows, by at most
+      2^-1075, and subnormal sums are exact, so
+      |p - x.q| <= g_dim(u) S + dim 2^-1074.
+    * Division and subtraction: each quotient is off by a relative u plus
+      at most 2^-1075, and each subtraction from 1 by a relative u of
+      |1 - r| <= 1 + |r|. With |c| + |p| <= 2 S + both errors above,
+      |a - d| <= ((1 + 3u) (g_(dim+2)(v) + g_dim(u)) + 5u) S / D
+      + (1 + 3u) (f32 and f64 floors) / D + 2u + 2^-1073.
+    * Norms: a computed norm n_x = fl(sqrt(s_x)), s_x the f64 sum of the
+      squares in any order, gives |x| <= (1 + (dim/2 + 2) u) (n_x + f)
+      with f = sqrt(dim) 2^-537 for squares that underflow; and
+      n_x n_q <= (1 + 2u) D + 2^-1075. So S / D <= (1 + (dim + 8) u)
+      + (f (n_x + n_q) + f^2 + 2^-1075) / D, to first order in u.
+
+    With (dim + 8) u <= 0.01 (any dim below 2^46) and g_(dim+2)(v) <= 1
+    (dim + 2 <= 2^23; beyond, the bound is inf), this gives |a - d| <= T =
+    1.01 g_(dim+2)(v) + (dim + 8) eps + 2u + (2^-148 sqrt(dim) (n_x + n_q)
+    + dim 2^-146) / D + 2^-1073, eps = 2u: the products of f with the tiny
+    coefficients are folded into the floors, whose f32 parts are doubled.
+    The bound returned is E = 1.01 g_(dim+2)(v) + 2 (dim + 8) eps +
+    (2^-147 sqrt(dim) (n_x' + n_q') + dim 2^-145) / D, where n_x' and n_q'
+    may be any computed norms (the rooted squared norms of the table and
+    of the caller); they are within a relative (dim + 2) u of n_x and n_q.
+    E exceeds T by at least (2 dim + 14) u plus nearly T's floor term. That
+    spare covers the rounding of E (a relative 7u of each nonnegative term)
+    and of the lower end a - E (u of |a| + E, where |a| <= 3.1 plus three
+    times the floor term), so the computed lower end is at most d. Inside
+    the gate D >= 2^-1074 > 0 for nonzero norms (each is at least 2^-537),
+    and the floors make E large wherever n_x or n_q is too small for the
+    f32 stage. A gated norm of inf (outside the gate) makes E inf, which
+    makes the lower end non-finite; its row is ranked by its direct
+    distance. ``row_norms`` and ``query_norms`` are the gated n_x' and
+    n_q', ``denom`` the direct formula's denominators.
+    """
+    m = (dim + 2) * 2.0**-24
+    gamma32 = m / (1.0 - m) if m <= 0.5 else math.inf
+    relative = 1.01 * gamma32 + 2.0 * (dim + 8) * np.finfo(np.float64).eps
+    bound = np.add.outer(query_norms, row_norms)
+    bound *= 2.0**-147 * math.sqrt(dim)
+    bound += dim * 2.0**-145
+    bound /= denom
+    bound += relative
     return bound
 
 

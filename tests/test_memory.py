@@ -69,6 +69,21 @@ class TestCandidateMemory:
         with pytest.raises(ValueError, match="shape"):
             memory.nearest_unexplored([0.0, 1.0], 1)
 
+    @pytest.mark.parametrize("metric", ["l2-squared", "cosine"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nearest_rejects_non_finite_query(self, metric, bad, monkeypatch):
+        pool = random_pool(np.random.default_rng(4), 30, 3, metric)
+        memory = CandidateMemory(pool)
+
+        def no_scan(*args):
+            raise AssertionError("scanned a non-finite query")
+
+        monkeypatch.setattr(CandidateMemory, "_lower_ends", no_scan)
+        query = pool.embeddings.matrix[0].copy()
+        query[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            memory.nearest_unexplored(query, 3)
+
     def test_cosine_zero_query(self):
         pool = build_pool(
             ["A", "B"], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]],
@@ -250,6 +265,16 @@ def hard_embeddings(kind: str, rng: np.random.Generator, n: int = 240, dim: int 
         return 1e39 * rng.standard_normal((n, dim))
     if kind == "f32-worst":
         return f32_worst_embeddings(rng, n)
+    if kind in ("near-parallel", "near-antiparallel"):
+        # Scaled copies of one direction, nudged by 1e-9 relative steps:
+        # cosine distances near 0 (and near 2 for the flipped half) cancel
+        # to a few ulps and tie.
+        base = rng.standard_normal(dim)
+        rows = base * rng.choice([0.5, 1.0, 3.0], (n, 1))
+        rows += 1e-9 * np.abs(base).max() * rng.integers(-2, 3, (n, dim))
+        if kind == "near-antiparallel":
+            rows[rng.random(n) < 0.5] *= -1.0
+        return rows
     raise ValueError(kind)
 
 
@@ -277,7 +302,8 @@ def f32_worst_embeddings(rng: np.random.Generator, n: int) -> np.ndarray:
 
 HARD_KINDS = ("duplicate-rows", "lattice", "offset", "offset-near-ties", "near-overflow",
               "overflow", "subnormal", "mixed-scales", "gate-edge", "f32-underflow",
-              "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf", "f32-worst")
+              "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf", "f32-worst",
+              "near-parallel", "near-antiparallel")
 METRICS = ("l2-squared", "cosine")
 
 
@@ -380,20 +406,68 @@ class TestExactScan:
         # Rows 0, 1 and 2 are all at distance inf from row 3; row 0 is explored.
         assert memory.nearest_unexplored(emb[3], 2) == names(memory, [3, 1])
 
-    @pytest.mark.parametrize("kind", HARD_KINDS)
-    def test_direct_formula_on_rows_matches_full_matrix(self, kind):
+    @pytest.mark.parametrize(
+        "kind, metric",
+        [pytest.param(k, m, id=k if m == "l2-squared" else f"{k}-{m}")
+         for m in METRICS for k in HARD_KINDS],
+    )
+    def test_direct_formula_on_rows_matches_full_matrix(self, kind, metric):
         rng = np.random.default_rng(3)
-        matrix = hard_embeddings(kind, rng, n=500, dim=37)
-        query = matrix[11]
-        full = embedding_distances(matrix, query, "l2-squared")
-        for rows in (np.arange(500), np.array([11]), rng.choice(500, 60, replace=False),
-                     np.sort(rng.choice(500, 7, replace=False))):
-            subset = embedding_distances(matrix[rows], query, "l2-squared")
-            assert subset.tobytes() == full[rows].tobytes()
+        matrix = hard_pool(hard_embeddings(kind, rng, n=500, dim=37), metric).embeddings.matrix
+        assert_rows_match_full_scan(matrix, matrix[11], metric, rng)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("dim", (1, 2, 3, 7, 64, 255, 768, 1001))
+    def test_direct_formula_bits_do_not_depend_on_the_call(self, metric, dim):
+        rng = np.random.default_rng(dim)
+        matrix = rng.standard_normal((300, dim))
+        for query in (matrix[7], rng.standard_normal(dim)):
+            assert_rows_match_full_scan(matrix, query, metric, rng)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_rows_and_queries_outside_the_gate_get_minus_inf(self, metric):
+        # Rows 30-39 lie just outside the 2^62 range gate and rows 40-44 on
+        # its edge, inside. Every f32 value stays finite here, so only the
+        # gate makes the lower ends of the rows outside it -inf, and those
+        # of every row for a query outside it.
+        rng = np.random.default_rng(8)
+        emb = np.abs(rng.standard_normal((45, 3))) + 1.0
+        emb[30:, :] = 0.0
+        emb[30:40, 0] = -(2.0**62) * (1.0 + 2.0**-52)
+        emb[40:, 1] = -(2.0**62)
+        memory = self.memory(emb, metric=metric)
+        table = memory.pool.embeddings
+        queries = [0, 40, 30]
+        low, _ = memory._lower_ends(
+            table.matrix[queries], table.sq_norms[queries], np.empty(0, dtype=np.intp)
+        )
+        outside = np.zeros((3, 45), dtype=bool)
+        outside[:, 30:40] = True
+        outside[2] = True
+        np.testing.assert_array_equal(np.isneginf(low), outside)
+        assert np.isfinite(low[~outside]).all()
+
+
+def assert_rows_match_full_scan(matrix, query, metric, rng):
+    """The direct formula over gathered rows, slices and single rows, with
+    the cosine norms given or not, equals a whole-matrix scan bit for bit."""
+    n = len(matrix)
+    full = embedding_distances(matrix, query, metric)
+    norms = np.linalg.norm(matrix, axis=1) if metric == "cosine" else None
+    lo = int(rng.integers(n - 1))
+    for rows in (np.arange(n), np.array([11]), rng.choice(n, 60, replace=False),
+                 np.sort(rng.choice(n, 7, replace=False)), slice(lo, n),
+                 slice(lo, lo + 1), slice(0, n, 3)):
+        got = embedding_distances(matrix[rows], query, metric)
+        assert got.tobytes() == full[rows].tobytes()
+        if norms is not None:
+            got = embedding_distances(matrix[rows], query, metric, norms[rows])
+            assert got.tobytes() == full[rows].tobytes()
 
 
 COVER_KINDS = ("lattice", "duplicate-rows", "offset", "overflow", "mixed-scales", "gate-edge",
-               "f32-underflow", "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf")
+               "f32-underflow", "f32-subnormal", "f32-flush", "f32-overflow", "f32-inf",
+               "f32-worst", "subnormal", "near-parallel", "near-antiparallel")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -27,12 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import spread
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPORTS = ("runs.csv", "summary.json")
@@ -91,13 +92,6 @@ def run_side(checkout: Path, config: Path, out: Path) -> dict:
         "peak_rss_mb": usage.ru_maxrss / 1024,
         "stderr": message,
     }
-
-
-def spread(values: list[float]) -> dict:
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def summarize(pairs: list[dict]) -> dict:

@@ -257,15 +257,13 @@ class CandidateMemory:
         """
         table = self._pool.embeddings
         matrix = table.matrix
-        cosine = self._pool.metric == METRIC_COSINE
-        if cosine:
-            denom = np.multiply.outer([_query_norm(q) for q in queries], self._norms)
         rows32, norms = self._scan_rows()
         query_norms = _gated_norms(query_sq_norms)
         # Outside the gate values may overflow; their bounds are inf.
         with np.errstate(over="ignore", invalid="ignore"):
             cross = (rows32 @ queries.astype(np.float32).T).T
-            if cosine:
+            if self._pool.metric == METRIC_COSINE:
+                denom = np.multiply.outer([_query_norm(q) for q in queries], self._norms)
                 low = 1.0 - cross / denom
                 low -= _cosine_error_bound(norms, query_norms, denom, matrix.shape[1])
             else:

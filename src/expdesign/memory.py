@@ -14,18 +14,22 @@ query vector, then the direct formula only where a lower end says it can
 matter. The pool is not scanned row by row. At its first query a memory
 makes an f32 copy of the pool, half the bytes of the matrix, which lives as
 long as the memory (one run), and takes the cross terms ``x.q`` of all
-queries of a call from one f32 matrix product over that copy. Under
-l2-squared they enter the expansion ``|x|^2 - 2 x.q + |q|^2`` with the f64
-squared norms; under cosine they enter ``1 - x.q / (|x| |q|)`` with the
-direct formula's own f64 norms and denominator. Each value lies within a
-proven bound of the direct value (see :func:`_l2_error_bound` and
-:func:`_cosine_error_bound`), which covers the rounding of the inputs to
-f32 and of the f32 sums, subnormal results included. It holds inside a
-range gate, a norm of at most 2^62 for the row and the query, within which
-no f32 value overflows. A row or query outside the gate gets an infinite
-bound. Each row's lower end is its approximation minus its bound; a
-non-finite lower end is made -inf, so that its row is always ranked by its
-direct distance.
+queries of a call from f32 matrix products over spans of that copy's rows.
+The spans run on as many threads as the process has CPUs and spans, and
+the copy is filled span by span the same way; which spans there are
+depends on the row count alone, and a pool of one span starts no thread.
+Under l2-squared the cross terms enter the expansion ``|x|^2 - 2 x.q +
+|q|^2`` with the f64 squared norms; under cosine they enter ``1 - x.q /
+(|x| |q|)`` with the direct formula's own f64 norms and denominator. Each
+value lies within a proven bound of the direct value (see
+:func:`_l2_error_bound` and :func:`_cosine_error_bound`), which covers the
+rounding of the inputs to f32 and of the f32 sums, in any summation order,
+subnormal results included, so it does not depend on the spans. It holds
+inside a range gate, a norm of at most 2^62 for the row and the query,
+within which no f32 value overflows. A row or query outside the gate gets
+an infinite bound. Each row's lower end is its approximation minus its
+bound; a non-finite lower end is made -inf, so that its row is always
+ranked by its direct distance.
 
 The direct formula gives a row the same bits whatever other rows share its
 call: the l2 sum and the cosine dot are reductions along the row (not a
@@ -54,7 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool
+from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, _available_cpus, _on_threads
 
 # Range gate of the f32 stage (see _l2_error_bound): the greatest squared
 # norm of a row or query.
@@ -64,6 +68,16 @@ _F32_MAX_SQ_NORM = 2.0**124
 # call.
 _BLOCK_ROWS = 1024
 _ABSORB_ROWS = 32
+
+# Fewest rows per span of the f32 scan and copy: n rows are cut into
+# max(1, n // _SPAN_ROWS) spans of nearly equal size (see _on_spans). On
+# gene-screen (18k x 256, 2 CPUs, one BLAS thread; perfbench seed 0,
+# `--seconds 12`, four alternating runs each) `round_ms.p50` read a median of
+# 8.34 ms without spans, 7.20 ms at 2048, 6.79 ms at 4096 and 6.44 ms at 8192
+# (two spans of 9000 rows); spans of exactly 4096 or 8192 rows, the last one
+# shorter, read 6.99 and 7.37 ms over three runs. llm-http's 6k rows and
+# molecule's 2k are one span.
+_SPAN_ROWS = 8192
 
 
 def embedding_distances(
@@ -248,30 +262,51 @@ class CandidateMemory:
         the direct formula's distances of some rows to query j.
 
         ``query_sq_norms`` are the queries' f64 squared norms. The cross
-        terms of all queries come from one f32 matrix product. A row's lower
-        end is its approximate distance minus its error bound: under
-        l2-squared the expanded distance, under cosine ``1 - c / D`` with D
-        the direct formula's own denominator (the same bits). A non-finite
-        lower end (a row or query outside the range gate, whose bound is
-        inf) is made -inf, so that its row is ranked by its direct distance.
+        terms of all queries come from an f32 matrix product over each span
+        of rows. A row's lower end is its approximate distance minus its
+        error bound: under l2-squared the expanded distance, under cosine
+        ``1 - c / D`` with D the direct formula's own denominator (the same
+        bits). A non-finite lower end (a row or query outside the range
+        gate, whose bound is inf) is made -inf, so that its row is ranked by
+        its direct distance.
+
+        The spans run on threads (:func:`_on_spans`); each writes only its
+        own columns of the result. Both bounds hold in any summation order,
+        so a lower end does not depend on the span or thread that computed
+        it. What depends on the queries alone (a cosine zero-query
+        ValueError) is computed before any thread starts, and ``exact`` runs
+        on the calling thread.
         """
         table = self._pool.embeddings
         matrix = table.matrix
+        dim = matrix.shape[1]
         rows32, norms = self._scan_rows()
         query_norms = _gated_norms(query_sq_norms)
-        # Outside the gate values may overflow; their bounds are inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cross = (rows32 @ queries.astype(np.float32).T).T
-            if self._pool.metric == METRIC_COSINE:
-                denom = np.multiply.outer([_query_norm(q) for q in queries], self._norms)
-                low = 1.0 - cross / denom
-                low -= _cosine_error_bound(norms, query_norms, denom, matrix.shape[1])
-            else:
-                low = np.multiply(cross, -2.0, dtype=np.float64)
-                low += table.sq_norms
-                low += query_sq_norms[:, None]
-                low -= _l2_error_bound(norms, query_norms, matrix.shape[1])
-        low[~np.isfinite(low)] = -np.inf
+        cosine = self._pool.metric == METRIC_COSINE
+        if cosine:
+            direct_norms = np.array([_query_norm(q) for q in queries])
+        with np.errstate(over="ignore"):
+            queries32 = queries.astype(np.float32).T
+        low = np.empty((len(queries), len(matrix)))
+
+        def span(rows: slice) -> None:
+            out = low[:, rows]
+            # Outside the gate values may overflow; their bounds are inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cross = (rows32[rows] @ queries32).T
+                if cosine:
+                    denom = np.multiply.outer(direct_norms, self._norms[rows])
+                    np.divide(cross, denom, out=out)
+                    np.subtract(1.0, out, out=out)
+                    out -= _cosine_error_bound(norms[rows], query_norms, denom, dim)
+                else:
+                    np.multiply(cross, -2.0, out=out, dtype=np.float64)
+                    out += table.sq_norms[rows]
+                    out += query_sq_norms[:, None]
+                    out -= _l2_error_bound(norms[rows], query_norms, dim)
+            out[~np.isfinite(out)] = -np.inf
+
+        _on_spans(span, len(matrix))
         low[:, skip] = np.inf
 
         def exact(j: int, rows: np.ndarray) -> np.ndarray:
@@ -280,14 +315,34 @@ class CandidateMemory:
         return low, exact
 
     def _scan_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The f32 copy of the pool and the rows' gated norms, built at the
-        first query under either metric."""
+        """The f32 copy of the pool, filled span by span on threads, and the
+        rows' gated norms, built at the first query under either metric."""
         if self._rows32 is None:
             table = self._pool.embeddings
-            with np.errstate(over="ignore"):
-                self._rows32 = table.matrix.astype(np.float32)
+            rows32 = np.empty(table.matrix.shape, dtype=np.float32)
+
+            def copy(rows: slice) -> None:
+                with np.errstate(over="ignore"):
+                    rows32[rows] = table.matrix[rows]
+
+            _on_spans(copy, len(rows32))
+            self._rows32 = rows32
             self._scan_norms = _gated_norms(table.sq_norms)
         return self._rows32, self._scan_norms
+
+
+def _on_spans(task: Callable[[slice], None], n: int) -> None:
+    """``task(rows)`` for n rows cut into max(1, n // _SPAN_ROWS) consecutive
+    spans of nearly equal size, on min(CPUs available, spans) threads
+    counting the calling one. The spans depend on n alone, and a pool of
+    fewer than 2 _SPAN_ROWS rows is one span, which starts no thread. No
+    task may call a function that perfbench's tracer wraps
+    (``embedding_distances`` among them): its span stack is shared by all
+    threads."""
+    count = max(1, n // _SPAN_ROWS)
+    cuts = [n * i // count for i in range(count + 1)]
+    spans = [slice(lo, end) for lo, end in zip(cuts, cuts[1:])]
+    _on_threads(task, spans, min(_available_cpus(), len(spans)))
 
 
 def _gated_norms(sq_norms: np.ndarray) -> np.ndarray:

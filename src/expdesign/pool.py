@@ -26,6 +26,7 @@ file is parsed in this process.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import csv
 import itertools
 import math
@@ -34,9 +35,10 @@ import re
 import signal
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -458,6 +460,52 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+_Item = TypeVar("_Item")
+
+# What a worker of _on_threads takes when no item is left for it.
+_NO_ITEM = object()
+
+
+def _on_threads(task: Callable[[_Item], None], items: Sequence[_Item], workers: int) -> None:
+    """``task(item)`` for every item, on ``workers`` threads counting the
+    calling one (with at most one, only the calling thread runs), each
+    taking the next item when done with its last. After an exception no
+    item is started, and the first is re-raised once all threads have
+    stopped."""
+    pending = iter(items)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while True:
+            with lock:
+                item = _NO_ITEM if errors else next(pending, _NO_ITEM)
+            if item is _NO_ITEM:
+                return
+            try:
+                task(item)
+            except BaseException as exc:  # re-raised in the caller
+                with lock:
+                    errors.append(exc)
+                return
+
+    # Each thread runs in a copy of the caller's context, so that settings
+    # kept in context variables (numpy's errstate) hold for its items too.
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(workers - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _may_fork() -> bool:

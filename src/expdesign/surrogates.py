@@ -111,10 +111,9 @@ scored exactly.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import threading
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -123,7 +122,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError
 from .memory import CandidateMemory, _gated_norms
-from .pool import _available_cpus
+from .pool import _available_cpus, _on_threads
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -617,49 +616,6 @@ def _block_calls(start: int, size: int) -> list[tuple[int, int, int]]:
     cut = (end - lo) // 128 * 64
     cuts = [lo, lo + cut, end] if (end - lo) % 8 == 0 and cut >= _HALF_MIN_ROWS else [lo, end]
     return [(a, b, max(a, start)) for a, b in zip(cuts, cuts[1:]) if b > start]
-
-
-_Item = TypeVar("_Item")
-
-
-def _on_threads(task: Callable[[_Item], None], items: Sequence[_Item], workers: int) -> None:
-    """``task(item)`` for every item, on ``workers`` threads counting the
-    calling one (with at most one, only the calling thread runs), each
-    taking the next item when done with its last. After an exception no
-    item is started, and the first is re-raised once all threads have
-    stopped."""
-    pending = iter(items)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        while True:
-            with lock:
-                item = None if errors else next(pending, None)
-            if item is None:
-                return
-            try:
-                task(item)
-            except BaseException as exc:  # re-raised in the caller
-                with lock:
-                    errors.append(exc)
-                return
-
-    # Each thread runs in a copy of the caller's context, so that settings
-    # kept in context variables (numpy's errstate) hold for its items too.
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        for _ in range(workers - 1)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def select_top_b(

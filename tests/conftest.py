@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from expdesign import memory as memory_module
 from expdesign.pool import build_pool
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -39,6 +42,34 @@ def write_dataset(
         for name, row in zip(names, np.asarray(embeddings)):
             writer.writerow([name] + [repr(float(v)) for v in row])
     return meas, emb
+
+
+@pytest.fixture
+def threaded_scan(monkeypatch):
+    """Memory scans cut into spans of a few rows, run on up to three
+    threads (more than the CPUs a test machine may have), which switch as
+    often as the interpreter lets them."""
+    monkeypatch.setattr(memory_module, "_SPAN_ROWS", 7)
+    monkeypatch.setattr(memory_module, "_available_cpus", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, in a list that grows as they start."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
 
 
 @pytest.fixture

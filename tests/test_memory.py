@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from expdesign import memory as memory_module
 from expdesign.agents import coreset_select
 from expdesign.errors import DatasetError
 from expdesign.memory import CandidateMemory, center_quotas, embedding_distances
@@ -10,12 +14,14 @@ from expdesign.pool import build_pool
 
 from conftest import (
     coreset_oracle,
+    count_thread_starts,
     direct_allocate,
     direct_nearest,
     naive_allocate,
     naive_nearest_unexplored,
     random_pool,
 )
+from test_acceptance import test_criterion_1_nearest_neighbor_oracle as nearest_oracle
 
 
 def pair_distance(metric, a, b):
@@ -523,6 +529,63 @@ class TestCover:
         assert np.isinf(cover).all()
         with pytest.raises(ValueError):
             cover[0] = 0.0
+
+
+@pytest.mark.usefixtures("threaded_scan")
+class TestExactScanOnThreads(TestExactScan):
+    """TestExactScan with the scan cut into spans of a few rows, on three
+    threads."""
+
+
+@pytest.mark.usefixtures("threaded_scan")
+class TestCoverOnThreads(TestCover):
+    """TestCover with the scan cut into spans of a few rows, on three
+    threads."""
+
+
+def test_nearest_neighbor_oracle_on_threads(threaded_scan):
+    nearest_oracle()
+
+
+class TestScanSpans:
+    def test_exception_in_a_span_reaches_the_caller(self, threaded_scan, monkeypatch):
+        # The calling thread's span fails while a worker thread is still in
+        # one of its own: the caller gets the exception only once every
+        # thread has stopped, and nothing is explored.
+        started = count_thread_starts(monkeypatch)
+        caller = threading.get_ident()
+        worker_busy = threading.Event()
+        bound = memory_module._l2_error_bound
+
+        def failing(*args):
+            if threading.get_ident() == caller:
+                worker_busy.wait(5.0)
+                raise FloatingPointError("span bound")
+            worker_busy.set()
+            time.sleep(0.1)
+            return bound(*args)
+
+        monkeypatch.setattr(memory_module, "_l2_error_bound", failing)
+        memory = CandidateMemory(random_pool(np.random.default_rng(0), 100, 4))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="span bound"):
+            memory.allocate_batch([0, 1], 10)
+        assert worker_busy.is_set()
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+        assert memory.num_unexplored == 100
+
+    @pytest.mark.parametrize("less, threads", [(1, 0), (0, 2)])
+    def test_one_span_starts_no_thread(self, monkeypatch, less, threads):
+        # A pool of fewer than two span lengths is one span and scans on the
+        # calling thread; at two span lengths the f32 copy and the scan each
+        # start one thread.
+        monkeypatch.setattr(memory_module, "_available_cpus", lambda: 3)
+        started = count_thread_starts(monkeypatch)
+        pool = random_pool(np.random.default_rng(1), 2 * memory_module._SPAN_ROWS - less, 2)
+        batch = CandidateMemory(pool).allocate_batch([0], 5)
+        assert batch.size == 5
+        assert len(started) == threads
 
 
 def test_embedding_distances_matches_scalar():

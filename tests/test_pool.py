@@ -823,3 +823,13 @@ class TestSerialization:
             line_pool.embeddings.matrix[0, 0] = 99.0
         with pytest.raises(ValueError):
             line_pool.scores[0] = 99.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_on_threads_takes_every_item_none_and_zero_included(workers):
+    # An item that is None, 0 or otherwise false is an item like any other:
+    # it neither stops a thread nor is skipped.
+    items = [None, 0, 1, None, 0.0, "", 2, None]
+    done = []
+    pool_module._on_threads(done.append, items, workers)
+    assert sorted(map(repr, done)) == sorted(map(repr, items))

@@ -147,6 +147,10 @@ def test_allocation_matches_direct_formula(pool_seed, n, dim, embeddings, rounds
         explored[expected] = True
 
 
+def test_allocation_matches_direct_formula_on_threads(threaded_scan):
+    test_allocation_matches_direct_formula()
+
+
 @st.composite
 def shortlist_inputs(draw):
     """Keys with heavy ties and inf and NaN among them, lower ends equal to

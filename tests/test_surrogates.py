@@ -30,6 +30,7 @@ from expdesign.surrogates import (
 )
 
 from conftest import (
+    count_thread_starts,
     linucb_direct,
     one_expression_rbf,
     random_pool,
@@ -481,18 +482,6 @@ class TestScoreBlocks:
             expected = score_blocks(avail, score) if size <= self.BLOCK else every[avail]
             assert same_bits(got, expected)
 
-    @staticmethod
-    def count_thread_starts(monkeypatch) -> list:
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(surrogates.threading, "Thread", Counted)
-        return started
-
     # The score calls (row ranges, in row order) each row count makes on any
     # number of CPUs: a block of a multiple of 8 rows is cut into halves at
     # the multiple of 64 at or below its middle when both keep 256 rows or
@@ -564,7 +553,7 @@ class TestScoreBlocks:
         # two calls, a block that is not (too few rows, or not a multiple
         # of 8) one.
         monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
-        started = self.count_thread_starts(monkeypatch)
+        started = count_thread_starts(monkeypatch)
         callers = []
 
         def score(rows):

@@ -8,6 +8,7 @@ runs; these tests show it in the unit suite.
 from __future__ import annotations
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from expdesign.feedback import Feedback, FeedbackRecord
 from expdesign.harness import ExperimentConfig
 from expdesign.memory import CandidateMemory
 
-from conftest import random_pool
+from conftest import count_thread_starts, random_pool
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -74,3 +75,32 @@ def test_surrogate_rounds_reach_the_wrapped_names():
         "surrogates.gp.fit", "surrogates.gp.posterior",
         "surrogates.linucb.fit", "surrogates.linucb.score",
     } <= names
+
+
+def test_memory_spans_open_no_traced_span_off_the_calling_thread(threaded_scan, monkeypatch):
+    # Tracer.span keeps one stack for all threads, so a traced name called
+    # from a scan's worker thread would take another thread's span as its
+    # parent. A random-centroids round over a pool of many spans, on
+    # threads: every span, the direct formula's (memory.scan) included,
+    # opens on the calling thread.
+    tracer = load_tracer()
+    opened = []
+
+    class ThreadTracer(tracer.Tracer):
+        def span(self, name):
+            opened.append((name, threading.get_ident()))
+            return super().span(name)
+
+    pool = random_pool(np.random.default_rng(2), 300, 8)
+    memory = CandidateMemory(pool)
+    memory.explore(np.arange(20))
+    agent = make_agent(ExperimentConfig(agent="random-centroids", batch_size=16), pool, None, None)
+    started = count_thread_starts(monkeypatch)
+    trace = ThreadTracer()
+    with trace.installed():
+        assert agent.select(2, memory, None, np.random.default_rng(0)).size == 16
+    assert started
+    assert {"agents.select.random-centroids", "memory.allocate_batch", "memory.scan"} <= {
+        name for name, _ in opened
+    }
+    assert {ident for _, ident in opened} == {threading.get_ident()}

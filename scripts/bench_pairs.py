@@ -14,10 +14,12 @@ not report: the run calls ``main`` of the directory's ``perfbench/run.py``
 with ``ExperimentConfig.load_pool`` wrapped (``--measure-loads``).
 
 Each run also keeps where the time went, from its details file:
-``extras.experiment_wall_s``, every ``extras.agent_s.*`` and
+``extras.experiment_wall_s``, ``extras.round_wall_ms.p50`` and
+``extras.round_wall_ms.tail``, every ``extras.agent_s.*`` and
 ``rounds.median_adjusted_ms_by_kind``. The benchmark's adjusted times count
 the CPU time of worker threads as waiting, so these show a saving apart
-from the end-to-end metrics.
+from the end-to-end metrics, and the wall-clock rounds one that threads
+make.
 
 The output holds, per workload: the pair count, each side's median and
 quartiles of every end-to-end metric with the change's wins, each side's
@@ -92,6 +94,8 @@ def run_side(checkout: Path, workload: str, seed: int, tmp: Path) -> dict:
         "setup_wall_s": extras["setup_wall_s"],
         "breakdown": {
             "experiment_wall_s": extras["experiment_wall_s"],
+            "round_wall_ms.p50": extras["round_wall_ms.p50"],
+            "round_wall_ms.tail": extras["round_wall_ms.tail"],
             **{name: value for name, value in extras.items() if name.startswith("agent_s.")},
             **{f"round_ms.{kind}": value for kind, value
                in details["rounds"]["median_adjusted_ms_by_kind"].items()},

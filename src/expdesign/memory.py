@@ -271,11 +271,14 @@ class CandidateMemory:
         its direct distance.
 
         The spans run on threads (:func:`_on_spans`); each writes only its
-        own columns of the result. Both bounds hold in any summation order,
-        so a lower end does not depend on the span or thread that computed
-        it. What depends on the queries alone (a cosine zero-query
-        ValueError) is computed before any thread starts, and ``exact`` runs
-        on the calling thread.
+        own columns of the result. A one-query call (a nearest-neighbour
+        query, or a row the coreset's cover absorbs) is one span on the
+        calling thread: its product is a matrix-vector product bound by
+        memory bandwidth, which a second thread does not speed up. Both
+        bounds hold in any summation order, so a lower end does not depend
+        on the span or thread that computed it. What depends on the queries
+        alone (a cosine zero-query ValueError) is computed before any
+        thread starts, and ``exact`` runs on the calling thread.
         """
         table = self._pool.embeddings
         matrix = table.matrix
@@ -306,7 +309,10 @@ class CandidateMemory:
                     out -= _l2_error_bound(norms[rows], query_norms, dim)
             out[~np.isfinite(out)] = -np.inf
 
-        _on_spans(span, len(matrix))
+        if len(queries) == 1:
+            span(slice(0, len(matrix)))
+        else:
+            _on_spans(span, len(matrix))
         low[:, skip] = np.inf
 
         def exact(j: int, rows: np.ndarray) -> np.ndarray:

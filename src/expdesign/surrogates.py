@@ -18,47 +18,96 @@ with L^-1 are 4 MB each, besides its rows when they are gathered.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
-(``agents.GpAgent``, through ``memory.certified_least``). With G = L^-1,
-lower triangular as a fit keeps it, the posterior variance of a query with
-kernel column k is s - |G k|^2, s the signal variance. G's first p rows
-involve only k's first p entries, so in real arithmetic |G k|^2 >= P =
-|G[:p,:p] k[:p]|^2, and s - P bounds the variance from above for a p x p
-product per candidate (:meth:`GaussianProcess.ucb_bound`, p =
-_BOUND_PREFIX).
+(``agents.GpAgent``, through ``memory.certified_least``). The bound
+(:meth:`GaussianProcess.ucb_bound`) builds the kernel in a factored form
+that costs one GEMM, one in-place exp and one 3-row GEMM per call, and
+bounds how far the exact pass's kernel bits can lie from it. It rests on
+three assumptions: IEEE basic operations in round to nearest, with u =
+2^-53, eta = 2^-1075 and g_k = k u / (1 - k u), in any summation order and
+with FMA; |np.exp(t) - e^t| <= kappa max(e^t, tiny) for every f64 t, with
+kappa = _EXP_ACCURACY = 2^-40 and tiny the smallest normal f64 (a tier-1
+test checks it with headroom); and the range gate below.
 
-The bound has to hold for the computed values. The posterior computes
-Q = fl(|fl(G k)|^2) over the n training rows and the variance fl(s - Q),
-clipped at 0; the bound computes P' = fl(|fl(G[:p,:p] k[:p])|^2). Take the
-unit roundoff u = eps/2, g = n u / (1 - n u), a_i = sum_j |G_ij| |k_j| and
-A = |G|_F^2 |k|^2 >= sum_i a_i^2 (Cauchy-Schwarz).
+The factored kernel. With c the mean training row, x' = x - c and b' = b -
+c, |x - b|^2 = |x'|^2 + |b'|^2 - 2 x'.b', so k(x, b) = f_b e_x exp(x'.b' /
+l^2) with e_x = exp(-|x'|^2 / 2 l^2) and f_b = s exp(-|b'|^2 / 2 l^2), l^2
+the float ``length**2`` that the exact pass divides by. The first bound
+call after a fit builds A = (X - c) / l^2, A c and the training factors e_i
+(under a lock, so once per fit, and never in a round without a bound pass);
+a call computes E = exp(A B^T - A c), f_j from |b_j - c|^2 = |b_j|^2 - 2
+b_j.c + |c|^2, and k~_ij = f_j e_i E_ij (a real product of floats, never
+rounded).
 
-* Each entry of either product is within e_i = g a_i of (G k)_i, in any
-  summation order, FMA and BLAS blocking included, and |(G k)_i| <= a_i.
-  So for i < p the squares of the two products' entries differ by at most
-  4 e_i max(|(G k)_i|, e_i) <= 4 g a_i^2, 4 g A in all.
-* Each sum of squares is within g of its exact value: 2 g (1 + g)^2 A.
-* A product that underflows is off by up to half the smallest subnormal
-  rather than a relative u. Through 2 x y <= x^2 + y^2 that adds at most
-  4 g A and a few n times the smallest subnormal.
+The log-ratio. Let tau = -|x - b|^2 / 2 l^2 in exact arithmetic.
 
-Hence P' - Q <= 10 g A (1 + O(g)) + 4 (n + 1) tiny, tiny the smallest
-normal number, and P' exceeds the exact P by no more. The bound takes
-E = 8 g_n A with g_n = n eps / (1 - n eps) >= 2 g, which also covers the
-rounding of E itself; (n + 2) tiny is added to the computed |k|^2, which
-an underflow may leave short, and 4 (n + 2) tiny to E as the underflow
-floor, as ``memory._l2_error_bound`` does. Both operations of s - P' + E
-are rounded up (round to nearest, then ``np.nextafter`` toward inf), so
-var_ub >= s - Q in real arithmetic, and rounding is monotone, so var_ub >=
-fl(s - Q). Clipping var_ub to [0, s], where the computed variance lies,
-keeps that. A non-finite P' (an overflow, outside the rounding model) or E
-gives var_ub = s.
+* The exact pass (``_kernel``, from the uncentred squared norms) computes
+  an exponent within g_(d+4) (|x|^2 + |b|^2) / l^2 of tau: its squared
+  norms and cross product are each within g_d of their terms' sum, its
+  sum, difference and quotient add a u each, and the clip at 0 only moves
+  toward |x - b|^2 >= 0. One exp and the product with s follow.
+* The factored side's exponents, of e_i, E_ij and f_j, add up to tau
+  within g_(d+4) (R + |b| + |c|)^2 / 2 l^2, R = max_i |x_i - c|: A's
+  entries are within g_2 of x'/l^2, so A B^T - A c is within g_(d+4) |x'|
+  (|b| + |c|) / l^2 of x'.b' / l^2; the computed |b - c|^2 is within
+  g_(d+2) (|b| + |c|)^2 of |b'|^2, and the computed |x - c|^2 within
+  g_(d+3) |x'|^2 of |x'|^2. Three exps and the product with s follow.
+* A product or quotient that underflows is off by up to eta rather than a
+  relative u; all of them add less than 2^-1064 (d (1 + 1/l^2) + sqrt(d)
+  (|b| + |c|)) to the exponents.
 
-var_ub then goes through exactly the arithmetic that turns the computed
-variance into the score (:meth:`GaussianProcess._moments`, then
-:meth:`GaussianProcess._ucb`): mu + sd mean_z, sd^2 var, mean + beta
-sqrt(var), with the mean's bits the same. Each step is a correctly rounded,
-monotone function of var for sd^2 > 0 and beta >= 0, so the bound is at
-least the score as a float, not only in real arithmetic.
+So with Delta the sum of these terms and of 4 kappa (1 + kappa) + 2 u (1 +
+u) (the four exps and two products with s), the exact pass's kernel entry
+k_ij is within the factor e^(+-Delta) of k~_ij, and |k_ij - k~_ij| <= rho
+k~_ij with rho = Delta (1 + Delta) >= e^Delta - 1 for Delta <= 1.
+
+The range gate. A fit is inside it when R^2 / l^2 <= 256 (_GP_GATE), 2^-1000
+<= l^2 <= 2^1000, 2^-256 <= s <= 2^256 and (2n + d + 8) u <= 0.01; a row,
+when its computed |b - c|^2 plus that value's error bound is at most 256
+l^2 and Delta <= 1/2. Then the exponents of E lie in [-257, 257], those of
+e and f in [-129, 0], and those of the exact pass in [-513, 0], so every exp
+result is at least 2^-741 and every kernel entry of the exact pass at
+least 2^-997: all are normal numbers, kappa is a relative error wherever it
+is used, and exp cannot overflow. A row outside the gate, or in a fit
+outside it, gets an inf bound and is always scored exactly.
+
+The mean. The exact pass's k^T alpha, a GEMV in any order, is at most
+sum_i alpha_i k~_ij + (rho + g_n (1 + rho)) sum_i |alpha_i| k~_ij + n eta.
+The terms hold the rows alpha e, |alpha e| (its floats' absolute values)
+and e, so one GEMM gives y1, y2 and y3, within g_n of the sums of alpha_i e_i
+E_ij (up to the rounding of alpha e), |alpha_i| e_i E_ij and e_i E_ij.
+Hence k^T alpha <= f (y1 + omega y2) + n (2^-698 f + 2^-1070), with omega
+= (1 + g) rho + 2 g, g = g_(2n+8), which also covers the roundings of
+evaluating that sum.
+
+The variance. The posterior computes Q = fl(|fl(G k)|^2), G = L^-1 over
+the n training rows, and the variance fl(s - Q), clipped at 0. Each entry
+of fl(G k) is within g_n of its terms' sum, so Q >= |G k|^2 - 8 g'_n
+|G|_F^2 (|k|^2 + (n + 2) tiny) - 4 (n + 2) tiny, g'_n = n eps / (1 - n
+eps), underflows included (``_slack_scale`` holds 8 g'_n |G|_F^2). G is
+lower triangular, as a fit keeps it, so with p = _BOUND_PREFIX, |G k| >=
+|G_p k_p| >= |G_p k~_p| - |G_p|_F rho |k~_p|. The prefix product y =
+fl(G_p diag(e_p) E_p), kept as its p x p left factor, is within g_(p+1)
+|G_p|_F |k~_p| / f of G_p k~_p / f, and K = (s (1 + rho) f y3 (1 + g))^(1/2)
+bounds |k~_p| (each k~ is at most s (1 + rho), and f y3 is their sum
+within g). So |G k| >= f |y| (1 - g_(2p+8)) - (rho + g_(2p+8)) |G_p|_F K -
+p 2^-534 f, whose square (0 when negative) is taken rounded down as P. The
+slack bounds |k|^2 by (1 + rho) K^2, that is s (1 + rho)^2 f y3 (1 + g),
+since each k is at most s (1 + rho) and their sum at most (1 + rho) times
+that of k~. var_ub = min(s, up(up(s - P) + slack)), rounded up with
+``np.nextafter``, is then at least s - Q in exact arithmetic, so at least
+fl(s - Q), as rounding is monotone, and clipping it to [0, s], where the
+computed variance lies, keeps that.
+
+Every upper end above is evaluated in floats from nonnegative terms and
+multiplied by _SPARE = 1 + 2^-46, which exceeds the at most 60 roundings of
+its evaluation; the lower end of |G k| takes the spare of g_(2p+8) over
+g_(p+2). f (y1 + omega y2) and var_ub then go through exactly the
+arithmetic that turns the exact pass's sum and variance into the score
+(:meth:`GaussianProcess._moments`, then :meth:`GaussianProcess._ucb`): mu +
+sd sum, sd^2 var, mean + beta sqrt(var). Each step is a correctly rounded,
+monotone function for sd > 0 and beta >= 0, so the bound is at least the
+score as a float, for an exact pass of any call shape. A non-finite bound
+is made inf.
 
 LinUCB certifies its top-B the same way (``agents.LinUcbAgent``), from a
 bound that recomputes the score in f32 (:meth:`LinUcb.ucb_bound`). With G =
@@ -113,7 +162,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -329,11 +378,12 @@ class GaussianProcess:
     L^-1 and the training rows' squared norms; a posterior applies L^-1 to
     the cross-kernel block by one matrix product (v = L^-1 k_*,
     var = signal - |v|^2) instead of a triangular solve with one right-hand
-    side per query row. The posterior, the acquisition and the bound build
-    that block from the query rows they are handed and their squared norms.
-    Each query row's posterior depends on that row alone, so a pool can be
-    scored in row blocks (:func:`score_blocks`), with kernel-sized
-    temporaries of one block rather than of the pool.
+    side per query row. The posterior and the acquisition build that block
+    from the query rows they are handed and their squared norms; the bound
+    builds a factored kernel from terms made at its first call after a fit
+    (:meth:`ucb_bound`). Each query row's posterior depends on that row
+    alone, so a pool can be scored in row blocks (:func:`score_blocks`),
+    with kernel-sized temporaries of one block rather than of the pool.
     """
 
     def __init__(
@@ -361,6 +411,11 @@ class GaussianProcess:
         self._sq_norms: np.ndarray | None = None
         self._chol_inv: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
+        # The bound terms of the current fit, built at its first bound call
+        # (as a one-tuple; None until then). Bound calls of one pass run on
+        # several threads; the first builds the terms under this lock.
+        self._bound: tuple[_GpBound | None] | None = None
+        self._bound_lock = threading.Lock()
         self._mu = 0.0
         self._sd = 1.0
         self._length = length_scale
@@ -415,6 +470,7 @@ class GaussianProcess:
             self._sq_norms = None
             self._chol_inv = None
             self._alpha = None
+            self._bound = None
             self._mu, self._sd = 0.0, 1.0
             return
         if self.standardize:
@@ -457,6 +513,7 @@ class GaussianProcess:
         gamma = m / (1.0 - m) if m < 0.1 else math.inf
         with np.errstate(over="ignore"):
             self._slack_scale = 8.0 * gamma * float(np.square(self._chol_inv).sum())
+        self._bound = None
 
     def posterior_many(
         self, X: np.ndarray, sq_norms: np.ndarray | None = None
@@ -493,34 +550,178 @@ class GaussianProcess:
         rows of a model fitted on observations (arguments as for
         :meth:`posterior_many`).
 
-        The kernel block and the mean are computed as the posterior computes
-        them, so for the same shape of the queries they have the same bits;
-        the variance is replaced by :meth:`_variance_bound`. Each bound is at
-        least the score ``acquisition`` gives the row in a call of that
-        shape (see the module docstring).
+        The kernel is built in the factored form of the fit's bound terms,
+        not as the posterior builds it, so its bits are not the exact
+        pass's. Each bound is at least the score ``acquisition`` gives the
+        row in a call of any shape, and is inf for a row outside the range
+        gate (see the module docstring).
         """
         if self._X is None:
             raise ValueError("the UCB bound needs a model fitted on observations")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms)
-        return self._ucb(*self._moments(k_star, self._variance_bound(k_star)))
-
-    def _variance_bound(self, k_star: np.ndarray) -> np.ndarray:
-        """var_ub = min(s, up(up(s - P') + E)), clipped at 0, per column of
-        the cross-kernel block: at least the computed variance, and at least
-        s minus the exact squared norm of G[:p,:p] k[:p]."""
-        n = k_star.shape[0]
-        tiny = np.finfo(np.float64).tiny
-        prefix = self._chol_inv[:_BOUND_PREFIX, :_BOUND_PREFIX]
+        terms = self._bound_terms()
+        if terms is None:
+            return np.full(X.shape[0], np.inf)
+        mean_z, var_ub, rho = self._bound_moments(terms, X, sq_norms)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = prefix @ k_star[: prefix.shape[0]]
-            explained = np.einsum("ij,ij->j", w, w)
-            k_sq = np.einsum("ij,ij->j", k_star, k_star)
+            bound = self._ucb(self._mu + self._sd * mean_z, self._sd**2 * var_ub)
+        bound[~(np.isfinite(bound) & np.isfinite(rho))] = np.inf
+        return bound
+
+    def _bound_terms(self) -> _GpBound | None:
+        """The fit's bound terms, built at the first call after a fit, or
+        None when the fit is outside the range gate."""
+        with self._bound_lock:
+            if self._bound is None:
+                self._bound = (
+                    _gp_bound_terms(self._X, self._sq_norms, self._alpha, self._chol_inv,
+                                    self._length**2, self._signal),
+                )
+            return self._bound[0]
+
+    def _factored_kernel(
+        self, terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factored kernel of the query rows: E = exp(A (X - c)^T), n x
+        m, computed as exp(A X^T - A c); the row scales f = s exp(-|x -
+        c|^2 / 2 l^2); and each row's margin rho, inf outside the range
+        gate. With e the fit's training factors, the exact pass's kernel
+        entry is within rho times f_j e_i E_ij of it."""
+        length_sq = self._length**2
+        dim = X.shape[1]
+        if sq_norms is None:
+            sq_norms = np.square(X).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = terms.scaled @ X.T
+            E -= terms.shift[:, None]
+            np.exp(E, out=E)
+            centred_sq = sq_norms - 2.0 * (X @ terms.centre)
+            centred_sq += terms.centre_sq
+            f = self._signal * np.exp(-0.5 * centred_sq / length_sq)
+            sq_upper = _sq_upper(sq_norms, dim)
+            reach = np.sqrt(sq_upper) * _SPARE + terms.centre_norm
+            log_ratio = _SPARE * (
+                terms.log_base
+                + _gamma(dim + 4) / length_sq * (sq_upper + 0.5 * np.square(terms.radius + reach))
+                + 2.0**-1064 * math.sqrt(dim) * reach
+            )
+            rho = _SPARE * log_ratio * (1.0 + log_ratio)
+            gate = (
+                centred_sq + _gamma(dim + 3) * np.square(reach) + dim * 2.0**-1072
+            ) / length_sq
+        rho[~((gate <= _GP_GATE) & (log_ratio <= _GP_GATE_LOG_RATIO))] = np.inf
+        return E, f, rho
+
+    def _bound_moments(
+        self, terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per query row, an upper end of the exact pass's kernel-weighted
+        sum k^T alpha (its mean in standardized units before mu and sd), an
+        upper end var_ub of its standardized variance, and the margin rho
+        (see the module docstring). Both ends are meaningful only where rho
+        is finite."""
+        E, f, rho = self._factored_kernel(terms, X, sq_norms)
+        n, p = E.shape[0], terms.prefix.shape[0]
+        gain, prefix_gain = _gamma(2 * n + 8), _gamma(2 * p + 8)
+        tiny = np.finfo(np.float64).tiny
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted, absolute, total = terms.weights @ E
+            prefix = terms.prefix @ E[:p]
+            omega = (1.0 + gain) * rho + 2.0 * gain
+            mean = f * (weighted + omega * absolute) + n * (2.0**-698 * f + 2.0**-1070)
+            k_norm = _SPARE * np.sqrt(
+                self._signal * (1.0 + rho) * f * (total * (1.0 + gain) + n * 2.0**-1070)
+            )
+            # A lower end of |G_p k_p| for the exact pass's kernel column k.
+            norm_low = f * np.sqrt(np.einsum("ij,ij->j", prefix, prefix)) * (1.0 - prefix_gain)
+            norm_low -= _SPARE * (
+                (rho + prefix_gain) * terms.prefix_norm * k_norm + f * (p * 2.0**-534)
+            )
+            explained = np.nextafter(np.square(np.maximum(norm_low, 0.0)), 0.0)
+            k_sq = _SPARE * (1.0 + rho) * np.square(k_norm)
             slack = self._slack_scale * (k_sq + (n + 2) * tiny) + 4.0 * (n + 2) * tiny
             var_ub = np.nextafter(np.nextafter(self._signal - explained, np.inf) + slack, np.inf)
             np.clip(var_ub, 0.0, self._signal, out=var_ub)
-        var_ub[~np.isfinite(explained)] = self._signal
-        return var_ub
+        return mean, var_ub, rho
+
+
+class _GpBound(NamedTuple):
+    """What :meth:`GaussianProcess.ucb_bound` keeps of a fit: the factored
+    kernel's training side, the weights of its three sums and of the
+    prefix product, and the constants of the margin (see the module
+    docstring; every norm here is an upper end of the exact one)."""
+
+    scaled: np.ndarray  # A = (X - c) / l^2, n x d
+    shift: np.ndarray  # A c
+    centre: np.ndarray  # c, the mean training row
+    centre_sq: float  # |c|^2 as computed
+    centre_norm: float  # >= |c|
+    weights: np.ndarray  # the rows alpha e, |alpha e| and e
+    prefix: np.ndarray  # G[:p, :p] diag(e[:p])
+    prefix_norm: float  # >= |G[:p, :p]|_F
+    radius: float  # >= R = max |x_i - c|
+    log_base: float  # the exps and products with s, the floors and the max |x_i|^2 term
+
+
+def _gamma(k: int) -> float:
+    """An upper end of gamma_k = k u / (1 - k u), u = 2^-53."""
+    ku = k * 2.0**-53
+    return _SPARE * ku / (1.0 - ku)
+
+
+def _sq_upper(sq: np.ndarray | float, dim: int) -> np.ndarray | float:
+    """Upper ends of the exact squared norms of rows of dim floats, from
+    their squares summed in floats in any order, or from the floats of
+    their differences with one vector, each a rounding away."""
+    return sq * (1.0 + 2.0 * _gamma(dim + 2)) + dim * 2.0**-1073
+
+
+def _gp_bound_terms(
+    X: np.ndarray,
+    sq_norms: np.ndarray,
+    alpha: np.ndarray,
+    chol_inv: np.ndarray,
+    length_sq: float,
+    signal: float,
+) -> _GpBound | None:
+    """The bound terms of a fit on the rows X, or None when the fit is
+    outside the range gate (see the module docstring), which makes every
+    bound inf."""
+    n, dim = X.shape
+    if not (
+        2.0**-1000 <= length_sq <= 2.0**1000
+        and 2.0**-256 <= signal <= 2.0**256
+        and (2 * n + dim + 8) * 2.0**-53 <= 0.01
+    ):
+        return None
+    centre = X.mean(axis=0)
+    centred = X - centre
+    centred_sq = np.square(centred).sum(axis=1)
+    radius = _SPARE * math.sqrt(_sq_upper(float(centred_sq.max()), dim))
+    if not radius * radius / length_sq <= _GP_GATE:
+        return None
+    e = np.exp(-0.5 * centred_sq / length_sq)
+    scaled = centred / length_sq
+    weighted = alpha * e
+    p = min(_BOUND_PREFIX, n)
+    prefix = chol_inv[:p, :p]
+    centre_sq = float(np.square(centre).sum())
+    kappa, u = _EXP_ACCURACY, 2.0**-53
+    return _GpBound(
+        scaled=scaled,
+        shift=scaled @ centre,
+        centre=centre,
+        centre_sq=centre_sq,
+        centre_norm=_SPARE * math.sqrt(_sq_upper(centre_sq, dim)),
+        weights=np.stack([weighted, np.abs(weighted), e]),
+        prefix=prefix * e[:p],
+        prefix_norm=_SPARE * math.sqrt(_sq_upper(float(np.square(prefix).sum()), p * p)),
+        radius=radius,
+        log_base=4.0 * kappa * (1.0 + kappa)
+        + 2.0 * u * (1.0 + u)
+        + 2.0**-1064 * dim * (1.0 + 1.0 / length_sq)
+        + _gamma(dim + 4) / length_sq * _sq_upper(float(sq_norms.max()), dim),
+    )
 
 
 # Rows of the kernel's cross product per elementwise chunk: every kernel
@@ -536,6 +737,23 @@ _KERNEL_ROWS = 16
 # bound costs a p x p product per candidate; 32 left at most 1,900 of about
 # 18k gene-screen candidates able to reach a top-128.
 _BOUND_PREFIX = 32
+
+# np.exp's assumed accuracy: |np.exp(t) - e^t| <= _EXP_ACCURACY max(e^t,
+# tiny) for every f64 t, tiny the smallest normal f64. A tier-1 test checks
+# it against math.exp over the range gate's arguments with headroom; with
+# numpy 2.4 on an x86-64 VM the largest error there was 2^-52 relative.
+_EXP_ACCURACY = 2.0**-40
+
+# Range gate of GaussianProcess.ucb_bound: the greatest |x - c|^2 / l^2 of a
+# training or query row, and the greatest log-ratio bound between the exact
+# pass's kernel and the factored one. Inside it every np.exp result of
+# either pass is a normal number (see the module docstring).
+_GP_GATE = 256.0
+_GP_GATE_LOG_RATIO = 0.5
+
+# Factor on every upper end that the GP bound evaluates in floats from
+# nonnegative terms: it exceeds the at most 60 roundings of an evaluation.
+_SPARE = 1.0 + 2.0**-46
 
 # Rows per scoring block. The temporaries of one block (a 2048 x 256 gather
 # is 4 MB, a 512 x 2048 kernel 8 MB) stay near cache size however large the

@@ -578,14 +578,31 @@ class TestScanSpans:
     @pytest.mark.parametrize("less, threads", [(1, 0), (0, 2)])
     def test_one_span_starts_no_thread(self, monkeypatch, less, threads):
         # A pool of fewer than two span lengths is one span and scans on the
-        # calling thread; at two span lengths the f32 copy and the scan each
-        # start one thread.
+        # calling thread; at two span lengths the f32 copy and the scan of
+        # two centres each start one thread.
         monkeypatch.setattr(memory_module, "_available_cpus", lambda: 3)
         started = count_thread_starts(monkeypatch)
         pool = random_pool(np.random.default_rng(1), 2 * memory_module._SPAN_ROWS - less, 2)
-        batch = CandidateMemory(pool).allocate_batch([0], 5)
+        batch = CandidateMemory(pool).allocate_batch([0, 1], 5)
         assert batch.size == 5
         assert len(started) == threads
+
+    @pytest.mark.parametrize("metric", ["l2-squared", "cosine"])
+    def test_one_query_is_one_span_on_the_calling_thread(self, threaded_scan, monkeypatch,
+                                                         metric):
+        # A one-query scan (a nearest-neighbour query, or a coreset pick
+        # absorbed into the cover) is one span on the calling thread, though
+        # the pool has many spans; allocation around five centres keeps its
+        # spans on threads.
+        pool = random_pool(np.random.default_rng(3), 100, 4, metric)
+        memory = CandidateMemory(pool)
+        memory._scan_rows()  # the f32 copy, made at the first query, keeps its spans
+        started = count_thread_starts(monkeypatch)
+        memory.nearest_unexplored(pool.embeddings.matrix[5], 3)
+        assert coreset_select(memory, 6).size == 6
+        assert not started
+        assert memory.allocate_batch([0, 1, 2, 3, 4], 20).size == 20
+        assert started
 
 
 def test_embedding_distances_matches_scalar():

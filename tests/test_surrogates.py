@@ -341,9 +341,10 @@ class TestScoreBlocks:
     BLOCK = surrogates._BLOCK_ROWS
 
     def models(self, rng, table, n_train):
-        """A fitted LinUCB, a fitted GP, an unfitted GP and the fitted GP's
-        bound, each with its blocked scorer (reading from ``table``) and its
-        one-shot scorer."""
+        """A fitted LinUCB, a fitted GP and an unfitted GP, each with its
+        blocked scorer (reading from ``table``) and its one-shot scorer. The
+        GP's bound is not among them: its three kernel sums are one GEMM
+        whose bits depend on the call's row count."""
         train = rng.choice(len(table), n_train, replace=False)
         y = rng.standard_normal(n_train)
         matrix = table.matrix
@@ -357,7 +358,6 @@ class TestScoreBlocks:
             (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
             (lambda rows: fitted.acquisition(matrix[rows], sq_norms[rows]), fitted.acquisition),
             (lambda rows: unfitted.acquisition(matrix[rows], sq_norms[rows]), unfitted.acquisition),
-            (lambda rows: fitted.ucb_bound(matrix[rows], sq_norms[rows]), fitted.ucb_bound),
         ]
 
     def test_equals_one_shot_scoring(self):
@@ -736,12 +736,23 @@ class TestGpShortlist:
         return surrogate_round("gp", pool, observed, batch_size, **gp)
 
     def check_prefix_deficit(self, model, pool, rows):
-        """The variance bound is at least s minus the exact prefix norm."""
+        """Inside the range gate, the variance bound is at least s minus the
+        exact prefix norm of the exact pass's own kernel column, in exact
+        arithmetic; outside it the row's bound is inf."""
         table = pool.embeddings
-        k_star = model._kernel(model._X, table.matrix[rows], table.sq_norms[rows])
-        var_ub = model._variance_bound(k_star)
+        X, sq_norms = table.matrix[rows], table.sq_norms[rows]
+        k_star = model._kernel(model._X, X, sq_norms, model._sq_norms)
+        bound = model.ucb_bound(X, sq_norms)
+        terms = model._bound_terms()
+        if terms is None:
+            assert np.all(bound == np.inf)
+            return
+        _, var_ub, rho = model._bound_moments(terms, X, sq_norms)
         for j in range(rows.size):
-            assert Fraction(var_ub[j]) >= prefix_deficit(model, k_star[:, j]), rows[j]
+            if np.isfinite(rho[j]):
+                assert Fraction(var_ub[j]) >= prefix_deficit(model, k_star[:, j]), rows[j]
+            else:
+                assert bound[j] == np.inf, rows[j]
 
     def test_lower_inverse_is_lower_triangular(self):
         # The prefix bound needs G[:p, p:] = 0 exactly.
@@ -776,14 +787,25 @@ class TestGpShortlist:
         threshold = np.sort(exact)[-33]
         assert np.count_nonzero(exact > threshold) < 33 < np.count_nonzero(exact >= threshold)
 
-    def test_kernel_underflow(self):
+    def test_kernel_underflow(self, monkeypatch):
         # A length scale so small that every unexplored row's kernel column
-        # is exactly 0: all scores tie at the prior and every row is scored.
+        # is exactly 0: all scores tie at the prior. The training rows are
+        # outside the range gate, so every bound is inf and the agent scores
+        # every row (as does the full pass the round is checked against).
+        scored = []
+        acquisition = GaussianProcess.acquisition
+
+        def counted(self, X, *args):
+            scored.append(len(X))
+            return acquisition(self, X, *args)
+
+        monkeypatch.setattr(GaussianProcess, "acquisition", counted)
         rng = np.random.default_rng(7)
         pool = random_pool(rng, self.BLOCK + 700, 5)
         observed = np.arange(50)
         model, avail, exact, bound = self.select(pool, observed, gp_length_scale=1e-3)
-        assert np.all(exact == exact[0]) and np.array_equal(bound, exact)
+        assert np.all(exact == exact[0]) and np.all(bound == np.inf)
+        assert sum(scored) >= 2 * avail.size
         self.check_prefix_deficit(model, pool, avail[:10])
 
     def test_duplicate_training_rows_need_jitter(self):
@@ -829,6 +851,222 @@ class TestGpShortlist:
         assert np.allclose(var / model._sd**2, deficit, rtol=1e-6, atol=0.0)
         assert np.all(var / model._sd**2 < 0.01 * model._signal)
         self.check_prefix_deficit(model, pool, near)
+
+    def test_pool_far_from_the_origin(self):
+        # A common offset 10^4 times the rows' spread: the exact pass's own
+        # kernel may lose 7 of its 16 digits to its uncentred norms (rho is
+        # about 2.4e-7 here), the factored kernel is centred on the training
+        # mean, and the margin covers both, so rows stay inside the gate.
+        rng = np.random.default_rng(20)
+        emb = 1e4 + rng.standard_normal((self.BLOCK + 600, 6))
+        pool = build_pool([f"c{i}" for i in range(len(emb))], rng.standard_normal(len(emb)), emb)
+        observed = rng.choice(len(pool), 80, replace=False)
+        model, avail, _, bound = self.select(pool, observed)
+        assert np.isfinite(bound).mean() > 0.9
+        self.check_prefix_deficit(model, pool, avail[:30])
+
+    def test_unexplored_rows_equal_training_rows(self):
+        # Copies of observed rows among the unexplored ones: their exact
+        # kernel entry against the original is s, or within rounding of it.
+        rng = np.random.default_rng(21)
+        emb = rng.standard_normal((self.BLOCK + 500, 5))
+        observed = np.arange(60)
+        copies = np.arange(60, 60 + 3 * 60)
+        emb[copies] = emb[copies % 60]
+        pool = build_pool([f"c{i}" for i in range(len(emb))], rng.standard_normal(len(emb)), emb)
+        model, avail, _, bound = self.select(pool, observed, batch_size=40)
+        k_star = model._kernel(model._X, emb[copies[:60]])
+        assert np.all(k_star.max(axis=0) >= model._signal * (1.0 - 1e-12))
+        assert np.isfinite(bound).all()
+        self.check_prefix_deficit(model, pool, copies[:40])
+
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    def test_length_scale_at_the_gate(self, side):
+        # The length scale at which the farthest training row from the
+        # training mean sits at |x - c|^2 / l^2 = 256, nudged to either side
+        # of the gate: inside it some unexplored rows are bounded and those
+        # farther out are inf; outside it every bound is inf.
+        rng = np.random.default_rng(22)
+        pool = random_pool(rng, self.BLOCK + 600, 5)
+        observed = rng.choice(len(pool), 90, replace=False)
+        probe = GaussianProcess(length_scale=1.0)
+        probe.fit(pool.embeddings.matrix[observed], pool.scores[observed])
+        edge = probe._bound_terms().radius / math.sqrt(surrogates._GP_GATE)
+        length = edge * (1.0 + 2.0**-30 if side == "inside" else 1.0 - 2.0**-30)
+        model, avail, _, bound = self.select(pool, observed, gp_length_scale=length)
+        if side == "outside":
+            assert model._bound_terms() is None and np.all(bound == np.inf)
+            return
+        assert model._bound_terms() is not None
+        assert 0 < np.isfinite(bound).sum() < bound.size
+        check_gate(model, pool.embeddings.matrix[avail], bound)
+        self.check_prefix_deficit(model, pool, avail[:30])
+
+
+def check_gate(model, B, bound):
+    """Every training row, and every row of B with a finite bound, has
+    |x - c|^2 / l^2 at most the gate in exact arithmetic (and a hair over
+    for the gate's own roundings); every row of B well outside the gate has
+    an inf bound."""
+    centre = [Fraction(v) for v in model._bound_terms().centre.tolist()]
+    length_sq = Fraction(model._length**2)
+    gate = Fraction(surrogates._GP_GATE)
+
+    def reach(row):
+        return sum((Fraction(v) - c) ** 2 for v, c in zip(row, centre)) / length_sq
+
+    assert max(reach(row) for row in model._X.tolist()) <= gate
+    for row, b in zip(B.tolist(), bound.tolist()):
+        r = reach(row)
+        if b < math.inf:
+            assert r <= gate * (1 + Fraction(1, 2**40))
+        elif r > gate * (1 + Fraction(1, 2**20)):
+            assert b == math.inf
+
+
+def root_up(value: Fraction) -> Fraction:
+    """A float at least the square root of a nonnegative Fraction."""
+    root = math.sqrt(float(value))
+    while Fraction(root) ** 2 < value:
+        root = float(np.nextafter(root, np.inf))
+    return Fraction(root)
+
+
+def gp_log_ratio_reference(model: GaussianProcess, B: np.ndarray) -> list[Fraction]:
+    """What the log-ratio Delta of GaussianProcess.ucb_bound must cover for
+    each row of B, as the module docstring derives it, in exact arithmetic
+    from the exact norms: four exp accuracies and two roundings, the exact
+    pass's gamma_(d+4) (|x|^2 + |b|^2) / 2 l^2 over max |x|^2, the factored
+    kernel's gamma_(d+4) (R + |b| + |c|)^2 / 2 l^2, and the floors."""
+    u, eta = Fraction(1, 2**53), Fraction(1, 2**1075)
+    kappa = Fraction(surrogates._EXP_ACCURACY)
+    dim = B.shape[1]
+
+    def g(k):
+        return k * u / (1 - k * u)
+
+    length_sq = Fraction(model._length**2)
+    centre = [Fraction(v) for v in model._bound_terms().centre.tolist()]
+    rows = [[Fraction(v) for v in row] for row in model._X.tolist()]
+    max_sq = max(sum(v * v for v in row) for row in rows)
+    radius = root_up(max(sum((v - c) ** 2 for v, c in zip(row, centre)) for row in rows))
+    centre_norm = root_up(sum(c * c for c in centre))
+    root_dim = root_up(Fraction(dim))
+    out = []
+    for row in B.tolist():
+        b_sq = sum(Fraction(v) ** 2 for v in row)
+        reach = root_up(b_sq) + centre_norm
+        out.append(
+            4 * (kappa + kappa**2) + 2 * (u + u**2)
+            + g(dim + 4) * (max_sq + b_sq) / length_sq
+            + g(dim + 4) * (radius + reach) ** 2 / (2 * length_sq)
+            + eta * (2 * root_dim * reach + 2 * dim + 6 + (7 * dim + 3) / length_sq)
+        )
+    return out
+
+
+def gp_margin_pools():
+    """Fitted GPs and query rows for the margin checks: gaussian rows at
+    several scales and length scales, a pool far from the origin, queries
+    equal to training rows, and queries near the range gate."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for dim, scale, length, offset in [(1, 1.0, 0.7, 0.0), (5, 1.0, 2.0, 0.0),
+                                       (16, 30.0, 50.0, 0.0), (64, 1.0, 11.0, 0.0),
+                                       (6, 1.0, 3.0, 1e4), (3, 1e-150, 1e-150, 0.0),
+                                       (4, 1e100, 3e100, -5e100)]:
+        X = offset + scale * rng.standard_normal((40, dim))
+        model = GaussianProcess(length_scale=length)
+        model.fit(X, rng.standard_normal(40))
+        edge = 15.9 * length / math.sqrt(dim)  # |b - offset| = 15.9 l
+        B = np.vstack([offset + scale * rng.standard_normal((20, dim)), X[:6],
+                       X[:6] + 1e-9 * scale * rng.standard_normal((6, dim)),
+                       offset + edge * rng.choice([-1.0, 1.0], (4, dim))])
+        cases.append((model, B))
+    return cases
+
+
+class TestGpBoundMargin:
+    """The factored kernel of GaussianProcess.ucb_bound against the exact
+    pass's kernel bits, and the assumptions its margin rests on."""
+
+    def test_np_exp_is_within_the_assumed_accuracy(self):
+        # |np.exp(t) - e^t| <= kappa max(e^t, tiny) with 64-fold headroom,
+        # against math.exp (itself within about an ulp), over the range
+        # gate's arguments (-513 to 257) and on to results below the
+        # smallest normal number; on arrays as the bound calls it: in place
+        # over a 2-d block, and on a strided view.
+        rng = np.random.default_rng(31)
+        t = np.concatenate([
+            rng.uniform(-513.0, 257.0, 60_000),
+            rng.uniform(-1.0, 1.0, 20_000),
+            np.linspace(-745.2, -700.0, 20_000),
+            rng.uniform(-709.0, 709.7, 20_000),
+        ])
+        expected = np.array([math.exp(v) for v in t.tolist()])
+        block = t.reshape(-1, 1000).copy()
+        np.exp(block, out=block)
+        strided = np.exp(np.repeat(t, 2)[::2])
+        scale = np.maximum(expected, np.finfo(np.float64).tiny)
+        for got in (np.exp(t), block.ravel(), strided):
+            error = np.abs(got - expected) / scale
+            assert error.max() <= surrogates._EXP_ACCURACY / 64, error.max()
+
+    def test_concurrent_first_calls_build_the_terms_once(self, monkeypatch):
+        # A fit builds no bound terms (a round with no bound pass pays
+        # nothing for them); the first bound calls after it, made on several
+        # threads at once, build them once and share them.
+        built = []
+        terms = surrogates._gp_bound_terms
+
+        def counted(*args):
+            built.append(1)
+            return terms(*args)
+
+        monkeypatch.setattr(surrogates, "_gp_bound_terms", counted)
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((64, 6))
+        model = GaussianProcess(length_scale=2.0)
+        for fits in (1, 2):
+            model.fit(X[:20], rng.standard_normal(20))
+            assert len(built) == fits - 1
+            concurrent_first_bound_calls(model, X)
+            assert len(built) == fits
+
+    def test_margin_covers_the_derivation(self):
+        # rho >= Delta (1 + Delta) >= e^Delta - 1 in exact arithmetic, with
+        # Delta every term the module docstring derives, on every row inside
+        # the gate.
+        checked = 0
+        for model, B in gp_margin_pools():
+            _, _, rho = model._factored_kernel(model._bound_terms(), B,
+                                               np.square(B).sum(axis=1))
+            for j, delta in enumerate(gp_log_ratio_reference(model, B)):
+                if np.isfinite(rho[j]):
+                    assert Fraction(rho[j]) >= delta * (1 + delta), j
+                    checked += 1
+        assert checked > 150
+
+    def test_factored_kernel_within_margin_of_the_exact_pass(self):
+        # |k_ij - f_j e_i E_ij| <= rho_j f_j e_i E_ij in exact arithmetic,
+        # k the exact pass's kernel bits; and on every row of the gate's
+        # range the exact pass's kernel and the factored parts are normal
+        # numbers.
+        tiny = np.finfo(np.float64).tiny
+        for model, B in gp_margin_pools():
+            k_star = model._kernel(model._X, B)
+            terms = model._bound_terms()
+            E, f, rho = model._factored_kernel(terms, B, np.square(B).sum(axis=1))
+            e = terms.weights[2]
+            inside = np.isfinite(rho)
+            assert inside[:32].all()
+            for j in np.flatnonzero(inside):
+                assert k_star[:, j].min() >= tiny and f[j] >= tiny and E[:, j].min() >= tiny
+                margin = Fraction(rho[j])
+                for i in range(k_star.shape[0]):
+                    factored = Fraction(f[j]) * Fraction(e[i]) * Fraction(E[i, j])
+                    assert abs(Fraction(k_star[i, j]) - factored) <= margin * factored, (i, j)
+            check_gate(model, B, np.where(inside, 0.0, np.inf))
 
 
 def linucb_error_reference(dim, alpha, row_norm, theta_norm, inv_norm) -> Fraction:
@@ -1035,26 +1273,32 @@ class TestLinUcbBound:
         X = rng.standard_normal((64, 6))
         model = LinUcb(6)
         model.fit_batch(X[:20], rng.standard_normal(20))
-        results = [None] * 8
-        start = threading.Barrier(len(results))
-
-        def call(i):
-            start.wait(timeout=10)
-            results[i] = model.ucb_bound(X, np.square(X).sum(axis=1))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        concurrent_first_bound_calls(model, X)
         assert len(built) == 1
-        assert all(same_bits(r, results[0]) for r in results)
+
+
+def concurrent_first_bound_calls(model, X):
+    """The first bound calls after a fit, on eight threads at once that
+    switch as often as they can: they all finish with the same bits."""
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def call(i):
+        start.wait(timeout=10)
+        results[i] = model.ucb_bound(X, np.square(X).sum(axis=1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(same_bits(r, results[0]) for r in results)
 
     def test_low_dimensions_take_the_full_pass(self, monkeypatch):
         # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every

@@ -64,7 +64,7 @@ The range gate. A fit is inside it when R^2 / l^2 <= 256 (_GP_GATE), 2^-1000
 <= l^2 <= 2^1000, 2^-256 <= s <= 2^256 and (2n + d + 8) u <= 0.01; a row,
 when its computed |b - c|^2 plus that value's error bound is at most 256
 l^2 and Delta <= 1/2. Then the exponents of E lie in [-257, 257], those of
-e and f in [-129, 0], and those of the exact pass in [-513, 0], so every exp
+e and f in [-129, 1], and those of the exact pass in [-513, 0], so every exp
 result is at least 2^-741 and every kernel entry of the exact pass at
 least 2^-997: all are normal numbers, kappa is a relative error wherever it
 is used, and exp cannot overflow. A row outside the gate, or in a fit

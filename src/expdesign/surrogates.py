@@ -695,13 +695,13 @@ def _gp_bound_terms(
     ):
         return None
     centre = X.mean(axis=0)
-    centred = X - centre
-    centred_sq = np.square(centred).sum(axis=1)
+    scaled = X - centre
+    centred_sq = np.einsum("ij,ij->i", scaled, scaled)
     radius = _SPARE * math.sqrt(_sq_upper(float(centred_sq.max()), dim))
     if not radius * radius / length_sq <= _GP_GATE:
         return None
     e = np.exp(-0.5 * centred_sq / length_sq)
-    scaled = centred / length_sq
+    scaled /= length_sq
     weighted = alpha * e
     p = min(_BOUND_PREFIX, n)
     prefix = chol_inv[:p, :p]

@@ -19,7 +19,12 @@ Each run also keeps where the time went, from its details file:
 ``rounds.median_adjusted_ms_by_kind``. The benchmark's adjusted times count
 the CPU time of worker threads as waiting, so these show a saving apart
 from the end-to-end metrics, and the wall-clock rounds one that threads
-make.
+make. To tell a run slowed by its neighbours on the host from a slower
+program, each run's breakdown also holds the least and greatest of its
+yardstick measurements (``sweeps.yardstick_s``) and what ``getrusage``
+counts for the run's process and its children: minor and major page
+faults, voluntary and involuntary context switches, and user plus system
+CPU time.
 
 The output holds, per workload: the pair count, each side's median and
 quartiles of every end-to-end metric with the change's wins, each side's
@@ -41,6 +46,14 @@ import time
 from pathlib import Path
 
 RUN_ARGS = ["--seconds", "25", "--trace", "0"]
+
+# getrusage counts kept for each run, by their name in the breakdown.
+RUSAGE_COUNTS = {
+    "minor_faults": "ru_minflt",
+    "major_faults": "ru_majflt",
+    "voluntary_switches": "ru_nvcsw",
+    "involuntary_switches": "ru_nivcsw",
+}
 
 
 def measure_loads(checkout: str, out: str, args: list[str]) -> int:
@@ -77,15 +90,18 @@ def run_side(checkout: Path, workload: str, seed: int, tmp: Path) -> dict:
     loads = tmp / "loads.json"
     loads.unlink(missing_ok=True)
     args = ["--workload", workload, "--seed", str(seed), *RUN_ARGS]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, __file__, "--measure-loads", str(checkout), str(loads), *args],
         capture_output=True, text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     details = json.loads(
         (checkout / ".perfbench" / "results" / f"{workload}-full-seed{seed}-trace0.json")
         .read_text()
     )
     extras = details["extras"]
+    yardsticks = [y for sweep in details["sweeps"]["yardstick_s"] for y in sweep]
     return {
         "exit": proc.returncode,
         "correct": details["correct"],
@@ -99,6 +115,12 @@ def run_side(checkout: Path, workload: str, seed: int, tmp: Path) -> dict:
             **{name: value for name, value in extras.items() if name.startswith("agent_s.")},
             **{f"round_ms.{kind}": value for kind, value
                in details["rounds"]["median_adjusted_ms_by_kind"].items()},
+            "yardstick_s.min": min(yardsticks),
+            "yardstick_s.max": max(yardsticks),
+            **{f"rusage.{name}": getattr(after, field) - getattr(before, field)
+               for name, field in RUSAGE_COUNTS.items()},
+            "rusage.cpu_s": (after.ru_utime + after.ru_stime)
+            - (before.ru_utime + before.ru_stime),
         },
         "loads": json.loads(loads.read_text()) if loads.exists() else [],
         "fingerprints": details["fingerprints"],

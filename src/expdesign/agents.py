@@ -24,6 +24,7 @@ from .pool import CandidatePool
 from .prompts import parse_solution, render_prompt
 from .surrogates import (
     _BLOCK_ROWS,
+    DualLinUcb,
     GaussianProcess,
     LinUcb,
     median_heuristic,
@@ -157,6 +158,17 @@ class LinUcbAgent(Agent):
     Observed targets are z-scored over that history first (raw measurement
     scales are rarely centered, and an intercept-free linear model absorbs
     any offset into a spurious direction).
+
+    A round with n observations on d dimensions that scores every
+    unexplored row in one full pass (:func:`_full_pass`: at most one block
+    of them, or d < _LINUCB_BOUND_MIN_DIM) fits :class:`DualLinUcb` when 3n
+    <= 2d (:func:`_use_dual`, with its measurements). It factors the n x n
+    Gram matrix C = X X^T + ridge*I = L L^T instead of the d x d matrix A,
+    and scores x as k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge), with
+    k = X x, w = C^-1 y and G = L^-1: the primal's scores up to rounding,
+    with bits that depend only on the call's shape. Every other round fits
+    :class:`LinUcb`: the first (no observations, so A = ridge*I), the bound
+    path, and rounds with 3n > 2d. ``model`` is the last round's model.
     """
 
     kind = AGENT_LINUCB
@@ -164,23 +176,49 @@ class LinUcbAgent(Agent):
     def __init__(self, config, pool, backend, trace):
         super().__init__(config, pool, backend, trace)
         self.standardize = config.linucb_standardize
-        self.model = LinUcb(
+        self.primal = LinUcb(
             pool.embeddings.dim, ridge=config.linucb_ridge, alpha=config.linucb_alpha
         )
+        self.model: LinUcb | DualLinUcb = self.primal
 
     def select(self, round_num, memory, feedback, rng):
         X, y = _observations(memory.pool, feedback)
         if self.standardize and y.size:
             sd = float(y.std())
             y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
-        self.model.fit_batch(X, y)
+        primal = self.primal
+        bounded = y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM
+        if _use_dual(y.size, primal.dim) and _full_pass(memory, bounded):
+            self.model = DualLinUcb(X, y, ridge=primal.ridge, alpha=primal.alpha)
+            return _certified_top_b(memory, self.batch_size, False, self.model.score_many, None)
+        primal.fit_batch(X, y)
+        self.model = primal
         return _certified_top_b(
             memory,
             self.batch_size,
-            y.size > 0 and self.model.dim >= _LINUCB_BOUND_MIN_DIM,
-            lambda X, sq_norms: self.model.score_many(X),
-            self.model.ucb_bound,
+            bounded,
+            lambda X, sq_norms: primal.score_many(X),
+            primal.ucb_bound,
         )
+
+
+# A fit plus a full pass over the other rows of a 2,000-row pool (2 CPUs,
+# one BLAS thread, medians of 9) took, in ms, primal against dual:
+#
+#    d     n   primal   dual        d     n   primal   dual
+#  768   128    63.1    13.9      512   256    26.8    14.3
+#  768   256    65.4    26.6      512   384    26.4    23.7
+#  768   384    50.5    26.9      256   128     4.7     3.0
+#  768   512    46.7    34.0      256   192     6.1     6.2
+#  768   640    52.8    60.7      128    64     2.1     1.6
+#
+# The dual won wherever 3n <= 2d and lost or tied from n = 3d/4 on. Molecule
+# (d = 768, n <= 512) takes it in rounds 2-5; llm-http (d = 64, n >= 128)
+# never does.
+def _use_dual(rows: int, dim: int) -> bool:
+    """Whether a LinUCB full pass after ``rows`` observations on ``dim``
+    dimensions takes the dual form: with observations, and 3 rows <= 2 dim."""
+    return 0 < 3 * rows <= 2 * dim
 
 
 class GpAgent(Agent):
@@ -221,15 +259,16 @@ def _certified_top_b(
     batch_size: int,
     bounded: bool,
     score: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
 ) -> np.ndarray:
     """The top-``batch_size`` batch of the unexplored candidates by
     ``score(X, sq_norms)``, marked explored, as :func:`select_top_b` ranks a
     full pass. ``bound(X, sq_norms)`` is an upper bound on each row's score,
     computed only when ``bounded`` (callers pass False for a model with no
-    observations). Both take a call's embedding rows and their squared
-    norms, which only this function reads from the pool's table: a view for
-    a call's slice of the pool, a gathered copy for its index array.
+    observations, and False and no bound for LinUCB's dual form). Both take
+    a call's embedding rows and their squared norms, which only this
+    function reads from the pool's table: a view for a call's slice of the
+    pool, a gathered copy for its index array.
 
     When ``bounded`` and with more than one scoring block of unexplored
     candidates, every candidate gets its bound, and :func:`certified_least`
@@ -247,7 +286,7 @@ def _certified_top_b(
     score, bound = on_rows(score), on_rows(bound)
     avail = memory.unexplored()
     size = len(memory.pool)
-    if not bounded or avail.size <= _BLOCK_ROWS:
+    if _full_pass(memory, bounded):
         return select_top_b(avail, _score_unexplored(avail, size, score), memory, batch_size)
     pos, keys = certified_least(
         -_score_unexplored(avail, size, bound),
@@ -256,6 +295,12 @@ def _certified_top_b(
         min_rows=_BLOCK_ROWS,
     )
     return select_top_b(avail[pos], -keys, memory, batch_size)
+
+
+def _full_pass(memory: CandidateMemory, bounded: bool) -> bool:
+    """Whether :func:`_certified_top_b` scores every unexplored candidate in
+    one full pass: without a bound, or with at most one block of them."""
+    return not bounded or memory.num_unexplored <= _BLOCK_ROWS
 
 
 def _score_unexplored(

@@ -109,9 +109,28 @@ monotone function for sd > 0 and beta >= 0, so the bound is at least the
 score as a float, for an exact pass of any call shape. A non-finite bound
 is made inf.
 
-LinUCB certifies its top-B the same way (``agents.LinUcbAgent``), from a
-bound that recomputes the score in f32 (:meth:`LinUcb.ucb_bound`). With G =
-L^-1 and theta as a fit keeps them, the score of a row x is S = x.theta +
+LinUCB has two forms with the same scores up to rounding. The primal
+(:class:`LinUcb`) factors the d x d matrix A = ridge*I + X^T X of the n
+observed rows X. The dual (:class:`DualLinUcb`, the linear-kernel case of
+KernelUCB) factors the n x n Gram matrix C = X X^T + ridge*I = L L^T and
+keeps w = C^-1 y and G = L^-1. Since X^T C^-1 = A^-1 X^T, theta = X^T w, so
+with k = X x the mean is x.theta = k.w, and x^T A^-1 x = (|x|^2 - k^T C^-1
+k) / ridge = (|x|^2 - |G k|^2) / ridge. A call over the rows X_q computes k
+= X_q X^T and v = k G^T, and scores a row k.w + alpha sqrt(max(0, |x|^2 -
+|v|^2) / ridge), with |x|^2 the squared norm the call is handed. Every
+product is row-wise, so a row's bits depend only on its call's shape, as
+the primal's do, and :func:`score_blocks` gives them the same guarantees;
+they are not the primal's bits. On the perfbench molecule pools (seeds
+0-9) the two forms' scores differed by at most 1.5e-12 relative, and every
+selection was the same. The difference |x|^2 - |v|^2 cancels for a row near
+the span of X, where a variance error e becomes a width error of up to
+sqrt(e). The dual has no bound: ``agents.LinUcbAgent`` takes it only in a
+full pass, with observations and 3n <= 2d.
+
+The primal form certifies its top-B as GP-UCB does
+(``agents.LinUcbAgent``), from a bound that recomputes the score in f32
+(:meth:`LinUcb.ucb_bound`). With G = L^-1 (of A = L L^T) and theta as a fit
+keeps them, the score of a row x is S = x.theta +
 alpha |G x| in real arithmetic, and ``score_many`` computes s =
 fl(fl(x.theta) + fl(alpha fl(sqrt(fl(|fl(G x)|^2))))) in f64. The bound
 takes f32 copies x', G' and theta' (G' and theta' made once per fit), one
@@ -186,6 +205,18 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
     return inv
+
+
+def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor of a finite symmetric matrix, or a
+    NumericalError naming it when it is not positive-definite in floats
+    (a ridge too small against the rows' norms)."""
+    try:
+        return cholesky(matrix, lower=True)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"{name} is not positive-definite; a larger linucb ridge may help"
+        ) from None
 
 
 class LinUcb:
@@ -265,7 +296,7 @@ class LinUcb:
 
     def _factor(self) -> None:
         """theta = A^-1 b and L^-1 from one Cholesky factor A = L L^T."""
-        chol = cholesky(self.A, lower=True)
+        chol = _cholesky(self.A, "LinUCB matrix A")
         self._theta = cho_solve((chol, True), self.b)
         self._chol_inv = _lower_inverse(chol)
         self._bound_terms = None
@@ -346,6 +377,53 @@ def _linucb_bound_terms(
             + alpha * (2.0**-148 * root * inv_norm + dim * root * 2.0**-146 + root * 2.0**-73)
         )
     return chol_inv32, theta32, float(per_norm), float(floor)
+
+
+class DualLinUcb:
+    """The scores of :class:`LinUcb` fitted on the rows X (n x d) and their
+    responses y, from the n x n Gram matrix C = X X^T + ridge*I = L L^T
+    instead of A: the fit keeps w = C^-1 y and G = L^-1, and a row x scores
+    k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge) with k = X x (see the
+    module docstring for the identity and the bits). Scoring m rows costs
+    products of m x d x n and m x n x n against the primal's m x d x d, and
+    the fit an n x n factor against a d x d one.
+    """
+
+    def __init__(self, X: np.ndarray, y: Sequence[float], ridge: float = 1.0,
+                 alpha: float = 1.0):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] != y.shape[0]:
+            raise ValueError("feature matrix and responses do not line up")
+        if X.shape[0] == 0:
+            raise ValueError("the dual form needs observations")
+        if ridge <= 0.0:
+            raise ValueError("ridge weight must be positive")
+        if alpha < 0.0:
+            raise ValueError("exploration weight must be nonnegative")
+        self.dim = X.shape[1]
+        self.ridge = float(ridge)
+        self.alpha = float(alpha)
+        gram = X @ X.T
+        gram.flat[:: X.shape[0] + 1] += self.ridge
+        chol = _cholesky(gram, "LinUCB Gram matrix X X^T + ridge*I")
+        self._X = X
+        self._weights = cho_solve((chol, True), y)
+        self._chol_inv = _lower_inverse(chol)
+
+    def score_many(self, X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+        """UCB scores for a stack of feature rows, which are taken as finite.
+        ``sq_norms`` must be their squared norms as
+        ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
+        does)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
+        k = X @ self._X.T
+        v = k @ self._chol_inv.T
+        explained = np.einsum("ij,ij->i", v, v)
+        width = np.sqrt(np.maximum(sq_norms - explained, 0.0) / self.ridge)
+        return k @ self._weights + self.alpha * width
 
 
 def median_heuristic(X: np.ndarray, max_points: int = 512) -> float:

@@ -777,6 +777,28 @@ class TestCli:
         )
         assert proc.returncode == 2
 
+    def test_singular_linucb_factor_is_a_run_failure(self, tmp_path, capsys):
+        # Rows of norm about 480 in 16 dimensions and a ridge of 1e-12:
+        # round 2 (6 rows, the dual form) fits, and round 3 (12 rows, 3n >
+        # 2d, the primal form) meets a d x d matrix A that is singular in
+        # floats. The run fails with one line and exit 2, not a traceback.
+        rng = np.random.default_rng(3)
+        names = [f"c{i}" for i in range(40)]
+        emb = rng.standard_normal((40, 16)) * 120.0
+        pool = build_pool(names, rng.permutation(40).astype(float), emb)
+        meas, embeddings = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, embeddings)
+        config = {"agent": "linucb", "rounds": 3, "batch_size": 6, "runs": 1,
+                  "dataset": str(meas), "embeddings": str(embeddings),
+                  "linucb": {"ridge": 1e-12}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failure: LinUCB matrix A is not positive-definite")
+        assert err.count("\n") == 1
+
     def test_some_runs_aborted_exit_2_and_report_written(self, tmp_path, capsys, monkeypatch):
         meas, emb = write_cli_dataset(tmp_path)
         results = [RunResult(seed=0, cumulative_hits=[1, 2]),

@@ -17,10 +17,17 @@ from expdesign import surrogates
 from expdesign.agents import _score_unexplored, make_agent
 from expdesign.errors import NumericalError
 from expdesign.feedback import Feedback, FeedbackRecord
-from expdesign.harness import ExperimentConfig, aggregate_runs, run_many, write_report
+from expdesign.harness import (
+    ExperimentConfig,
+    aggregate_runs,
+    run_experiment,
+    run_many,
+    write_report,
+)
 from expdesign.memory import CandidateMemory
 from expdesign.pool import EmbeddingTable, build_pool
 from expdesign.surrogates import (
+    DualLinUcb,
     GaussianProcess,
     LinUcb,
     _lower_inverse,
@@ -197,6 +204,95 @@ class TestLinUcb:
             LinUcb(0)
 
 
+def dual_tolerance(X, y, lam, alpha, Xq, width):
+    """How far DualLinUcb's scores of the rows Xq may lie from
+    ``linucb_direct``'s, whose widths sqrt(x^T A^-1 x) are ``width``.
+
+    Both sides solve with a matrix of condition number kappa = 1 +
+    sigma_max(X)^2 / lam: A = lam*I + X^T X for the direct solves, C = X X^T
+    + lam*I for the dual, whose nonzero spectrum is A's. A backward-stable
+    solve, factor or triangular inverse errs by a relative g kappa, g a
+    small multiple of (n + d) u; here g = 4 (n + d) u, which covers both
+    sides with headroom. So each mean is within g kappa |x| (|theta| + |X|_F
+    |w|) of x.theta (the dual's terms k = X x and w = C^-1 y are within g |X|_F
+    |x| and g kappa |w| of theirs), and each x^T A^-1 x within g kappa
+    |x|^2 / lam (|G k|^2 <= |x|^2, and |x|^2 / lam bounds the variance).
+    Near the clip the square root turns a variance error e into a width
+    error of up to sqrt(e); elsewhere |sqrt(a) - sqrt(b)| <= |a - b| /
+    sqrt(b), which is far smaller.
+    """
+    n, d = X.shape
+    u = 2.0**-53
+    A = lam * np.eye(d) + X.T @ X
+    theta = np.linalg.solve(A, X.T @ y)
+    w = np.linalg.solve(X @ X.T + lam * np.eye(n), y)
+    g = 4 * (n + d) * u * (1.0 + np.linalg.norm(X, 2) ** 2 / lam)
+    sq = np.square(Xq).sum(axis=1)
+    mean_tol = g * np.sqrt(sq) * (np.linalg.norm(theta) + np.linalg.norm(X) * np.linalg.norm(w))
+    var_tol = g * sq / lam
+    with np.errstate(divide="ignore"):
+        width_tol = np.minimum(np.sqrt(var_tol), var_tol / width)
+    return mean_tol + alpha * width_tol
+
+
+class TestDualLinUcb:
+    """LinUCB's dual form against the direct formula, and its failures."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        extra=st.integers(1, 30),
+        lam=st.floats(1e-3, 5.0),
+        alpha=st.sampled_from([0.0, 1.0, 2.5]),
+        scale=st.sampled_from([1e-2, 1.0, 30.0]),
+        near_twin=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_match_direct_formula(self, n, extra, lam, alpha, scale, near_twin, seed):
+        # n < d, query rows among them equal to every training row (where
+        # |x|^2 - |v|^2 cancels toward the clip at 0), and a training row
+        # nearly equal to another (a large condition number).
+        d = n + extra
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * scale
+        if near_twin and n > 1:
+            X[-1] = X[0] + 1e-6 * scale * rng.standard_normal(d)
+        y = rng.standard_normal(n)
+        Xq = np.vstack([rng.standard_normal((10, d)) * scale, X])
+        got = DualLinUcb(X, y, ridge=lam, alpha=alpha).score_many(Xq, np.square(Xq).sum(axis=1))
+        mean = linucb_direct(X, y, lam, 0.0, Xq)
+        width = linucb_direct(X, y, lam, 1.0, Xq) - mean
+        expected = mean + alpha * width
+        assert np.all(np.abs(got - expected) <= dual_tolerance(X, y, lam, alpha, Xq, width))
+
+    def test_singular_factor_is_a_numerical_error(self):
+        # A ridge far below the rounding of the rows' products: with 8 rows
+        # of norm about 480 in 64 dimensions, A = X^T X + ridge*I is
+        # singular in floats, and so is the Gram matrix when the rows repeat.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, 64))
+        X *= 480.0 / np.linalg.norm(X, axis=1, keepdims=True)
+        with pytest.raises(NumericalError, match="LinUCB matrix A"):
+            LinUcb(64, ridge=1e-12).fit_batch(X, np.ones(8))
+        with pytest.raises(NumericalError, match="LinUCB Gram matrix"):
+            DualLinUcb(np.vstack([X, X]), np.ones(16), ridge=1e-12)
+
+    def test_bad_arguments(self):
+        X = np.ones((3, 5))
+        with pytest.raises(ValueError):
+            DualLinUcb(X, np.ones(2))
+        with pytest.raises(ValueError):
+            DualLinUcb(X[:0], np.ones(0))
+        with pytest.raises(ValueError):
+            DualLinUcb(X, np.ones(3), ridge=0.0)
+        with pytest.raises(ValueError):
+            DualLinUcb(X, np.ones(3), alpha=-1.0)
+        model = DualLinUcb(np.eye(3, 5), np.ones(3))
+        with pytest.raises(ValueError):
+            model.score_many(np.ones((2, 4)), np.ones(2))
+        assert model.score_many(np.empty((0, 5)), np.empty(0)).shape == (0,)
+
+
 class TestGaussianProcess:
     def test_noiseless_interpolation(self):
         gp = GaussianProcess(length_scale=1.0, signal_var=1.0, noise_var=0.0,
@@ -341,21 +437,24 @@ class TestScoreBlocks:
     BLOCK = surrogates._BLOCK_ROWS
 
     def models(self, rng, table, n_train):
-        """A fitted LinUCB, a fitted GP and an unfitted GP, each with its
-        blocked scorer (reading from ``table``) and its one-shot scorer. The
-        GP's bound is not among them: its three kernel sums are one GEMM
-        whose bits depend on the call's row count."""
+        """A fitted LinUCB in either form, a fitted GP and an unfitted GP,
+        each with its blocked scorer (reading from ``table``) and its
+        one-shot scorer. The GP's bound is not among them: its three kernel
+        sums are one GEMM whose bits depend on the call's row count."""
         train = rng.choice(len(table), n_train, replace=False)
         y = rng.standard_normal(n_train)
         matrix = table.matrix
         lin = LinUcb(table.dim, ridge=0.5, alpha=1.5)
         lin.fit_batch(matrix[train], y)
+        dual = DualLinUcb(matrix[train], y, ridge=0.5, alpha=1.5)
         fitted = GaussianProcess(length_scale=float(np.sqrt(table.dim)))
         fitted.fit(matrix[train], y)
         unfitted = GaussianProcess(signal_var=2.0)
         sq_norms = table.sq_norms
         return [
             (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
+            (lambda rows: dual.score_many(matrix[rows], sq_norms[rows]),
+             lambda X: dual.score_many(X, np.square(X).sum(axis=1))),
             (lambda rows: fitted.acquisition(matrix[rows], sq_norms[rows]), fitted.acquisition),
             (lambda rows: unfitted.acquisition(matrix[rows], sq_norms[rows]), unfitted.acquisition),
         ]
@@ -612,7 +711,8 @@ def exact_scorer(model, table):
     """Exact scores of pool rows (indices or a slice) from a fitted model."""
     if isinstance(model, LinUcb):
         return lambda rows: model.score_many(table.matrix[rows])
-    return lambda rows: model.acquisition(table.matrix[rows], table.sq_norms[rows])
+    score = model.score_many if isinstance(model, DualLinUcb) else model.acquisition
+    return lambda rows: score(table.matrix[rows], table.sq_norms[rows])
 
 
 def surrogate_round(kind, pool, observed, batch_size=32, **config):
@@ -1276,6 +1376,91 @@ class TestLinUcbBound:
         concurrent_first_bound_calls(model, X)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("observed, form", [(64, DualLinUcb), (128, LinUcb)])
+    def test_low_dimensions_take_the_full_pass(self, monkeypatch, observed, form):
+        # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every
+        # round scores every unexplored row in one full pass, in the dual
+        # form while 3n <= 2d (64 rows at 127 dimensions) and in the primal
+        # form after.
+        def no_bound(*args):
+            raise AssertionError("ucb_bound called")
+
+        monkeypatch.setattr(LinUcb, "ucb_bound", no_bound)
+        rng = np.random.default_rng(24)
+        pool = random_pool(rng, 2 * self.BLOCK + 300, agents_module._LINUCB_BOUND_MIN_DIM - 1)
+        agent = make_agent(ExperimentConfig(agent="linucb", batch_size=32), pool, None, None)
+        memory = CandidateMemory(pool)
+        memory.explore(np.arange(observed))
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in range(observed)
+        ))
+        avail = memory.unexplored()
+        batch = agent.select(2, memory, feedback, np.random.default_rng(0))
+        assert type(agent.model) is form
+        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
+        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
+
+
+class TestLinUcbForm:
+    """Which rounds fit LinUCB in its dual form, and that they select the
+    primal form's batches."""
+
+    BLOCK = surrogates._BLOCK_ROWS
+
+    @staticmethod
+    def dual_fits(monkeypatch):
+        """The observation count of every DualLinUcb the agents build."""
+        built = []
+
+        class Spy(DualLinUcb):
+            def __init__(self, X, *args, **kwargs):
+                built.append(len(X))
+                super().__init__(X, *args, **kwargs)
+
+        monkeypatch.setattr(agents_module, "DualLinUcb", Spy)
+        return built
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_dual_rounds_select_the_primal_batches(self, monkeypatch, standardize):
+        # At most one block of unexplored rows in 96 dimensions, B=16:
+        # rounds 2-5 (n = 16..64, 3n <= 2d) take the dual, round 1 (no
+        # observations) and round 6 (n = 80) the primal. A run that never
+        # takes the dual selects the same batches.
+        pool = random_pool(np.random.default_rng(30), 1000, 96)
+        config = ExperimentConfig(agent="linucb", rounds=6, batch_size=16, runs=1,
+                                  linucb_standardize=standardize)
+        built = self.dual_fits(monkeypatch)
+        dual = run_experiment(config, seed=0, pool=pool)
+        assert built == [16, 32, 48, 64]
+        monkeypatch.setattr(agents_module, "_use_dual", lambda rows, dim: False)
+        primal = run_experiment(config, seed=0, pool=pool)
+        assert built == [16, 32, 48, 64]
+        assert dual.selections == primal.selections
+
+    def test_bound_path_takes_the_primal(self, monkeypatch):
+        # More than one block of unexplored rows at 128 dimensions: rounds
+        # 2 and 3 (n = 32, 64) take the bound path, never the dual.
+        built = self.dual_fits(monkeypatch)
+        bounds = []
+        bound = LinUcb.ucb_bound
+
+        def counted(self, X, sq_norms):
+            bounds.append(len(X))
+            return bound(self, X, sq_norms)
+
+        monkeypatch.setattr(LinUcb, "ucb_bound", counted)
+        pool = random_pool(np.random.default_rng(31), 2 * self.BLOCK + 300, 128)
+        config = ExperimentConfig(agent="linucb", rounds=3, batch_size=32, runs=1)
+        run_experiment(config, seed=0, pool=pool)
+        assert bounds and built == []
+
+    @pytest.mark.parametrize("rows, dim, dual", [
+        (0, 768, False), (1, 2, True), (2, 2, False), (128, 768, True), (512, 768, True),
+        (513, 768, False), (128, 256, True), (128, 64, False),
+    ])
+    def test_dual_needs_observations_and_3n_at_most_2d(self, rows, dim, dual):
+        assert agents_module._use_dual(rows, dim) is dual
+
 
 def concurrent_first_bound_calls(model, X):
     """The first bound calls after a fit, on eight threads at once that
@@ -1299,27 +1484,6 @@ def concurrent_first_bound_calls(model, X):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(same_bits(r, results[0]) for r in results)
-
-    def test_low_dimensions_take_the_full_pass(self, monkeypatch):
-        # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every
-        # round scores every unexplored row in one full pass.
-        def no_bound(*args):
-            raise AssertionError("ucb_bound called")
-
-        monkeypatch.setattr(LinUcb, "ucb_bound", no_bound)
-        rng = np.random.default_rng(24)
-        pool = random_pool(rng, 2 * self.BLOCK + 300, agents_module._LINUCB_BOUND_MIN_DIM - 1)
-        agent = make_agent(ExperimentConfig(agent="linucb", batch_size=32), pool, None, None)
-        memory = CandidateMemory(pool)
-        memory.explore(np.arange(64))
-        feedback = Feedback(tuple(
-            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in range(64)
-        ))
-        avail = memory.unexplored()
-        batch = agent.select(2, memory, feedback, np.random.default_rng(0))
-        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
-        assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
-
 
 def test_lower_inverse_rejects_singular_factor():
     L = np.tril(np.arange(1.0, 10.0).reshape(3, 3))

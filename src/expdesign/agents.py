@@ -190,15 +190,14 @@ class LinUcbAgent(Agent):
         bounded = y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM
         if _use_dual(y.size, primal.dim) and _full_pass(memory, bounded):
             self.model = DualLinUcb(X, y, ridge=primal.ridge, alpha=primal.alpha)
-            return _certified_top_b(memory, self.batch_size, False, self.model.score_many, None)
+            return _certified_top_b(memory, self.batch_size, self.model.score_many)
         primal.fit_batch(X, y)
         self.model = primal
         return _certified_top_b(
             memory,
             self.batch_size,
-            bounded,
             lambda X, sq_norms: primal.score_many(X),
-            primal.ucb_bound,
+            primal.bound_fn if bounded else None,
         )
 
 
@@ -249,47 +248,45 @@ class GpAgent(Agent):
     def select(self, round_num, memory, feedback, rng):
         X, y = _observations(memory.pool, feedback)
         self.model.fit(X, y)
-        return _certified_top_b(
-            memory, self.batch_size, y.size > 0, self.model.acquisition, self.model.ucb_bound
-        )
+        bound = self.model.bound_fn if y.size else None
+        return _certified_top_b(memory, self.batch_size, self.model.acquisition, bound)
 
 
 def _certified_top_b(
     memory: CandidateMemory,
     batch_size: int,
-    bounded: bool,
     score: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    bound: Callable[[], Callable[[np.ndarray, np.ndarray], np.ndarray]] | None = None,
 ) -> np.ndarray:
     """The top-``batch_size`` batch of the unexplored candidates by
     ``score(X, sq_norms)``, marked explored, as :func:`select_top_b` ranks a
-    full pass. ``bound(X, sq_norms)`` is an upper bound on each row's score,
-    computed only when ``bounded`` (callers pass False for a model with no
-    observations, and False and no bound for LinUCB's dual form). Both take
-    a call's embedding rows and their squared norms, which only this
-    function reads from the pool's table: a view for a call's slice of the
-    pool, a gathered copy for its index array.
+    full pass. ``bound`` is None for a full pass, or the fitted model's
+    ``bound_fn``, whose function of ``(X, sq_norms)`` upper-bounds each
+    row's score. Both scorers take a call's embedding rows and their squared
+    norms, which only this function reads from the pool's table: a view for
+    a call's slice of the pool, a gathered copy for its index array.
 
-    When ``bounded`` and with more than one scoring block of unexplored
-    candidates, every candidate gets its bound, and :func:`certified_least`
-    (on negated values) scores exactly only those that can reach the batch,
-    at least one block. Every call of either pass then scores half a block,
+    With a bound and more than one scoring block of unexplored candidates,
+    ``bound()`` runs once, on the calling thread, before any scoring thread
+    starts; every candidate gets its bound, and :func:`certified_least` (on
+    negated values) scores exactly only those that can reach the batch, at
+    least one block. Every call of either pass then scores half a block,
     whatever the CPU count, so the exact scores have the full pass's bits
     and the batch is the full pass's, in the same order. Otherwise every
-    candidate is scored in one full pass and no bound is computed.
+    candidate is scored in one full pass and no bound is built.
     """
     table = memory.pool.embeddings
 
     def on_rows(scorer):
         return lambda rows: scorer(table.matrix[rows], table.sq_norms[rows])
 
-    score, bound = on_rows(score), on_rows(bound)
     avail = memory.unexplored()
     size = len(memory.pool)
-    if _full_pass(memory, bounded):
+    score = on_rows(score)
+    if _full_pass(memory, bound is not None):
         return select_top_b(avail, _score_unexplored(avail, size, score), memory, batch_size)
     pos, keys = certified_least(
-        -_score_unexplored(avail, size, bound),
+        -_score_unexplored(avail, size, on_rows(bound())),
         batch_size,
         lambda part: -score_blocks(avail[part], score),
         min_rows=_BLOCK_ROWS,

@@ -70,7 +70,10 @@ class ScriptedBackend(LlmBackend):
             path = fixtures / f"round-{index}.txt"
             if not path.is_file():
                 raise BackendError(f"missing scripted fixture {path}")
-            return path.read_text(encoding="utf-8")
+            try:
+                return path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise BackendError(f"scripted fixture {path} is not UTF-8 text: {exc}") from None
 
         return cls(fn=read_fixture)
 
@@ -138,9 +141,12 @@ class HttpBackend(LlmBackend):
                 f"HTTP {resp.status_code} from {self.endpoint}: {resp.text[:200]}"
             )
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat-completions response: {exc}") from exc
+        return content
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .pool import (
     HIT_MODES,
     METRIC_L2_SQUARED,
     METRICS,
+    _csv_reader,
     load_pool,
 )
 from .prompts import DATASET_DESCRIPTORS, DOMAINS, DatasetDescriptors, PromptSpec
@@ -147,6 +148,8 @@ class ExperimentConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -521,13 +524,16 @@ def write_report(
 def read_runs_csv(path: str | Path) -> list[RunResult]:
     """Rebuild per-run trajectories from a runs.csv (for re-aggregation)."""
     results: list[RunResult] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not {"seed", "complete", "final_hits"} <= set(reader.fieldnames or ()):
+    with _csv_reader(Path(path), ConfigError) as reader:
+        header = next(reader, [])
+        if not {"seed", "complete", "final_hits"} <= set(header):
             raise ConfigError(f"{path}: not a runs.csv report")
-        round_cols = [c for c in reader.fieldnames if re.fullmatch(r"hits_r\d+", c)]
+        round_cols = [c for c in header if re.fullmatch(r"hits_r\d+", c)]
         round_cols.sort(key=lambda c: int(c[len("hits_r") :]))
-        for row in reader:
+        for cells in reader:
+            if not cells:
+                continue
+            row = dict(zip(header, cells))
             try:
                 cumulative = [int(row[c]) for c in round_cols if row[c] != ""]
                 seed = int(row["seed"])

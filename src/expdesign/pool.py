@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, ExpdesignError
 
 METRIC_COSINE = "cosine"
 METRIC_L2_SQUARED = "l2-squared"
@@ -333,19 +333,21 @@ def smiles_elements(smiles: str) -> frozenset[str]:
 
 
 @contextlib.contextmanager
-def _csv_reader(path: Path) -> Iterator[Iterator[list[str]]]:
+def _csv_reader(
+    path: Path, error: type[ExpdesignError] = DatasetError
+) -> Iterator[Iterator[list[str]]]:
     """A CSV reader over a UTF-8 file. A file that cannot be opened, read,
-    decoded or parsed as CSV is a DatasetError naming it."""
+    decoded or parsed as CSV is an ``error`` naming it."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             yield reader
     except csv.Error as exc:
-        raise DatasetError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+        raise error(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
     except OSError as exc:
-        raise DatasetError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+        raise error(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise DatasetError(
+        raise error(
             f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
         ) from None
 

@@ -19,7 +19,7 @@ with L^-1 are 4 MB each, besides its rows when they are gathered.
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
 (``agents.GpAgent``, through ``memory.certified_least``). The bound
-(:meth:`GaussianProcess.ucb_bound`) builds the kernel in a factored form
+(:meth:`GaussianProcess.bound_fn`) builds the kernel in a factored form
 that costs one GEMM, one in-place exp and one 3-row GEMM per call, and
 bounds how far the exact pass's kernel bits can lie from it. It rests on
 three assumptions: IEEE basic operations in round to nearest, with u =
@@ -31,12 +31,12 @@ test checks it with headroom); and the range gate below.
 The factored kernel. With c the mean training row, x' = x - c and b' = b -
 c, |x - b|^2 = |x'|^2 + |b'|^2 - 2 x'.b', so k(x, b) = f_b e_x exp(x'.b' /
 l^2) with e_x = exp(-|x'|^2 / 2 l^2) and f_b = s exp(-|b'|^2 / 2 l^2), l^2
-the float ``length**2`` that the exact pass divides by. The first bound
-call after a fit builds A = (X - c) / l^2, A c and the training factors e_i
-(under a lock, so once per fit, and never in a round without a bound pass);
-a call computes E = exp(A B^T - A c), f_j from |b_j - c|^2 = |b_j|^2 - 2
-b_j.c + |c|^2, and k~_ij = f_j e_i E_ij (a real product of floats, never
-rounded).
+the float ``length**2`` that the exact pass divides by.
+:meth:`GaussianProcess.bound_fn` builds A = (X - c) / l^2, A c and the
+training factors e_i from the current fit, on the calling thread, and
+returns a function that keeps them; a call of it computes E = exp(A B^T -
+A c), f_j from |b_j - c|^2 = |b_j|^2 - 2 b_j.c + |c|^2, and k~_ij = f_j e_i
+E_ij (a real product of floats, never rounded).
 
 The log-ratio. Let tau = -|x - b|^2 / 2 l^2 in exact arithmetic.
 
@@ -83,7 +83,7 @@ The variance. The posterior computes Q = fl(|fl(G k)|^2), G = L^-1 over
 the n training rows, and the variance fl(s - Q), clipped at 0. Each entry
 of fl(G k) is within g_n of its terms' sum, so Q >= |G k|^2 - 8 g'_n
 |G|_F^2 (|k|^2 + (n + 2) tiny) - 4 (n + 2) tiny, g'_n = n eps / (1 - n
-eps), underflows included (``_slack_scale`` holds 8 g'_n |G|_F^2). G is
+eps), underflows included (``_GpBound.slack_scale``, 8 g'_n |G|_F^2). G is
 lower triangular, as a fit keeps it, so with p = _BOUND_PREFIX, |G k| >=
 |G_p k_p| >= |G_p k~_p| - |G_p|_F rho |k~_p|. The prefix product y =
 fl(G_p diag(e_p) E_p), kept as its p x p left factor, is within g_(p+1)
@@ -103,8 +103,8 @@ multiplied by _SPARE = 1 + 2^-46, which exceeds the at most 60 roundings of
 its evaluation; the lower end of |G k| takes the spare of g_(2p+8) over
 g_(p+2). f (y1 + omega y2) and var_ub then go through exactly the
 arithmetic that turns the exact pass's sum and variance into the score
-(:meth:`GaussianProcess._moments`, then :meth:`GaussianProcess._ucb`): mu +
-sd sum, sd^2 var, mean + beta sqrt(var). Each step is a correctly rounded,
+(:meth:`GaussianProcess.posterior_many`, then ``acquisition``): mu + sd
+sum, sd^2 var, mean + beta sqrt(var). Each step is a correctly rounded,
 monotone function for sd > 0 and beta >= 0, so the bound is at least the
 score as a float, for an exact pass of any call shape. A non-finite bound
 is made inf.
@@ -129,11 +129,11 @@ full pass, with observations and 3n <= 2d.
 
 The primal form certifies its top-B as GP-UCB does
 (``agents.LinUcbAgent``), from a bound that recomputes the score in f32
-(:meth:`LinUcb.ucb_bound`). With G = L^-1 (of A = L L^T) and theta as a fit
+(:meth:`LinUcb.bound_fn`). With G = L^-1 (of A = L L^T) and theta as a fit
 keeps them, the score of a row x is S = x.theta +
 alpha |G x| in real arithmetic, and ``score_many`` computes s =
 fl(fl(x.theta) + fl(alpha fl(sqrt(fl(|fl(G x)|^2))))) in f64. The bound
-takes f32 copies x', G' and theta' (G' and theta' made once per fit), one
+takes f32 copies x', G' and theta' (G' and theta' made by ``bound_fn``), one
 f32 product x' G'^T whose row norms r' are summed and rooted in f32, and
 the f32 product m' = x'.theta'. Take u = 2^-53, v = 2^-24, g_k(w) = k w /
 (1 - k w), and the norms |x|, |theta| and |G|_F.
@@ -180,7 +180,6 @@ scored exactly.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -232,9 +231,9 @@ class LinUcb:
     in row blocks (:func:`score_blocks`) with temporaries of one block.
     With no observations A = ridge*I, and L^-1 = I/sqrt(ridge) is applied
     as a scaling: each entry of the GEMM against it has a single nonzero
-    term, so the scores have the same bits. :meth:`ucb_bound` bounds the
-    scores of a fitted model from f32 copies of L^-1 and theta, made at its
-    first call after a fit.
+    term, so the scores have the same bits. :meth:`bound_fn` returns a
+    function that bounds the scores of a fitted model from f32 copies of
+    L^-1 and theta.
     """
 
     def __init__(self, dim: int, ridge: float = 1.0, alpha: float = 1.0):
@@ -247,9 +246,6 @@ class LinUcb:
         self.dim = dim
         self.ridge = float(ridge)
         self.alpha = float(alpha)
-        # Bound calls of one pass run on several threads; the first builds
-        # the f32 state under this lock.
-        self._bound_lock = threading.Lock()
         self._reset()
 
     def _reset(self) -> None:
@@ -259,7 +255,6 @@ class LinUcb:
         self.b = np.zeros(self.dim)
         self._theta = np.zeros(self.dim)
         self._chol_inv: np.ndarray | None = None
-        self._bound_terms: tuple[np.ndarray, np.ndarray, float, float] | None = None
 
     def _check(self, x: Sequence[float]) -> np.ndarray:
         xv = np.asarray(x, dtype=np.float64)
@@ -299,7 +294,6 @@ class LinUcb:
         chol = _cholesky(self.A, "LinUCB matrix A")
         self._theta = cho_solve((chol, True), self.b)
         self._chol_inv = _lower_inverse(chol)
-        self._bound_terms = None
 
     @property
     def theta(self) -> np.ndarray:
@@ -318,30 +312,34 @@ class LinUcb:
             W = X @ self._chol_inv.T
         return X @ self._theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
 
-    def ucb_bound(self, X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-        """Upper bounds on the :meth:`score_many` scores of a stack of rows,
-        for a model fitted on observations. ``sq_norms`` must be the rows'
-        squared norms as ``np.square(X).sum(axis=1)`` computes them
-        (``EmbeddingTable.sq_norms`` does).
-
-        Only these rows are converted to f32. Each bound is at least the
-        row's score from a call of any shape, and is inf for a row outside
-        the range gate (see the module docstring).
+    def bound_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``bound(X, sq_norms)``: upper bounds on the :meth:`score_many`
+        scores of a stack of rows under this fit, which must be on
+        observations, from the rows' squared norms as
+        ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
+        does). Each bound is at least the row's score from a call of any
+        shape, and is inf for a row outside the range gate (see the module
+        docstring). The function keeps the f32 copies of L^-1 and theta made
+        here, so a later fit does not change it.
         """
         if self._chol_inv is None:
             raise ValueError("the UCB bound needs a model fitted on observations")
-        with self._bound_lock:
-            if self._bound_terms is None:
-                self._bound_terms = _linucb_bound_terms(self._chol_inv, self._theta, self.alpha)
-            chol_inv32, theta32, per_norm, floor = self._bound_terms
-        with np.errstate(over="ignore", invalid="ignore"):
-            X32 = np.asarray(X, dtype=np.float32)
-            W = X32 @ chol_inv32.T
-            width = np.sqrt(np.einsum("ij,ij->i", W, W)).astype(np.float64)
-            approx = (X32 @ theta32).astype(np.float64) + self.alpha * width
-            error = _gated_norms(sq_norms) * per_norm + floor
-            bound = np.nextafter(approx + error, np.inf)
-        bound[~np.isfinite(bound)] = np.inf
+        chol_inv32, theta32, per_norm, floor = _linucb_bound_terms(
+            self._chol_inv, self._theta, self.alpha
+        )
+        alpha = self.alpha
+
+        def bound(X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                X32 = np.asarray(X, dtype=np.float32)
+                W = X32 @ chol_inv32.T
+                width = np.sqrt(np.einsum("ij,ij->i", W, W)).astype(np.float64)
+                approx = (X32 @ theta32).astype(np.float64) + alpha * width
+                error = _gated_norms(sq_norms) * per_norm + floor
+                out = np.nextafter(approx + error, np.inf)
+            out[~np.isfinite(out)] = np.inf
+            return out
+
         return bound
 
 
@@ -349,7 +347,7 @@ def _linucb_bound_terms(
     chol_inv: np.ndarray, theta: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """f32 copies of L^-1 and theta, and the error term of
-    :meth:`LinUcb.ucb_bound` as E = |x| per_norm + floor (see the module
+    :meth:`LinUcb.bound_fn` as E = |x| per_norm + floor (see the module
     docstring); per_norm is inf or NaN outside the range gate, which makes
     every bound inf."""
     dim = theta.size
@@ -445,8 +443,7 @@ class GaussianProcess:
     """GP regression with an RBF kernel and a UCB acquisition.
 
     k(a, b) = signal_var * exp(-|a - b|^2 / (2 length_scale^2)). Unset
-    hyperparameters are resolved at fit time: length_scale by the median
-    heuristic on the training inputs, signal_var as the variance of the
+    variances are resolved at fit time: signal_var as the variance of the
     (possibly standardized) targets, noise_var as 1e-4 * signal_var. With
     ``standardize`` on, targets are z-scored before fitting and explicit
     signal/noise variances are interpreted in the standardized space;
@@ -457,22 +454,22 @@ class GaussianProcess:
     the cross-kernel block by one matrix product (v = L^-1 k_*,
     var = signal - |v|^2) instead of a triangular solve with one right-hand
     side per query row. The posterior and the acquisition build that block
-    from the query rows they are handed and their squared norms; the bound
-    builds a factored kernel from terms made at its first call after a fit
-    (:meth:`ucb_bound`). Each query row's posterior depends on that row
+    from the query rows they are handed and their squared norms; the
+    function :meth:`bound_fn` returns builds a factored kernel from terms of
+    its fit. Each query row's posterior depends on that row
     alone, so a pool can be scored in row blocks (:func:`score_blocks`),
     with kernel-sized temporaries of one block rather than of the pool.
     """
 
     def __init__(
         self,
-        length_scale: float | None = None,
+        length_scale: float,
         signal_var: float | None = None,
         noise_var: float | None = None,
         beta: float = 2.0,
         standardize: bool = True,
     ):
-        if length_scale is not None and length_scale <= 0.0:
+        if length_scale <= 0.0:
             raise ValueError("length scale must be positive")
         if signal_var is not None and signal_var <= 0.0:
             raise ValueError("signal variance must be positive")
@@ -480,7 +477,7 @@ class GaussianProcess:
             raise ValueError("noise variance must be nonnegative")
         if beta < 0.0:
             raise ValueError("exploration weight must be nonnegative")
-        self.length_scale = length_scale
+        self.length_scale = float(length_scale)
         self.signal_var = signal_var
         self.noise_var = noise_var
         self.beta = float(beta)
@@ -489,14 +486,8 @@ class GaussianProcess:
         self._sq_norms: np.ndarray | None = None
         self._chol_inv: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        # The bound terms of the current fit, built at its first bound call
-        # (as a one-tuple; None until then). Bound calls of one pass run on
-        # several threads; the first builds the terms under this lock.
-        self._bound: tuple[_GpBound | None] | None = None
-        self._bound_lock = threading.Lock()
         self._mu = 0.0
         self._sd = 1.0
-        self._length = length_scale
         self._signal = signal_var if signal_var is not None else 1.0
 
     def _kernel(
@@ -523,7 +514,7 @@ class GaussianProcess:
             a_sq_norms = np.square(A).sum(axis=1)
         out = A @ B.T
         norms = np.empty((min(_KERNEL_ROWS, out.shape[0]), out.shape[1]))
-        length_sq = self._length**2
+        length_sq = self.length_scale**2
         for lo in range(0, out.shape[0], _KERNEL_ROWS):
             chunk = out[lo : lo + _KERNEL_ROWS]
             sq = norms[: chunk.shape[0]]
@@ -548,7 +539,6 @@ class GaussianProcess:
             self._sq_norms = None
             self._chol_inv = None
             self._alpha = None
-            self._bound = None
             self._mu, self._sd = 0.0, 1.0
             return
         if self.standardize:
@@ -559,9 +549,6 @@ class GaussianProcess:
             self._mu, self._sd = 0.0, 1.0
         z = (y - self._mu) / self._sd
 
-        self._length = (
-            self.length_scale if self.length_scale is not None else median_heuristic(X)
-        )
         if self.signal_var is not None:
             self._signal = self.signal_var
         else:
@@ -587,11 +574,6 @@ class GaussianProcess:
         self._sq_norms = sq_norms
         self._alpha = cho_solve((chol, True), z)
         self._chol_inv = _lower_inverse(chol)
-        m = n * np.finfo(np.float64).eps
-        gamma = m / (1.0 - m) if m < 0.1 else math.inf
-        with np.errstate(over="ignore"):
-            self._slack_scale = 8.0 * gamma * float(np.square(self._chol_inv).sum())
-        self._bound = None
 
     def posterior_many(
         self, X: np.ndarray, sq_norms: np.ndarray | None = None
@@ -608,125 +590,46 @@ class GaussianProcess:
         k_star = self._kernel(self._X, X, sq_norms, self._sq_norms)
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
-        return self._moments(k_star, var_z)
-
-    def _moments(self, k_star: np.ndarray, var_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and a variance in raw units, from the cross-kernel
-        block and a variance in standardized units."""
         return self._mu + self._sd * (k_star.T @ self._alpha), self._sd**2 * var_z
-
-    def _ucb(self, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-        return mean + self.beta * np.sqrt(var)
 
     def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
         """UCB scores: posterior mean + beta * posterior stddev (arguments
         as for :meth:`posterior_many`)."""
-        return self._ucb(*self.posterior_many(X, sq_norms))
+        mean, var = self.posterior_many(X, sq_norms)
+        return mean + self.beta * np.sqrt(var)
 
-    def ucb_bound(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
-        """Upper bounds on the :meth:`acquisition` scores of a stack of query
-        rows of a model fitted on observations (arguments as for
-        :meth:`posterior_many`).
-
-        The kernel is built in the factored form of the fit's bound terms,
-        not as the posterior builds it, so its bits are not the exact
-        pass's. Each bound is at least the score ``acquisition`` gives the
-        row in a call of any shape, and is inf for a row outside the range
-        gate (see the module docstring).
+    def bound_fn(self) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+        """``bound(X, sq_norms=None)``: upper bounds on the :meth:`acquisition`
+        scores of a stack of query rows under this fit, which must be on
+        observations (arguments as for :meth:`posterior_many`). Each bound is
+        at least the row's score from a call of any shape, and is inf for a
+        row outside the range gate (see the module docstring). The function
+        keeps the bound terms built here (:func:`_gp_bound_terms`) and mu, sd
+        and beta, so a later fit does not change it.
         """
         if self._X is None:
             raise ValueError("the UCB bound needs a model fitted on observations")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        terms = self._bound_terms()
-        if terms is None:
-            return np.full(X.shape[0], np.inf)
-        mean_z, var_ub, rho = self._bound_moments(terms, X, sq_norms)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = self._ucb(self._mu + self._sd * mean_z, self._sd**2 * var_ub)
-        bound[~(np.isfinite(bound) & np.isfinite(rho))] = np.inf
+        terms = _gp_bound_terms(self._X, self._sq_norms, self._alpha, self._chol_inv,
+                                self.length_scale**2, self._signal)
+        mu, sd, beta = self._mu, self._sd, self.beta
+
+        def bound(X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+            if terms is None:
+                return np.full(X.shape[0], np.inf)
+            mean_z, var_ub, rho = _bound_moments(terms, X, sq_norms)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = mu + sd * mean_z + beta * np.sqrt(sd**2 * var_ub)
+            out[~(np.isfinite(out) & np.isfinite(rho))] = np.inf
+            return out
+
         return bound
-
-    def _bound_terms(self) -> _GpBound | None:
-        """The fit's bound terms, built at the first call after a fit, or
-        None when the fit is outside the range gate."""
-        with self._bound_lock:
-            if self._bound is None:
-                self._bound = (
-                    _gp_bound_terms(self._X, self._sq_norms, self._alpha, self._chol_inv,
-                                    self._length**2, self._signal),
-                )
-            return self._bound[0]
-
-    def _factored_kernel(
-        self, terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factored kernel of the query rows: E = exp(A (X - c)^T), n x
-        m, computed as exp(A X^T - A c); the row scales f = s exp(-|x -
-        c|^2 / 2 l^2); and each row's margin rho, inf outside the range
-        gate. With e the fit's training factors, the exact pass's kernel
-        entry is within rho times f_j e_i E_ij of it."""
-        length_sq = self._length**2
-        dim = X.shape[1]
-        if sq_norms is None:
-            sq_norms = np.square(X).sum(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = terms.scaled @ X.T
-            E -= terms.shift[:, None]
-            np.exp(E, out=E)
-            centred_sq = sq_norms - 2.0 * (X @ terms.centre)
-            centred_sq += terms.centre_sq
-            f = self._signal * np.exp(-0.5 * centred_sq / length_sq)
-            sq_upper = _sq_upper(sq_norms, dim)
-            reach = np.sqrt(sq_upper) * _SPARE + terms.centre_norm
-            log_ratio = _SPARE * (
-                terms.log_base
-                + _gamma(dim + 4) / length_sq * (sq_upper + 0.5 * np.square(terms.radius + reach))
-                + 2.0**-1064 * math.sqrt(dim) * reach
-            )
-            rho = _SPARE * log_ratio * (1.0 + log_ratio)
-            gate = (
-                centred_sq + _gamma(dim + 3) * np.square(reach) + dim * 2.0**-1072
-            ) / length_sq
-        rho[~((gate <= _GP_GATE) & (log_ratio <= _GP_GATE_LOG_RATIO))] = np.inf
-        return E, f, rho
-
-    def _bound_moments(
-        self, terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per query row, an upper end of the exact pass's kernel-weighted
-        sum k^T alpha (its mean in standardized units before mu and sd), an
-        upper end var_ub of its standardized variance, and the margin rho
-        (see the module docstring). Both ends are meaningful only where rho
-        is finite."""
-        E, f, rho = self._factored_kernel(terms, X, sq_norms)
-        n, p = E.shape[0], terms.prefix.shape[0]
-        gain, prefix_gain = _gamma(2 * n + 8), _gamma(2 * p + 8)
-        tiny = np.finfo(np.float64).tiny
-        with np.errstate(over="ignore", invalid="ignore"):
-            weighted, absolute, total = terms.weights @ E
-            prefix = terms.prefix @ E[:p]
-            omega = (1.0 + gain) * rho + 2.0 * gain
-            mean = f * (weighted + omega * absolute) + n * (2.0**-698 * f + 2.0**-1070)
-            k_norm = _SPARE * np.sqrt(
-                self._signal * (1.0 + rho) * f * (total * (1.0 + gain) + n * 2.0**-1070)
-            )
-            # A lower end of |G_p k_p| for the exact pass's kernel column k.
-            norm_low = f * np.sqrt(np.einsum("ij,ij->j", prefix, prefix)) * (1.0 - prefix_gain)
-            norm_low -= _SPARE * (
-                (rho + prefix_gain) * terms.prefix_norm * k_norm + f * (p * 2.0**-534)
-            )
-            explained = np.nextafter(np.square(np.maximum(norm_low, 0.0)), 0.0)
-            k_sq = _SPARE * (1.0 + rho) * np.square(k_norm)
-            slack = self._slack_scale * (k_sq + (n + 2) * tiny) + 4.0 * (n + 2) * tiny
-            var_ub = np.nextafter(np.nextafter(self._signal - explained, np.inf) + slack, np.inf)
-            np.clip(var_ub, 0.0, self._signal, out=var_ub)
-        return mean, var_ub, rho
 
 
 class _GpBound(NamedTuple):
-    """What :meth:`GaussianProcess.ucb_bound` keeps of a fit: the factored
-    kernel's training side, the weights of its three sums and of the
-    prefix product, and the constants of the margin (see the module
+    """What a :meth:`GaussianProcess.bound_fn` function keeps of a fit: the
+    factored kernel's training side, the weights of its three sums and of
+    the prefix product, and the constants of the margin (see the module
     docstring; every norm here is an upper end of the exact one)."""
 
     scaled: np.ndarray  # A = (X - c) / l^2, n x d
@@ -739,6 +642,77 @@ class _GpBound(NamedTuple):
     prefix_norm: float  # >= |G[:p, :p]|_F
     radius: float  # >= R = max |x_i - c|
     log_base: float  # the exps and products with s, the floors and the max |x_i|^2 term
+    length_sq: float  # l^2, as the exact pass divides by it
+    signal: float  # s
+    slack_scale: float  # 8 g'_n |G|_F^2
+
+
+def _factored_kernel(
+    terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factored kernel of the query rows: E = exp(A (X - c)^T), n x m,
+    computed as exp(A X^T - A c); the row scales f = s exp(-|x - c|^2 / 2
+    l^2); and each row's margin rho, inf outside the range gate. With e the
+    fit's training factors, the exact pass's kernel entry is within rho
+    times f_j e_i E_ij of it."""
+    length_sq = terms.length_sq
+    dim = X.shape[1]
+    if sq_norms is None:
+        sq_norms = np.square(X).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = terms.scaled @ X.T
+        E -= terms.shift[:, None]
+        np.exp(E, out=E)
+        centred_sq = sq_norms - 2.0 * (X @ terms.centre)
+        centred_sq += terms.centre_sq
+        f = terms.signal * np.exp(-0.5 * centred_sq / length_sq)
+        sq_upper = _sq_upper(sq_norms, dim)
+        reach = np.sqrt(sq_upper) * _SPARE + terms.centre_norm
+        log_ratio = _SPARE * (
+            terms.log_base
+            + _gamma(dim + 4) / length_sq * (sq_upper + 0.5 * np.square(terms.radius + reach))
+            + 2.0**-1064 * math.sqrt(dim) * reach
+        )
+        rho = _SPARE * log_ratio * (1.0 + log_ratio)
+        gate = (
+            centred_sq + _gamma(dim + 3) * np.square(reach) + dim * 2.0**-1072
+        ) / length_sq
+    rho[~((gate <= _GP_GATE) & (log_ratio <= _GP_GATE_LOG_RATIO))] = np.inf
+    return E, f, rho
+
+
+def _bound_moments(
+    terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per query row, an upper end of the exact pass's kernel-weighted sum
+    k^T alpha (its mean in standardized units before mu and sd), an upper
+    end var_ub of its standardized variance, and the margin rho (see the
+    module docstring). Both ends are meaningful only where rho is
+    finite."""
+    E, f, rho = _factored_kernel(terms, X, sq_norms)
+    n, p = E.shape[0], terms.prefix.shape[0]
+    signal = terms.signal
+    gain, prefix_gain = _gamma(2 * n + 8), _gamma(2 * p + 8)
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted, absolute, total = terms.weights @ E
+        prefix = terms.prefix @ E[:p]
+        omega = (1.0 + gain) * rho + 2.0 * gain
+        mean = f * (weighted + omega * absolute) + n * (2.0**-698 * f + 2.0**-1070)
+        k_norm = _SPARE * np.sqrt(
+            signal * (1.0 + rho) * f * (total * (1.0 + gain) + n * 2.0**-1070)
+        )
+        # A lower end of |G_p k_p| for the exact pass's kernel column k.
+        norm_low = f * np.sqrt(np.einsum("ij,ij->j", prefix, prefix)) * (1.0 - prefix_gain)
+        norm_low -= _SPARE * (
+            (rho + prefix_gain) * terms.prefix_norm * k_norm + f * (p * 2.0**-534)
+        )
+        explained = np.nextafter(np.square(np.maximum(norm_low, 0.0)), 0.0)
+        k_sq = _SPARE * (1.0 + rho) * np.square(k_norm)
+        slack = terms.slack_scale * (k_sq + (n + 2) * tiny) + 4.0 * (n + 2) * tiny
+        var_ub = np.nextafter(np.nextafter(signal - explained, np.inf) + slack, np.inf)
+        np.clip(var_ub, 0.0, signal, out=var_ub)
+    return mean, var_ub, rho
 
 
 def _gamma(k: int) -> float:
@@ -785,6 +759,9 @@ def _gp_bound_terms(
     prefix = chol_inv[:p, :p]
     centre_sq = float(np.square(centre).sum())
     kappa, u = _EXP_ACCURACY, 2.0**-53
+    m = n * np.finfo(np.float64).eps  # at most 0.01 inside the gate
+    with np.errstate(over="ignore"):
+        inv_sq = float(np.square(chol_inv).sum())
     return _GpBound(
         scaled=scaled,
         shift=scaled @ centre,
@@ -799,6 +776,9 @@ def _gp_bound_terms(
         + 2.0 * u * (1.0 + u)
         + 2.0**-1064 * dim * (1.0 + 1.0 / length_sq)
         + _gamma(dim + 4) / length_sq * _sq_upper(float(sq_norms.max()), dim),
+        length_sq=length_sq,
+        signal=signal,
+        slack_scale=8.0 * (m / (1.0 - m)) * inv_sq,
     )
 
 
@@ -811,7 +791,7 @@ def _gp_bound_terms(
 # depend on the value.
 _KERNEL_ROWS = 16
 
-# Leading rows and columns of L^-1 behind GaussianProcess.ucb_bound. The
+# Leading rows and columns of L^-1 behind GaussianProcess.bound_fn. The
 # bound costs a p x p product per candidate; 32 left at most 1,900 of about
 # 18k gene-screen candidates able to reach a top-128.
 _BOUND_PREFIX = 32
@@ -822,7 +802,7 @@ _BOUND_PREFIX = 32
 # numpy 2.4 on an x86-64 VM the largest error there was 2^-52 relative.
 _EXP_ACCURACY = 2.0**-40
 
-# Range gate of GaussianProcess.ucb_bound: the greatest |x - c|^2 / l^2 of a
+# Range gate of GaussianProcess.bound_fn: the greatest |x - c|^2 / l^2 of a
 # training or query row, and the greatest log-ratio bound between the exact
 # pass's kernel and the factored one. Inside it every np.exp result of
 # either pass is a normal number (see the module docstring).

@@ -4,6 +4,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from expdesign.backends import (
@@ -13,9 +14,11 @@ from expdesign.backends import (
     ScriptedBackend,
     chat_with_retry,
 )
+from expdesign.cli import main
 from expdesign.errors import BackendError, ParseError, TransientBackendError
+from expdesign.pool import write_embeddings, write_measurements
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, random_pool
 
 
 class TestScriptedBackend:
@@ -219,6 +222,34 @@ class TestHttpBackend:
         backend = HttpBackend(chat_server, model="m", api_key="k")
         with pytest.raises(BackendError, match="malformed"):
             backend.chat("s", "u")
+
+    @pytest.mark.parametrize("content", [None, 3, ["## A"], {"text": "## A"}])
+    def test_content_that_is_not_a_string(self, chat_server, content):
+        _ChatHandler.steps = [(200, {"choices": [{"message": {"content": content}}]})]
+        backend = HttpBackend(chat_server, model="m", api_key="k")
+        with pytest.raises(BackendError, match="malformed chat-completions response"):
+            chat_with_retry(backend, "s", "u", RetryPolicy(max_attempts=3))
+        assert len(_ChatHandler.requests_seen) == 1
+
+    def test_null_content_aborts_the_run_exit_2(self, chat_server, tmp_path, capsys):
+        # One line on stderr and exit 2, not a traceback from the reply's
+        # parser.
+        pool = random_pool(np.random.default_rng(0), 40, 3)
+        meas, emb = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, emb)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "dataset_key": "il2", "rounds": 2, "batch_size": 6, "runs": 1,
+            "llm": {"endpoint": chat_server, "model": "m"},
+        }), encoding="utf-8")
+        _ChatHandler.steps = [(200, {"choices": [{"message": {"content": None}}]})]
+        argv = ["run", "--config", str(config_path), "--agent", "llmnn",
+                "--dataset", str(meas), "--embeddings", str(emb)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failure:") and err.count("\n") == 1
+        assert "malformed chat-completions response" in err
 
     def test_connection_refused_is_transient(self):
         backend = HttpBackend("http://127.0.0.1:1/nope", model="m", api_key="k",

@@ -718,6 +718,41 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {paths[broken]}:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("broken", ["config", "runs-csv", "fixture"])
+    def test_input_file_not_utf8(self, tmp_path, capsys, broken):
+        # A 0xff byte in any file the CLI reads is one line on stderr naming
+        # the file, never a traceback: exit 1 for the config file and
+        # runs.csv, and a run failure (exit 2) for a scripted fixture.
+        meas, emb = write_cli_dataset(tmp_path)
+        data = ["--dataset", str(meas), "--embeddings", str(emb)]
+        if broken == "config":
+            path = tmp_path / "config.json"
+            path.write_bytes(b'{"agent": "random", "rounds": 1\xff}')
+            argvs = [["run", "--config", str(path), *data], ["validate", "--config", str(path)]]
+            code, prefix = 1, "error:"
+        elif broken == "runs-csv":
+            path = tmp_path / "runs.csv"
+            path.write_bytes(b"agent,dataset,run,seed,complete,final_hits,hits_r1\n"
+                             b"random,d\xff,0,0,1,1,1\n")
+            argvs = [["report", "--in", str(tmp_path)]]
+            code, prefix = 1, "error:"
+        else:
+            fixtures = tmp_path / "fixtures"
+            fixtures.mkdir()
+            path = fixtures / "round-1.txt"
+            path.write_bytes(b"**Solution:\n## c1\xff\n")
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"dataset_key": "il2"}), encoding="utf-8")
+            argvs = [["run", "--config", str(config_path), *data, "--agent", "llmnn",
+                      "--rounds", "1", "--batch", "4", "--runs", "1",
+                      "--fixtures", str(fixtures)]]
+            code, prefix = 2, "run failure:"
+        for argv in argvs:
+            assert main(argv) == code, argv
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and str(path) in err and "UTF-8" in err, err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bda_replays_fixtures_with_default_retries(self, tmp_path):
         # Each fixture names 5 genes for a batch of 20, so every round
         # re-prompts; a re-prompt must re-read its own round's file.

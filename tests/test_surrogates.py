@@ -321,7 +321,7 @@ class TestGaussianProcess:
         assert mean == pytest.approx([np.exp(-0.5)], abs=1e-4)
 
     def test_zero_observations_prior(self):
-        gp = GaussianProcess(signal_var=1.0)
+        gp = GaussianProcess(length_scale=1.0, signal_var=1.0)
         mean, var = gp.posterior_many(np.array([[0.3, 0.4]]))
         assert mean.tolist() == [0.0]
         assert var.tolist() == [1.0]
@@ -396,7 +396,7 @@ class TestGaussianProcess:
         assert gp.acquisition(Xq) == pytest.approx(mean + 2.0 * np.sqrt(var))
 
     def test_constant_targets_do_not_crash(self):
-        gp = GaussianProcess()
+        gp = GaussianProcess(length_scale=1.0)
         gp.fit(np.array([[0.0], [1.0]]), [2.0, 2.0])
         mean, var = gp.posterior_many(np.array([[0.5]]))
         assert np.isfinite(mean).all() and np.isfinite(var).all()
@@ -449,7 +449,7 @@ class TestScoreBlocks:
         dual = DualLinUcb(matrix[train], y, ridge=0.5, alpha=1.5)
         fitted = GaussianProcess(length_scale=float(np.sqrt(table.dim)))
         fitted.fit(matrix[train], y)
-        unfitted = GaussianProcess(signal_var=2.0)
+        unfitted = GaussianProcess(length_scale=1.0, signal_var=2.0)
         sq_norms = table.sq_norms
         return [
             (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
@@ -732,8 +732,8 @@ def surrogate_round(kind, pool, observed, batch_size=32, **config):
     model, table = agent.model, pool.embeddings
     exact = score_blocks(avail, exact_scorer(model, table))
     assert batch.tolist() == avail[np.lexsort((avail, -exact))[:batch_size]].tolist()
-    bound = score_blocks(avail, lambda rows: model.ucb_bound(table.matrix[rows],
-                                                             table.sq_norms[rows]))
+    bound_fn = model.bound_fn()
+    bound = score_blocks(avail, lambda rows: bound_fn(table.matrix[rows], table.sq_norms[rows]))
     assert np.all(bound >= exact)
     return model, avail, exact, bound
 
@@ -744,12 +744,36 @@ def linucb_bound_on_any_dim(monkeypatch):
     monkeypatch.setattr(agents_module, "_LINUCB_BOUND_MIN_DIM", 1)
 
 
-# Per agent kind: the model class and the names of its bound and exact
-# scoring methods.
+# Per agent kind: the model class and the name of its exact scoring method.
 SURROGATES = {
-    "gp": (GaussianProcess, "ucb_bound", "acquisition"),
-    "linucb": (LinUcb, "ucb_bound", "score_many"),
+    "gp": (GaussianProcess, "acquisition"),
+    "linucb": (LinUcb, "score_many"),
 }
+
+
+def gp_terms(model: GaussianProcess):
+    """The bound terms of a fitted GP, as its bound_fn builds them."""
+    return surrogates._gp_bound_terms(model._X, model._sq_norms, model._alpha, model._chol_inv,
+                                      model.length_scale**2, model._signal)
+
+
+def recorded_bound_calls(monkeypatch, cls) -> list:
+    """The row count of every call of a function that ``cls.bound_fn``
+    returns, in a list that grows as they are made."""
+    calls = []
+    bound_fn = cls.bound_fn
+
+    def recorded(self):
+        bound = bound_fn(self)
+
+        def counted(X, *args):
+            calls.append(len(X))
+            return bound(X, *args)
+
+        return counted
+
+    monkeypatch.setattr(cls, "bound_fn", recorded)
+    return calls
 
 
 @pytest.mark.usefixtures("linucb_bound_on_any_dim")
@@ -780,14 +804,15 @@ class TestShortlist:
         feedback = Feedback(tuple(
             FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
         ))
-        cls, *names = SURROGATES[kind]
-        log = {name: [] for name in names}
-        for name, calls in log.items():
-            def recorded(self, X, *args, method=getattr(cls, name), calls=calls):
-                calls.append(len(X))
-                return method(self, X, *args)
+        cls, name = SURROGATES[kind]
+        log = {"bound": recorded_bound_calls(monkeypatch, cls), name: []}
+        method = getattr(cls, name)
 
-            monkeypatch.setattr(cls, name, recorded)
+        def recorded(self, X, *args):
+            log[name].append(len(X))
+            return method(self, X, *args)
+
+        monkeypatch.setattr(cls, name, recorded)
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
@@ -809,9 +834,9 @@ class TestShortlist:
         # round over a pool of more than two blocks: both score every row
         # in one full pass, so the bound is never computed.
         def no_bound(*args):
-            raise AssertionError("ucb_bound called")
+            raise AssertionError("bound_fn called")
 
-        monkeypatch.setattr(SURROGATES[kind][0], "ucb_bound", no_bound)
+        monkeypatch.setattr(SURROGATES[kind][0], "bound_fn", no_bound)
         rng = np.random.default_rng(13)
         pool = random_pool(rng, self.BLOCK + 64 if observed else 2 * self.BLOCK + 300, 5)
         memory = CandidateMemory(pool)
@@ -824,6 +849,64 @@ class TestShortlist:
         batch = agent.select(2 if observed else 1, memory, feedback, np.random.default_rng(0))
         exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
         assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
+
+
+class TestBoundValues:
+    """A bound factory builds its terms once per bound pass, on the thread
+    that runs the round, into a function that no later fit changes."""
+
+    BLOCK = surrogates._BLOCK_ROWS
+
+    @pytest.mark.parametrize("kind", SURROGATES)
+    def test_refit_leaves_a_bound_function_unchanged(self, kind):
+        # A refit on other rows and responses, and one on no observations,
+        # leave the bits of a bound function's values as they were, while
+        # the new fit's bounds differ.
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((300, 6))
+        sq_norms = np.square(X).sum(axis=1)
+        if kind == "linucb":
+            model = LinUcb(6, ridge=0.5, alpha=1.2)
+            refit = model.fit_batch
+        else:
+            model = GaussianProcess(length_scale=3.0)
+            refit = model.fit
+        refit(X[:40], rng.standard_normal(40))
+        bound = model.bound_fn()
+        before = bound(X, sq_norms)
+        assert np.isfinite(before).all()
+        refit(2.0 * X[40:90], 5.0 + 3.0 * rng.standard_normal(50))
+        after = model.bound_fn()(X, sq_norms)
+        assert np.isfinite(after).all() and not same_bits(after, before)
+        assert same_bits(bound(X, sq_norms), before)
+        refit(X[:0], np.empty(0))
+        assert same_bits(bound(X, sq_norms), before)
+
+    @pytest.mark.usefixtures("threaded_scan", "linucb_bound_on_any_dim")
+    @pytest.mark.parametrize("kind", SURROGATES)
+    def test_terms_are_built_once_per_bound_pass_on_the_calling_thread(
+        self, monkeypatch, kind
+    ):
+        # Rounds 2 and 3 take a bound pass over more than two blocks, scored
+        # on three threads; each builds its terms once, on the thread that
+        # runs the round. Round 1 (no observations) builds none.
+        builder = "_linucb_bound_terms" if kind == "linucb" else "_gp_bound_terms"
+        terms = getattr(surrogates, builder)
+        built = []
+
+        def spy(*args):
+            built.append(threading.get_ident())
+            return terms(*args)
+
+        monkeypatch.setattr(surrogates, builder, spy)
+        monkeypatch.setattr(surrogates, "_available_cpus", lambda: 3)
+        started = count_thread_starts(monkeypatch)
+        bound_calls = recorded_bound_calls(monkeypatch, SURROGATES[kind][0])
+        pool = random_pool(np.random.default_rng(28), 2 * self.BLOCK + 300, 6)
+        config = ExperimentConfig(agent=kind, rounds=3, batch_size=32, runs=1)
+        run_experiment(config, seed=0, pool=pool)
+        assert built == [threading.get_ident()] * 2
+        assert len(bound_calls) > 2 and started
 
 
 class TestGpShortlist:
@@ -842,12 +925,12 @@ class TestGpShortlist:
         table = pool.embeddings
         X, sq_norms = table.matrix[rows], table.sq_norms[rows]
         k_star = model._kernel(model._X, X, sq_norms, model._sq_norms)
-        bound = model.ucb_bound(X, sq_norms)
-        terms = model._bound_terms()
+        bound = model.bound_fn()(X, sq_norms)
+        terms = gp_terms(model)
         if terms is None:
             assert np.all(bound == np.inf)
             return
-        _, var_ub, rho = model._bound_moments(terms, X, sq_norms)
+        _, var_ub, rho = surrogates._bound_moments(terms, X, sq_norms)
         for j in range(rows.size):
             if np.isfinite(rho[j]):
                 assert Fraction(var_ub[j]) >= prefix_deficit(model, k_star[:, j]), rows[j]
@@ -991,13 +1074,13 @@ class TestGpShortlist:
         observed = rng.choice(len(pool), 90, replace=False)
         probe = GaussianProcess(length_scale=1.0)
         probe.fit(pool.embeddings.matrix[observed], pool.scores[observed])
-        edge = probe._bound_terms().radius / math.sqrt(surrogates._GP_GATE)
+        edge = gp_terms(probe).radius / math.sqrt(surrogates._GP_GATE)
         length = edge * (1.0 + 2.0**-30 if side == "inside" else 1.0 - 2.0**-30)
         model, avail, _, bound = self.select(pool, observed, gp_length_scale=length)
         if side == "outside":
-            assert model._bound_terms() is None and np.all(bound == np.inf)
+            assert gp_terms(model) is None and np.all(bound == np.inf)
             return
-        assert model._bound_terms() is not None
+        assert gp_terms(model) is not None
         assert 0 < np.isfinite(bound).sum() < bound.size
         check_gate(model, pool.embeddings.matrix[avail], bound)
         self.check_prefix_deficit(model, pool, avail[:30])
@@ -1008,8 +1091,8 @@ def check_gate(model, B, bound):
     |x - c|^2 / l^2 at most the gate in exact arithmetic (and a hair over
     for the gate's own roundings); every row of B well outside the gate has
     an inf bound."""
-    centre = [Fraction(v) for v in model._bound_terms().centre.tolist()]
-    length_sq = Fraction(model._length**2)
+    centre = [Fraction(v) for v in gp_terms(model).centre.tolist()]
+    length_sq = Fraction(model.length_scale**2)
     gate = Fraction(surrogates._GP_GATE)
 
     def reach(row):
@@ -1033,7 +1116,7 @@ def root_up(value: Fraction) -> Fraction:
 
 
 def gp_log_ratio_reference(model: GaussianProcess, B: np.ndarray) -> list[Fraction]:
-    """What the log-ratio Delta of GaussianProcess.ucb_bound must cover for
+    """What the log-ratio Delta of GaussianProcess.bound_fn must cover for
     each row of B, as the module docstring derives it, in exact arithmetic
     from the exact norms: four exp accuracies and two roundings, the exact
     pass's gamma_(d+4) (|x|^2 + |b|^2) / 2 l^2 over max |x|^2, the factored
@@ -1045,8 +1128,8 @@ def gp_log_ratio_reference(model: GaussianProcess, B: np.ndarray) -> list[Fracti
     def g(k):
         return k * u / (1 - k * u)
 
-    length_sq = Fraction(model._length**2)
-    centre = [Fraction(v) for v in model._bound_terms().centre.tolist()]
+    length_sq = Fraction(model.length_scale**2)
+    centre = [Fraction(v) for v in gp_terms(model).centre.tolist()]
     rows = [[Fraction(v) for v in row] for row in model._X.tolist()]
     max_sq = max(sum(v * v for v in row) for row in rows)
     radius = root_up(max(sum((v - c) ** 2 for v, c in zip(row, centre)) for row in rows))
@@ -1087,7 +1170,7 @@ def gp_margin_pools():
 
 
 class TestGpBoundMargin:
-    """The factored kernel of GaussianProcess.ucb_bound against the exact
+    """The factored kernel of GaussianProcess.bound_fn against the exact
     pass's kernel bits, and the assumptions its margin rests on."""
 
     def test_np_exp_is_within_the_assumed_accuracy(self):
@@ -1112,39 +1195,39 @@ class TestGpBoundMargin:
             error = np.abs(got - expected) / scale
             assert error.max() <= surrogates._EXP_ACCURACY / 64, error.max()
 
-    def test_concurrent_first_calls_build_the_terms_once(self, monkeypatch):
-        # A fit builds no bound terms (a round with no bound pass pays
-        # nothing for them); the first bound calls after it, made on several
-        # threads at once, build them once and share them.
-        built = []
-        terms = surrogates._gp_bound_terms
-
-        def counted(*args):
-            built.append(1)
-            return terms(*args)
-
-        monkeypatch.setattr(surrogates, "_gp_bound_terms", counted)
-        rng = np.random.default_rng(26)
-        X = rng.standard_normal((64, 6))
-        model = GaussianProcess(length_scale=2.0)
-        for fits in (1, 2):
-            model.fit(X[:20], rng.standard_normal(20))
-            assert len(built) == fits - 1
-            concurrent_first_bound_calls(model, X)
-            assert len(built) == fits
-
     def test_margin_covers_the_derivation(self):
         # rho >= Delta (1 + Delta) >= e^Delta - 1 in exact arithmetic, with
         # Delta every term the module docstring derives, on every row inside
         # the gate.
         checked = 0
         for model, B in gp_margin_pools():
-            _, _, rho = model._factored_kernel(model._bound_terms(), B,
-                                               np.square(B).sum(axis=1))
+            _, _, rho = surrogates._factored_kernel(gp_terms(model), B, np.square(B).sum(axis=1))
             for j, delta in enumerate(gp_log_ratio_reference(model, B)):
                 if np.isfinite(rho[j]):
                     assert Fraction(rho[j]) >= delta * (1 + delta), j
                     checked += 1
+        assert checked > 150
+
+    def test_mean_end_covers_the_factored_sum_and_its_margin(self):
+        # The mean's upper end is at least sum_i alpha_i k~_ij + rho_j sum_i
+        # |alpha_i| k~_ij in exact arithmetic, with k~_ij = f_j e_i E_ij and
+        # rho_j the factored kernel's own: with the margin check below, at
+        # least the exact pass's k^T alpha.
+        checked = 0
+        for model, B in gp_margin_pools():
+            terms = gp_terms(model)
+            sq_norms = np.square(B).sum(axis=1)
+            E, f, rho = surrogates._factored_kernel(terms, B, sq_norms)
+            mean, _, _ = surrogates._bound_moments(terms, B, sq_norms)
+            alpha = [Fraction(a) for a in model._alpha.tolist()]
+            e = [Fraction(v) for v in terms.weights[2].tolist()]
+            for j in np.flatnonzero(np.isfinite(rho)):
+                factored = [Fraction(f[j]) * e_i * Fraction(E_ij)
+                            for e_i, E_ij in zip(e, E[:, j].tolist())]
+                weighted = sum(a * k for a, k in zip(alpha, factored))
+                absolute = sum(abs(a) * k for a, k in zip(alpha, factored))
+                assert Fraction(mean[j]) >= weighted + Fraction(rho[j]) * absolute, j
+                checked += 1
         assert checked > 150
 
     def test_factored_kernel_within_margin_of_the_exact_pass(self):
@@ -1155,8 +1238,8 @@ class TestGpBoundMargin:
         tiny = np.finfo(np.float64).tiny
         for model, B in gp_margin_pools():
             k_star = model._kernel(model._X, B)
-            terms = model._bound_terms()
-            E, f, rho = model._factored_kernel(terms, B, np.square(B).sum(axis=1))
+            terms = gp_terms(model)
+            E, f, rho = surrogates._factored_kernel(terms, B, np.square(B).sum(axis=1))
             e = terms.weights[2]
             inside = np.isfinite(rho)
             assert inside[:32].all()
@@ -1170,7 +1253,7 @@ class TestGpBoundMargin:
 
 
 def linucb_error_reference(dim, alpha, row_norm, theta_norm, inv_norm) -> Fraction:
-    """What the error term of LinUcb.ucb_bound must cover, as the module
+    """What the error term of LinUcb.bound_fn must cover, as the module
     docstring derives it, in exact arithmetic from upper ends of the norms
     (dim a square): the f32 mean's relative term and alpha times the f32
     width's, the f64 score's g_(3d+3)(u) term, and the floors for
@@ -1207,7 +1290,6 @@ def fitted_linucb(dim, alpha, theta, chol_inv, ridge=1.0):
     model.fit_batch(np.ones((1, dim)), [1.0])
     model._theta = np.asarray(theta, dtype=np.float64)
     model._chol_inv = np.asarray(chol_inv, dtype=np.float64)
-    model._bound_terms = None
     return model
 
 
@@ -1262,7 +1344,7 @@ LINUCB_HARD_KINDS = ("f32-worst", "subnormal", "near-overflow", "gate-edge", "in
 
 
 class TestLinUcbBound:
-    """LinUcb.ucb_bound: at least the f64 score of every row, for the
+    """LinUcb.bound_fn: at least the f64 score of every row, for the
     computed floats; and the agent's shortlist against its full pass."""
 
     BLOCK = surrogates._BLOCK_ROWS
@@ -1280,7 +1362,7 @@ class TestLinUcbBound:
         _, _, per_norm, floor = surrogates._linucb_bound_terms(lin._chol_inv, lin.theta, alpha)
         theta_norm, inv_norm = upper_norm(lin.theta), upper_norm(lin._chol_inv)
         sq_norms = np.square(X).sum(axis=1)
-        error = np.sqrt(sq_norms) * per_norm + floor  # as ucb_bound computes it
+        error = np.sqrt(sq_norms) * per_norm + floor  # as the bound function computes it
         for row, e in zip(X, error):
             assert Fraction(e) >= linucb_error_reference(dim, alpha, upper_norm(row),
                                                          theta_norm, inv_norm)
@@ -1293,8 +1375,8 @@ class TestLinUcbBound:
         rng = np.random.default_rng(21)
         theta, g, X = linucb_worst_case(rng, 400, alpha)
         model = fitted_linucb(1, alpha, [theta], [[g]])
-        bound = model.ucb_bound(X, np.square(X).sum(axis=1))
-        _, _, per_norm, floor = model._bound_terms
+        bound = model.bound_fn()(X, np.square(X).sum(axis=1))
+        _, _, per_norm, floor = surrogates._linucb_bound_terms(model._chol_inv, model.theta, alpha)
         error = np.sqrt(np.square(X).sum(axis=1)) * per_norm + floor
         x32 = X[:, 0].astype(np.float32)
         w = x32 * np.float32(g)
@@ -1313,7 +1395,7 @@ class TestLinUcbBound:
         theta, g, X = linucb_worst_case(rng, 600, alpha)
         model = fitted_linucb(1, alpha, [theta], [[g]])
         exact = model.score_many(X)
-        bound = model.ucb_bound(X, np.square(X).sum(axis=1))
+        bound = model.bound_fn()(X, np.square(X).sum(axis=1))
         assert np.all(bound >= exact)
         v = 2.0**-24
         f32_terms = X[:, 0] * (3 * v * theta + alpha * 5 * v * g)
@@ -1347,35 +1429,6 @@ class TestLinUcbBound:
         if kind in ("f32-worst", "subnormal"):
             assert np.all(np.isfinite(bound))
 
-    def test_refit_drops_the_f32_state(self):
-        rng = np.random.default_rng(23)
-        X = rng.standard_normal((3000, 8))
-        model = LinUcb(8, ridge=0.5, alpha=1.2)
-        for scale in (1.0, 30.0):
-            model.fit_batch(scale * X[:50], rng.standard_normal(50))
-            assert model._bound_terms is None
-            bound = model.ucb_bound(X, np.square(X).sum(axis=1))
-            assert np.all(bound >= model.score_many(X))
-            assert model._bound_terms[0].dtype == np.float32
-
-    def test_concurrent_first_calls_build_the_f32_state_once(self, monkeypatch):
-        # score_blocks makes the first bound calls after a fit on several
-        # threads at once; they share one f32 state.
-        built = []
-        terms = surrogates._linucb_bound_terms
-
-        def counted(*args):
-            built.append(1)
-            return terms(*args)
-
-        monkeypatch.setattr(surrogates, "_linucb_bound_terms", counted)
-        rng = np.random.default_rng(25)
-        X = rng.standard_normal((64, 6))
-        model = LinUcb(6)
-        model.fit_batch(X[:20], rng.standard_normal(20))
-        concurrent_first_bound_calls(model, X)
-        assert len(built) == 1
-
     @pytest.mark.parametrize("observed, form", [(64, DualLinUcb), (128, LinUcb)])
     def test_low_dimensions_take_the_full_pass(self, monkeypatch, observed, form):
         # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every
@@ -1383,9 +1436,9 @@ class TestLinUcbBound:
         # form while 3n <= 2d (64 rows at 127 dimensions) and in the primal
         # form after.
         def no_bound(*args):
-            raise AssertionError("ucb_bound called")
+            raise AssertionError("bound_fn called")
 
-        monkeypatch.setattr(LinUcb, "ucb_bound", no_bound)
+        monkeypatch.setattr(LinUcb, "bound_fn", no_bound)
         rng = np.random.default_rng(24)
         pool = random_pool(rng, 2 * self.BLOCK + 300, agents_module._LINUCB_BOUND_MIN_DIM - 1)
         agent = make_agent(ExperimentConfig(agent="linucb", batch_size=32), pool, None, None)
@@ -1441,14 +1494,7 @@ class TestLinUcbForm:
         # More than one block of unexplored rows at 128 dimensions: rounds
         # 2 and 3 (n = 32, 64) take the bound path, never the dual.
         built = self.dual_fits(monkeypatch)
-        bounds = []
-        bound = LinUcb.ucb_bound
-
-        def counted(self, X, sq_norms):
-            bounds.append(len(X))
-            return bound(self, X, sq_norms)
-
-        monkeypatch.setattr(LinUcb, "ucb_bound", counted)
+        bounds = recorded_bound_calls(monkeypatch, LinUcb)
         pool = random_pool(np.random.default_rng(31), 2 * self.BLOCK + 300, 128)
         config = ExperimentConfig(agent="linucb", rounds=3, batch_size=32, runs=1)
         run_experiment(config, seed=0, pool=pool)
@@ -1461,29 +1507,6 @@ class TestLinUcbForm:
     def test_dual_needs_observations_and_3n_at_most_2d(self, rows, dim, dual):
         assert agents_module._use_dual(rows, dim) is dual
 
-
-def concurrent_first_bound_calls(model, X):
-    """The first bound calls after a fit, on eight threads at once that
-    switch as often as they can: they all finish with the same bits."""
-    results = [None] * 8
-    start = threading.Barrier(len(results))
-
-    def call(i):
-        start.wait(timeout=10)
-        results[i] = model.ucb_bound(X, np.square(X).sum(axis=1))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert all(same_bits(r, results[0]) for r in results)
 
 def test_lower_inverse_rejects_singular_factor():
     L = np.tril(np.arange(1.0, 10.0).reshape(3, 3))
@@ -1499,15 +1522,15 @@ def test_bound_needs_observations(kind):
     # is a ValueError, not an arithmetic error on the missing fit.
     rng = np.random.default_rng(2)
     X = rng.standard_normal((5, 4))
-    model = LinUcb(4) if kind == "linucb" else GaussianProcess()
+    model = LinUcb(4) if kind == "linucb" else GaussianProcess(length_scale=1.0)
     refit = model.fit_batch if kind == "linucb" else model.fit
     for observed in (0, 5, 0):
         refit(X[:observed], rng.standard_normal(observed))
         if observed:
-            assert model.ucb_bound(X, np.square(X).sum(axis=1)).shape == (5,)
+            assert model.bound_fn()(X, np.square(X).sum(axis=1)).shape == (5,)
             continue
         with pytest.raises(ValueError, match="fitted on observations"):
-            model.ucb_bound(X, np.square(X).sum(axis=1))
+            model.bound_fn()
 
 
 def test_median_heuristic_basics():

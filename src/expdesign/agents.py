@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .backends import LlmBackend, RetryPolicy, SamplingParams, chat_with_retry
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .feedback import Feedback
 # embedding_distances is imported for perfbench/tracer.py, which wraps it here.
 from .memory import CandidateMemory, certified_least, embedding_distances  # noqa: F401
-from .pool import CandidatePool
+from .pool import CandidatePool, EmbeddingTable, _available_cpus, _on_threads
 from .prompts import parse_solution, render_prompt
 from .surrogates import (
     _BLOCK_ROWS,
@@ -30,6 +30,7 @@ from .surrogates import (
     median_heuristic,
     score_blocks,
     select_top_b,
+    square_is_normal,
 )
 
 if TYPE_CHECKING:
@@ -87,11 +88,74 @@ def _take_random(memory: CandidateMemory, k: int, rng: np.random.Generator) -> n
 
 def _observations(
     pool: CandidatePool, feedback: Feedback | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding rows and scores of the records handed in, in record order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool indices, embedding rows and scores of the records handed in, in
+    record order."""
     records = () if feedback is None else feedback.records
-    rows = pool.embeddings.matrix[[pool.index_of(r.name) for r in records]]
-    return rows, np.array([r.score for r in records], dtype=np.float64)
+    idx = np.array([pool.index_of(r.name) for r in records], dtype=np.intp)
+    scores = np.array([r.score for r in records], dtype=np.float64)
+    return idx, pool.embeddings.matrix[idx], scores
+
+
+Scorer = Callable[[np.ndarray | slice], np.ndarray]
+
+
+def _on_rows(table: EmbeddingTable, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Scorer:
+    """A scorer of a call's pool rows by ``fn(X, sq_norms)`` of their
+    embedding rows and squared norms, read from ``table``: a view for a
+    slice of the pool, a gathered copy for an index array."""
+    return lambda rows: fn(table.matrix[rows], table.sq_norms[rows])
+
+
+class _ObservedProducts:
+    """A run's products ``P[o] @ P.T`` of its observed rows o, in record
+    order, with every pool row P: the ``X_train X^T`` blocks that the full
+    passes of :class:`GpAgent` and :class:`LinUcbAgent` read (``products``
+    of the surrogates) instead of computing a product per call.
+
+    Each round's records start with the last round's, so :meth:`of` computes
+    only the new rows' products. It keeps the pool indices of its rows and
+    extends them only when the records handed in start with exactly those
+    indices; any other feedback (fewer rows, another order, other rows)
+    rebuilds them, so no stale row is ever read. The array is allocated on
+    first use, with room for the observations of every round but the last
+    (whose batch never trains), and grows only for feedback beyond that.
+    """
+
+    def __init__(self, table: EmbeddingTable, capacity: int):
+        self.table = table
+        self.capacity = capacity
+        self.rows = np.empty(0, dtype=np.intp)
+        self._products: np.ndarray | None = None
+
+    def of(self, rows: np.ndarray) -> np.ndarray:
+        """The products of the pool rows ``rows`` (record order) with every
+        pool row, len(rows) x pool rows. A view, valid until the next call."""
+        n, kept = rows.size, self.rows.size
+        if kept > n or not np.array_equal(rows[:kept], self.rows):
+            kept = 0
+        if self._products is None or self._products.shape[0] < n:
+            self._products = np.empty((max(self.capacity, n), len(self.table)))
+            kept = 0
+        _products_into(self._products[kept:n], self.table.matrix, rows[kept:])
+        self.rows = rows.copy()
+        return self._products[:n]
+
+
+def _products_into(out: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> None:
+    """``out = matrix[rows] @ matrix.T``, written in place, as two row
+    halves (one for a single row) on up to two threads. The halves depend
+    on the row count alone, so the bits do not depend on the CPU count.
+    Entries that overflow are left inf, for the fit to reject."""
+    cut = rows.size // 2
+    parts = [(0, cut), (cut, rows.size)] if cut else [(0, rows.size)]
+
+    def product(part: tuple[int, int]) -> None:
+        lo, hi = part
+        np.matmul(matrix[rows[lo:hi]], matrix.T, out=out[lo:hi])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _on_threads(product, parts, min(_available_cpus(), len(parts)))
 
 
 class Agent:
@@ -165,10 +229,12 @@ class LinUcbAgent(Agent):
     <= 2d (:func:`_use_dual`, with its measurements). It factors the n x n
     Gram matrix C = X X^T + ridge*I = L L^T instead of the d x d matrix A,
     and scores x as k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge), with
-    k = X x, w = C^-1 y and G = L^-1: the primal's scores up to rounding,
-    with bits that depend only on the call's shape. Every other round fits
-    :class:`LinUcb`: the first (no observations, so A = ridge*I), the bound
-    path, and rounds with 3n > 2d. ``model`` is the last round's model.
+    k = X x, w = C^-1 y and G = L^-1: the primal's scores up to rounding.
+    It reads X X^T and k from the run's observed-row products
+    (:class:`_ObservedProducts`), which each round extends by its new rows,
+    and gathers no scored row. Every other round fits :class:`LinUcb`: the
+    first (no observations, so A = ridge*I), the bound path, and rounds with
+    3n > 2d. ``model`` is the last round's model.
     """
 
     kind = AGENT_LINUCB
@@ -180,24 +246,31 @@ class LinUcbAgent(Agent):
             pool.embeddings.dim, ridge=config.linucb_ridge, alpha=config.linucb_alpha
         )
         self.model: LinUcb | DualLinUcb = self.primal
+        self.products = _observed_products(config, pool)
 
     def select(self, round_num, memory, feedback, rng):
-        X, y = _observations(memory.pool, feedback)
+        idx, X, y = _observations(memory.pool, feedback)
         if self.standardize and y.size:
             sd = float(y.std())
             y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
-        primal = self.primal
+        primal, table = self.primal, memory.pool.embeddings
         bounded = y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM
         if _use_dual(y.size, primal.dim) and _full_pass(memory, bounded):
-            self.model = DualLinUcb(X, y, ridge=primal.ridge, alpha=primal.alpha)
-            return _certified_top_b(memory, self.batch_size, self.model.score_many)
+            products = self.products.of(idx)
+            model = self.model = DualLinUcb(X, y, ridge=primal.ridge, alpha=primal.alpha,
+                                            gram=np.take(products, idx, axis=1))
+            return _certified_top_b(
+                memory,
+                self.batch_size,
+                lambda rows: model.score_many(None, table.sq_norms[rows], products[:, rows].T),
+            )
         primal.fit_batch(X, y)
         self.model = primal
         return _certified_top_b(
             memory,
             self.batch_size,
-            lambda X, sq_norms: primal.score_many(X),
-            primal.bound_fn if bounded else None,
+            _on_rows(table, lambda X, sq_norms: primal.score_many(X)),
+            (lambda: _on_rows(table, primal.bound_fn())) if bounded else None,
         )
 
 
@@ -220,9 +293,28 @@ def _use_dual(rows: int, dim: int) -> bool:
     return 0 < 3 * rows <= 2 * dim
 
 
+def _observed_products(config: ExperimentConfig, pool: CandidatePool) -> _ObservedProducts:
+    """A run's memo of observed-row products, with room for the
+    observations of every round but the last."""
+    capacity = min((config.rounds - 1) * config.batch_size, len(pool))
+    return _ObservedProducts(pool.embeddings, capacity)
+
+
 class GpAgent(Agent):
     """Refits a GP on the records it is handed each round and takes the top
-    UCB batch, through :func:`_certified_top_b`."""
+    UCB batch, through :func:`_certified_top_b`.
+
+    A round with observations and at most one block of unexplored rows
+    (:func:`_full_pass`) reads the kernel's products, of the training rows
+    with one another and with the scored rows, from the run's observed-row
+    products (:class:`_ObservedProducts`), which each round extends by its
+    new rows; it gathers no scored row. Other rounds with observations
+    take the bound path, and the first round scores the prior.
+
+    The length scale is ``gp.length_scale``, or the median heuristic over
+    the pool; a heuristic whose square is not a positive normal float
+    (embeddings so large that their distances overflow) is a NumericalError.
+    """
 
     kind = AGENT_GP
 
@@ -237,6 +329,12 @@ class GpAgent(Agent):
                     pool.embeddings.matrix, config.gp_subsample
                 )
             length_scale = memo[config.gp_subsample]
+            if not square_is_normal(length_scale):
+                raise NumericalError(
+                    f"the median-heuristic GP length scale {length_scale!r} has no normal "
+                    "float square; the embeddings are too large or too small for it"
+                )
+        self.products = _observed_products(config, pool)
         self.model = GaussianProcess(
             length_scale=length_scale,
             signal_var=config.gp_signal_var,
@@ -246,25 +344,41 @@ class GpAgent(Agent):
         )
 
     def select(self, round_num, memory, feedback, rng):
-        X, y = _observations(memory.pool, feedback)
-        self.model.fit(X, y)
-        bound = self.model.bound_fn if y.size else None
-        return _certified_top_b(memory, self.batch_size, self.model.acquisition, bound)
+        idx, X, y = _observations(memory.pool, feedback)
+        model, table = self.model, memory.pool.embeddings
+        if y.size and _full_pass(memory, True):
+            products = self.products.of(idx)
+            model.fit(X, y, np.take(products, idx, axis=1))
+            return _certified_top_b(
+                memory,
+                self.batch_size,
+                lambda rows: model.acquisition(
+                    None, table.sq_norms[rows], np.take(products, rows, axis=1)
+                ),
+            )
+        model.fit(X, y)
+        return _certified_top_b(
+            memory,
+            self.batch_size,
+            _on_rows(table, model.acquisition),
+            (lambda: _on_rows(table, model.bound_fn())) if y.size else None,
+        )
 
 
 def _certified_top_b(
     memory: CandidateMemory,
     batch_size: int,
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bound: Callable[[], Callable[[np.ndarray, np.ndarray], np.ndarray]] | None = None,
+    score: Scorer,
+    bound: Callable[[], Scorer] | None = None,
 ) -> np.ndarray:
     """The top-``batch_size`` batch of the unexplored candidates by
-    ``score(X, sq_norms)``, marked explored, as :func:`select_top_b` ranks a
-    full pass. ``bound`` is None for a full pass, or the fitted model's
-    ``bound_fn``, whose function of ``(X, sq_norms)`` upper-bounds each
-    row's score. Both scorers take a call's embedding rows and their squared
-    norms, which only this function reads from the pool's table: a view for
-    a call's slice of the pool, a gathered copy for its index array.
+    ``score(rows)``, marked explored, as :func:`select_top_b` ranks a full
+    pass. ``bound`` is None for a full pass, or a factory of a scorer that
+    upper-bounds each row's score (the fitted model's ``bound_fn`` on the
+    rows, :func:`_on_rows`). Every scorer takes one call's pool rows, an
+    index array or a slice of the pool, and reads what it needs of them:
+    their embedding rows and squared norms (:func:`_on_rows`), or their
+    products with the training rows from the run's memo.
 
     With a bound and more than one scoring block of unexplored candidates,
     ``bound()`` runs once, on the calling thread, before any scoring thread
@@ -275,18 +389,12 @@ def _certified_top_b(
     and the batch is the full pass's, in the same order. Otherwise every
     candidate is scored in one full pass and no bound is built.
     """
-    table = memory.pool.embeddings
-
-    def on_rows(scorer):
-        return lambda rows: scorer(table.matrix[rows], table.sq_norms[rows])
-
     avail = memory.unexplored()
     size = len(memory.pool)
-    score = on_rows(score)
     if _full_pass(memory, bound is not None):
         return select_top_b(avail, _score_unexplored(avail, size, score), memory, batch_size)
     pos, keys = certified_least(
-        -_score_unexplored(avail, size, on_rows(bound())),
+        -_score_unexplored(avail, size, bound()),
         batch_size,
         lambda part: -score_blocks(avail[part], score),
         min_rows=_BLOCK_ROWS,
@@ -300,9 +408,7 @@ def _full_pass(memory: CandidateMemory, bounded: bool) -> bool:
     return not bounded or memory.num_unexplored <= _BLOCK_ROWS
 
 
-def _score_unexplored(
-    avail: np.ndarray, size: int, score: Callable[[np.ndarray | slice], np.ndarray]
-) -> np.ndarray:
+def _score_unexplored(avail: np.ndarray, size: int, score: Scorer) -> np.ndarray:
     """:func:`score_blocks` scores of the unexplored rows ``avail`` of a
     pool of ``size`` rows. Up to one block they are scored as they are: the
     block's row count sets the calls and the bits. Past one block every call

@@ -37,6 +37,7 @@ from .pool import (
     load_pool,
 )
 from .prompts import DATASET_DESCRIPTORS, DOMAINS, DatasetDescriptors, PromptSpec
+from .surrogates import square_is_normal
 
 logger = logging.getLogger(__name__)
 
@@ -184,6 +185,11 @@ class ExperimentConfig:
                     f"config key {self._label(key)!r} must be "
                     f"{'>' if strict else '>='} {bound}, got {value!r}"
                 )
+        if self.gp_length_scale is not None and not square_is_normal(self.gp_length_scale):
+            raise ConfigError(
+                "config key 'gp.length_scale' must be a length whose square is a "
+                f"positive normal float, got {self.gp_length_scale!r}"
+            )
         if self.feedback not in (FEEDBACK_TRUE, FEEDBACK_RANDOMIZED):
             raise ConfigError("feedback mode must be 'true' or 'randomized'")
         if self.metric not in METRICS:

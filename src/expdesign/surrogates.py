@@ -11,9 +11,13 @@ product, a row's bits depend only on its call's shape, not on the thread
 that scored it or on the call's other rows, so passes over the whole pool
 slice the embedding matrix instead of gathering the unexplored rows, and
 drop the explored rows' scores after. Both models score the rows they are
-handed; only ``agents._certified_top_b`` reads a call's rows and squared
-norms from the pool. The temporaries alive are those of one call per
-thread: at 512 training rows, a GP half block's kernel and its product
+handed, or the products of their training rows with those rows when the
+caller hands them instead (``products``): a full pass with observations
+reads them from the run's memo of observed-row products
+(``agents._ObservedProducts``), and gathers no embedding row. Only the
+agents' scorers, through ``agents._certified_top_b``, read a call's rows,
+squared norms or products. The temporaries alive are those of one call
+per thread: at 512 training rows, a GP half block's kernel and its product
 with L^-1 are 4 MB each, besides its rows when they are gathered.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
@@ -127,6 +131,17 @@ the span of X, where a variance error e becomes a width error of up to
 sqrt(e). The dual has no bound: ``agents.LinUcbAgent`` takes it only in a
 full pass, with observations and 3n <= 2d.
 
+In a full pass with observations, the dual's Gram matrix and k, and the
+GP's fit and exact pass, read their products of training rows with other
+rows from the run's memo (``agents._ObservedProducts``), which computes
+each observed row's products with the whole pool once, in the round after
+it is observed. These are the products of a call in other GEMM shapes, and
+a dgemm entry's bits can depend on the shape, so a row's score depends on
+the memo's shapes (a function of the feedback alone) instead of the call's.
+With OpenBLAS, fits and scores from the memo had the bits of the calls'
+own products at d = 256, 512 and 768, but not at d = 64; the selections
+were the same.
+
 The primal form certifies its top-B as GP-UCB does
 (``agents.LinUcbAgent``), from a bound that recomputes the score in f32
 (:meth:`LinUcb.bound_fn`). With G = L^-1 (of A = L L^T) and theta as a fit
@@ -180,6 +195,7 @@ scored exactly.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -207,11 +223,16 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
-    """The lower Cholesky factor of a finite symmetric matrix, or a
-    NumericalError naming it when it is not positive-definite in floats
-    (a ridge too small against the rows' norms)."""
+    """The lower Cholesky factor of a symmetric matrix, or a NumericalError
+    naming it when it is not finite (embeddings so large that their
+    products overflow) or not positive-definite in floats (a ridge too
+    small against the rows' norms)."""
+    if not np.isfinite(matrix).all():
+        raise NumericalError(
+            f"{name} is not finite; the embeddings are too large for their products"
+        )
     try:
-        return cholesky(matrix, lower=True)
+        return cholesky(matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"{name} is not positive-definite; a larger linucb ridge may help"
@@ -282,11 +303,13 @@ class LinUcb:
             self._reset()
             return
         # ridge*I + X^T X without d x d temporaries and with the same bits:
-        # adding 0.0 turns -0.0 into +0.0 as the zeros of ridge*I do.
-        self.A = X.T @ X
-        self.A += 0.0
-        self.A.flat[:: self.dim + 1] += self.ridge
-        self.b = X.T @ y
+        # adding 0.0 turns -0.0 into +0.0 as the zeros of ridge*I do. An
+        # overflow leaves a non-finite A, which _factor rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.A = X.T @ X
+            self.A += 0.0
+            self.A.flat[:: self.dim + 1] += self.ridge
+            self.b = X.T @ y
         self._factor()
 
     def _factor(self) -> None:
@@ -307,10 +330,19 @@ class LinUcb:
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
         if self._chol_inv is None:
-            W = X * (1.0 / math.sqrt(self.ridge))
+            # The scaled rows in chunks, so no copy of the call's rows is
+            # made: the sum reduces each row on its own, so the bits are
+            # those of one pass over all of them.
+            scale = 1.0 / math.sqrt(self.ridge)
+            widths = np.empty(X.shape[0])
+            with np.errstate(over="ignore"):
+                for lo in range(0, X.shape[0], _SCALED_ROWS):
+                    W = X[lo : lo + _SCALED_ROWS] * scale
+                    np.einsum("ij,ij->i", W, W, out=widths[lo : lo + _SCALED_ROWS])
         else:
             W = X @ self._chol_inv.T
-        return X @ self._theta + self.alpha * np.sqrt(np.einsum("ij,ij->i", W, W))
+            widths = np.einsum("ij,ij->i", W, W)
+        return X @ self._theta + self.alpha * np.sqrt(widths)
 
     def bound_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``bound(X, sq_norms)``: upper bounds on the :meth:`score_many`
@@ -384,11 +416,13 @@ class DualLinUcb:
     k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge) with k = X x (see the
     module docstring for the identity and the bits). Scoring m rows costs
     products of m x d x n and m x n x n against the primal's m x d x d, and
-    the fit an n x n factor against a d x d one.
+    the fit an n x n factor against a d x d one. ``gram``, when given, is X
+    X^T as computed elsewhere (it is overwritten), and a call handed its
+    rows' products with X (``products``) computes no m x d x n product.
     """
 
     def __init__(self, X: np.ndarray, y: Sequence[float], ridge: float = 1.0,
-                 alpha: float = 1.0):
+                 alpha: float = 1.0, gram: np.ndarray | None = None):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -402,26 +436,41 @@ class DualLinUcb:
         self.dim = X.shape[1]
         self.ridge = float(ridge)
         self.alpha = float(alpha)
-        gram = X @ X.T
-        gram.flat[:: X.shape[0] + 1] += self.ridge
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gram is None:
+                gram = X @ X.T
+            gram.flat[:: X.shape[0] + 1] += self.ridge
         chol = _cholesky(gram, "LinUCB Gram matrix X X^T + ridge*I")
         self._X = X
         self._weights = cho_solve((chol, True), y)
         self._chol_inv = _lower_inverse(chol)
 
-    def score_many(self, X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    def score_many(
+        self, X: np.ndarray | None, sq_norms: np.ndarray, products: np.ndarray | None = None
+    ) -> np.ndarray:
         """UCB scores for a stack of feature rows, which are taken as finite.
         ``sq_norms`` must be their squared norms as
         ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
-        k = X @ self._X.T
+        does). ``products``, when given, is the rows' products with the
+        training rows, X X_train^T (m x n) as computed elsewhere, and X is not
+        read (it may be None)."""
+        k = products
+        if k is None:
+            X = np.asarray(X, dtype=np.float64)
+            if X.ndim != 2 or X.shape[1] != self.dim:
+                raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
+            k = X @ self._X.T
         v = k @ self._chol_inv.T
         explained = np.einsum("ij,ij->i", v, v)
         width = np.sqrt(np.maximum(sq_norms - explained, 0.0) / self.ridge)
         return k @ self._weights + self.alpha * width
+
+
+def square_is_normal(value: float) -> bool:
+    """Whether ``value * value`` is a positive normal float: neither 0, a
+    subnormal, inf nor NaN."""
+    square = value * value
+    return sys.float_info.min <= square <= sys.float_info.max
 
 
 def median_heuristic(X: np.ndarray, max_points: int = 512) -> float:
@@ -454,11 +503,16 @@ class GaussianProcess:
     the cross-kernel block by one matrix product (v = L^-1 k_*,
     var = signal - |v|^2) instead of a triangular solve with one right-hand
     side per query row. The posterior and the acquisition build that block
-    from the query rows they are handed and their squared norms; the
-    function :meth:`bound_fn` returns builds a factored kernel from terms of
-    its fit. Each query row's posterior depends on that row
-    alone, so a pool can be scored in row blocks (:func:`score_blocks`),
-    with kernel-sized temporaries of one block rather than of the pool.
+    from the query rows they are handed and their squared norms, or from
+    the products of the training rows with them when those are handed
+    (``products``, as the fit takes its training rows' own); the function
+    :meth:`bound_fn` returns builds a factored kernel from terms of its
+    fit. Each query row's posterior depends on that row alone, so a pool
+    can be scored in row blocks (:func:`score_blocks`), with kernel-sized
+    temporaries of one block rather than of the pool.
+
+    The length scale must have a square that is a positive normal float
+    (:func:`square_is_normal`), which the kernel divides by.
     """
 
     def __init__(
@@ -469,8 +523,8 @@ class GaussianProcess:
         beta: float = 2.0,
         standardize: bool = True,
     ):
-        if length_scale <= 0.0:
-            raise ValueError("length scale must be positive")
+        if not (length_scale > 0.0 and square_is_normal(length_scale)):
+            raise ValueError("length scale must be positive, with a normal float square")
         if signal_var is not None and signal_var <= 0.0:
             raise ValueError("signal variance must be positive")
         if noise_var is not None and noise_var < 0.0:
@@ -493,14 +547,17 @@ class GaussianProcess:
     def _kernel(
         self,
         A: np.ndarray,
-        B: np.ndarray,
+        B: np.ndarray | None,
         b_sq_norms: np.ndarray | None = None,
         a_sq_norms: np.ndarray | None = None,
+        products: np.ndarray | None = None,
     ) -> np.ndarray:
         """k(A, B) as (|a|^2 + |b|^2) - 2 A B^T, clipped at 0, times -0.5,
         over length^2, exp, times signal. ``b_sq_norms`` and ``a_sq_norms``,
         when given, must be ``np.square(B).sum(axis=1)`` and
-        ``np.square(A).sum(axis=1)``.
+        ``np.square(A).sum(axis=1)``. ``products``, when given, is A B^T as
+        computed elsewhere, C-ordered, and becomes the kernel in place; B is
+        then not read, and ``b_sq_norms`` must be given.
 
         Every step after the product runs in place on _KERNEL_ROWS rows of
         it at a time, so each chunk stays in cache through all of them and
@@ -512,7 +569,7 @@ class GaussianProcess:
             b_sq_norms = np.square(B).sum(axis=1)
         if a_sq_norms is None:
             a_sq_norms = np.square(A).sum(axis=1)
-        out = A @ B.T
+        out = A @ B.T if products is None else products
         norms = np.empty((min(_KERNEL_ROWS, out.shape[0]), out.shape[1]))
         length_sq = self.length_scale**2
         for lo in range(0, out.shape[0], _KERNEL_ROWS):
@@ -528,8 +585,13 @@ class GaussianProcess:
             chunk *= self._signal
         return out
 
-    def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
-        """Refit on the full training set (replaces any previous fit)."""
+    def fit(
+        self, X: np.ndarray, y: Sequence[float], products: np.ndarray | None = None
+    ) -> None:
+        """Refit on the full training set (replaces any previous fit).
+        ``products``, when given, is X X^T as computed elsewhere, C-ordered;
+        it is overwritten. A kernel matrix that is not finite (embeddings so
+        large that their squares overflow) is a NumericalError."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] != y.shape[0]:
@@ -556,8 +618,13 @@ class GaussianProcess:
             self._signal = var if var > 0.0 else 1.0
         noise = self.noise_var if self.noise_var is not None else 1e-4 * self._signal
 
-        sq_norms = np.square(X).sum(axis=1)
-        K = self._kernel(X, X, sq_norms, sq_norms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_norms = np.square(X).sum(axis=1)
+            K = self._kernel(X, X, sq_norms, sq_norms, products)
+        if not np.isfinite(K).all():
+            raise NumericalError(
+                "GP kernel matrix is not finite; the embeddings are too large for their squares"
+            )
         n = K.shape[0]
         jitter = 0.0
         while True:
@@ -576,26 +643,41 @@ class GaussianProcess:
         self._chol_inv = _lower_inverse(chol)
 
     def posterior_many(
-        self, X: np.ndarray, sq_norms: np.ndarray | None = None
+        self,
+        X: np.ndarray | None,
+        sq_norms: np.ndarray | None = None,
+        products: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a stack of query rows (raw units),
         which are taken as finite (pool embeddings are checked at load).
         ``sq_norms``, when given, must be the rows' squared norms as
         ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does); otherwise they are computed here."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        does); otherwise they are computed here. ``products``, when given,
+        is the training rows' products with the query rows, X_train X^T (n x
+        m) as computed elsewhere, C-ordered; it is overwritten, X is not read
+        (it may be None), and ``sq_norms`` must be given."""
+        if products is None:
+            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+            rows = X.shape[0]
+        else:
+            rows = products.shape[1]
         if self._X is None:
             prior_var = self.signal_var if self.signal_var is not None else 1.0
-            return np.zeros(X.shape[0]), np.full(X.shape[0], prior_var * self._sd**2)
-        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms)
+            return np.zeros(rows), np.full(rows, prior_var * self._sd**2)
+        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms, products)
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
         return self._mu + self._sd * (k_star.T @ self._alpha), self._sd**2 * var_z
 
-    def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    def acquisition(
+        self,
+        X: np.ndarray | None,
+        sq_norms: np.ndarray | None = None,
+        products: np.ndarray | None = None,
+    ) -> np.ndarray:
         """UCB scores: posterior mean + beta * posterior stddev (arguments
         as for :meth:`posterior_many`)."""
-        mean, var = self.posterior_many(X, sq_norms)
+        mean, var = self.posterior_many(X, sq_norms, products)
         return mean + self.beta * np.sqrt(var)
 
     def bound_fn(self) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
@@ -812,6 +894,10 @@ _GP_GATE_LOG_RATIO = 0.5
 # Factor on every upper end that the GP bound evaluates in floats from
 # nonnegative terms: it exceeds the at most 60 roundings of an evaluation.
 _SPARE = 1.0 + 2.0**-46
+
+# Rows per chunk of LinUcb.score_many's scaled rows before a fit. One
+# 1040 x 768 call took 0.79 ms as one scaled copy and 0.61 ms in chunks of 64.
+_SCALED_ROWS = 64
 
 # Rows per scoring block. The temporaries of one block (a 2048 x 256 gather
 # is 4 MB, a 512 x 2048 kernel 8 MB) stay near cache size however large the

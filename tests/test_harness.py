@@ -834,6 +834,40 @@ class TestCli:
         assert err.startswith("run failure: LinUCB matrix A is not positive-definite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "agent, scale, gp, code, message",
+        [
+            # A length whose square underflows to 0 or overflows to inf.
+            ("gp", 1.0, {"length_scale": 1e-300}, 1, "error: config key 'gp.length_scale'"),
+            ("gp", 1.0, {"length_scale": 1e300}, 1, "error: config key 'gp.length_scale'"),
+            # Huge but finite embeddings: LinUCB's A overflows, and the
+            # median heuristic's distances overflow to an inf length; with a
+            # length set, the GP's kernel matrix turns NaN.
+            ("linucb", 1e160, {}, 2, "run failure: LinUCB matrix A is not finite"),
+            ("gp", 1e160, {}, 2, "run failure: the median-heuristic GP length scale inf"),
+            ("gp", 1e160, {"length_scale": 1.0}, 2, "run failure: GP kernel matrix is not finite"),
+        ],
+    )
+    def test_length_or_embeddings_out_of_float_range(
+        self, tmp_path, capsys, agent, scale, gp, code, message
+    ):
+        # Each input passes validation at load; the run ends with one line
+        # and the documented exit code, never a traceback.
+        rng = np.random.default_rng(3)
+        pool = build_pool([f"c{i}" for i in range(60)], rng.permutation(60).astype(float),
+                          rng.standard_normal((60, 4)) * scale)
+        meas, embeddings = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, embeddings)
+        config = {"agent": agent, "rounds": 3, "batch_size": 6, "runs": 1,
+                  "dataset": str(meas), "embeddings": str(embeddings), "gp": gp}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_some_runs_aborted_exit_2_and_report_written(self, tmp_path, capsys, monkeypatch):
         meas, emb = write_cli_dataset(tmp_path)
         results = [RunResult(seed=0, cumulative_hits=[1, 2]),
@@ -883,6 +917,8 @@ class TestCli:
             ({"gp": {"beta": -1}}, "gp.beta"),
             ({"gp": {"length_scale": -1}}, "gp.length_scale"),
             ({"gp": {"length_scale": 0}}, "gp.length_scale"),
+            ({"gp": {"length_scale": 1e-300}}, "gp.length_scale"),
+            ({"gp": {"length_scale": 1e300}}, "gp.length_scale"),
             ({"gp": {"signal_var": 0}}, "gp.signal_var"),
             ({"gp": {"noise_var": -1e-3}}, "gp.noise_var"),
             ({"gp": {"subsample": 1}}, "gp.subsample"),

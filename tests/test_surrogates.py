@@ -182,6 +182,26 @@ class TestLinUcb:
                 expected = ridge * np.eye(d) + X.T @ X
             assert model.A.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1040])
+    def test_empty_fit_scores_rows_in_chunks_with_one_pass_bits(self, rows):
+        # Before a fit, the scaled rows are summed in chunks: the bits are
+        # those of one scaled copy of all the rows, and a call holds no
+        # copy of its rows (1040 x 768, 6.4 MB, is a half block at
+        # molecule's width).
+        rng = np.random.default_rng(rows)
+        X = rng.standard_normal((rows, 768))
+        model = LinUcb(768, ridge=0.3, alpha=1.7)
+        W = X * (1.0 / math.sqrt(0.3))
+        expected = X @ np.zeros(768) + 1.7 * np.sqrt(np.einsum("ij,ij->i", W, W))
+        tracemalloc.start()
+        try:
+            scores = model.score_many(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_bits(scores, expected)
+        assert peak < X.nbytes / 8 + 2 * surrogates._SCALED_ROWS * X.itemsize * 768, peak
+
     def test_empty_query(self):
         model = LinUcb(3)
         assert model.score_many(np.empty((0, 3))).shape == (0,)
@@ -276,6 +296,20 @@ class TestDualLinUcb:
             LinUcb(64, ridge=1e-12).fit_batch(X, np.ones(8))
         with pytest.raises(NumericalError, match="LinUCB Gram matrix"):
             DualLinUcb(np.vstack([X, X]), np.ones(16), ridge=1e-12)
+
+    def test_products_that_overflow_are_a_numerical_error(self):
+        # Rows of norm near 1e160: X^T X and X X^T overflow, and a Gram
+        # matrix handed in may hold an inf; each fit says so instead of
+        # factoring them.
+        X = np.random.default_rng(1).standard_normal((4, 8)) * 1e160
+        with pytest.raises(NumericalError, match="LinUCB matrix A is not finite"):
+            LinUcb(8).fit_batch(X, np.ones(4))
+        with pytest.raises(NumericalError, match="LinUCB Gram matrix .* is not finite"):
+            DualLinUcb(X, np.ones(4))
+        gram = np.eye(4)
+        gram[2, 1] = np.inf
+        with pytest.raises(NumericalError, match="LinUCB Gram matrix .* is not finite"):
+            DualLinUcb(X / 1e160, np.ones(4), gram=gram)
 
     def test_bad_arguments(self):
         X = np.ones((3, 5))
@@ -394,6 +428,27 @@ class TestGaussianProcess:
         Xq = rng.standard_normal((7, 2))
         mean, var = gp.posterior_many(Xq)
         assert gp.acquisition(Xq) == pytest.approx(mean + 2.0 * np.sqrt(var))
+
+    @pytest.mark.parametrize("length", [1e-300, 1e-160, 1e155, 1e300, math.inf, math.nan,
+                                        0.0, -1.0])
+    def test_length_whose_square_is_not_normal(self, length):
+        # The kernel divides by length**2, which must be a positive normal
+        # float: 1e-160 squares to a subnormal, 1e155 and 1e300 overflow.
+        with pytest.raises(ValueError, match="length scale"):
+            GaussianProcess(length_scale=length)
+        GaussianProcess(length_scale=1e-150)
+        GaussianProcess(length_scale=1e150)
+
+    def test_kernel_that_overflows_is_a_numerical_error(self):
+        # Rows of norm near 1e160: their squared norms overflow and the
+        # kernel matrix turns NaN, computed here or from products handed
+        # in, and the fit says so instead of factoring it.
+        X = np.random.default_rng(4).standard_normal((6, 3)) * 1e160
+        gp = GaussianProcess(length_scale=1.0)
+        with pytest.raises(NumericalError, match="kernel matrix is not finite"):
+            gp.fit(X, np.arange(6.0))
+        with pytest.raises(NumericalError, match="kernel matrix is not finite"):
+            gp.fit(X, np.arange(6.0), np.full((6, 6), np.inf))
 
     def test_constant_targets_do_not_crash(self):
         gp = GaussianProcess(length_scale=1.0)
@@ -1506,6 +1561,140 @@ class TestLinUcbForm:
     ])
     def test_dual_needs_observations_and_3n_at_most_2d(self, rows, dim, dual):
         assert agents_module._use_dual(rows, dim) is dual
+
+
+def mixture_pool(seed: int, n: int, dim: int, clusters: int = 32):
+    """A pool shaped like perfbench's: a Gaussian mixture, with scores that
+    rise along one hidden direction plus noise."""
+    rng = np.random.default_rng([seed, n, dim])
+    centers = rng.standard_normal((clusters, dim)) * 2.0
+    emb = centers[rng.integers(0, clusters, n)] + rng.standard_normal((n, dim))
+    direction = rng.standard_normal(dim)
+    scores = emb @ (direction / np.linalg.norm(direction)) + rng.normal(0.0, 0.5, n)
+    return build_pool([f"m{i:05d}" for i in range(n)], scores, emb)
+
+
+def memo_rows(monkeypatch) -> list:
+    """The pool indices of every row the observed-row products compute, one
+    array per call, in a list that grows as they are computed."""
+    computed = []
+    products_into = agents_module._products_into
+
+    def spy(out, matrix, rows):
+        computed.append(rows.copy())
+        products_into(out, matrix, rows)
+
+    monkeypatch.setattr(agents_module, "_products_into", spy)
+    return computed
+
+
+def rebuild_every_round(monkeypatch):
+    """The observed-row products recompute every row on every call."""
+    of = agents_module._ObservedProducts.of
+
+    def rebuilt(self, rows):
+        self.rows = rows[:0]
+        return of(self, rows)
+
+    monkeypatch.setattr(agents_module._ObservedProducts, "of", rebuilt)
+
+
+class TestObservedProducts:
+    """The run's memo of observed-row products, which full passes with
+    observations read instead of a product per call."""
+
+    @pytest.mark.parametrize("dim, batch, rounds, seeds", [
+        (768, 128, 5, range(10)), (64, 8, 5, range(3)), (8, 1, 6, range(3)),
+    ])
+    @pytest.mark.parametrize("kind", ["gp", "linucb"])
+    def test_memo_selects_the_rebuilt_batches(self, monkeypatch, kind, dim, batch, rounds, seeds):
+        # Molecule-shaped pools (2,000 rows, B = 128) and pools of 64 and 8
+        # dimensions, with batches small enough for linucb's dual form
+        # (3n <= 2d): every round after the first scores one block in a
+        # full pass from the memo. A memo that recomputes every row each
+        # round (other GEMM shapes, so possibly other bits) selects the
+        # same batches.
+        config = ExperimentConfig(agent=kind, rounds=rounds, batch_size=batch, runs=1)
+        for seed in seeds:
+            pool = mixture_pool(seed, 2000, dim)
+            computed = memo_rows(monkeypatch)
+            extended = run_experiment(config, seed=0, pool=pool)
+            assert [rows.size for rows in computed] == [batch] * (rounds - 1)
+            rebuild_every_round(monkeypatch)
+            rebuilt = run_experiment(config, seed=0, pool=pool)
+            monkeypatch.undo()
+            assert extended.selections == rebuilt.selections
+
+    def test_a_run_computes_each_observed_row_once(self, monkeypatch):
+        # gp and linucb (dual) on a 2,000 x 768 pool: rounds 2-5 each
+        # compute the products of the last round's 128 rows, in selection
+        # order, and nothing else.
+        pool = mixture_pool(0, 2000, 768)
+        built = TestLinUcbForm.dual_fits(monkeypatch)
+        for kind in ("gp", "linucb"):
+            computed = memo_rows(monkeypatch)
+            config = ExperimentConfig(agent=kind, rounds=5, batch_size=128, runs=1)
+            result = run_experiment(config, seed=0, pool=pool)
+            assert [rows.size for rows in computed] == [128] * 4
+            order = [pool.index_of(name) for names in result.selections[:4] for name in names]
+            assert np.concatenate(computed).tolist() == order
+        assert built == [128, 256, 384, 512]
+
+    @staticmethod
+    def check_products(table, rows, products):
+        """``products`` are the rows' products with every pool row, to
+        within a GEMM's rounding (2 d u |x| |b| per entry, with room)."""
+        norms = np.sqrt(table.sq_norms)
+        reference = table.matrix[rows] @ table.matrix.T
+        assert products.shape == reference.shape
+        assert np.all(np.abs(products - reference) <= 1e-12 * np.outer(norms[rows], norms))
+
+    def test_feedback_that_does_not_extend_the_rows_rebuilds_them(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        table = EmbeddingTable(rng.standard_normal((300, 16)))
+        computed = memo_rows(monkeypatch)
+        memo = agents_module._ObservedProducts(table, 64)
+        first = rng.choice(300, 40, replace=False)
+        self.check_products(table, first, memo.of(first))
+        extended = np.concatenate([first, np.setdiff1d(np.arange(300), first)[:20]])
+        self.check_products(table, extended, memo.of(extended))
+        assert computed[-1].tolist() == extended[40:].tolist()
+        changed = extended.copy()
+        changed[7] = 299
+        # Fewer rows, another order, one row changed, other rows, and more
+        # rows than the room for 64 (which takes a larger array).
+        for rows in (extended[:30], extended[::-1], changed, np.arange(200, 260),
+                     np.arange(100)):
+            self.check_products(table, rows, memo.of(rows))
+            assert computed[-1].tolist() == rows.tolist()
+        self.check_products(table, np.arange(100), memo.of(np.arange(100)))
+        assert computed[-1].size == 0
+
+    @pytest.mark.parametrize("dim", [8, 64, 768])
+    def test_products_handed_in_score_as_computed_ones(self, dim):
+        # Fits and scores from the memo's products against those from the
+        # models' own: within 1e-9 of the largest score (the largest
+        # difference seen was below 1e-13; the bits were equal at 768).
+        pool = mixture_pool(1, 1200, dim)
+        table = pool.embeddings
+        rng = np.random.default_rng(dim)
+        train = rng.choice(len(pool), min(256, 2 * dim // 3), replace=False)
+        rows = np.setdiff1d(np.arange(len(pool)), train)
+        y = pool.scores[train]
+        products = agents_module._ObservedProducts(table, train.size).of(train)
+        X, sq_norms = table.matrix[train], table.sq_norms[rows]
+        own, handed = GaussianProcess(median_heuristic(table.matrix)), None
+        handed = GaussianProcess(own.length_scale)
+        own.fit(X, y)
+        handed.fit(X, y, np.take(products, train, axis=1))
+        pairs = [(own.acquisition(table.matrix[rows], sq_norms),
+                  handed.acquisition(None, sq_norms, np.take(products, rows, axis=1)))]
+        gram = np.take(products, train, axis=1)
+        own, handed = DualLinUcb(X, y, ridge=0.5), DualLinUcb(X, y, ridge=0.5, gram=gram)
+        pairs.append((own.score_many(table.matrix[rows], sq_norms),
+                      handed.score_many(None, sq_norms, products[:, rows].T)))
+        for computed, supplied in pairs:
+            assert np.max(np.abs(computed - supplied)) <= 1e-9 * np.max(np.abs(computed))
 
 
 def test_lower_inverse_rejects_singular_factor():

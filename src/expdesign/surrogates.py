@@ -138,9 +138,11 @@ each observed row's products with the whole pool once, in the round after
 it is observed. These are the products of a call in other GEMM shapes, and
 a dgemm entry's bits can depend on the shape, so a row's score depends on
 the memo's shapes (a function of the feedback alone) instead of the call's.
-With OpenBLAS, fits and scores from the memo had the bits of the calls'
-own products at d = 256, 512 and 768, but not at d = 64; the selections
-were the same.
+With OpenBLAS, on 2,000-row Gaussian-mixture pools, fits and scores from
+the memo had the bits of the models' own products at d = 8 to 768 with B
+from 8 to 128, but not at d = 5 with B = 1 or d = 300 with B = 100, where
+scores differed by up to 1.8e-10 relative; the selections were the same
+on all of them.
 
 The primal form certifies its top-B as GP-UCB does
 (``agents.LinUcbAgent``), from a bound that recomputes the score in f32
@@ -334,11 +336,12 @@ class LinUcb:
             # made: the sum reduces each row on its own, so the bits are
             # those of one pass over all of them.
             scale = 1.0 / math.sqrt(self.ridge)
+            step = max(1, _SCALED_FLOATS // self.dim)
             widths = np.empty(X.shape[0])
             with np.errstate(over="ignore"):
-                for lo in range(0, X.shape[0], _SCALED_ROWS):
-                    W = X[lo : lo + _SCALED_ROWS] * scale
-                    np.einsum("ij,ij->i", W, W, out=widths[lo : lo + _SCALED_ROWS])
+                for lo in range(0, X.shape[0], step):
+                    W = X[lo : lo + step] * scale
+                    np.einsum("ij,ij->i", W, W, out=widths[lo : lo + step])
         else:
             W = X @ self._chol_inv.T
             widths = np.einsum("ij,ij->i", W, W)
@@ -895,9 +898,12 @@ _GP_GATE_LOG_RATIO = 0.5
 # nonnegative terms: it exceeds the at most 60 roundings of an evaluation.
 _SPARE = 1.0 + 2.0**-46
 
-# Rows per chunk of LinUcb.score_many's scaled rows before a fit. One
-# 1040 x 768 call took 0.79 ms as one scaled copy and 0.61 ms in chunks of 64.
-_SCALED_ROWS = 64
+# Floats per chunk of LinUcb.score_many's scaled rows before a fit (256 kB).
+# One call (one thread, medians of 7 rounds of 50 calls) took 1.24 ms as one
+# scaled copy and 0.98 ms in these chunks at 1040 x 768 (0.99 ms in chunks of
+# 64 rows), 0.34 and 0.28 ms at 1024 x 256, and 0.054 and 0.060 ms at 1024 x
+# 64, where chunks of 64 rows took 0.104 ms.
+_SCALED_FLOATS = 1 << 15
 
 # Rows per scoring block. The temporaries of one block (a 2048 x 256 gather
 # is 4 MB, a 512 x 2048 kernel 8 MB) stay near cache size however large the

@@ -182,12 +182,12 @@ class TestLinUcb:
                 expected = ridge * np.eye(d) + X.T @ X
             assert model.A.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1040])
+    @pytest.mark.parametrize("rows", [1, 41, 42, 43, 1040])
     def test_empty_fit_scores_rows_in_chunks_with_one_pass_bits(self, rows):
-        # Before a fit, the scaled rows are summed in chunks: the bits are
-        # those of one scaled copy of all the rows, and a call holds no
-        # copy of its rows (1040 x 768, 6.4 MB, is a half block at
-        # molecule's width).
+        # Before a fit, the scaled rows are summed in chunks (of 42 rows at
+        # 768 dimensions): the bits are those of one scaled copy of all the
+        # rows, and a call holds no copy of its rows (1040 x 768, 6.4 MB, is
+        # a half block at molecule's width).
         rng = np.random.default_rng(rows)
         X = rng.standard_normal((rows, 768))
         model = LinUcb(768, ridge=0.3, alpha=1.7)
@@ -200,7 +200,7 @@ class TestLinUcb:
         finally:
             tracemalloc.stop()
         assert same_bits(scores, expected)
-        assert peak < X.nbytes / 8 + 2 * surrogates._SCALED_ROWS * X.itemsize * 768, peak
+        assert peak < X.nbytes / 8 + 2 * surrogates._SCALED_FLOATS * X.itemsize, peak
 
     def test_empty_query(self):
         model = LinUcb(3)

@@ -1683,8 +1683,8 @@ class TestObservedProducts:
         y = pool.scores[train]
         products = agents_module._ObservedProducts(table, train.size).of(train)
         X, sq_norms = table.matrix[train], table.sq_norms[rows]
-        own, handed = GaussianProcess(median_heuristic(table.matrix)), None
-        handed = GaussianProcess(own.length_scale)
+        length = median_heuristic(table.matrix)
+        own, handed = GaussianProcess(length), GaussianProcess(length)
         own.fit(X, y)
         handed.fit(X, y, np.take(products, train, axis=1))
         pairs = [(own.acquisition(table.matrix[rows], sq_norms),

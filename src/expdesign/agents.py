@@ -20,7 +20,7 @@ from .errors import ConfigError, NumericalError
 from .feedback import Feedback
 # embedding_distances is imported for perfbench/tracer.py, which wraps it here.
 from .memory import CandidateMemory, certified_least, embedding_distances  # noqa: F401
-from .pool import CandidatePool, EmbeddingTable, _available_cpus, _on_threads
+from .pool import CandidatePool, EmbeddingTable, _on_threads
 from .prompts import parse_solution, render_prompt
 from .surrogates import (
     _BLOCK_ROWS,
@@ -155,7 +155,7 @@ def _products_into(out: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> Non
         np.matmul(matrix[rows[lo:hi]], matrix.T, out=out[lo:hi])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _on_threads(product, parts, min(_available_cpus(), len(parts)))
+        _on_threads(product, parts)
 
 
 class Agent:
@@ -216,25 +216,24 @@ _LINUCB_BOUND_MIN_DIM = 128
 
 class LinUcbAgent(Agent):
     """Refits the linear-UCB surrogate on the records it is handed each
-    round and takes the top UCB batch, through :func:`_certified_top_b`,
-    with the bound on pools of at least _LINUCB_BOUND_MIN_DIM dimensions.
+    round and takes the top UCB batch, through :func:`_certified_top_b`.
 
     Observed targets are z-scored over that history first (raw measurement
     scales are rarely centered, and an intercept-free linear model absorbs
     any offset into a spurious direction).
 
-    A round with n observations on d dimensions that scores every
-    unexplored row in one full pass (:func:`_full_pass`: at most one block
-    of them, or d < _LINUCB_BOUND_MIN_DIM) fits :class:`DualLinUcb` when 3n
-    <= 2d (:func:`_use_dual`, with its measurements). It factors the n x n
-    Gram matrix C = X X^T + ridge*I = L L^T instead of the d x d matrix A,
-    and scores x as k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge), with
-    k = X x, w = C^-1 y and G = L^-1: the primal's scores up to rounding.
-    It reads X X^T and k from the run's observed-row products
-    (:class:`_ObservedProducts`), which each round extends by its new rows,
-    and gathers no scored row. Every other round fits :class:`LinUcb`: the
-    first (no observations, so A = ridge*I), the bound path, and rounds with
-    3n > 2d. ``model`` is the last round's model.
+    Each round picks its pass once (:func:`_full_pass`): with observations,
+    at least _LINUCB_BOUND_MIN_DIM dimensions and more than one block of
+    unexplored rows, a bound pass on :meth:`LinUcb.bound_fn`, built once on
+    this thread; otherwise a full pass. A full pass with n observations on
+    d dimensions fits :class:`DualLinUcb` when 3n <= 2d (:func:`_use_dual`,
+    with its measurements): it factors the n x n Gram matrix C = X X^T +
+    ridge*I = L L^T instead of the d x d matrix A, and scores x as k.w +
+    alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge), with k = X x, w = C^-1 y
+    and G = L^-1: the primal's scores up to rounding. It is handed X X^T
+    and k from the run's observed-row products (:class:`_ObservedProducts`),
+    which each round extends by its new rows. Every other round fits
+    :class:`LinUcb`. ``model`` is the last round's model.
     """
 
     kind = AGENT_LINUCB
@@ -254,15 +253,15 @@ class LinUcbAgent(Agent):
             sd = float(y.std())
             y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
         primal, table = self.primal, memory.pool.embeddings
-        bounded = y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM
-        if _use_dual(y.size, primal.dim) and _full_pass(memory, bounded):
+        full = _full_pass(memory, y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM)
+        if full and _use_dual(y.size, primal.dim):
             products = self.products.of(idx)
-            model = self.model = DualLinUcb(X, y, ridge=primal.ridge, alpha=primal.alpha,
-                                            gram=np.take(products, idx, axis=1))
+            model = self.model = DualLinUcb(np.take(products, idx, axis=1), y,
+                                            ridge=primal.ridge, alpha=primal.alpha)
             return _certified_top_b(
                 memory,
                 self.batch_size,
-                lambda rows: model.score_many(None, table.sq_norms[rows], products[:, rows].T),
+                lambda rows: model.score_many(products[:, rows].T, table.sq_norms[rows]),
             )
         primal.fit_batch(X, y)
         self.model = primal
@@ -270,7 +269,7 @@ class LinUcbAgent(Agent):
             memory,
             self.batch_size,
             _on_rows(table, lambda X, sq_norms: primal.score_many(X)),
-            (lambda: _on_rows(table, primal.bound_fn())) if bounded else None,
+            None if full else _on_rows(table, primal.bound_fn()),
         )
 
 
@@ -304,12 +303,13 @@ class GpAgent(Agent):
     """Refits a GP on the records it is handed each round and takes the top
     UCB batch, through :func:`_certified_top_b`.
 
-    A round with observations and at most one block of unexplored rows
-    (:func:`_full_pass`) reads the kernel's products, of the training rows
-    with one another and with the scored rows, from the run's observed-row
-    products (:class:`_ObservedProducts`), which each round extends by its
-    new rows; it gathers no scored row. Other rounds with observations
-    take the bound path, and the first round scores the prior.
+    Each round picks its pass once (:func:`_full_pass`): with observations
+    and more than one block of unexplored rows, a bound pass on
+    :meth:`GaussianProcess.bound_fn`, built once on this thread; otherwise
+    a full pass. A full pass with observations reads the kernel's products,
+    of the training rows with one another and with the scored rows, from
+    the run's observed-row products (:class:`_ObservedProducts`), which each
+    round extends by its new rows; it gathers no scored row.
 
     The length scale is ``gp.length_scale``, or the median heuristic over
     the pool; a heuristic whose square is not a positive normal float
@@ -346,7 +346,8 @@ class GpAgent(Agent):
     def select(self, round_num, memory, feedback, rng):
         idx, X, y = _observations(memory.pool, feedback)
         model, table = self.model, memory.pool.embeddings
-        if y.size and _full_pass(memory, True):
+        full = _full_pass(memory, y.size > 0)
+        if full and y.size:
             products = self.products.of(idx)
             model.fit(X, y, np.take(products, idx, axis=1))
             return _certified_top_b(
@@ -361,7 +362,7 @@ class GpAgent(Agent):
             memory,
             self.batch_size,
             _on_rows(table, model.acquisition),
-            (lambda: _on_rows(table, model.bound_fn())) if y.size else None,
+            None if full else _on_rows(table, model.bound_fn()),
         )
 
 
@@ -369,32 +370,31 @@ def _certified_top_b(
     memory: CandidateMemory,
     batch_size: int,
     score: Scorer,
-    bound: Callable[[], Scorer] | None = None,
+    bound: Scorer | None = None,
 ) -> np.ndarray:
     """The top-``batch_size`` batch of the unexplored candidates by
     ``score(rows)``, marked explored, as :func:`select_top_b` ranks a full
-    pass. ``bound`` is None for a full pass, or a factory of a scorer that
-    upper-bounds each row's score (the fitted model's ``bound_fn`` on the
-    rows, :func:`_on_rows`). Every scorer takes one call's pool rows, an
-    index array or a slice of the pool, and reads what it needs of them:
-    their embedding rows and squared norms (:func:`_on_rows`), or their
-    products with the training rows from the run's memo.
+    pass. ``bound`` is None for a full pass, or a scorer that upper-bounds
+    each row's score (the fitted model's ``bound_fn()`` on the rows,
+    :func:`_on_rows`), handed only when :func:`_full_pass` is false. Every
+    scorer takes one call's pool rows, an index array or a slice of the
+    pool, and reads what it needs of them: their embedding rows and squared
+    norms (:func:`_on_rows`), or their products with the training rows from
+    the run's memo.
 
-    With a bound and more than one scoring block of unexplored candidates,
-    ``bound()`` runs once, on the calling thread, before any scoring thread
-    starts; every candidate gets its bound, and :func:`certified_least` (on
-    negated values) scores exactly only those that can reach the batch, at
-    least one block. Every call of either pass then scores half a block,
-    whatever the CPU count, so the exact scores have the full pass's bits
-    and the batch is the full pass's, in the same order. Otherwise every
-    candidate is scored in one full pass and no bound is built.
+    With a bound, every candidate gets its bound, and
+    :func:`certified_least` (on negated values) scores exactly only those
+    that can reach the batch, at least one block. Every call of either pass
+    then scores half a block, whatever the CPU count, so the exact scores
+    have the full pass's bits and the batch is the full pass's, in the same
+    order. Without one, every candidate is scored in one full pass.
     """
     avail = memory.unexplored()
     size = len(memory.pool)
-    if _full_pass(memory, bound is not None):
+    if bound is None:
         return select_top_b(avail, _score_unexplored(avail, size, score), memory, batch_size)
     pos, keys = certified_least(
-        -_score_unexplored(avail, size, bound()),
+        -_score_unexplored(avail, size, bound),
         batch_size,
         lambda part: -score_blocks(avail[part], score),
         min_rows=_BLOCK_ROWS,
@@ -403,8 +403,9 @@ def _certified_top_b(
 
 
 def _full_pass(memory: CandidateMemory, bounded: bool) -> bool:
-    """Whether :func:`_certified_top_b` scores every unexplored candidate in
-    one full pass: without a bound, or with at most one block of them."""
+    """Whether a round scores every unexplored candidate in one full pass:
+    without a bound (``bounded`` false), or with at most one block of them.
+    Its agent then builds no bound and hands :func:`_certified_top_b` none."""
     return not bounded or memory.num_unexplored <= _BLOCK_ROWS
 
 

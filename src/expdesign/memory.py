@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, _available_cpus, _on_threads
+from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, _on_threads
 
 # Range gate of the f32 stage (see _l2_error_bound): the greatest squared
 # norm of a row or query.
@@ -339,16 +339,16 @@ class CandidateMemory:
 
 def _on_spans(task: Callable[[slice], None], n: int) -> None:
     """``task(rows)`` for n rows cut into max(1, n // _SPAN_ROWS) consecutive
-    spans of nearly equal size, on min(CPUs available, spans) threads
-    counting the calling one. The spans depend on n alone, and a pool of
-    fewer than 2 _SPAN_ROWS rows is one span, which starts no thread. No
-    task may call a function that perfbench's tracer wraps
-    (``embedding_distances`` among them): its span stack is shared by all
-    threads."""
+    spans of nearly equal size, by ``pool._on_threads``: on min(CPUs
+    available, spans) threads counting the calling one. The spans depend on
+    n alone, and a pool of fewer than 2 _SPAN_ROWS rows is one span, which
+    starts no thread. No task may call a function that perfbench's tracer
+    wraps (``embedding_distances`` among them): its span stack is shared by
+    all threads."""
     count = max(1, n // _SPAN_ROWS)
     cuts = [n * i // count for i in range(count + 1)]
     spans = [slice(lo, end) for lo, end in zip(cuts, cuts[1:])]
-    _on_threads(task, spans, min(_available_cpus(), len(spans)))
+    _on_threads(task, spans)
 
 
 def _gated_norms(sq_norms: np.ndarray) -> np.ndarray:

@@ -470,12 +470,13 @@ _Item = TypeVar("_Item")
 _NO_ITEM = object()
 
 
-def _on_threads(task: Callable[[_Item], None], items: Sequence[_Item], workers: int) -> None:
-    """``task(item)`` for every item, on ``workers`` threads counting the
-    calling one (with at most one, only the calling thread runs), each
-    taking the next item when done with its last. After an exception no
-    item is started, and the first is re-raised once all threads have
-    stopped."""
+def _on_threads(task: Callable[[_Item], None], items: Sequence[_Item]) -> None:
+    """``task(item)`` for every item, on min(CPUs available, items) threads
+    counting the calling one (with at most one, only the calling thread
+    runs), each taking the next item when done with its last. After an
+    exception no item is started, and the first is re-raised once all
+    threads have stopped."""
+    workers = min(_available_cpus(), len(items))
     pending = iter(items)
     lock = threading.Lock()
     errors: list[BaseException] = []

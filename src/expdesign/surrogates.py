@@ -10,15 +10,16 @@ calls are made depends on the row count alone. With one BLAS thread per
 product, a row's bits depend only on its call's shape, not on the thread
 that scored it or on the call's other rows, so passes over the whole pool
 slice the embedding matrix instead of gathering the unexplored rows, and
-drop the explored rows' scores after. Both models score the rows they are
-handed, or the products of their training rows with those rows when the
-caller hands them instead (``products``): a full pass with observations
-reads them from the run's memo of observed-row products
-(``agents._ObservedProducts``), and gathers no embedding row. Only the
-agents' scorers, through ``agents._certified_top_b``, read a call's rows,
-squared norms or products. The temporaries alive are those of one call
-per thread: at 512 training rows, a GP half block's kernel and its product
-with L^-1 are 4 MB each, besides its rows when they are gathered.
+drop the explored rows' scores after. :class:`LinUcb` scores the rows it
+is handed, :class:`DualLinUcb` their products with its training rows, and
+:class:`GaussianProcess` either, when the caller hands the products
+(``products``): a full pass with observations reads them from the run's
+memo of observed-row products (``agents._ObservedProducts``), and gathers
+no embedding row. Only the agents' scorers, through
+``agents._certified_top_b``, read a call's rows, squared norms or
+products. The temporaries alive are those of one call per thread: at 512
+training rows, a GP half block's kernel and its product with L^-1 are 4 MB
+each, besides its rows when they are gathered.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
@@ -119,30 +120,32 @@ observed rows X. The dual (:class:`DualLinUcb`, the linear-kernel case of
 KernelUCB) factors the n x n Gram matrix C = X X^T + ridge*I = L L^T and
 keeps w = C^-1 y and G = L^-1. Since X^T C^-1 = A^-1 X^T, theta = X^T w, so
 with k = X x the mean is x.theta = k.w, and x^T A^-1 x = (|x|^2 - k^T C^-1
-k) / ridge = (|x|^2 - |G k|^2) / ridge. A call over the rows X_q computes k
-= X_q X^T and v = k G^T, and scores a row k.w + alpha sqrt(max(0, |x|^2 -
-|v|^2) / ridge), with |x|^2 the squared norm the call is handed. Every
-product is row-wise, so a row's bits depend only on its call's shape, as
-the primal's do, and :func:`score_blocks` gives them the same guarantees;
-they are not the primal's bits. On the perfbench molecule pools (seeds
-0-9) the two forms' scores differed by at most 1.5e-12 relative, and every
-selection was the same. The difference |x|^2 - |v|^2 cancels for a row near
-the span of X, where a variance error e becomes a width error of up to
-sqrt(e). The dual has no bound: ``agents.LinUcbAgent`` takes it only in a
-full pass, with observations and 3n <= 2d.
+k) / ridge = (|x|^2 - |G k|^2) / ridge. The dual reads no embedding row:
+its fit is handed X X^T, and a call over the rows X_q is handed k = X_q
+X^T and their squared norms |x|^2, computes v = k G^T, and scores a row
+k.w + alpha sqrt(max(0, |x|^2 - |v|^2) / ridge). Every product is
+row-wise, so a row's bits depend only on its call's shape and on its
+handed products, and :func:`score_blocks` gives them the same guarantees
+as the primal's; they are not the primal's bits. On the perfbench
+molecule pools (seeds 0-9) the two forms' scores differed by at most
+1.5e-12 relative, and every selection was the same. The difference |x|^2 -
+|v|^2 cancels for a row near the span of X, where a variance error e
+becomes a width error of up to sqrt(e). The dual has no bound:
+``agents.LinUcbAgent`` takes it only in a full pass, with observations and
+3n <= 2d.
 
 In a full pass with observations, the dual's Gram matrix and k, and the
 GP's fit and exact pass, read their products of training rows with other
 rows from the run's memo (``agents._ObservedProducts``), which computes
 each observed row's products with the whole pool once, in the round after
-it is observed. These are the products of a call in other GEMM shapes, and
-a dgemm entry's bits can depend on the shape, so a row's score depends on
-the memo's shapes (a function of the feedback alone) instead of the call's.
-With OpenBLAS, on 2,000-row Gaussian-mixture pools, fits and scores from
-the memo had the bits of the models' own products at d = 8 to 768 with B
-from 8 to 128, but not at d = 5 with B = 1 or d = 300 with B = 100, where
-scores differed by up to 1.8e-10 relative; the selections were the same
-on all of them.
+it is observed. These are the products of a call in other GEMM shapes,
+and a dgemm entry's bits can depend on the shape, so a row's score depends
+on the memo's shapes (a function of the feedback alone) instead of the
+call's. With OpenBLAS, on 2,000-row Gaussian-mixture pools, fits and
+scores from the memo had the bits of those from each call's own product
+X_train X_q^T at d = 8 to 768 with B from 8 to 128, but not at d = 5 with
+B = 1 or d = 300 with B = 100, where scores differed by up to 1.8e-10
+relative; the selections were the same on all of them.
 
 The primal form certifies its top-B as GP-UCB does
 (``agents.LinUcbAgent``), from a bound that recomputes the score in f32
@@ -207,7 +210,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError
 from .memory import CandidateMemory, _gated_norms
-from .pool import _available_cpus, _on_threads
+from .pool import _on_threads
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -413,60 +416,46 @@ def _linucb_bound_terms(
 
 
 class DualLinUcb:
-    """The scores of :class:`LinUcb` fitted on the rows X (n x d) and their
-    responses y, from the n x n Gram matrix C = X X^T + ridge*I = L L^T
-    instead of A: the fit keeps w = C^-1 y and G = L^-1, and a row x scores
-    k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge) with k = X x (see the
-    module docstring for the identity and the bits). Scoring m rows costs
-    products of m x d x n and m x n x n against the primal's m x d x d, and
-    the fit an n x n factor against a d x d one. ``gram``, when given, is X
-    X^T as computed elsewhere (it is overwritten), and a call handed its
-    rows' products with X (``products``) computes no m x d x n product.
+    """The scores of :class:`LinUcb` fitted on n rows X and their responses
+    y, from the products of X alone: the fit factors the n x n Gram matrix
+    C = X X^T + ridge*I = L L^T instead of A, and keeps w = C^-1 y and G =
+    L^-1; a row x scores k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge)
+    with k = X x (see the module docstring for the identity and the bits).
+    ``gram`` is X X^T (n x n), overwritten by C; the caller computes it and
+    every k. Scoring m rows from their products costs a product of m x n x
+    n against the primal's m x d x d, and the fit an n x n factor against a
+    d x d one.
     """
 
-    def __init__(self, X: np.ndarray, y: Sequence[float], ridge: float = 1.0,
-                 alpha: float = 1.0, gram: np.ndarray | None = None):
-        X = np.asarray(X, dtype=np.float64)
+    def __init__(self, gram: np.ndarray, y: Sequence[float], ridge: float = 1.0,
+                 alpha: float = 1.0):
         y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError("feature matrix and responses do not line up")
-        if X.shape[0] == 0:
+        n = y.shape[0]
+        if gram.shape != (n, n):
+            raise ValueError(f"Gram matrix has shape {gram.shape}, expected ({n}, {n})")
+        if n == 0:
             raise ValueError("the dual form needs observations")
         if ridge <= 0.0:
             raise ValueError("ridge weight must be positive")
         if alpha < 0.0:
             raise ValueError("exploration weight must be nonnegative")
-        self.dim = X.shape[1]
         self.ridge = float(ridge)
         self.alpha = float(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            if gram is None:
-                gram = X @ X.T
-            gram.flat[:: X.shape[0] + 1] += self.ridge
+            gram.flat[:: n + 1] += self.ridge
         chol = _cholesky(gram, "LinUCB Gram matrix X X^T + ridge*I")
-        self._X = X
         self._weights = cho_solve((chol, True), y)
         self._chol_inv = _lower_inverse(chol)
 
-    def score_many(
-        self, X: np.ndarray | None, sq_norms: np.ndarray, products: np.ndarray | None = None
-    ) -> np.ndarray:
-        """UCB scores for a stack of feature rows, which are taken as finite.
-        ``sq_norms`` must be their squared norms as
+    def score_many(self, products: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+        """UCB scores of a stack of rows from their products with the
+        training rows, X X_train^T (m x n), and their squared norms as
         ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does). ``products``, when given, is the rows' products with the
-        training rows, X X_train^T (m x n) as computed elsewhere, and X is not
-        read (it may be None)."""
-        k = products
-        if k is None:
-            X = np.asarray(X, dtype=np.float64)
-            if X.ndim != 2 or X.shape[1] != self.dim:
-                raise ValueError(f"feature matrix has shape {X.shape}, expected (*, {self.dim})")
-            k = X @ self._X.T
-        v = k @ self._chol_inv.T
+        does); the rows are taken as finite."""
+        v = products @ self._chol_inv.T
         explained = np.einsum("ij,ij->i", v, v)
         width = np.sqrt(np.maximum(sq_norms - explained, 0.0) / self.ridge)
-        return k @ self._weights + self.alpha * width
+        return products @ self._weights + self.alpha * width
 
 
 def square_is_normal(value: float) -> bool:
@@ -635,8 +624,10 @@ class GaussianProcess:
                 chol = np.linalg.cholesky(K + (noise + jitter) * np.eye(n))
                 break
             except np.linalg.LinAlgError:
+                # A signal so small that 1e-12 of it underflows to 0 has
+                # no jitter to try.
                 jitter = max(jitter * 10.0, 1e-12 * self._signal)
-                if jitter > 1e-4 * self._signal:
+                if not 0.0 < jitter <= 1e-4 * self._signal:
                     raise NumericalError(
                         "kernel matrix is not positive-definite even after jitter"
                     ) from None
@@ -949,8 +940,8 @@ def score_blocks(
     which is why only such blocks are cut: a block of at most _BLOCK_ROWS
     rows gives the bits of one call over it.
 
-    The calls run on min(CPUs available to the process, calls) threads, the
-    calling thread one of them. The calls are fixed before any thread takes
+    The calls run by ``pool._on_threads``, on min(CPUs available to the
+    process, calls) threads, the calling thread one of them. The calls are fixed before any thread takes
     one, each thread writes only its calls' part of the result, and with
     one BLAS thread per product (as CI and the benchmark run) the kernel
     does not depend on the calling thread either, so neither do a row's
@@ -971,7 +962,7 @@ def score_blocks(
         out[keep:end] = score(idx[lo:end] if gather else slice(lo, end))[keep - lo :]
 
     calls = [call for start in range(0, size, _BLOCK_ROWS) for call in _block_calls(start, size)]
-    _on_threads(run, calls, min(_available_cpus(), len(calls)))
+    _on_threads(run, calls)
     return out
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from expdesign import memory as memory_module
+from expdesign import pool as pool_module
 from expdesign.pool import build_pool
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -46,11 +47,12 @@ def write_dataset(
 
 @pytest.fixture
 def threaded_scan(monkeypatch):
-    """Memory scans cut into spans of a few rows, run on up to three
-    threads (more than the CPUs a test machine may have), which switch as
-    often as the interpreter lets them."""
+    """Memory scans cut into spans of a few rows, and every
+    ``pool._on_threads`` call run on up to three threads (more than the
+    CPUs a test machine may have), which switch as often as the interpreter
+    lets them."""
     monkeypatch.setattr(memory_module, "_SPAN_ROWS", 7)
-    monkeypatch.setattr(memory_module, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(pool_module, "_available_cpus", lambda: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -475,11 +475,12 @@ if _log:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, timeout=None):
         return subprocess.run(
             [sys.executable, "-m", "expdesign", *args],
             capture_output=True,
             text=True,
+            timeout=timeout,
         )
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the split needs two CPUs")
@@ -867,6 +868,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale, gp", [
+        # 1e-12 of the signal variance underflows to 0, and so does the noise.
+        (1.0, {"signal_var": 5e-324}),
+        # Unstandardized scores of 1e-160 to 2e-160 have a target variance
+        # of about 1e-321, which becomes the signal.
+        (1e-160, {"standardize": False}),
+    ])
+    def test_signal_too_small_for_jitter_exit_2(self, tmp_path, scale, gp):
+        # The kernel matrix of the first batch, whose rows 0 and 1 share an
+        # embedding, cannot be factored, and there is no jitter to add: the
+        # run ends with one line and exit 2, not a loop without end.
+        rng = np.random.default_rng(5)
+        embeddings = rng.standard_normal((60, 4))
+        embeddings[1] = embeddings[0]
+        pool = build_pool([f"c{i}" for i in range(60)],
+                          scale * (1.0 + rng.permutation(60) / 60.0), embeddings)
+        meas, emb = tmp_path / "measurements.csv", tmp_path / "embeddings.csv"
+        write_measurements(pool, meas)
+        write_embeddings(pool, emb)
+        config = {"agent": "gp", "rounds": 3, "batch_size": 6, "runs": 1,
+                  "dataset": str(meas), "embeddings": str(emb), "gp": gp}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        proc = self.run_cli("run", "--config", str(config_path), "--out",
+                            str(tmp_path / "out"), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("run failure: ") and proc.stderr.count("\n") == 1
+        assert "not positive-definite even after jitter" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_some_runs_aborted_exit_2_and_report_written(self, tmp_path, capsys, monkeypatch):
         meas, emb = write_cli_dataset(tmp_path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from expdesign import memory as memory_module
+from expdesign import pool as pool_module
 from expdesign.agents import coreset_select
 from expdesign.errors import DatasetError
 from expdesign.memory import CandidateMemory, center_quotas, embedding_distances
@@ -580,7 +581,7 @@ class TestScanSpans:
         # A pool of fewer than two span lengths is one span and scans on the
         # calling thread; at two span lengths the f32 copy and the scan of
         # two centres each start one thread.
-        monkeypatch.setattr(memory_module, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: 3)
         started = count_thread_starts(monkeypatch)
         pool = random_pool(np.random.default_rng(1), 2 * memory_module._SPAN_ROWS - less, 2)
         batch = CandidateMemory(pool).allocate_batch([0, 1], 5)

@@ -26,7 +26,7 @@ from expdesign.pool import (
     write_measurements,
 )
 
-from conftest import name_hit_oracle, write_dataset
+from conftest import count_thread_starts, name_hit_oracle, write_dataset
 
 
 class TestLoadPool:
@@ -825,11 +825,25 @@ class TestSerialization:
             line_pool.scores[0] = 99.0
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_on_threads_takes_every_item_none_and_zero_included(workers):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_on_threads_takes_every_item_none_and_zero_included(monkeypatch, cpus):
     # An item that is None, 0 or otherwise false is an item like any other:
     # it neither stops a thread nor is skipped.
+    monkeypatch.setattr(pool_module, "_available_cpus", lambda: cpus)
     items = [None, 0, 1, None, 0.0, "", 2, None]
     done = []
-    pool_module._on_threads(done.append, items, workers)
+    pool_module._on_threads(done.append, items)
     assert sorted(map(repr, done)) == sorted(map(repr, items))
+
+
+@pytest.mark.parametrize("items", [0, 1, 2, 5])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_on_threads_runs_on_one_thread_per_cpu_and_item(monkeypatch, cpus, items):
+    # The calling thread is one of min(CPUs, items) threads, so the others
+    # started number one less, and none start for no item or one CPU.
+    monkeypatch.setattr(pool_module, "_available_cpus", lambda: cpus)
+    started = count_thread_starts(monkeypatch)
+    done = []
+    pool_module._on_threads(done.append, range(items))
+    assert sorted(done) == list(range(items))
+    assert len(started) == max(0, min(cpus, items) - 1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from expdesign import agents as agents_module
+from expdesign import pool as pool_module
 from expdesign import surrogates
 from expdesign.agents import _score_unexplored, make_agent
 from expdesign.errors import NumericalError
@@ -279,7 +280,8 @@ class TestDualLinUcb:
             X[-1] = X[0] + 1e-6 * scale * rng.standard_normal(d)
         y = rng.standard_normal(n)
         Xq = np.vstack([rng.standard_normal((10, d)) * scale, X])
-        got = DualLinUcb(X, y, ridge=lam, alpha=alpha).score_many(Xq, np.square(Xq).sum(axis=1))
+        model = DualLinUcb(X @ X.T, y, ridge=lam, alpha=alpha)
+        got = model.score_many(Xq @ X.T, np.square(Xq).sum(axis=1))
         mean = linucb_direct(X, y, lam, 0.0, Xq)
         width = linucb_direct(X, y, lam, 1.0, Xq) - mean
         expected = mean + alpha * width
@@ -294,37 +296,44 @@ class TestDualLinUcb:
         X *= 480.0 / np.linalg.norm(X, axis=1, keepdims=True)
         with pytest.raises(NumericalError, match="LinUCB matrix A"):
             LinUcb(64, ridge=1e-12).fit_batch(X, np.ones(8))
+        twice = np.vstack([X, X])
         with pytest.raises(NumericalError, match="LinUCB Gram matrix"):
-            DualLinUcb(np.vstack([X, X]), np.ones(16), ridge=1e-12)
+            DualLinUcb(twice @ twice.T, np.ones(16), ridge=1e-12)
 
     def test_products_that_overflow_are_a_numerical_error(self):
         # Rows of norm near 1e160: X^T X and X X^T overflow, and a Gram
-        # matrix handed in may hold an inf; each fit says so instead of
+        # matrix may hold a single inf; each fit says so instead of
         # factoring them.
         X = np.random.default_rng(1).standard_normal((4, 8)) * 1e160
         with pytest.raises(NumericalError, match="LinUCB matrix A is not finite"):
             LinUcb(8).fit_batch(X, np.ones(4))
+        with np.errstate(over="ignore"):
+            gram = X @ X.T
         with pytest.raises(NumericalError, match="LinUCB Gram matrix .* is not finite"):
-            DualLinUcb(X, np.ones(4))
+            DualLinUcb(gram, np.ones(4))
         gram = np.eye(4)
         gram[2, 1] = np.inf
         with pytest.raises(NumericalError, match="LinUCB Gram matrix .* is not finite"):
-            DualLinUcb(X / 1e160, np.ones(4), gram=gram)
+            DualLinUcb(gram, np.ones(4))
 
     def test_bad_arguments(self):
-        X = np.ones((3, 5))
+        # A Gram matrix that is not square, or whose side is not the
+        # number of responses, and products with other than one column
+        # per training row.
+        with pytest.raises(ValueError, match="Gram matrix has shape"):
+            DualLinUcb(np.ones((3, 5)), np.ones(3))
+        with pytest.raises(ValueError, match="Gram matrix has shape"):
+            DualLinUcb(np.eye(3), np.ones(2))
         with pytest.raises(ValueError):
-            DualLinUcb(X, np.ones(2))
+            DualLinUcb(np.empty((0, 0)), np.ones(0))
         with pytest.raises(ValueError):
-            DualLinUcb(X[:0], np.ones(0))
+            DualLinUcb(np.eye(3), np.ones(3), ridge=0.0)
         with pytest.raises(ValueError):
-            DualLinUcb(X, np.ones(3), ridge=0.0)
-        with pytest.raises(ValueError):
-            DualLinUcb(X, np.ones(3), alpha=-1.0)
-        model = DualLinUcb(np.eye(3, 5), np.ones(3))
+            DualLinUcb(np.eye(3), np.ones(3), alpha=-1.0)
+        model = DualLinUcb(np.eye(3), np.ones(3))
         with pytest.raises(ValueError):
             model.score_many(np.ones((2, 4)), np.ones(2))
-        assert model.score_many(np.empty((0, 5)), np.empty(0)).shape == (0,)
+        assert model.score_many(np.empty((0, 3)), np.empty(0)).shape == (0,)
 
 
 class TestGaussianProcess:
@@ -501,15 +510,16 @@ class TestScoreBlocks:
         matrix = table.matrix
         lin = LinUcb(table.dim, ridge=0.5, alpha=1.5)
         lin.fit_batch(matrix[train], y)
-        dual = DualLinUcb(matrix[train], y, ridge=0.5, alpha=1.5)
+        X = matrix[train]
+        dual = DualLinUcb(X @ X.T, y, ridge=0.5, alpha=1.5)
         fitted = GaussianProcess(length_scale=float(np.sqrt(table.dim)))
         fitted.fit(matrix[train], y)
         unfitted = GaussianProcess(length_scale=1.0, signal_var=2.0)
         sq_norms = table.sq_norms
         return [
             (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
-            (lambda rows: dual.score_many(matrix[rows], sq_norms[rows]),
-             lambda X: dual.score_many(X, np.square(X).sum(axis=1))),
+            (lambda rows: dual.score_many(matrix[rows] @ X.T, sq_norms[rows]),
+             lambda Xq: dual.score_many(Xq @ X.T, np.square(Xq).sum(axis=1))),
             (lambda rows: fitted.acquisition(matrix[rows], sq_norms[rows]), fitted.acquisition),
             (lambda rows: unfitted.acquisition(matrix[rows], sq_norms[rows]), unfitted.acquisition),
         ]
@@ -549,7 +559,7 @@ class TestScoreBlocks:
     def gp_round(pool, observed, workers, monkeypatch):
         """The batch and the traced allocation peak of one gp round after
         ``observed``, scoring blocks on ``workers`` threads."""
-        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
         memory = CandidateMemory(pool)
         agent = make_agent(ExperimentConfig(agent="gp", batch_size=16), pool, None, None)
         memory.explore(observed)
@@ -601,7 +611,7 @@ class TestScoreBlocks:
         model = GaussianProcess(length_scale=5.0)
         model.fit(table.matrix[:30], rng.standard_normal(30))
         models.append(lambda rows: model.acquisition(table.matrix[rows], table.sq_norms[rows]))
-        monkeypatch.setattr(surrogates, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: 1)
         reference = {
             (i, size): score_blocks(np.arange(size), blocked)
             for i, blocked in enumerate(models) for size in self.SIZES
@@ -610,7 +620,7 @@ class TestScoreBlocks:
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+                monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
                 for (i, size), expected in reference.items():
                     assert same_bits(score_blocks(np.arange(size), models[i]), expected)
                     assert same_bits(score_blocks(size, models[i]), expected)
@@ -663,7 +673,7 @@ class TestScoreBlocks:
         # Every row is written by the first call that scores it: the score
         # returns each call's first row, so a row written by another call,
         # twice or not at all shows in the result.
-        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
         for size, expected in self.CALLS.items():
             calls = []
 
@@ -691,7 +701,7 @@ class TestScoreBlocks:
                     gathered = one_shot(table.matrix[idx])
                     sliced = one_shot(table.matrix[:size])
                     for workers in (1, 2, 3):
-                        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+                        monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
                         assert same_bits(score_blocks(idx, blocked), gathered), (dim, size)
                         assert same_bits(score_blocks(size, blocked), sliced), (dim, size)
 
@@ -706,7 +716,7 @@ class TestScoreBlocks:
         # Threads start for several calls and CPUs: a block cut in two is
         # two calls, a block that is not (too few rows, or not a multiple
         # of 8) one.
-        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
         started = count_thread_starts(monkeypatch)
         callers = []
 
@@ -726,7 +736,7 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("failing", ["one", "all"])
     def test_block_exception_reaches_the_caller(self, monkeypatch, workers, failing):
-        monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
 
         def score(rows):
             if failing == "all" or rows.start == 2 * self.BLOCK:
@@ -743,7 +753,7 @@ class TestScoreBlocks:
         pool = random_pool(np.random.default_rng(4), 3 * self.BLOCK + 100, 16)
         reports = []
         for workers in (1, 2):
-            monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+            monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
             out = tmp_path / str(workers)
             config = ExperimentConfig(agent=agent, rounds=3, batch_size=32, runs=2,
                                       out=str(out))
@@ -762,12 +772,16 @@ def prefix_deficit(model: GaussianProcess, k: np.ndarray) -> Fraction:
     return Fraction(model._signal) - sum(sum(g * v for g, v in zip(row, kf)) ** 2 for row in G)
 
 
-def exact_scorer(model, table):
-    """Exact scores of pool rows (indices or a slice) from a fitted model."""
+def exact_scorer(model, table, train=None):
+    """Exact scores of pool rows (indices or a slice) from a fitted model.
+    A DualLinUcb, which keeps no rows, scores their products with its
+    training rows, the pool rows ``train``."""
     if isinstance(model, LinUcb):
         return lambda rows: model.score_many(table.matrix[rows])
-    score = model.score_many if isinstance(model, DualLinUcb) else model.acquisition
-    return lambda rows: score(table.matrix[rows], table.sq_norms[rows])
+    if isinstance(model, DualLinUcb):
+        X = table.matrix[train]
+        return lambda rows: model.score_many(table.matrix[rows] @ X.T, table.sq_norms[rows])
+    return lambda rows: model.acquisition(table.matrix[rows], table.sq_norms[rows])
 
 
 def surrogate_round(kind, pool, observed, batch_size=32, **config):
@@ -870,7 +884,7 @@ class TestShortlist:
         monkeypatch.setattr(cls, name, recorded)
         runs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(surrogates, "_available_cpus", lambda: workers)
+            monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
             for calls in log.values():
                 calls.clear()
             memory = CandidateMemory(pool)
@@ -954,7 +968,7 @@ class TestBoundValues:
             return terms(*args)
 
         monkeypatch.setattr(surrogates, builder, spy)
-        monkeypatch.setattr(surrogates, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(pool_module, "_available_cpus", lambda: 3)
         started = count_thread_starts(monkeypatch)
         bound_calls = recorded_bound_calls(monkeypatch, SURROGATES[kind][0])
         pool = random_pool(np.random.default_rng(28), 2 * self.BLOCK + 300, 6)
@@ -1505,7 +1519,7 @@ class TestLinUcbBound:
         avail = memory.unexplored()
         batch = agent.select(2, memory, feedback, np.random.default_rng(0))
         assert type(agent.model) is form
-        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
+        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings, np.arange(observed)))
         assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
 
 
@@ -1521,9 +1535,9 @@ class TestLinUcbForm:
         built = []
 
         class Spy(DualLinUcb):
-            def __init__(self, X, *args, **kwargs):
-                built.append(len(X))
-                super().__init__(X, *args, **kwargs)
+            def __init__(self, gram, *args, **kwargs):
+                built.append(len(gram))
+                super().__init__(gram, *args, **kwargs)
 
         monkeypatch.setattr(agents_module, "DualLinUcb", Spy)
         return built
@@ -1672,8 +1686,9 @@ class TestObservedProducts:
 
     @pytest.mark.parametrize("dim", [8, 64, 768])
     def test_products_handed_in_score_as_computed_ones(self, dim):
-        # Fits and scores from the memo's products against those from the
-        # models' own: within 1e-9 of the largest score (the largest
+        # Fits and scores from the memo's products against those from
+        # products computed per call (the GP's own, and table.matrix[rows]
+        # @ X.T for the dual): within 1e-9 of the largest score (the largest
         # difference seen was below 1e-13; the bits were equal at 768).
         pool = mixture_pool(1, 1200, dim)
         table = pool.embeddings
@@ -1689,10 +1704,10 @@ class TestObservedProducts:
         handed.fit(X, y, np.take(products, train, axis=1))
         pairs = [(own.acquisition(table.matrix[rows], sq_norms),
                   handed.acquisition(None, sq_norms, np.take(products, rows, axis=1)))]
-        gram = np.take(products, train, axis=1)
-        own, handed = DualLinUcb(X, y, ridge=0.5), DualLinUcb(X, y, ridge=0.5, gram=gram)
-        pairs.append((own.score_many(table.matrix[rows], sq_norms),
-                      handed.score_many(None, sq_norms, products[:, rows].T)))
+        own = DualLinUcb(X @ X.T, y, ridge=0.5)
+        handed = DualLinUcb(np.take(products, train, axis=1), y, ridge=0.5)
+        pairs.append((own.score_many(table.matrix[rows] @ X.T, sq_norms),
+                      handed.score_many(products[:, rows].T, sq_norms)))
         for computed, supplied in pairs:
             assert np.max(np.abs(computed - supplied)) <= 1e-9 * np.max(np.abs(computed))
 

@@ -88,13 +88,13 @@ def _take_random(memory: CandidateMemory, k: int, rng: np.random.Generator) -> n
 
 def _observations(
     pool: CandidatePool, feedback: Feedback | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pool indices, embedding rows and scores of the records handed in, in
-    record order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pool indices and scores of the records handed in, in record order.
+    A fit that reads the embedding rows gathers them itself."""
     records = () if feedback is None else feedback.records
     idx = np.array([pool.index_of(r.name) for r in records], dtype=np.intp)
     scores = np.array([r.score for r in records], dtype=np.float64)
-    return idx, pool.embeddings.matrix[idx], scores
+    return idx, scores
 
 
 Scorer = Callable[[np.ndarray | slice], np.ndarray]
@@ -248,7 +248,7 @@ class LinUcbAgent(Agent):
         self.products = _observed_products(config, pool)
 
     def select(self, round_num, memory, feedback, rng):
-        idx, X, y = _observations(memory.pool, feedback)
+        idx, y = _observations(memory.pool, feedback)
         if self.standardize and y.size:
             sd = float(y.std())
             y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
@@ -263,7 +263,7 @@ class LinUcbAgent(Agent):
                 self.batch_size,
                 lambda rows: model.score_many(products[:, rows].T, table.sq_norms[rows]),
             )
-        primal.fit_batch(X, y)
+        primal.fit_batch(table.matrix[idx], y)
         self.model = primal
         return _certified_top_b(
             memory,
@@ -344,8 +344,9 @@ class GpAgent(Agent):
         )
 
     def select(self, round_num, memory, feedback, rng):
-        idx, X, y = _observations(memory.pool, feedback)
+        idx, y = _observations(memory.pool, feedback)
         model, table = self.model, memory.pool.embeddings
+        X = table.matrix[idx]
         full = _full_pass(memory, y.size > 0)
         if full and y.size:
             products = self.products.of(idx)

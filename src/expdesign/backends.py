@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -104,7 +103,6 @@ class HttpBackend(LlmBackend):
         model: str,
         api_key: str | None = None,
         timeout: float = 120.0,
-        session: requests.Session | None = None,
     ):
         if not endpoint:
             raise BackendError("HTTP backend needs an endpoint URL")
@@ -112,7 +110,7 @@ class HttpBackend(LlmBackend):
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def chat(self, system: str, user: str, params: SamplingParams | None = None) -> str:
         params = params or SamplingParams()
@@ -152,7 +150,6 @@ class HttpBackend(LlmBackend):
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 3
-    backoff_seconds: float = 0.0
 
 
 def chat_with_retry(
@@ -173,9 +170,7 @@ def chat_with_retry(
     if policy.max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     last_exc: Exception | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        if attempt > 1 and policy.backoff_seconds > 0.0:
-            time.sleep(policy.backoff_seconds * 2 ** (attempt - 2))
+    for _ in range(policy.max_attempts):
         try:
             text = backend.chat(system, user, params)
         except TransientBackendError as exc:

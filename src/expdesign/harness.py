@@ -356,13 +356,13 @@ def run_experiment(
         backend = config.make_backend()
     trace = _TraceWriter(trace_path)
     memory = CandidateMemory(pool)
-    agent = make_agent(config, pool, backend, trace)
     rng = np.random.default_rng(seed)
     result = RunResult(seed=seed, trace_path=trace.path)
     records: list[FeedbackRecord] = []
     frozen_randomized: list[FeedbackRecord] = []
     total_hits = 0
     try:
+        agent = make_agent(config, pool, backend, trace)
         for round_num in range(1, config.rounds + 1):
             if memory.num_unexplored == 0:
                 logger.warning(
@@ -428,7 +428,10 @@ def run_many(
         pool = config.load_pool()
     out_dir = Path(config.out) if config.out else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     results = []
     for run_index in range(config.runs):
         seed = config.seed + run_index

@@ -15,9 +15,10 @@ matter. The pool is not scanned row by row. At its first query a memory
 makes an f32 copy of the pool, half the bytes of the matrix, which lives as
 long as the memory (one run), and takes the cross terms ``x.q`` of all
 queries of a call from f32 matrix products over spans of that copy's rows.
-The spans run on as many threads as the process has CPUs and spans, and
-the copy is filled span by span the same way; which spans there are
-depends on the row count alone, and a pool of one span starts no thread.
+The spans run on as many threads as the process has CPUs and spans;
+which spans there are depends on the row count alone, and a pool of one
+span starts no thread. The copy itself is one cast on the calling thread:
+at 18k x 256 it took no longer than filling it span by span on two.
 Under l2-squared the cross terms enter the expansion ``|x|^2 - 2 x.q +
 |q|^2`` with the f64 squared norms; under cosine they enter ``1 - x.q /
 (|x| |q|)`` with the direct formula's own f64 norms and denominator. Each
@@ -69,7 +70,7 @@ _F32_MAX_SQ_NORM = 2.0**124
 _BLOCK_ROWS = 1024
 _ABSORB_ROWS = 32
 
-# Fewest rows per span of the f32 scan and copy: n rows are cut into
+# Fewest rows per span of the f32 scan: n rows are cut into
 # max(1, n // _SPAN_ROWS) spans of nearly equal size (see _on_spans). On
 # gene-screen (18k x 256, 2 CPUs, one BLAS thread; perfbench seed 0,
 # `--seconds 12`, four alternating runs each) `round_ms.p50` read a median of
@@ -321,18 +322,13 @@ class CandidateMemory:
         return low, exact
 
     def _scan_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The f32 copy of the pool, filled span by span on threads, and the
-        rows' gated norms, built at the first query under either metric."""
+        """The f32 copy of the pool, cast in one call on the calling thread
+        (rows outside the range gate may overflow to inf), and the rows'
+        gated norms, built at the first query under either metric."""
         if self._rows32 is None:
             table = self._pool.embeddings
-            rows32 = np.empty(table.matrix.shape, dtype=np.float32)
-
-            def copy(rows: slice) -> None:
-                with np.errstate(over="ignore"):
-                    rows32[rows] = table.matrix[rows]
-
-            _on_spans(copy, len(rows32))
-            self._rows32 = rows32
+            with np.errstate(over="ignore"):
+                self._rows32 = table.matrix.astype(np.float32)
             self._scan_norms = _gated_norms(table.sq_norms)
         return self._rows32, self._scan_norms
 

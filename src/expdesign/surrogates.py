@@ -674,14 +674,16 @@ class GaussianProcess:
         mean, var = self.posterior_many(X, sq_norms, products)
         return mean + self.beta * np.sqrt(var)
 
-    def bound_fn(self) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-        """``bound(X, sq_norms=None)``: upper bounds on the :meth:`acquisition`
+    def bound_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``bound(X, sq_norms)``: upper bounds on the :meth:`acquisition`
         scores of a stack of query rows under this fit, which must be on
-        observations (arguments as for :meth:`posterior_many`). Each bound is
-        at least the row's score from a call of any shape, and is inf for a
-        row outside the range gate (see the module docstring). The function
-        keeps the bound terms built here (:func:`_gp_bound_terms`) and mu, sd
-        and beta, so a later fit does not change it.
+        observations, from the rows' squared norms as
+        ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
+        does). Each bound is at least the row's score from a call of any
+        shape, and is inf for a row outside the range gate (see the module
+        docstring). The function keeps the bound terms built here
+        (:func:`_gp_bound_terms`) and mu, sd and beta, so a later fit does
+        not change it.
         """
         if self._X is None:
             raise ValueError("the UCB bound needs a model fitted on observations")
@@ -689,7 +691,7 @@ class GaussianProcess:
                                 self.length_scale**2, self._signal)
         mu, sd, beta = self._mu, self._sd, self.beta
 
-        def bound(X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+        def bound(X: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
             X = np.atleast_2d(np.asarray(X, dtype=np.float64))
             if terms is None:
                 return np.full(X.shape[0], np.inf)
@@ -724,7 +726,7 @@ class _GpBound(NamedTuple):
 
 
 def _factored_kernel(
-    terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
+    terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factored kernel of the query rows: E = exp(A (X - c)^T), n x m,
     computed as exp(A X^T - A c); the row scales f = s exp(-|x - c|^2 / 2
@@ -733,8 +735,6 @@ def _factored_kernel(
     times f_j e_i E_ij of it."""
     length_sq = terms.length_sq
     dim = X.shape[1]
-    if sq_norms is None:
-        sq_norms = np.square(X).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         E = terms.scaled @ X.T
         E -= terms.shift[:, None]
@@ -758,7 +758,7 @@ def _factored_kernel(
 
 
 def _bound_moments(
-    terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray | None
+    terms: _GpBound, X: np.ndarray, sq_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per query row, an upper end of the exact pass's kernel-weighted sum
     k^T alpha (its mean in standardized units before mu and sd), an upper

@@ -13,9 +13,10 @@ import pytest
 from expdesign.agents import Agent, LinUcbAgent
 from expdesign.backends import ScriptedBackend
 from expdesign import cli
+from expdesign import harness as harness_module
 from expdesign import pool as pool_module
 from expdesign.cli import main
-from expdesign.errors import ConfigError
+from expdesign.errors import ConfigError, NumericalError
 from expdesign.feedback import FeedbackRecord
 from expdesign.harness import (
     ExperimentConfig,
@@ -243,6 +244,26 @@ class TestRunExperiment:
             config, seed=0, pool=pool, backend=ScriptedBackend(texts=fixtures)
         )
         assert result.complete
+
+    def test_agent_that_cannot_be_built_closes_its_trace(self, tmp_path, monkeypatch):
+        # The median heuristic of embeddings scaled by 1e160 overflows, so
+        # the gp agent cannot be built; the trace file, opened before it, is
+        # closed all the same.
+        writers = []
+
+        class Recorded(harness_module._TraceWriter):
+            def __init__(self, path):
+                super().__init__(path)
+                writers.append(self)
+
+        monkeypatch.setattr(harness_module, "_TraceWriter", Recorded)
+        rng = np.random.default_rng(3)
+        pool = build_pool([f"c{i}" for i in range(60)], rng.permutation(60).astype(float),
+                          rng.standard_normal((60, 4)) * 1e160)
+        config = ExperimentConfig(agent="gp", rounds=3, batch_size=6, runs=1)
+        with pytest.raises(NumericalError, match="median-heuristic"):
+            run_experiment(config, seed=0, pool=pool, trace_path=tmp_path / "trace.jsonl")
+        assert len(writers) == 1 and writers[0]._fh.closed
 
 
 class TestAggregateRuns:
@@ -585,6 +606,19 @@ class TestCli:
     def test_bad_config_exit_1(self, tmp_path):
         proc = self.run_cli("run", "--config", str(tmp_path / "missing.json"))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exit_1(self, tmp_path, capsys, under):
+        meas, emb = write_cli_dataset(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken / "out" if under else taken
+        assert main(["run", "--dataset", str(meas), "--embeddings", str(emb), "--agent",
+                     "random", "--rounds", "1", "--batch", "4", "--runs", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text, message",

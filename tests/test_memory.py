@@ -576,11 +576,11 @@ class TestScanSpans:
         assert threading.active_count() == before
         assert memory.num_unexplored == 100
 
-    @pytest.mark.parametrize("less, threads", [(1, 0), (0, 2)])
+    @pytest.mark.parametrize("less, threads", [(1, 0), (0, 1)])
     def test_one_span_starts_no_thread(self, monkeypatch, less, threads):
         # A pool of fewer than two span lengths is one span and scans on the
-        # calling thread; at two span lengths the f32 copy and the scan of
-        # two centres each start one thread.
+        # calling thread; at two span lengths the scan of two centres starts
+        # one thread, and the f32 copy, one cast, starts none.
         monkeypatch.setattr(pool_module, "_available_cpus", lambda: 3)
         started = count_thread_starts(monkeypatch)
         pool = random_pool(np.random.default_rng(1), 2 * memory_module._SPAN_ROWS - less, 2)
@@ -593,11 +593,11 @@ class TestScanSpans:
                                                          metric):
         # A one-query scan (a nearest-neighbour query, or a coreset pick
         # absorbed into the cover) is one span on the calling thread, though
-        # the pool has many spans; allocation around five centres keeps its
-        # spans on threads.
+        # the pool has many spans, and the first one's f32 copy starts no
+        # thread either; allocation around five centres keeps its spans on
+        # threads.
         pool = random_pool(np.random.default_rng(3), 100, 4, metric)
         memory = CandidateMemory(pool)
-        memory._scan_rows()  # the f32 copy, made at the first query, keeps its spans
         started = count_thread_starts(monkeypatch)
         memory.nearest_unexplored(pool.embeddings.matrix[5], 3)
         assert coreset_select(memory, 6).size == 6

@@ -1569,6 +1569,35 @@ class TestLinUcbForm:
         run_experiment(config, seed=0, pool=pool)
         assert bounds and built == []
 
+    def test_dual_round_gathers_no_observed_row(self, monkeypatch):
+        # A dual round reads its 20 observed rows only through the run's
+        # products, which this test computes from the plain matrix; the
+        # round itself indexes no row of the pool's matrix.
+        pool = random_pool(np.random.default_rng(32), 300, 96)
+        plain = pool.embeddings.matrix
+        gathers = []
+
+        class Recording(np.ndarray):
+            def __getitem__(self, key):
+                gathers.append(key)
+                return plain[key]
+
+        monkeypatch.setattr(pool.embeddings, "_matrix", plain.view(Recording))
+        products_into = agents_module._products_into
+        monkeypatch.setattr(agents_module, "_products_into",
+                            lambda out, matrix, rows: products_into(out, plain, rows))
+        built = self.dual_fits(monkeypatch)
+        observed = np.arange(0, 60, 3)
+        memory = CandidateMemory(pool)
+        memory.explore(observed)
+        feedback = Feedback(tuple(
+            FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
+        ))
+        agent = make_agent(ExperimentConfig(agent="linucb", batch_size=16), pool, None, None)
+        assert agent.select(2, memory, feedback, np.random.default_rng(0)).size == 16
+        assert built == [20]
+        assert gathers == []
+
     @pytest.mark.parametrize("rows, dim, dual", [
         (0, 768, False), (1, 2, True), (2, 2, False), (128, 768, True), (512, 768, True),
         (513, 768, False), (128, 256, True), (128, 64, False),

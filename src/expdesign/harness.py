@@ -318,7 +318,7 @@ class _TraceWriter:
 
     def __init__(self, path: str | Path | None):
         self.path = str(path) if path is not None else None
-        self._fh = open(path, "w", encoding="utf-8") if path is not None else None
+        self._fh = _create(path) if path is not None else None
 
     def __call__(self, event: dict) -> None:
         if self._fh is not None:
@@ -327,6 +327,22 @@ class _TraceWriter:
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
+
+
+def _create(path: str | Path, newline: str | None = None):
+    """``path`` opened for writing UTF-8 text; a path that cannot be written
+    (a directory in its place, a missing permission) is a ConfigError."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _make_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
 
 
 def _feedback_rng(seed: int, round_num: int) -> np.random.Generator:
@@ -428,10 +444,7 @@ def run_many(
         pool = config.load_pool()
     out_dir = Path(config.out) if config.out else None
     if out_dir is not None:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+        _make_dir(out_dir)
     results = []
     for run_index in range(config.runs):
         seed = config.seed + run_index
@@ -503,10 +516,10 @@ def write_report(
     experiment overwrites both files with identical content.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     rounds = max((len(r.cumulative_hits) for r in results), default=0)
     csv_path = out_dir / RUNS_CSV
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with _create(csv_path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["agent", "dataset", "run", "seed", "complete", "final_hits"]
@@ -525,7 +538,7 @@ def write_report(
     if config is not None:
         doc["config"] = config.to_dict()
     json_path = out_dir / SUMMARY_JSON
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with _create(json_path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return csv_path, json_path
 

@@ -204,9 +204,6 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dtrtri
-from scipy.spatial.distance import pdist
 
 from .errors import NumericalError
 from .memory import CandidateMemory, _gated_norms
@@ -214,30 +211,47 @@ from .pool import _on_threads
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower Cholesky factor L by LAPACK's triangular inverse
-    (trtri). It overwrites ``chol`` when that is Fortran-ordered, so callers
-    are done with the factor.
+    """L^-1 of a lower-triangular factor L, as a new C-ordered array with
+    exact zeros above the diagonal; ``chol`` is not written.
 
-    Callers pass the factor of a successful Cholesky of a finite matrix, so
-    its entries are finite and its diagonal is positive.
+    Blocked from GEMMs: with L = [[L11, 0], [L21, L22]], the inverse is
+    [[G11, 0], [G21, G22]] with G11 = L11^-1, G22 = L22^-1 and G21 = -G22
+    (L21 G11), halving down to blocks of at most _INVERSE_BASE rows, each
+    inverted by np.linalg.inv and cut to its lower triangle. A zero on the
+    diagonal (a singular factor) is a NumericalError.
     """
-    inv, info = dtrtri(chol, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
+    if not np.diagonal(chol).all():
+        raise NumericalError("triangular inverse failed: the factor is singular")
+    inv = np.zeros(chol.shape)
+    _fill_lower_inverse(chol, inv)
     return inv
 
 
+def _fill_lower_inverse(chol: np.ndarray, inv: np.ndarray) -> None:
+    """Write L^-1 into the lower triangle of ``inv`` (see :func:`_lower_inverse`)."""
+    n = chol.shape[0]
+    if n <= _INVERSE_BASE:
+        inv[...] = np.tril(np.linalg.inv(chol))
+        return
+    h = n // 2
+    _fill_lower_inverse(chol[:h, :h], inv[:h, :h])
+    _fill_lower_inverse(chol[h:, h:], inv[h:, h:])
+    lower = inv[h:, :h]
+    np.matmul(inv[h:, h:], chol[h:, :h] @ inv[:h, :h], out=lower)
+    np.negative(lower, out=lower)
+
+
 def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
-    """The lower Cholesky factor of a symmetric matrix, or a NumericalError
-    naming it when it is not finite (embeddings so large that their
-    products overflow) or not positive-definite in floats (a ridge too
-    small against the rows' norms)."""
+    """The lower Cholesky factor of a symmetric matrix (np.linalg.cholesky),
+    or a NumericalError naming it when it is not finite (embeddings so large
+    that their products overflow) or not positive-definite in floats (a
+    ridge too small against the rows' norms)."""
     if not np.isfinite(matrix).all():
         raise NumericalError(
             f"{name} is not finite; the embeddings are too large for their products"
         )
     try:
-        return cholesky(matrix, lower=True, check_finite=False)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"{name} is not positive-definite; a larger linucb ridge may help"
@@ -250,12 +264,12 @@ class LinUcb:
     Maintains A = ridge*I + sum(x x^T) and b = sum(y x); the score of a
     feature vector is theta.x + alpha * sqrt(x^T A^-1 x) with theta = A^-1 b.
     Every change to A factors it once as L L^T (lower Cholesky) and keeps
-    theta and L^-1 (inverted in place). Scoring is then a map over rows: the
-    widths x^T A^-1 x = |L^-1 x|^2 are row norms of one matrix product
-    X L^-T, so a stack of candidates costs a GEMM rather than triangular
-    solves with one right-hand side per candidate, and a pool can be scored
-    in row blocks (:func:`score_blocks`) with temporaries of one block.
-    With no observations A = ridge*I, and L^-1 = I/sqrt(ridge) is applied
+    L^-1 (:func:`_lower_inverse`) and theta = L^-T (L^-1 b). Scoring is then
+    a map over rows: the widths x^T A^-1 x = |L^-1 x|^2 are row norms of one
+    matrix product X L^-T, so a stack of candidates costs a GEMM rather than
+    triangular solves with one right-hand side per candidate, and a pool can
+    be scored in row blocks (:func:`score_blocks`) with temporaries of one
+    block. With no observations A = ridge*I, and L^-1 = I/sqrt(ridge) is applied
     as a scaling: each entry of the GEMM against it has a single nonzero
     term, so the scores have the same bits. :meth:`bound_fn` returns a
     function that bounds the scores of a fitted model from f32 copies of
@@ -319,9 +333,9 @@ class LinUcb:
 
     def _factor(self) -> None:
         """theta = A^-1 b and L^-1 from one Cholesky factor A = L L^T."""
-        chol = _cholesky(self.A, "LinUCB matrix A")
-        self._theta = cho_solve((chol, True), self.b)
-        self._chol_inv = _lower_inverse(chol)
+        G = _lower_inverse(_cholesky(self.A, "LinUCB matrix A"))
+        self._theta = G.T @ (G @ self.b)
+        self._chol_inv = G
 
     @property
     def theta(self) -> np.ndarray:
@@ -443,9 +457,9 @@ class DualLinUcb:
         self.alpha = float(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             gram.flat[:: n + 1] += self.ridge
-        chol = _cholesky(gram, "LinUCB Gram matrix X X^T + ridge*I")
-        self._weights = cho_solve((chol, True), y)
-        self._chol_inv = _lower_inverse(chol)
+        G = _lower_inverse(_cholesky(gram, "LinUCB Gram matrix X X^T + ridge*I"))
+        self._weights = G.T @ (G @ y)
+        self._chol_inv = G
 
     def score_many(self, products: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
         """UCB scores of a stack of rows from their products with the
@@ -476,8 +490,37 @@ def median_heuristic(X: np.ndarray, max_points: int = 512) -> float:
         return 1.0
     take = min(max_points, X.shape[0])
     idx = np.linspace(0, X.shape[0] - 1, take).astype(int)
-    med = float(np.median(pdist(X[idx])))
+    med = float(np.median(_pairwise_distances(X[idx])))
     return med if med > 0.0 else 1.0
+
+
+def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances of every pair i < j of rows, in the order of
+    SciPy's ``pdist`` and with its bits.
+
+    Each pair's squared differences are summed over the dimensions in
+    order, as ``pdist`` does: a row against every later row is a (d, m - i -
+    1) block reduced over axis 0, which numpy adds one dimension at a time.
+    A single pair would reduce along its one axis, which numpy sums
+    pairwise, so the last pair is summed by a loop. Distances too large for
+    floats are inf, with no warning; the caller checks the median.
+    """
+    m = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
+    out = np.empty(m * (m - 1) // 2)
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m - 2):
+            block = XT[:, i + 1 :] - XT[:, i : i + 1]
+            np.square(block, out=block)
+            np.add.reduce(block, axis=0, out=out[lo : lo + m - i - 1])
+            lo += m - i - 1
+        total = 0.0
+        for a, b in zip(X[m - 2].tolist(), X[m - 1].tolist()):
+            total += (a - b) * (a - b)
+        out[lo] = total
+        np.sqrt(out, out=out)
+    return out
 
 
 class GaussianProcess:
@@ -633,8 +676,9 @@ class GaussianProcess:
                     ) from None
         self._X = X
         self._sq_norms = sq_norms
-        self._alpha = cho_solve((chol, True), z)
-        self._chol_inv = _lower_inverse(chol)
+        G = _lower_inverse(chol)
+        self._alpha = G.T @ (G @ z)
+        self._chol_inv = G
 
     def posterior_many(
         self,
@@ -866,6 +910,16 @@ def _gp_bound_terms(
 # one thread, medians of 6 alternating rounds of 5 calls). The bits do not
 # depend on the value.
 _KERNEL_ROWS = 16
+
+# Most rows of a diagonal block that _lower_inverse inverts by np.linalg.inv
+# rather than halving. A fit's factor, inverse and solve (one thread, medians
+# of 7 rounds of 5 calls on a 768-dimension Gram matrix, three runs) took
+# 0.32 ms at n = 128 against 0.23 ms with LAPACK's trtri and cho_solve, and
+# about as long at 256 to 768 (1.2, 2.9-3.9, 6.6 and 16-22 ms, the old path
+# 1.2-1.7, 3.5-3.9, 5.8-7.6 and 16-22 ms). Blocks of 16 or 64 rows were no
+# faster; the bits of L^-1 and the weights were within 1.3e-15 relative of
+# trtri's.
+_INVERSE_BASE = 32
 
 # Leading rows and columns of L^-1 behind GaussianProcess.bound_fn. The
 # bound costs a p x p product per candidate; 32 left at most 1,900 of about

@@ -620,6 +620,40 @@ class TestCli:
         assert err.startswith(f"error: cannot create output directory {out}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["trace-run0.jsonl", "runs.csv"])
+    def test_output_file_taken_by_a_directory_exit_1(self, tmp_path, capsys, name):
+        # The trace opens before the run, the report after it: either is a
+        # one-line error, not an IsADirectoryError traceback.
+        meas, emb = write_cli_dataset(tmp_path)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", "--dataset", str(meas), "--embeddings", str(emb), "--agent",
+                     "random", "--rounds", "1", "--batch", "4", "--runs", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ")
+        assert err.count("\n") == 1
+
+    def test_surrogate_runs_load_no_scipy(self, tmp_path):
+        # The program's linear algebra is numpy's alone, so a process that
+        # runs both surrogates loads one BLAS library; scipy is for tests.
+        meas, emb = write_cli_dataset(tmp_path)
+        script = (
+            "import sys\n"
+            "from expdesign.cli import main\n"
+            "for agent in ('gp', 'linucb'):\n"
+            f"    assert main(['run', '--dataset', {str(meas)!r}, '--embeddings', {str(emb)!r},"
+            " '--agent', agent, '--rounds', '3', '--batch', '4', '--runs', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -4,12 +4,14 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
 from scipy.spatial.distance import pdist
 
 from expdesign import agents as agents_module
@@ -32,6 +34,7 @@ from expdesign.surrogates import (
     GaussianProcess,
     LinUcb,
     _lower_inverse,
+    _pairwise_distances,
     median_heuristic,
     score_blocks,
     select_top_b,
@@ -1749,6 +1752,64 @@ def test_lower_inverse_rejects_singular_factor():
         _lower_inverse(L)
 
 
+BASE = surrogates._INVERSE_BASE
+
+
+@pytest.mark.parametrize("n", [1, BASE - 1, BASE, BASE + 1, 2 * BASE + 1, 5 * BASE + 3])
+def test_lower_inverse_on_both_sides_of_the_base_case(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n + 4))
+    L = np.linalg.cholesky(X @ X.T + 0.5 * np.eye(n))
+    before = L.copy()
+    G = _lower_inverse(L)
+    assert np.array_equal(L, before)  # the factor is not written
+    assert not np.triu(G, 1).any()  # exact zeros above the diagonal
+    assert np.abs(L @ G - np.eye(n)).max() <= 1e-12
+    for pos in {0, n // 2, n - 1}:  # a zero pivot in the first, a middle or the last block
+        singular = L.copy()
+        singular[pos, pos] = 0.0
+        with pytest.raises(NumericalError, match="singular"):
+            _lower_inverse(singular)
+
+
+# Both sides solve the same system from factors of the same matrix, each
+# backward stable, so they differ by about cond * 2^-52 relative; the
+# systems below are conditioned well enough that 1e-11 holds by a margin.
+SOLVE_RTOL = 1e-11
+
+
+def close_to(computed, oracle):
+    return np.abs(computed - oracle).max() <= SOLVE_RTOL * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("dim", [5, BASE + 7, 3 * BASE])
+def test_linucb_theta_matches_cho_solve(dim):
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((2 * dim, dim))
+    model = LinUcb(dim, ridge=0.7)
+    model.fit_batch(X, rng.standard_normal(2 * dim))
+    assert close_to(model.theta, cho_solve((cholesky(model.A, lower=True), True), model.b))
+
+
+@pytest.mark.parametrize("n", [5, BASE + 7, 3 * BASE])
+def test_dual_weights_match_cho_solve(n):
+    rng = np.random.default_rng(n)
+    X, y = rng.standard_normal((n, 2 * n)), rng.standard_normal(n)
+    gram = X @ X.T
+    model = DualLinUcb(gram, y, ridge=0.5)  # gram now holds X X^T + ridge*I
+    assert close_to(model._weights, cho_solve((cholesky(gram, lower=True), True), y))
+
+
+@pytest.mark.parametrize("n", [5, BASE + 7, 3 * BASE])
+def test_gp_alpha_matches_cho_solve(n):
+    rng = np.random.default_rng(n)
+    X, y = rng.standard_normal((n, 4)), rng.standard_normal(n)
+    gp = GaussianProcess(length_scale=1.5, signal_var=1.0, noise_var=1e-2, standardize=False)
+    gp.fit(X, y)
+    K = gp._kernel(X, X) + 1e-2 * np.eye(n)
+    assert close_to(gp._alpha, cho_solve((cholesky(K, lower=True), True), y))
+
+
 @pytest.mark.parametrize("kind", ["linucb", "gp"])
 def test_bound_needs_observations(kind):
     # Fresh, and refitted on no observations after a fit on some: the bound
@@ -1771,6 +1832,35 @@ def test_median_heuristic_basics():
     assert median_heuristic(X) == pytest.approx(1.0)
     assert median_heuristic(np.zeros((5, 2))) == 1.0
     assert median_heuristic(np.zeros((1, 2))) == 1.0
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 41])
+@pytest.mark.parametrize("dim", [1, 3, 8, 64, 256, 768])
+def test_pairwise_distances_have_the_bits_of_pdist(rows, dim):
+    # 2 and 3 rows leave one or two pairs for the last rows.
+    rng = np.random.default_rng(rows * 1000 + dim)
+    X = rng.standard_normal((rows, dim)) * rng.uniform(0.1, 10.0, dim)
+    assert np.array_equal(_pairwise_distances(X), pdist(X))
+
+
+def test_median_heuristic_has_the_bits_of_pdist_at_512_rows():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((700, 64))
+    idx = np.linspace(0, 699, 512).astype(int)
+    assert median_heuristic(X) == float(np.median(pdist(X[idx])))
+
+
+def test_median_heuristic_of_huge_embeddings_is_a_length_scale_error():
+    # Distances near 1e160 overflow to inf silently (no RuntimeWarning),
+    # and the agent turns the median into its typed error.
+    rng = np.random.default_rng(4)
+    emb = rng.standard_normal((60, 4)) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert median_heuristic(emb) == math.inf
+        pool = build_pool([f"c{i}" for i in range(60)], rng.standard_normal(60), emb)
+        with pytest.raises(NumericalError, match="median-heuristic GP length scale inf"):
+            make_agent(ExperimentConfig(agent="gp", batch_size=4), pool, None, None)
 
 
 class TestSelectTopB:

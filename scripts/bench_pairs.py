@@ -28,8 +28,9 @@ CPU time.
 
 The output holds, per workload: the pair count, each side's median and
 quartiles of every end-to-end metric with the change's wins, each side's
-medians of those time breakdowns and of the load times, and the seed-0
-fingerprints; then every run.
+medians of those time breakdowns and of the load times, the seed-0
+fingerprints, and for every seed run whether each of its pairs had equal
+fingerprints on both sides; then every run.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ def summarize(runs: list[dict]) -> dict:
             for side in ("parent", "change")
         }
         seed0 = [p for p in pairs if p["seed"] == 0]
+        seeds = sorted({p["seed"] for p in pairs})
         out[workload] = {
             "pairs": len(pairs),
-            "seeds": sorted({p["seed"] for p in pairs}),
+            "seeds": seeds,
             "correct": all(p[s]["correct"] and p[s]["exit"] == 0
                            for p in pairs for s in ("parent", "change")),
             "metrics": metrics,
@@ -173,8 +175,11 @@ def summarize(runs: list[dict]) -> dict:
             "fingerprints_seed0": {
                 "parent": seed0[0]["parent"]["fingerprints"] if seed0 else None,
                 "change": seed0[0]["change"]["fingerprints"] if seed0 else None,
-                "equal": all(p["parent"]["fingerprints"] == p["change"]["fingerprints"]
-                             for p in seed0),
+            },
+            "fingerprints_equal": {
+                str(seed): all(p["parent"]["fingerprints"] == p["change"]["fingerprints"]
+                               for p in pairs if p["seed"] == seed)
+                for seed in seeds
             },
         }
     return out

@@ -24,9 +24,9 @@ from .pool import CandidatePool, EmbeddingTable, _on_threads
 from .prompts import parse_solution, render_prompt
 from .surrogates import (
     _BLOCK_ROWS,
-    DualLinUcb,
     GaussianProcess,
     LinUcb,
+    WhitenedRows,
     median_heuristic,
     score_blocks,
     select_top_b,
@@ -107,46 +107,13 @@ def _on_rows(table: EmbeddingTable, fn: Callable[[np.ndarray, np.ndarray], np.nd
     return lambda rows: fn(table.matrix[rows], table.sq_norms[rows])
 
 
-class _ObservedProducts:
-    """A run's products ``P[o] @ P.T`` of its observed rows o, in record
-    order, with every pool row P: the ``X_train X^T`` blocks that the full
-    passes of :class:`GpAgent` and :class:`LinUcbAgent` read (``products``
-    of the surrogates) instead of computing a product per call.
-
-    Each round's records start with the last round's, so :meth:`of` computes
-    only the new rows' products. It keeps the pool indices of its rows and
-    extends them only when the records handed in start with exactly those
-    indices; any other feedback (fewer rows, another order, other rows)
-    rebuilds them, so no stale row is ever read. The array is allocated on
-    first use, with room for the observations of every round but the last
-    (whose batch never trains), and grows only for feedback beyond that.
-    """
-
-    def __init__(self, table: EmbeddingTable, capacity: int):
-        self.table = table
-        self.capacity = capacity
-        self.rows = np.empty(0, dtype=np.intp)
-        self._products: np.ndarray | None = None
-
-    def of(self, rows: np.ndarray) -> np.ndarray:
-        """The products of the pool rows ``rows`` (record order) with every
-        pool row, len(rows) x pool rows. A view, valid until the next call."""
-        n, kept = rows.size, self.rows.size
-        if kept > n or not np.array_equal(rows[:kept], self.rows):
-            kept = 0
-        if self._products is None or self._products.shape[0] < n:
-            self._products = np.empty((max(self.capacity, n), len(self.table)))
-            kept = 0
-        _products_into(self._products[kept:n], self.table.matrix, rows[kept:])
-        self.rows = rows.copy()
-        return self._products[:n]
-
-
 def _products_into(out: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> None:
     """``out = matrix[rows] @ matrix.T``, written in place, as two row
-    halves (one for a single row) on up to two threads. The halves depend
-    on the row count alone, so the bits do not depend on the CPU count.
-    Entries that overflow are left inf, for the fit to reject."""
+    halves (one for a single row) on up to two threads: the products of the
+    rows a run's whitened state adds (:class:`WhitenedRows`) with every pool
+    row. The halves depend on the row count alone, so the bits do not depend
+    on the CPU count. Entries that overflow are left inf, for the state to
+    reject."""
     cut = rows.size // 2
     parts = [(0, cut), (cut, rows.size)] if cut else [(0, rows.size)]
 
@@ -216,7 +183,7 @@ _LINUCB_BOUND_MIN_DIM = 128
 
 class LinUcbAgent(Agent):
     """Refits the linear-UCB surrogate on the records it is handed each
-    round and takes the top UCB batch, through :func:`_certified_top_b`.
+    round and takes the top UCB batch.
 
     Observed targets are z-scored over that history first (raw measurement
     scales are rarely centered, and an intercept-free linear model absorbs
@@ -225,15 +192,13 @@ class LinUcbAgent(Agent):
     Each round picks its pass once (:func:`_full_pass`): with observations,
     at least _LINUCB_BOUND_MIN_DIM dimensions and more than one block of
     unexplored rows, a bound pass on :meth:`LinUcb.bound_fn`, built once on
-    this thread; otherwise a full pass. A full pass with n observations on
-    d dimensions fits :class:`DualLinUcb` when 3n <= 2d (:func:`_use_dual`,
-    with its measurements): it factors the n x n Gram matrix C = X X^T +
-    ridge*I = L L^T instead of the d x d matrix A, and scores x as k.w +
-    alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge), with k = X x, w = C^-1 y
-    and G = L^-1: the primal's scores up to rounding. It is handed X X^T
-    and k from the run's observed-row products (:class:`_ObservedProducts`),
-    which each round extends by its new rows. Every other round fits
-    :class:`LinUcb`. ``model`` is the last round's model.
+    this thread, through :func:`_certified_top_b`; otherwise a full pass. A
+    full pass with n observations on d dimensions takes the dual form when
+    3n <= 2d (:func:`_use_dual`, with its measurements): it scores every pool
+    row by :meth:`LinUcb.dual_scores` from the run's whitened observed rows
+    (:class:`WhitenedRows`), which each round extends by its new rows, and
+    gathers no embedding row. Every other round fits the primal
+    :class:`LinUcb`, ``primal``.
     """
 
     kind = AGENT_LINUCB
@@ -244,8 +209,8 @@ class LinUcbAgent(Agent):
         self.primal = LinUcb(
             pool.embeddings.dim, ridge=config.linucb_ridge, alpha=config.linucb_alpha
         )
-        self.model: LinUcb | DualLinUcb = self.primal
-        self.products = _observed_products(config, pool)
+        self.observed = _whitened_rows(config, pool, "LinUCB Gram matrix X X^T + ridge*I",
+                                       "; a larger linucb ridge may help")
 
     def select(self, round_num, memory, feedback, rng):
         idx, y = _observations(memory.pool, feedback)
@@ -255,16 +220,10 @@ class LinUcbAgent(Agent):
         primal, table = self.primal, memory.pool.embeddings
         full = _full_pass(memory, y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM)
         if full and _use_dual(y.size, primal.dim):
-            products = self.products.of(idx)
-            model = self.model = DualLinUcb(np.take(products, idx, axis=1), y,
-                                            ridge=primal.ridge, alpha=primal.alpha)
-            return _certified_top_b(
-                memory,
-                self.batch_size,
-                lambda rows: model.score_many(products[:, rows].T, table.sq_norms[rows]),
-            )
+            scores = primal.dual_scores(self.observed, idx, y, _pool_products(table),
+                                        table.sq_norms)
+            return _top_of_pool(memory, scores, self.batch_size)
         primal.fit_batch(table.matrix[idx], y)
-        self.model = primal
         return _certified_top_b(
             memory,
             self.batch_size,
@@ -273,43 +232,64 @@ class LinUcbAgent(Agent):
         )
 
 
-# A fit plus a full pass over the other rows of a 2,000-row pool (2 CPUs,
-# one BLAS thread, medians of 9) took, in ms, primal against dual:
+# A round over the other rows of a 2,000-row pool (2 CPUs, one BLAS thread,
+# medians of 15) took, in ms: the primal's fit and full pass; the dual's
+# whitened rows extended by the last min(n, 128) of its n rows, with their
+# products, and its scores; and the dual rebuilt from zero rows.
 #
-#    d     n   primal   dual        d     n   primal   dual
-#  768   128    63.1    13.9      512   256    26.8    14.3
-#  768   256    65.4    26.6      512   384    26.4    23.7
-#  768   384    50.5    26.9      256   128     4.7     3.0
-#  768   512    46.7    34.0      256   192     6.1     6.2
-#  768   640    52.8    60.7      128    64     2.1     1.6
+#    d     n   primal  extended  rebuilt      d     n   primal  extended  rebuilt
+#  768   128    70.3     12.9      8.1      512   256    25.9      7.7     12.7
+#  768   256    59.3     11.8     14.3      512   384    21.9      9.1     21.4
+#  768   384    56.3     11.5     26.4      256   128     6.2      4.7      4.3
+#  768   512    50.9     12.9     39.6      256   192     6.2      5.1      6.0
+#  768   640    48.8     15.7     52.0      128    64     2.2      2.2      1.9
 #
-# The dual won wherever 3n <= 2d and lost or tied from n = 3d/4 on. Molecule
-# (d = 768, n <= 512) takes it in rounds 2-5; llm-http (d = 64, n >= 128)
-# never does.
+# The primal's times move by up to a third with the host. Extended, the dual
+# won everywhere but at d = 128, where it tied; rebuilt, it won wherever 3n
+# <= 2d and lost or tied from n = 3d/4 on, as before the extension. The rule
+# stays 3n <= 2d: no workload sits between, and another rule would change
+# bits on other shapes. Molecule (d = 768, n <= 512) takes the dual in
+# rounds 2-5; llm-http (d = 64, n >= 128) never does.
 def _use_dual(rows: int, dim: int) -> bool:
     """Whether a LinUCB full pass after ``rows`` observations on ``dim``
     dimensions takes the dual form: with observations, and 3 rows <= 2 dim."""
     return 0 < 3 * rows <= 2 * dim
 
 
-def _observed_products(config: ExperimentConfig, pool: CandidatePool) -> _ObservedProducts:
-    """A run's memo of observed-row products, with room for the
-    observations of every round but the last."""
+def _whitened_rows(
+    config: ExperimentConfig, pool: CandidatePool, name: str, hint: str
+) -> WhitenedRows:
+    """A run's whitened observed rows over the whole pool, with room for the
+    observations of every round but the last (whose batch never trains)."""
     capacity = min((config.rounds - 1) * config.batch_size, len(pool))
-    return _ObservedProducts(pool.embeddings, capacity)
+    return WhitenedRows(len(pool), capacity, name, hint)
+
+
+def _pool_products(table: EmbeddingTable) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``products(out, rows)``: the products of the pool rows ``rows`` with
+    every pool row, by :func:`_products_into`."""
+    return lambda out, rows: _products_into(out, table.matrix, rows)
+
+
+def _top_of_pool(memory: CandidateMemory, scores: np.ndarray, batch_size: int) -> np.ndarray:
+    """The top-``batch_size`` batch of the unexplored candidates by their
+    entries of ``scores`` (one per pool row), marked explored."""
+    avail = memory.unexplored()
+    return select_top_b(avail, scores[avail], memory, batch_size)
 
 
 class GpAgent(Agent):
     """Refits a GP on the records it is handed each round and takes the top
-    UCB batch, through :func:`_certified_top_b`.
+    UCB batch.
 
     Each round picks its pass once (:func:`_full_pass`): with observations
     and more than one block of unexplored rows, a bound pass on
-    :meth:`GaussianProcess.bound_fn`, built once on this thread; otherwise
-    a full pass. A full pass with observations reads the kernel's products,
-    of the training rows with one another and with the scored rows, from
-    the run's observed-row products (:class:`_ObservedProducts`), which each
-    round extends by its new rows; it gathers no scored row.
+    :meth:`GaussianProcess.bound_fn`, built once on this thread, through
+    :func:`_certified_top_b`; otherwise a full pass. A full pass with
+    observations scores every pool row by
+    :meth:`GaussianProcess.whitened_scores` from the run's whitened observed
+    rows (:class:`WhitenedRows`), which each round extends by its new rows,
+    and gathers no embedding row; ``model`` is then not fitted.
 
     The length scale is ``gp.length_scale``, or the median heuristic over
     the pool; a heuristic whose square is not a positive normal float
@@ -334,7 +314,7 @@ class GpAgent(Agent):
                     f"the median-heuristic GP length scale {length_scale!r} has no normal "
                     "float square; the embeddings are too large or too small for it"
                 )
-        self.products = _observed_products(config, pool)
+        self.observed = _whitened_rows(config, pool, "GP kernel matrix", " even after jitter")
         self.model = GaussianProcess(
             length_scale=length_scale,
             signal_var=config.gp_signal_var,
@@ -346,19 +326,12 @@ class GpAgent(Agent):
     def select(self, round_num, memory, feedback, rng):
         idx, y = _observations(memory.pool, feedback)
         model, table = self.model, memory.pool.embeddings
-        X = table.matrix[idx]
         full = _full_pass(memory, y.size > 0)
         if full and y.size:
-            products = self.products.of(idx)
-            model.fit(X, y, np.take(products, idx, axis=1))
-            return _certified_top_b(
-                memory,
-                self.batch_size,
-                lambda rows: model.acquisition(
-                    None, table.sq_norms[rows], np.take(products, rows, axis=1)
-                ),
-            )
-        model.fit(X, y)
+            scores = model.whitened_scores(self.observed, idx, y, _pool_products(table),
+                                           table.sq_norms)
+            return _top_of_pool(memory, scores, self.batch_size)
+        model.fit(table.matrix[idx], y)
         return _certified_top_b(
             memory,
             self.batch_size,
@@ -379,9 +352,8 @@ def _certified_top_b(
     each row's score (the fitted model's ``bound_fn()`` on the rows,
     :func:`_on_rows`), handed only when :func:`_full_pass` is false. Every
     scorer takes one call's pool rows, an index array or a slice of the
-    pool, and reads what it needs of them: their embedding rows and squared
-    norms (:func:`_on_rows`), or their products with the training rows from
-    the run's memo.
+    pool, and reads their embedding rows and squared norms
+    (:func:`_on_rows`).
 
     With a bound, every candidate gets its bound, and
     :func:`certified_least` (on negated values) scores exactly only those

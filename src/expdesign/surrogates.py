@@ -10,16 +10,16 @@ calls are made depends on the row count alone. With one BLAS thread per
 product, a row's bits depend only on its call's shape, not on the thread
 that scored it or on the call's other rows, so passes over the whole pool
 slice the embedding matrix instead of gathering the unexplored rows, and
-drop the explored rows' scores after. :class:`LinUcb` scores the rows it
-is handed, :class:`DualLinUcb` their products with its training rows, and
-:class:`GaussianProcess` either, when the caller hands the products
-(``products``): a full pass with observations reads them from the run's
-memo of observed-row products (``agents._ObservedProducts``), and gathers
-no embedding row. Only the agents' scorers, through
-``agents._certified_top_b``, read a call's rows, squared norms or
-products. The temporaries alive are those of one call per thread: at 512
-training rows, a GP half block's kernel and its product with L^-1 are 4 MB
-each, besides its rows when they are gathered.
+drop the explored rows' scores after. :class:`LinUcb` and
+:class:`GaussianProcess` score the rows they are handed; only the agents'
+scorers, through ``agents._certified_top_b``, read a call's rows and
+squared norms. The temporaries alive are those of one call per thread: at
+512 training rows, a GP half block's kernel and its product with L^-1 are 4
+MB each, besides its rows when they are gathered.
+
+A full pass with observations, of the GP or of LinUCB in its dual form,
+scores every pool row from the run's whitened observed rows
+(:class:`WhitenedRows`, below) instead, and gathers no embedding row.
 
 GP-UCB certifies its top-B from a cheap upper bound on every candidate's
 score and scores exactly only the candidates that can reach it
@@ -116,36 +116,49 @@ is made inf.
 
 LinUCB has two forms with the same scores up to rounding. The primal
 (:class:`LinUcb`) factors the d x d matrix A = ridge*I + X^T X of the n
-observed rows X. The dual (:class:`DualLinUcb`, the linear-kernel case of
-KernelUCB) factors the n x n Gram matrix C = X X^T + ridge*I = L L^T and
-keeps w = C^-1 y and G = L^-1. Since X^T C^-1 = A^-1 X^T, theta = X^T w, so
+observed rows X. The dual (:meth:`LinUcb.dual_scores`, the linear-kernel
+case of KernelUCB) works with the n x n Gram matrix C = X X^T + ridge*I = L
+L^T, G = L^-1 and w = C^-1 y. Since X^T C^-1 = A^-1 X^T, theta = X^T w, so
 with k = X x the mean is x.theta = k.w, and x^T A^-1 x = (|x|^2 - k^T C^-1
-k) / ridge = (|x|^2 - |G k|^2) / ridge. The dual reads no embedding row:
-its fit is handed X X^T, and a call over the rows X_q is handed k = X_q
-X^T and their squared norms |x|^2, computes v = k G^T, and scores a row
-k.w + alpha sqrt(max(0, |x|^2 - |v|^2) / ridge). Every product is
-row-wise, so a row's bits depend only on its call's shape and on its
-handed products, and :func:`score_blocks` gives them the same guarantees
-as the primal's; they are not the primal's bits. On the perfbench
-molecule pools (seeds 0-9) the two forms' scores differed by at most
-1.5e-12 relative, and every selection was the same. The difference |x|^2 -
-|v|^2 cancels for a row near the span of X, where a variance error e
-becomes a width error of up to sqrt(e). The dual has no bound:
-``agents.LinUcbAgent`` takes it only in a full pass, with observations and
-3n <= 2d.
+k) / ridge = (|x|^2 - |G k|^2) / ridge. With V = G X P^T, the observed
+rows' products with every pool row whitened, and c its column sums of
+squares, k.w = (G k).(G y) is entry x of V^T (G y) and |G k|^2 is c_x, so a
+pool row scores V^T (G y) + alpha sqrt(max(0, |x|^2 - c) / ridge): one GEMV
+for the whole pool. On the perfbench molecule pools (seeds 0-9) the two
+forms' scores differed by at most 1.5e-12 relative, and every selection was
+the same. The difference |x|^2 - c cancels for a row near the span of X,
+where a variance error e becomes a width error of up to sqrt(e). The dual
+has no bound: ``agents.LinUcbAgent`` takes it only in a full pass, with
+observations and 3n <= 2d.
 
-In a full pass with observations, the dual's Gram matrix and k, and the
-GP's fit and exact pass, read their products of training rows with other
-rows from the run's memo (``agents._ObservedProducts``), which computes
-each observed row's products with the whole pool once, in the round after
-it is observed. These are the products of a call in other GEMM shapes,
-and a dgemm entry's bits can depend on the shape, so a row's score depends
-on the memo's shapes (a function of the feedback alone) instead of the
-call's. With OpenBLAS, on 2,000-row Gaussian-mixture pools, fits and
-scores from the memo had the bits of those from each call's own product
-X_train X_q^T at d = 8 to 768 with B from 8 to 128, but not at d = 5 with
-B = 1 or d = 300 with B = 100, where scores differed by up to 1.8e-10
-relative; the selections were the same on all of them.
+The GP's full pass takes the same form. With E the RBF kernel without its
+signal factor s, K + noise*I = s (E + reg*I) with reg = noise / s, so for
+G and V whitening E (V = G E[o, :]), the mean is mu + sd V^T (G z) and the
+variance sd^2 s max(0, 1 - c) (:meth:`GaussianProcess.whitened_scores`).
+With ``gp.noise_var`` unset, reg is the constant 1e-4 while s, the targets'
+variance, moves each round.
+
+The whitened rows. A run's :class:`WhitenedRows` keeps, for one model, G,
+V and c of the rows observed so far (pool indices in record order), but
+not the products or kernel M they whiten. Each round's records start with
+the last round's, so a round computes only its B new rows of M (their
+products with the whole pool, and for the GP their exps) and extends the
+factor through the Schur complement, as KernelUCB updates its inverse
+kernel matrix: L21 = K21 G11^T, L22 = chol(K22 + reg*I - L21 L21^T), G22 =
+L22^-1, G21 = -G22 (L21 G11), V_new = G22 (M_new - L21 V_old) and c +=
+sum V_new^2, in O(n B m) for m pool rows instead of a refit's O(n^2 m).
+Feedback that does not extend the kept rows, another reg (a set
+``gp.noise_var`` with the signal unset), or a Schur complement that is not
+positive-definite in floats rebuild the state by the same extension from
+zero rows, which jitters as :meth:`GaussianProcess.fit` does. A rebuild
+and an extension are different orders of the same factor, and the
+products of a row come from its own round's GEMM shapes, so their bits
+differ from a refit's. On 2,000 x 768 Gaussian mixtures (seeds 0-2,
+extended to 128-512 rows) every pool row's score was within 2.2e-13 (GP)
+and 8.2e-13 (dual) of the largest score of a fresh
+:meth:`GaussianProcess.fit` or primal :meth:`LinUcb.fit_batch`; the
+selections were the same on the perfbench molecule pools (seeds 0-9) and
+on mixtures at 8 to 768 dimensions.
 
 The primal form certifies its top-B as GP-UCB does
 (``agents.LinUcbAgent``), from a bound that recomputes the score in f32
@@ -394,6 +407,26 @@ class LinUcb:
 
         return bound
 
+    def dual_scores(
+        self,
+        white: WhitenedRows,
+        rows: np.ndarray,
+        y: np.ndarray,
+        products: Callable[[np.ndarray, np.ndarray], None],
+        sq_norms: np.ndarray,
+    ) -> np.ndarray:
+        """The scores of every pool row under a fit on the pool rows ``rows``
+        (record order, at least one) and their responses y, in the dual form
+        (see the module docstring), from the run's whitened rows ``white``:
+        they are brought to ``rows`` under reg = ridge, and
+        ``products(out, idx)`` writes the products P[idx] P^T of the rows
+        they add with every pool row. ``sq_norms`` are every pool row's
+        squared norms (``EmbeddingTable.sq_norms``). This model's own fit is
+        neither read nor changed."""
+        white.update(rows, self.ridge, products)
+        width = np.sqrt(np.maximum(sq_norms - white.sums, 0.0) / self.ridge)
+        return white.project(y) + self.alpha * width
+
 
 def _linucb_bound_terms(
     chol_inv: np.ndarray, theta: np.ndarray, alpha: float
@@ -429,47 +462,125 @@ def _linucb_bound_terms(
     return chol_inv32, theta32, float(per_norm), float(floor)
 
 
-class DualLinUcb:
-    """The scores of :class:`LinUcb` fitted on n rows X and their responses
-    y, from the products of X alone: the fit factors the n x n Gram matrix
-    C = X X^T + ridge*I = L L^T instead of A, and keeps w = C^-1 y and G =
-    L^-1; a row x scores k.w + alpha sqrt(max(0, |x|^2 - |G k|^2) / ridge)
-    with k = X x (see the module docstring for the identity and the bits).
-    ``gram`` is X X^T (n x n), overwritten by C; the caller computes it and
-    every k. Scoring m rows from their products costs a product of m x n x
-    n against the primal's m x d x d, and the fit an n x n factor against a
-    d x d one.
+class WhitenedRows:
+    """A run's whitened observed rows, for one model. With o the pool
+    indices of the n rows observed so far (record order, as the feedback
+    lists them) and M the n x ``columns`` matrix whose row i holds row o_i's
+    entries with every pool row, it keeps G = L^-1 of M[:, o] + reg*I = L
+    L^T (n x n, lower, exact zeros above the diagonal), the whitened rows V
+    = G M and their column sums of squares c = sum_i V_i^2, but not M. M is
+    P[o] P^T for the dual LinUCB (:meth:`LinUcb.dual_scores`) and the RBF
+    kernel without its signal factor for the GP
+    (:meth:`GaussianProcess.whitened_scores`); a pool row's score is then
+    one GEMV of V and a function of c.
+
+    Each round's records start with the last round's, so :meth:`update`
+    computes only the new rows of M and extends the kept state by them
+    (:meth:`_extend`). Any other feedback (fewer rows, another order, other
+    rows), another reg, or a Schur complement that is not positive-definite
+    in floats rebuilds the state by the same extension from zero rows, which
+    tries reg and then reg plus each jitter in turn; an extension keeps the
+    jitter of the last rebuild. V and G are allocated on first use with room
+    for ``capacity`` rows, and grow, by a rebuild, only for more. ``name``
+    and ``hint`` word the NumericalError of a matrix that is not finite or
+    cannot be factored.
     """
 
-    def __init__(self, gram: np.ndarray, y: Sequence[float], ridge: float = 1.0,
-                 alpha: float = 1.0):
-        y = np.asarray(y, dtype=np.float64)
-        n = y.shape[0]
-        if gram.shape != (n, n):
-            raise ValueError(f"Gram matrix has shape {gram.shape}, expected ({n}, {n})")
-        if n == 0:
-            raise ValueError("the dual form needs observations")
-        if ridge <= 0.0:
-            raise ValueError("ridge weight must be positive")
-        if alpha < 0.0:
-            raise ValueError("exploration weight must be nonnegative")
-        self.ridge = float(ridge)
-        self.alpha = float(alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram.flat[:: n + 1] += self.ridge
-        G = _lower_inverse(_cholesky(gram, "LinUCB Gram matrix X X^T + ridge*I"))
-        self._weights = G.T @ (G @ y)
-        self._chol_inv = G
+    def __init__(self, columns: int, capacity: int, name: str, hint: str):
+        self.columns = columns
+        self.capacity = capacity
+        self.name = name
+        self.hint = hint
+        self.rows = np.empty(0, dtype=np.intp)
+        self.reg: float | None = None
+        self.jitter = 0.0
+        self.sums = np.zeros(columns)
+        self._G: np.ndarray | None = None
+        self._V: np.ndarray | None = None
 
-    def score_many(self, products: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-        """UCB scores of a stack of rows from their products with the
-        training rows, X X_train^T (m x n), and their squared norms as
-        ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does); the rows are taken as finite."""
-        v = products @ self._chol_inv.T
-        explained = np.einsum("ij,ij->i", v, v)
-        width = np.sqrt(np.maximum(sq_norms - explained, 0.0) / self.ridge)
-        return products @ self._weights + self.alpha * width
+    def update(
+        self,
+        rows: np.ndarray,
+        reg: float,
+        fill: Callable[[np.ndarray, np.ndarray], None],
+        jitters: Sequence[float] = (),
+    ) -> None:
+        """Bring the state to the pool rows ``rows`` (record order, at least
+        one) under ``reg``. ``fill(out, idx)`` writes the rows of M of the
+        pool indices ``idx`` into ``out`` (len(idx) x columns); an extension
+        calls it for the new rows alone, a rebuild for all of them."""
+        n, kept = rows.size, self.rows.size
+        if kept > n or reg != self.reg or not np.array_equal(rows[:kept], self.rows):
+            kept = 0
+        if self._V is None or self._V.shape[0] < n:
+            size = max(self.capacity, n)
+            self._V, self._G = np.empty((size, self.columns)), np.zeros((size, size))
+            kept = 0
+        if kept == n:
+            return
+        if kept:
+            fill(self._V[kept:n], rows[kept:])
+            try:
+                self._extend(rows, kept, reg + self.jitter)
+                return
+            except np.linalg.LinAlgError:
+                pass
+        self.rows = rows[:0]
+        fill(self._V[:n], rows)
+        for jitter in (0.0, *jitters):
+            try:
+                self._extend(rows, 0, reg + jitter)
+            except np.linalg.LinAlgError:
+                continue
+            self.reg, self.jitter = reg, jitter
+            return
+        raise NumericalError(f"{self.name} is not positive-definite{self.hint}")
+
+    def _extend(self, rows: np.ndarray, kept: int, reg: float) -> None:
+        """Extend the state of rows[:kept] by rows[kept:], whose rows of M
+        are in V[kept:n]. With K21 and K22 their entries with the kept and
+        the new rows: L21 = K21 G11^T, L22 = chol(K22 + reg*I - L21 L21^T),
+        G22 = L22^-1, G21 = -G22 (L21 G11), V_new = G22 (M_new - L21 V_old)
+        and c += sum V_new^2. The V step runs as two column halves on
+        ``pool._on_threads``; the halves depend on the column count alone, so
+        the bits do not depend on the CPU count. A LinAlgError (L22 does not
+        exist in floats) leaves the state as it was."""
+        n, G, V = rows.size, self._G, self._V
+        new = V[kept:n]
+        K21 = np.take(new, rows[:kept], axis=1)
+        S = np.take(new, rows[kept:], axis=1)
+        if not (np.isfinite(K21).all() and np.isfinite(S).all()):
+            raise NumericalError(
+                f"{self.name} is not finite; the embeddings are too large for their products"
+            )
+        G11 = G[:kept, :kept]
+        L21 = K21 @ G11.T
+        S.flat[:: n - kept + 1] += reg
+        S -= L21 @ L21.T
+        G22 = _lower_inverse(np.linalg.cholesky(S))
+        G21 = G[kept:n, :kept]
+        np.matmul(G22, L21 @ G11, out=G21)
+        np.negative(G21, out=G21)
+        G[kept:n, kept:n] = G22
+        if not kept:
+            self.sums.fill(0.0)
+
+        def whiten(cols: slice) -> None:
+            block = L21 @ V[:kept, cols]
+            np.subtract(new[:, cols], block, out=block)
+            out = new[:, cols]
+            np.matmul(G22, block, out=out)
+            self.sums[cols] += np.einsum("ij,ij->j", out, out)
+
+        half = self.columns // 2
+        _on_threads(whiten, [slice(0, half), slice(half, self.columns)] if half
+                    else [slice(0, self.columns)])
+        self.rows = rows.copy()
+
+    def project(self, t: np.ndarray) -> np.ndarray:
+        """V^T (G t) for the kept rows' vector t: one entry per column."""
+        n = self.rows.size
+        return (self._G[:n, :n] @ t) @ self._V[:n]
 
 
 def square_is_normal(value: float) -> bool:
@@ -542,11 +653,11 @@ class GaussianProcess:
     the cross-kernel block by one matrix product (v = L^-1 k_*,
     var = signal - |v|^2) instead of a triangular solve with one right-hand
     side per query row. The posterior and the acquisition build that block
-    from the query rows they are handed and their squared norms, or from
-    the products of the training rows with them when those are handed
-    (``products``, as the fit takes its training rows' own); the function
-    :meth:`bound_fn` returns builds a factored kernel from terms of its
-    fit. Each query row's posterior depends on that row alone, so a pool
+    from the query rows they are handed and their squared norms; the
+    function :meth:`bound_fn` returns builds a factored kernel from terms of
+    its fit, and :meth:`whitened_scores` scores every pool row from a run's
+    whitened rows without a fit. Each query row's posterior depends on that
+    row alone, so a pool
     can be scored in row blocks (:func:`score_blocks`), with kernel-sized
     temporaries of one block rather than of the pool.
 
@@ -586,51 +697,41 @@ class GaussianProcess:
     def _kernel(
         self,
         A: np.ndarray,
-        B: np.ndarray | None,
+        B: np.ndarray,
         b_sq_norms: np.ndarray | None = None,
         a_sq_norms: np.ndarray | None = None,
-        products: np.ndarray | None = None,
     ) -> np.ndarray:
-        """k(A, B) as (|a|^2 + |b|^2) - 2 A B^T, clipped at 0, times -0.5,
-        over length^2, exp, times signal. ``b_sq_norms`` and ``a_sq_norms``,
-        when given, must be ``np.square(B).sum(axis=1)`` and
-        ``np.square(A).sum(axis=1)``. ``products``, when given, is A B^T as
-        computed elsewhere, C-ordered, and becomes the kernel in place; B is
-        then not read, and ``b_sq_norms`` must be given.
-
-        Every step after the product runs in place on _KERNEL_ROWS rows of
-        it at a time, so each chunk stays in cache through all of them and
-        one block of len(A) x len(B) is live. The subtraction is taken as
-        (-2 A B^T) + (|a|^2 + |b|^2): the factor -2 is exact and IEEE
-        addition commutes, so every value keeps the bits of the steps in
-        the order above."""
+        """k(A, B) from A B^T by :func:`_rbf_in_place`. ``b_sq_norms`` and
+        ``a_sq_norms``, when given, must be ``np.square(B).sum(axis=1)`` and
+        ``np.square(A).sum(axis=1)``."""
         if b_sq_norms is None:
             b_sq_norms = np.square(B).sum(axis=1)
         if a_sq_norms is None:
             a_sq_norms = np.square(A).sum(axis=1)
-        out = A @ B.T if products is None else products
-        norms = np.empty((min(_KERNEL_ROWS, out.shape[0]), out.shape[1]))
-        length_sq = self.length_scale**2
-        for lo in range(0, out.shape[0], _KERNEL_ROWS):
-            chunk = out[lo : lo + _KERNEL_ROWS]
-            sq = norms[: chunk.shape[0]]
-            np.add.outer(a_sq_norms[lo : lo + _KERNEL_ROWS], b_sq_norms, out=sq)
-            chunk *= -2.0
-            chunk += sq
-            np.clip(chunk, 0.0, None, out=chunk)
-            chunk *= -0.5
-            chunk /= length_sq
-            np.exp(chunk, out=chunk)
-            chunk *= self._signal
-        return out
+        return _rbf_in_place(A @ B.T, a_sq_norms, b_sq_norms, self.length_scale**2, self._signal)
 
-    def fit(
-        self, X: np.ndarray, y: Sequence[float], products: np.ndarray | None = None
-    ) -> None:
-        """Refit on the full training set (replaces any previous fit).
-        ``products``, when given, is X X^T as computed elsewhere, C-ordered;
-        it is overwritten. A kernel matrix that is not finite (embeddings so
-        large that their squares overflow) is a NumericalError."""
+    def _targets(self, y: np.ndarray) -> tuple[np.ndarray, float, float, float, float]:
+        """The standardized targets z of the responses y (observations), mu
+        and sd, the signal variance and the noise variance of a fit on them."""
+        if self.standardize:
+            mu = float(y.mean())
+            sd = float(y.std())
+            sd = sd if sd > 0.0 else 1.0
+        else:
+            mu, sd = 0.0, 1.0
+        z = (y - mu) / sd
+        if self.signal_var is not None:
+            signal = self.signal_var
+        else:
+            var = float(z.var())
+            signal = var if var > 0.0 else 1.0
+        noise = self.noise_var if self.noise_var is not None else 1e-4 * signal
+        return z, mu, sd, signal, noise
+
+    def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
+        """Refit on the full training set (replaces any previous fit). A
+        kernel matrix that is not finite (embeddings so large that their
+        squares overflow) is a NumericalError."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] != y.shape[0]:
@@ -642,24 +743,11 @@ class GaussianProcess:
             self._alpha = None
             self._mu, self._sd = 0.0, 1.0
             return
-        if self.standardize:
-            self._mu = float(y.mean())
-            sd = float(y.std())
-            self._sd = sd if sd > 0.0 else 1.0
-        else:
-            self._mu, self._sd = 0.0, 1.0
-        z = (y - self._mu) / self._sd
-
-        if self.signal_var is not None:
-            self._signal = self.signal_var
-        else:
-            var = float(z.var())
-            self._signal = var if var > 0.0 else 1.0
-        noise = self.noise_var if self.noise_var is not None else 1e-4 * self._signal
+        z, self._mu, self._sd, self._signal, noise = self._targets(y)
 
         with np.errstate(over="ignore", invalid="ignore"):
             sq_norms = np.square(X).sum(axis=1)
-            K = self._kernel(X, X, sq_norms, sq_norms, products)
+            K = self._kernel(X, X, sq_norms, sq_norms)
         if not np.isfinite(K).all():
             raise NumericalError(
                 "GP kernel matrix is not finite; the embeddings are too large for their squares"
@@ -685,42 +773,63 @@ class GaussianProcess:
         self._chol_inv = G
 
     def posterior_many(
-        self,
-        X: np.ndarray | None,
-        sq_norms: np.ndarray | None = None,
-        products: np.ndarray | None = None,
+        self, X: np.ndarray, sq_norms: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at a stack of query rows (raw units),
         which are taken as finite (pool embeddings are checked at load).
         ``sq_norms``, when given, must be the rows' squared norms as
         ``np.square(X).sum(axis=1)`` computes them (``EmbeddingTable.sq_norms``
-        does); otherwise they are computed here. ``products``, when given,
-        is the training rows' products with the query rows, X_train X^T (n x
-        m) as computed elsewhere, C-ordered; it is overwritten, X is not read
-        (it may be None), and ``sq_norms`` must be given."""
-        if products is None:
-            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-            rows = X.shape[0]
-        else:
-            rows = products.shape[1]
+        does); otherwise they are computed here."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self._X is None:
             prior_var = self.signal_var if self.signal_var is not None else 1.0
-            return np.zeros(rows), np.full(rows, prior_var * self._sd**2)
-        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms, products)
+            return np.zeros(X.shape[0]), np.full(X.shape[0], prior_var * self._sd**2)
+        k_star = self._kernel(self._X, X, sq_norms, self._sq_norms)
         v = self._chol_inv @ k_star
         var_z = np.clip(self._signal - np.einsum("ij,ij->j", v, v), 0.0, None)
         return self._mu + self._sd * (k_star.T @ self._alpha), self._sd**2 * var_z
 
-    def acquisition(
-        self,
-        X: np.ndarray | None,
-        sq_norms: np.ndarray | None = None,
-        products: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def acquisition(self, X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
         """UCB scores: posterior mean + beta * posterior stddev (arguments
         as for :meth:`posterior_many`)."""
-        mean, var = self.posterior_many(X, sq_norms, products)
+        mean, var = self.posterior_many(X, sq_norms)
         return mean + self.beta * np.sqrt(var)
+
+    def whitened_scores(
+        self,
+        white: WhitenedRows,
+        rows: np.ndarray,
+        y: np.ndarray,
+        products: Callable[[np.ndarray, np.ndarray], None],
+        sq_norms: np.ndarray,
+    ) -> np.ndarray:
+        """The :meth:`acquisition` scores of every pool row under a fit on
+        the pool rows ``rows`` (record order, at least one) and their
+        responses y, up to rounding, from the run's whitened rows ``white``.
+        K + noise*I = s (E + reg*I), with E the kernel without its signal
+        factor s and reg = noise / s, so with G and V whitening E: the mean
+        is mu + sd V^T (G z) and the variance sd^2 s max(0, 1 - c). Unless
+        ``gp.noise_var`` is set, reg is the constant 1e-4 (0 where 1e-4 s
+        underflows, as the fit's noise does), so the state extends while s
+        moves. ``white`` is brought to ``rows`` from the products P[idx] P^T
+        that ``products(out, idx)`` writes, turned into E in place; a rebuild
+        jitters as :meth:`fit` does, by 1e-12 to 1e-4 of s. ``sq_norms`` are
+        every pool row's squared norms (``EmbeddingTable.sq_norms``). This
+        model's own fit is neither read nor changed."""
+        z, mu, sd, signal, noise = self._targets(np.asarray(y, dtype=np.float64))
+        reg = 1e-4 if self.noise_var is None and noise > 0.0 else noise / signal
+        length_sq = self.length_scale**2
+
+        def kernel(out: np.ndarray, idx: np.ndarray) -> None:
+            products(out, idx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _rbf_in_place(out, sq_norms[idx], sq_norms, length_sq)
+
+        # A signal so small that 1e-12 of it underflows to 0 has no jitter
+        # to try.
+        white.update(rows, reg, kernel, _GP_JITTERS if 1e-12 * signal > 0.0 else ())
+        width = sd * np.sqrt(signal * np.maximum(1.0 - white.sums, 0.0))
+        return mu + sd * white.project(z) + self.beta * width
 
     def bound_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``bound(X, sq_norms)``: upper bounds on the :meth:`acquisition`
@@ -750,6 +859,38 @@ class GaussianProcess:
             return out
 
         return bound
+
+
+def _rbf_in_place(
+    out: np.ndarray,
+    a_sq_norms: np.ndarray,
+    b_sq_norms: np.ndarray,
+    length_sq: float,
+    signal: float | None = None,
+) -> np.ndarray:
+    """The RBF kernel of rows a and b from their products ``out`` = A B^T
+    (C-ordered, overwritten and returned) and squared norms: (|a|^2 +
+    |b|^2) - 2 a.b, clipped at 0, times -0.5, over length^2, exp, and times
+    ``signal`` when one is given.
+
+    Every step runs in place on _KERNEL_ROWS rows at a time, so each chunk
+    stays in cache through all of them. The subtraction is taken as (-2 a.b)
+    + (|a|^2 + |b|^2): the factor -2 is exact and IEEE addition commutes, so
+    every value keeps the bits of the steps in the order above."""
+    norms = np.empty((min(_KERNEL_ROWS, out.shape[0]), out.shape[1]))
+    for lo in range(0, out.shape[0], _KERNEL_ROWS):
+        chunk = out[lo : lo + _KERNEL_ROWS]
+        sq = norms[: chunk.shape[0]]
+        np.add.outer(a_sq_norms[lo : lo + _KERNEL_ROWS], b_sq_norms, out=sq)
+        chunk *= -2.0
+        chunk += sq
+        np.clip(chunk, 0.0, None, out=chunk)
+        chunk *= -0.5
+        chunk /= length_sq
+        np.exp(chunk, out=chunk)
+        if signal is not None:
+            chunk *= signal
+    return out
 
 
 class _GpBound(NamedTuple):
@@ -924,6 +1065,10 @@ _KERNEL_ROWS = 16
 # faster; the bits of L^-1 and the weights were within 1.3e-15 relative of
 # trtri's.
 _INVERSE_BASE = 32
+
+# Jitters of a whitened GP rebuild, relative to the signal variance: those
+# GaussianProcess.fit adds in turn, 1e-12 to 1e-4 of it.
+_GP_JITTERS = tuple(10.0**k for k in range(-12, -3))
 
 # Leading rows and columns of L^-1 behind GaussianProcess.bound_fn. The
 # bound costs a p x p product per candidate; 32 left at most 1,900 of about

@@ -30,9 +30,9 @@ from expdesign.harness import (
 from expdesign.memory import CandidateMemory
 from expdesign.pool import EmbeddingTable, build_pool
 from expdesign.surrogates import (
-    DualLinUcb,
     GaussianProcess,
     LinUcb,
+    WhitenedRows,
     _lower_inverse,
     _pairwise_distances,
     median_heuristic,
@@ -229,7 +229,7 @@ class TestLinUcb:
 
 
 def dual_tolerance(X, y, lam, alpha, Xq, width):
-    """How far DualLinUcb's scores of the rows Xq may lie from
+    """How far the dual form's scores of the rows Xq may lie from
     ``linucb_direct``'s, whose widths sqrt(x^T A^-1 x) are ``width``.
 
     Both sides solve with a matrix of condition number kappa = 1 +
@@ -259,8 +259,26 @@ def dual_tolerance(X, y, lam, alpha, Xq, width):
     return mean_tol + alpha * width_tol
 
 
-class TestDualLinUcb:
-    """LinUCB's dual form against the direct formula, and its failures."""
+DUAL_NAME = ("LinUCB Gram matrix X X^T + ridge*I", "; a larger linucb ridge may help")
+
+
+def whitened(P, capacity=None, name=DUAL_NAME):
+    """Whitened rows over the pool rows P, a function writing the products
+    of pool rows with every pool row, as the agents' does, and the pool
+    rows' squared norms."""
+    white = WhitenedRows(len(P), len(P) if capacity is None else capacity, *name)
+
+    def products(out, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(P[rows], P.T, out=out)
+
+    with np.errstate(over="ignore"):
+        return white, products, np.square(P).sum(axis=1)
+
+
+class TestDualScores:
+    """LinUCB's dual form on the whitened rows against the direct formula,
+    and its failures."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -270,12 +288,15 @@ class TestDualLinUcb:
         alpha=st.sampled_from([0.0, 1.0, 2.5]),
         scale=st.sampled_from([1e-2, 1.0, 30.0]),
         near_twin=st.booleans(),
+        first=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_scores_match_direct_formula(self, n, extra, lam, alpha, scale, near_twin, seed):
+    def test_scores_match_direct_formula(self, n, extra, lam, alpha, scale, near_twin, first,
+                                         seed):
         # n < d, query rows among them equal to every training row (where
         # |x|^2 - |v|^2 cancels toward the clip at 0), and a training row
-        # nearly equal to another (a large condition number).
+        # nearly equal to another (a large condition number). The state is
+        # built at once, or from its first rows and then extended.
         d = n + extra
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d)) * scale
@@ -283,8 +304,12 @@ class TestDualLinUcb:
             X[-1] = X[0] + 1e-6 * scale * rng.standard_normal(d)
         y = rng.standard_normal(n)
         Xq = np.vstack([rng.standard_normal((10, d)) * scale, X])
-        model = DualLinUcb(X @ X.T, y, ridge=lam, alpha=alpha)
-        got = model.score_many(Xq @ X.T, np.square(Xq).sum(axis=1))
+        white, products, sq_norms = whitened(Xq)
+        rows = np.arange(10, 10 + n)
+        model = LinUcb(d, ridge=lam, alpha=alpha)
+        if 0 < first < n:
+            model.dual_scores(white, rows[:first], y[:first], products, sq_norms)
+        got = model.dual_scores(white, rows, y, products, sq_norms)
         mean = linucb_direct(X, y, lam, 0.0, Xq)
         width = linucb_direct(X, y, lam, 1.0, Xq) - mean
         expected = mean + alpha * width
@@ -293,15 +318,26 @@ class TestDualLinUcb:
     def test_singular_factor_is_a_numerical_error(self):
         # A ridge far below the rounding of the rows' products: with 8 rows
         # of norm about 480 in 64 dimensions, A = X^T X + ridge*I is
-        # singular in floats, and so is the Gram matrix when the rows repeat.
+        # singular in floats, and so is the Gram matrix when the rows
+        # repeat, whether the state takes all 16 rows at once or extends
+        # the first 8 by their copies (whose Schur complement fails, and so
+        # does the rebuild). A later call on the first 8 rows rebuilds them.
         rng = np.random.default_rng(0)
         X = rng.standard_normal((8, 64))
         X *= 480.0 / np.linalg.norm(X, axis=1, keepdims=True)
         with pytest.raises(NumericalError, match="LinUCB matrix A"):
             LinUcb(64, ridge=1e-12).fit_batch(X, np.ones(8))
-        twice = np.vstack([X, X])
-        with pytest.raises(NumericalError, match="LinUCB Gram matrix"):
-            DualLinUcb(twice @ twice.T, np.ones(16), ridge=1e-12)
+        model = LinUcb(64, ridge=1e-12)
+        white, products, sq_norms = whitened(np.vstack([X, X]))
+        rows = np.arange(16)
+        for first in (0, 8):
+            if first:
+                model.dual_scores(white, rows[:first], np.ones(first), products, sq_norms)
+            with pytest.raises(NumericalError,
+                               match="LinUCB Gram matrix .* is not positive-definite"):
+                model.dual_scores(white, rows, np.ones(16), products, sq_norms)
+        scores = model.dual_scores(white, rows[:8], np.ones(8), products, sq_norms)
+        assert np.isfinite(scores).all()
 
     def test_products_that_overflow_are_a_numerical_error(self):
         # Rows of norm near 1e160: X^T X and X X^T overflow, and a Gram
@@ -310,33 +346,15 @@ class TestDualLinUcb:
         X = np.random.default_rng(1).standard_normal((4, 8)) * 1e160
         with pytest.raises(NumericalError, match="LinUCB matrix A is not finite"):
             LinUcb(8).fit_batch(X, np.ones(4))
-        with np.errstate(over="ignore"):
-            gram = X @ X.T
+        white, products, sq_norms = whitened(X)
         with pytest.raises(NumericalError, match="LinUCB Gram matrix .* is not finite"):
-            DualLinUcb(gram, np.ones(4))
+            LinUcb(8).dual_scores(white, np.arange(4), np.ones(4), products, sq_norms)
         gram = np.eye(4)
         gram[2, 1] = np.inf
+        white = WhitenedRows(4, 4, *DUAL_NAME)
         with pytest.raises(NumericalError, match="LinUCB Gram matrix .* is not finite"):
-            DualLinUcb(gram, np.ones(4))
-
-    def test_bad_arguments(self):
-        # A Gram matrix that is not square, or whose side is not the
-        # number of responses, and products with other than one column
-        # per training row.
-        with pytest.raises(ValueError, match="Gram matrix has shape"):
-            DualLinUcb(np.ones((3, 5)), np.ones(3))
-        with pytest.raises(ValueError, match="Gram matrix has shape"):
-            DualLinUcb(np.eye(3), np.ones(2))
-        with pytest.raises(ValueError):
-            DualLinUcb(np.empty((0, 0)), np.ones(0))
-        with pytest.raises(ValueError):
-            DualLinUcb(np.eye(3), np.ones(3), ridge=0.0)
-        with pytest.raises(ValueError):
-            DualLinUcb(np.eye(3), np.ones(3), alpha=-1.0)
-        model = DualLinUcb(np.eye(3), np.ones(3))
-        with pytest.raises(ValueError):
-            model.score_many(np.ones((2, 4)), np.ones(2))
-        assert model.score_many(np.empty((0, 3)), np.empty(0)).shape == (0,)
+            LinUcb(8).dual_scores(white, np.arange(4), np.ones(4),
+                                  lambda out, rows: np.copyto(out, gram[rows]), np.ones(4))
 
 
 class TestGaussianProcess:
@@ -453,14 +471,12 @@ class TestGaussianProcess:
 
     def test_kernel_that_overflows_is_a_numerical_error(self):
         # Rows of norm near 1e160: their squared norms overflow and the
-        # kernel matrix turns NaN, computed here or from products handed
-        # in, and the fit says so instead of factoring it.
+        # kernel matrix turns NaN, and the fit says so instead of factoring
+        # it.
         X = np.random.default_rng(4).standard_normal((6, 3)) * 1e160
         gp = GaussianProcess(length_scale=1.0)
         with pytest.raises(NumericalError, match="kernel matrix is not finite"):
             gp.fit(X, np.arange(6.0))
-        with pytest.raises(NumericalError, match="kernel matrix is not finite"):
-            gp.fit(X, np.arange(6.0), np.full((6, 6), np.inf))
 
     def test_constant_targets_do_not_crash(self):
         gp = GaussianProcess(length_scale=1.0)
@@ -504,25 +520,21 @@ class TestScoreBlocks:
     BLOCK = surrogates._BLOCK_ROWS
 
     def models(self, rng, table, n_train):
-        """A fitted LinUCB in either form, a fitted GP and an unfitted GP,
-        each with its blocked scorer (reading from ``table``) and its
-        one-shot scorer. The GP's bound is not among them: its three kernel
-        sums are one GEMM whose bits depend on the call's row count."""
+        """A fitted LinUCB, a fitted GP and an unfitted GP, each with its
+        blocked scorer (reading from ``table``) and its one-shot scorer. The
+        GP's bound is not among them: its three kernel sums are one GEMM
+        whose bits depend on the call's row count."""
         train = rng.choice(len(table), n_train, replace=False)
         y = rng.standard_normal(n_train)
         matrix = table.matrix
         lin = LinUcb(table.dim, ridge=0.5, alpha=1.5)
         lin.fit_batch(matrix[train], y)
-        X = matrix[train]
-        dual = DualLinUcb(X @ X.T, y, ridge=0.5, alpha=1.5)
         fitted = GaussianProcess(length_scale=float(np.sqrt(table.dim)))
         fitted.fit(matrix[train], y)
         unfitted = GaussianProcess(length_scale=1.0, signal_var=2.0)
         sq_norms = table.sq_norms
         return [
             (lambda rows: lin.score_many(matrix[rows]), lin.score_many),
-            (lambda rows: dual.score_many(matrix[rows] @ X.T, sq_norms[rows]),
-             lambda Xq: dual.score_many(Xq @ X.T, np.square(Xq).sum(axis=1))),
             (lambda rows: fitted.acquisition(matrix[rows], sq_norms[rows]), fitted.acquisition),
             (lambda rows: unfitted.acquisition(matrix[rows], sq_norms[rows]), unfitted.acquisition),
         ]
@@ -775,16 +787,29 @@ def prefix_deficit(model: GaussianProcess, k: np.ndarray) -> Fraction:
     return Fraction(model._signal) - sum(sum(g * v for g, v in zip(row, kf)) ** 2 for row in G)
 
 
-def exact_scorer(model, table, train=None):
-    """Exact scores of pool rows (indices or a slice) from a fitted model.
-    A DualLinUcb, which keeps no rows, scores their products with its
-    training rows, the pool rows ``train``."""
+def exact_scorer(model, table):
+    """Exact scores of pool rows (indices or a slice) from a fitted model."""
     if isinstance(model, LinUcb):
         return lambda rows: model.score_many(table.matrix[rows])
-    if isinstance(model, DualLinUcb):
-        X = table.matrix[train]
-        return lambda rows: model.score_many(table.matrix[rows] @ X.T, table.sq_norms[rows])
     return lambda rows: model.acquisition(table.matrix[rows], table.sq_norms[rows])
+
+
+def fitted_model(agent, pool, observed):
+    """The agent's model fitted on the observed rows as a round after them
+    fits it: a LinUCB agent's primal form on the z-scored responses, a GP
+    agent's model on the raw ones. A bound pass has made the same fit, with
+    the same bits; a full pass with observations scores from the run's
+    whitened rows and fits neither (its scores are the fit's up to
+    rounding)."""
+    X, y = pool.embeddings.matrix[observed], pool.scores[observed]
+    if isinstance(agent, agents_module.LinUcbAgent):
+        if agent.standardize and y.size:
+            sd = float(y.std())
+            y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
+        agent.primal.fit_batch(X, y)
+        return agent.primal
+    agent.model.fit(X, y)
+    return agent.model
 
 
 def surrogate_round(kind, pool, observed, batch_size=32, **config):
@@ -801,7 +826,7 @@ def surrogate_round(kind, pool, observed, batch_size=32, **config):
     ))
     avail = memory.unexplored()
     batch = agent.select(2, memory, feedback, np.random.default_rng(0))
-    model, table = agent.model, pool.embeddings
+    model, table = fitted_model(agent, pool, observed), pool.embeddings
     exact = score_blocks(avail, exact_scorer(model, table))
     assert batch.tolist() == avail[np.lexsort((avail, -exact))[:batch_size]].tolist()
     bound_fn = model.bound_fn()
@@ -919,7 +944,8 @@ class TestShortlist:
         agent = make_agent(ExperimentConfig(agent=kind, batch_size=32), pool, None, None)
         avail = memory.unexplored()
         batch = agent.select(2 if observed else 1, memory, feedback, np.random.default_rng(0))
-        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings))
+        model = fitted_model(agent, pool, np.arange(observed))
+        exact = score_blocks(avail, exact_scorer(model, pool.embeddings))
         assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
 
 
@@ -1501,16 +1527,17 @@ class TestLinUcbBound:
         if kind in ("f32-worst", "subnormal"):
             assert np.all(np.isfinite(bound))
 
-    @pytest.mark.parametrize("observed, form", [(64, DualLinUcb), (128, LinUcb)])
-    def test_low_dimensions_take_the_full_pass(self, monkeypatch, observed, form):
+    @pytest.mark.parametrize("observed, dual", [(64, True), (128, False)])
+    def test_low_dimensions_take_the_full_pass(self, monkeypatch, observed, dual):
         # Below _LINUCB_BOUND_MIN_DIM the f32 call saves too little: every
         # round scores every unexplored row in one full pass, in the dual
         # form while 3n <= 2d (64 rows at 127 dimensions) and in the primal
-        # form after.
+        # form after. Either selects the primal fit's top batch.
         def no_bound(*args):
             raise AssertionError("bound_fn called")
 
         monkeypatch.setattr(LinUcb, "bound_fn", no_bound)
+        built = TestLinUcbForm.dual_fits(monkeypatch)
         rng = np.random.default_rng(24)
         pool = random_pool(rng, 2 * self.BLOCK + 300, agents_module._LINUCB_BOUND_MIN_DIM - 1)
         agent = make_agent(ExperimentConfig(agent="linucb", batch_size=32), pool, None, None)
@@ -1521,8 +1548,9 @@ class TestLinUcbBound:
         ))
         avail = memory.unexplored()
         batch = agent.select(2, memory, feedback, np.random.default_rng(0))
-        assert type(agent.model) is form
-        exact = score_blocks(avail, exact_scorer(agent.model, pool.embeddings, np.arange(observed)))
+        assert built == ([observed] if dual else [])
+        model = fitted_model(agent, pool, np.arange(observed))
+        exact = score_blocks(avail, exact_scorer(model, pool.embeddings))
         assert batch.tolist() == avail[np.lexsort((avail, -exact))[:32]].tolist()
 
 
@@ -1534,15 +1562,15 @@ class TestLinUcbForm:
 
     @staticmethod
     def dual_fits(monkeypatch):
-        """The observation count of every DualLinUcb the agents build."""
+        """The observation count of every dual-form round the agents score."""
         built = []
+        dual_scores = LinUcb.dual_scores
 
-        class Spy(DualLinUcb):
-            def __init__(self, gram, *args, **kwargs):
-                built.append(len(gram))
-                super().__init__(gram, *args, **kwargs)
+        def spy(self, white, rows, *args):
+            built.append(rows.size)
+            return dual_scores(self, white, rows, *args)
 
-        monkeypatch.setattr(agents_module, "DualLinUcb", Spy)
+        monkeypatch.setattr(LinUcb, "dual_scores", spy)
         return built
 
     @pytest.mark.parametrize("standardize", [True, False])
@@ -1621,8 +1649,9 @@ def mixture_pool(seed: int, n: int, dim: int, clusters: int = 32):
 
 
 def memo_rows(monkeypatch) -> list:
-    """The pool indices of every row the observed-row products compute, one
-    array per call, in a list that grows as they are computed."""
+    """The pool indices of every row whose products with the pool the
+    agents' whitened rows compute, one array per call, in a list that grows
+    as they are computed."""
     computed = []
     products_into = agents_module._products_into
 
@@ -1635,31 +1664,58 @@ def memo_rows(monkeypatch) -> list:
 
 
 def rebuild_every_round(monkeypatch):
-    """The observed-row products recompute every row on every call."""
-    of = agents_module._ObservedProducts.of
+    """The whitened rows are rebuilt from zero rows on every call."""
+    update = WhitenedRows.update
 
-    def rebuilt(self, rows):
+    def rebuilt(self, rows, *args):
         self.rows = rows[:0]
-        return of(self, rows)
+        return update(self, rows, *args)
 
-    monkeypatch.setattr(agents_module._ObservedProducts, "of", rebuilt)
+    monkeypatch.setattr(WhitenedRows, "update", rebuilt)
 
 
-class TestObservedProducts:
-    """The run's memo of observed-row products, which full passes with
-    observations read instead of a product per call."""
+def fresh_scores(kind, table, rows, y, **gp):
+    """Every pool row's score under a fresh fit on the gathered rows: the
+    GP's ``fit`` and ``acquisition``, or the primal LinUCB's ``fit_batch``
+    and ``score_many`` (ridge 0.5)."""
+    if kind == "linucb":
+        model = LinUcb(table.dim, ridge=0.5)
+        model.fit_batch(table.matrix[rows], y)
+        return model.score_many(table.matrix)
+    model = GaussianProcess(**gp)
+    model.fit(table.matrix[rows], y)
+    return model.acquisition(table.matrix, table.sq_norms)
+
+
+def whitened_scores(kind, white, table, rows, y, products, **gp):
+    """Every pool row's score from the whitened rows, brought to ``rows``."""
+    if kind == "linucb":
+        model = LinUcb(table.dim, ridge=0.5)
+        return model.dual_scores(white, rows, y, products, table.sq_norms)
+    return GaussianProcess(**gp).whitened_scores(white, rows, y, products, table.sq_norms)
+
+
+def close_scores(computed, fresh):
+    """Within 1e-9 of the largest fresh score."""
+    return np.max(np.abs(computed - fresh)) <= 1e-9 * np.max(np.abs(fresh))
+
+
+class TestWhitenedRows:
+    """The run's whitened observed rows, which full passes with observations
+    extend by each round's new rows instead of refitting."""
 
     @pytest.mark.parametrize("dim, batch, rounds, seeds", [
         (768, 128, 5, range(10)), (64, 8, 5, range(3)), (8, 1, 6, range(3)),
     ])
     @pytest.mark.parametrize("kind", ["gp", "linucb"])
-    def test_memo_selects_the_rebuilt_batches(self, monkeypatch, kind, dim, batch, rounds, seeds):
+    def test_extended_state_selects_the_rebuilt_batches(self, monkeypatch, kind, dim, batch,
+                                                        rounds, seeds):
         # Molecule-shaped pools (2,000 rows, B = 128) and pools of 64 and 8
         # dimensions, with batches small enough for linucb's dual form
         # (3n <= 2d): every round after the first scores one block in a
-        # full pass from the memo. A memo that recomputes every row each
-        # round (other GEMM shapes, so possibly other bits) selects the
-        # same batches.
+        # full pass from the whitened rows, extended by the new rows alone.
+        # A state rebuilt from zero rows each round (other GEMM shapes and
+        # another factor order, so other bits) selects the same batches.
         config = ExperimentConfig(agent=kind, rounds=rounds, batch_size=batch, runs=1)
         for seed in seeds:
             pool = mixture_pool(seed, 2000, dim)
@@ -1668,6 +1724,9 @@ class TestObservedProducts:
             assert [rows.size for rows in computed] == [batch] * (rounds - 1)
             rebuild_every_round(monkeypatch)
             rebuilt = run_experiment(config, seed=0, pool=pool)
+            assert [rows.size for rows in computed[rounds - 1:]] == [
+                batch * r for r in range(1, rounds)
+            ]
             monkeypatch.undo()
             assert extended.selections == rebuilt.selections
 
@@ -1686,62 +1745,140 @@ class TestObservedProducts:
             assert np.concatenate(computed).tolist() == order
         assert built == [128, 256, 384, 512]
 
-    @staticmethod
-    def check_products(table, rows, products):
-        """``products`` are the rows' products with every pool row, to
-        within a GEMM's rounding (2 d u |x| |b| per entry, with room)."""
-        norms = np.sqrt(table.sq_norms)
-        reference = table.matrix[rows] @ table.matrix.T
-        assert products.shape == reference.shape
-        assert np.all(np.abs(products - reference) <= 1e-12 * np.outer(norms[rows], norms))
-
-    def test_feedback_that_does_not_extend_the_rows_rebuilds_them(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["gp", "linucb"])
+    def test_feedback_that_does_not_extend_the_rows_rebuilds_them(self, kind):
+        # Rows that extend the kept ones compute only the new rows; fewer
+        # rows, another order, one row changed, other rows, and more rows
+        # than the room for 64 (which takes larger arrays) compute all of
+        # theirs; the same rows again compute none. Every call's scores are
+        # a fresh fit's on its rows.
         rng = np.random.default_rng(40)
         table = EmbeddingTable(rng.standard_normal((300, 16)))
-        computed = memo_rows(monkeypatch)
-        memo = agents_module._ObservedProducts(table, 64)
+        white, products, _ = whitened(table.matrix, 64)
+        computed = []
+
+        def counted(out, rows):
+            computed.append(rows.copy())
+            products(out, rows)
+
+        gp = {"length_scale": 4.0}
+        y = rng.standard_normal(300)
+
+        def check(rows):
+            scores = whitened_scores(kind, white, table, rows, y[rows], counted, **gp)
+            assert close_scores(scores, fresh_scores(kind, table, rows, y[rows], **gp))
+
         first = rng.choice(300, 40, replace=False)
-        self.check_products(table, first, memo.of(first))
+        check(first)
         extended = np.concatenate([first, np.setdiff1d(np.arange(300), first)[:20]])
-        self.check_products(table, extended, memo.of(extended))
+        check(extended)
         assert computed[-1].tolist() == extended[40:].tolist()
         changed = extended.copy()
         changed[7] = 299
-        # Fewer rows, another order, one row changed, other rows, and more
-        # rows than the room for 64 (which takes a larger array).
         for rows in (extended[:30], extended[::-1], changed, np.arange(200, 260),
                      np.arange(100)):
-            self.check_products(table, rows, memo.of(rows))
+            check(rows)
             assert computed[-1].tolist() == rows.tolist()
-        self.check_products(table, np.arange(100), memo.of(np.arange(100)))
-        assert computed[-1].size == 0
+        calls = len(computed)
+        check(np.arange(100))
+        assert len(computed) == calls
+
+    @pytest.mark.parametrize("gp, extends", [
+        ({}, True),
+        ({"signal_var": 2.0, "noise_var": 1e-3}, True),
+        ({"noise_var": 1e-3}, False),
+    ])
+    def test_a_changed_reg_rebuilds(self, gp, extends):
+        # Unstandardized responses, so the signal (their variance, when
+        # unset) moves when rows are added. reg is 1e-4 by default and
+        # noise / signal for a set noise: constant with the signal set too,
+        # changed with the signal unset, which rebuilds every row.
+        rng = np.random.default_rng(41)
+        table = EmbeddingTable(rng.standard_normal((300, 16)))
+        white, products, _ = whitened(table.matrix)
+        computed = []
+
+        def counted(out, rows):
+            computed.append(rows.copy())
+            products(out, rows)
+
+        gp = {"length_scale": 4.0, "standardize": False, **gp}
+        y = 3.0 + rng.standard_normal(300)
+        rows = rng.choice(300, 60, replace=False)
+        whitened_scores("gp", white, table, rows[:40], y[rows[:40]], counted, **gp)
+        scores = whitened_scores("gp", white, table, rows, y[rows], counted, **gp)
+        assert computed[-1].tolist() == (rows[40:] if extends else rows).tolist()
+        assert close_scores(scores, fresh_scores("gp", table, rows, y[rows], **gp))
+
+    def test_a_schur_complement_that_is_not_positive_definite_rebuilds(self):
+        # Without noise, ten new rows equal to a kept one make the Schur
+        # complement zero but for rounding, which leaves it indefinite: the
+        # state rebuilds every row, jittered as the fit is (whose factor
+        # fails without jitter too), and a later extension keeps that
+        # jitter. The responses of the copies are equal, so the jittered
+        # fits agree.
+        rng = np.random.default_rng(42)
+        matrix = rng.standard_normal((300, 6))
+        matrix[250:260] = matrix[3]
+        table = EmbeddingTable(matrix)
+        white, products, _ = whitened(table.matrix)
+        computed = []
+
+        def counted(out, rows):
+            computed.append(rows.copy())
+            products(out, rows)
+
+        gp = {"length_scale": 3.0, "signal_var": 1.0, "noise_var": 0.0, "standardize": False}
+        y = rng.standard_normal(300)
+        y[250:260] = y[3]
+        rows = np.concatenate([np.arange(40), np.arange(250, 260), np.arange(100, 110)])
+        whitened_scores("gp", white, table, rows[:40], y[rows[:40]], counted, **gp)
+        assert white.jitter == 0.0
+        copies = rows[:50]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(GaussianProcess(**gp)._kernel(matrix[copies], matrix[copies]))
+        scores = whitened_scores("gp", white, table, copies, y[copies], counted, **gp)
+        assert computed[-1].tolist() == copies.tolist()
+        assert white.jitter > 0.0
+        assert close_scores(scores, fresh_scores("gp", table, copies, y[copies], **gp))
+        scores = whitened_scores("gp", white, table, rows, y[rows], counted, **gp)
+        assert computed[-1].tolist() == rows[50:].tolist()
+        assert close_scores(scores, fresh_scores("gp", table, rows, y[rows], **gp))
 
     @pytest.mark.parametrize("dim", [8, 64, 768])
-    def test_products_handed_in_score_as_computed_ones(self, dim):
-        # Fits and scores from the memo's products against those from
-        # products computed per call (the GP's own, and table.matrix[rows]
-        # @ X.T for the dual): within 1e-9 of the largest score (the largest
-        # difference seen was below 1e-13; the bits were equal at 768).
+    def test_extended_scores_match_fresh_fits(self, dim):
+        # Scores from a state built on half the training rows and extended
+        # by the rest, against fresh fits on the gathered rows: within 1e-9
+        # of the largest score.
         pool = mixture_pool(1, 1200, dim)
         table = pool.embeddings
         rng = np.random.default_rng(dim)
         train = rng.choice(len(pool), min(256, 2 * dim // 3), replace=False)
-        rows = np.setdiff1d(np.arange(len(pool)), train)
         y = pool.scores[train]
-        products = agents_module._ObservedProducts(table, train.size).of(train)
-        X, sq_norms = table.matrix[train], table.sq_norms[rows]
-        length = median_heuristic(table.matrix)
-        own, handed = GaussianProcess(length), GaussianProcess(length)
-        own.fit(X, y)
-        handed.fit(X, y, np.take(products, train, axis=1))
-        pairs = [(own.acquisition(table.matrix[rows], sq_norms),
-                  handed.acquisition(None, sq_norms, np.take(products, rows, axis=1)))]
-        own = DualLinUcb(X @ X.T, y, ridge=0.5)
-        handed = DualLinUcb(np.take(products, train, axis=1), y, ridge=0.5)
-        pairs.append((own.score_many(table.matrix[rows] @ X.T, sq_norms),
-                      handed.score_many(products[:, rows].T, sq_norms)))
-        for computed, supplied in pairs:
-            assert np.max(np.abs(computed - supplied)) <= 1e-9 * np.max(np.abs(computed))
+        gp = {"length_scale": median_heuristic(table.matrix)}
+        for kind in ("gp", "linucb"):
+            white, products, _ = whitened(table.matrix, train.size)
+            half = train.size // 2
+            whitened_scores(kind, white, table, train[:half], y[:half], products, **gp)
+            scores = whitened_scores(kind, white, table, train, y, products, **gp)
+            assert close_scores(scores, fresh_scores(kind, table, train, y, **gp))
+
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # The whitening runs in two column halves fixed by the pool size:
+        # on one thread or two, the state and the scores have the same bits.
+        pool = mixture_pool(2, 1000, 64)
+        table = pool.embeddings
+        rows = np.arange(0, 300, 3)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pool_module, "_available_cpus", lambda: workers)
+            white, products, _ = whitened(table.matrix)
+            whitened_scores("gp", white, table, rows[:60], pool.scores[rows[:60]], products,
+                            length_scale=8.0)
+            scores = whitened_scores("gp", white, table, rows, pool.scores[rows], products,
+                                     length_scale=8.0)
+            runs.append((scores, white.sums.copy()))
+        assert same_bits(runs[0][0], runs[1][0]) and same_bits(runs[0][1], runs[1][1])
 
 
 def test_lower_inverse_rejects_singular_factor():
@@ -1792,12 +1929,19 @@ def test_linucb_theta_matches_cho_solve(dim):
 
 
 @pytest.mark.parametrize("n", [5, BASE + 7, 3 * BASE])
-def test_dual_weights_match_cho_solve(n):
+def test_whitened_weights_match_cho_solve(n):
+    # The factor of a state built on the first rows and extended by the
+    # rest: its G^T (G y) solves (X X^T + ridge*I) w = y.
     rng = np.random.default_rng(n)
     X, y = rng.standard_normal((n, 2 * n)), rng.standard_normal(n)
-    gram = X @ X.T
-    model = DualLinUcb(gram, y, ridge=0.5)  # gram now holds X X^T + ridge*I
-    assert close_to(model._weights, cho_solve((cholesky(gram, lower=True), True), y))
+    white, products, sq_norms = whitened(X)
+    model = LinUcb(2 * n, ridge=0.5)
+    model.dual_scores(white, np.arange(n // 2 + 1), y[: n // 2 + 1], products, sq_norms)
+    model.dual_scores(white, np.arange(n), y, products, sq_norms)
+    G = white._G[:n, :n]
+    assert not np.triu(G, 1).any()
+    C = X @ X.T + 0.5 * np.eye(n)
+    assert close_to(G.T @ (G @ y), cho_solve((cholesky(C, lower=True), True), y))
 
 
 @pytest.mark.parametrize("n", [5, BASE + 7, 3 * BASE])

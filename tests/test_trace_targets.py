@@ -54,27 +54,38 @@ def test_every_target_is_patched_and_restored(monkeypatch):
 
 
 def test_surrogate_rounds_reach_the_wrapped_names():
-    # One round of each surrogate agent after some observations: the spans
-    # show that the agents call the names the tracer wraps.
+    # One round of each surrogate agent after some observations, over more
+    # than one block of unexplored rows, where the GP takes its bound pass:
+    # the spans show that the agents call the names the tracer wraps. A
+    # full pass with observations over at most one block (a gp round, or a
+    # linucb round in the dual form) scores from the run's whitened rows,
+    # which no wrapped name covers: its time shows only under the agent's
+    # select span.
     tracer = load_tracer()
-    pool = random_pool(np.random.default_rng(1), 300, 8)
+    pool = random_pool(np.random.default_rng(1), 2100, 8)
     observed = np.arange(20)
     feedback = Feedback(tuple(
         FeedbackRecord(pool.names[i], float(pool.scores[i]), False) for i in observed
     ))
-    trace = tracer.Tracer()
-    with trace.installed():
-        for kind in ("gp", "linucb"):
-            memory = CandidateMemory(pool)
-            memory.explore(observed)
-            agent = make_agent(ExperimentConfig(agent=kind, batch_size=8), pool, None, None)
-            agent.select(2, memory, feedback, np.random.default_rng(0))
-    names = {span["name"] for span in trace.span_table()}
+
+    def spans(explored):
+        trace = tracer.Tracer()
+        with trace.installed():
+            for kind in ("gp", "linucb"):
+                memory = CandidateMemory(pool)
+                memory.explore(explored)
+                agent = make_agent(ExperimentConfig(agent=kind, batch_size=8), pool, None, None)
+                agent.select(2, memory, feedback, np.random.default_rng(0))
+        return {span["name"] for span in trace.span_table()}
+
     assert {
         "agents.select.gp", "agents.select.linucb", "surrogates.top_b",
         "surrogates.gp.fit", "surrogates.gp.posterior",
         "surrogates.linucb.fit", "surrogates.linucb.score",
-    } <= names
+    } <= spans(observed)
+    whitened = spans(np.arange(100))  # 2,000 unexplored rows: one block
+    assert {"agents.select.gp", "surrogates.top_b"} <= whitened
+    assert not {"surrogates.gp.fit", "surrogates.gp.posterior"} & whitened
 
 
 def test_memory_spans_open_no_traced_span_off_the_calling_thread(threaded_scan, monkeypatch):

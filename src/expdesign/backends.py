@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-
-import requests
 
 from .errors import BackendError, ParseError, TransientBackendError
 
@@ -87,14 +90,26 @@ class ScriptedBackend(LlmBackend):
         return self._fn(self.calls, system, user)
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect: a 3xx reply reaches the caller as an error
+    status, so the Authorization header never leaves the configured host."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpBackend(LlmBackend):
-    """Chat-completions-style HTTP client.
+    """Chat-completions-style HTTP client on the standard library.
 
     Sends ``{"model", "messages": [system, user], "temperature",
     "max_tokens"}`` and reads ``choices[0].message.content``. The API key
     comes from the EXPDESIGN_API_KEY environment variable unless given
     explicitly. 429 and 5xx responses (and transport errors) raise
-    :class:`TransientBackendError`; other 4xx responses fail immediately.
+    :class:`TransientBackendError`; other 4xx responses, and every 3xx
+    (no redirect is followed), fail immediately. The endpoint must be an
+    absolute http or https URL with a host. Proxies come from the
+    environment (``HTTP(S)_PROXY``, ``NO_PROXY``) when the backend is built,
+    and each call opens its own connection.
     """
 
     def __init__(
@@ -106,11 +121,21 @@ class HttpBackend(LlmBackend):
     ):
         if not endpoint:
             raise BackendError("HTTP backend needs an endpoint URL")
+        try:
+            url = urllib.parse.urlsplit(endpoint)
+            url.port  # a port that is not a number in 0-65535 raises ValueError
+            usable = url.scheme in ("http", "https") and bool(url.hostname)
+        except ValueError:
+            usable = False
+        if not usable:
+            raise BackendError(
+                f"HTTP backend needs an absolute http or https URL with a host, got {endpoint!r}"
+            )
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
-        self._session = requests.Session()
+        self._opener = urllib.request.build_opener(_NoRedirect)
 
     def chat(self, system: str, user: str, params: SamplingParams | None = None) -> str:
         params = params or SamplingParams()
@@ -126,20 +151,28 @@ class HttpBackend(LlmBackend):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(
+            self.endpoint,
+            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers=headers,
+            method="POST",
+        )
         try:
-            resp = self._session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            try:
+                with self._opener.open(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                with exc:  # an error status arrives as HTTPError, holding the response
+                    status, body = exc.code, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise TransientBackendError(f"transport failure: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code} from {self.endpoint}")
-        if resp.status_code >= 400:
-            raise BackendError(
-                f"HTTP {resp.status_code} from {self.endpoint}: {resp.text[:200]}"
-            )
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"HTTP {status} from {self.endpoint}")
+        if status >= 300:
+            text = body.decode("utf-8", errors="replace")
+            raise BackendError(f"HTTP {status} from {self.endpoint}: {text[:200]}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:

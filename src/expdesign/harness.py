@@ -262,7 +262,10 @@ class ExperimentConfig:
             )
         if not self.llm_model:
             raise ConfigError("llm.endpoint needs llm.model")
-        return HttpBackend(self.llm_endpoint, self.llm_model)
+        try:
+            return HttpBackend(self.llm_endpoint, self.llm_model)
+        except BackendError as exc:
+            raise ConfigError(f"llm.endpoint: {exc}") from None
 
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}

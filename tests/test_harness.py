@@ -634,17 +634,23 @@ class TestCli:
         assert err.startswith(f"error: cannot write {out / name}: ")
         assert err.count("\n") == 1
 
-    def test_surrogate_runs_load_no_scipy(self, tmp_path):
+    def test_surrogate_runs_load_no_scipy_or_requests(self, tmp_path):
         # The program's linear algebra is numpy's alone, so a process that
         # runs both surrogates loads one BLAS library; scipy is for tests.
+        # The HTTP backend speaks through the standard library, so neither
+        # requests nor what it pulls in takes memory in any run. What the
+        # interpreter loaded before the program (a site .pth file may import
+        # certifi) is not counted.
         meas, emb = write_cli_dataset(tmp_path)
         script = (
             "import sys\n"
+            "startup = set(sys.modules)\n"
             "from expdesign.cli import main\n"
             "for agent in ('gp', 'linucb'):\n"
             f"    assert main(['run', '--dataset', {str(meas)!r}, '--embeddings', {str(emb)!r},"
             " '--agent', agent, '--rounds', '3', '--batch', '4', '--runs', '1']) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print(sorted(m for m in set(sys.modules) - startup if m.partition('.')[0] in"
+            " {'scipy', 'requests', 'urllib3', 'idna', 'charset_normalizer', 'certifi'}))\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -20,13 +20,14 @@ from .errors import ConfigError, NumericalError
 from .feedback import Feedback
 # embedding_distances is imported for perfbench/tracer.py, which wraps it here.
 from .memory import CandidateMemory, certified_least, embedding_distances  # noqa: F401
-from .pool import CandidatePool, EmbeddingTable, _on_threads
-from .prompts import parse_solution, render_prompt
+from .pool import CandidatePool, EmbeddingTable, _on_threads, _slices
+from .prompts import ParsedResponse, parse_solution, render_prompt
 from .surrogates import (
     _BLOCK_ROWS,
     GaussianProcess,
     LinUcb,
     WhitenedRows,
+    _standardized,
     median_heuristic,
     score_blocks,
     select_top_b,
@@ -109,20 +110,17 @@ def _on_rows(table: EmbeddingTable, fn: Callable[[np.ndarray, np.ndarray], np.nd
 
 def _products_into(out: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> None:
     """``out = matrix[rows] @ matrix.T``, written in place, as two row
-    halves (one for a single row) on up to two threads: the products of the
-    rows a run's whitened state adds (:class:`WhitenedRows`) with every pool
-    row. The halves depend on the row count alone, so the bits do not depend
-    on the CPU count. Entries that overflow are left inf, for the state to
-    reject."""
-    cut = rows.size // 2
-    parts = [(0, cut), (cut, rows.size)] if cut else [(0, rows.size)]
+    halves (one for a single row, ``pool._slices``) on up to two threads:
+    the products of the rows a run's whitened state adds
+    (:class:`WhitenedRows`) with every pool row. The halves depend on the
+    row count alone, so the bits do not depend on the CPU count. Entries
+    that overflow are left inf, for the state to reject."""
 
-    def product(part: tuple[int, int]) -> None:
-        lo, hi = part
-        np.matmul(matrix[rows[lo:hi]], matrix.T, out=out[lo:hi])
+    def product(part: slice) -> None:
+        np.matmul(matrix[rows[part]], matrix.T, out=out[part])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _on_threads(product, parts)
+        _on_threads(product, _slices(rows.size, 2))
 
 
 class Agent:
@@ -215,8 +213,7 @@ class LinUcbAgent(Agent):
     def select(self, round_num, memory, feedback, rng):
         idx, y = _observations(memory.pool, feedback)
         if self.standardize and y.size:
-            sd = float(y.std())
-            y = (y - y.mean()) / (sd if sd > 0.0 else 1.0)
+            y = _standardized(y)[0]
         primal, table = self.primal, memory.pool.embeddings
         full = _full_pass(memory, y.size > 0 and primal.dim >= _LINUCB_BOUND_MIN_DIM)
         if full and _use_dual(y.size, primal.dim):
@@ -437,15 +434,17 @@ class _LlmAgentBase(Agent):
     def _ask(self, round_num: int, feedback: Feedback | None, expected: int) -> list[str]:
         spec = dataclasses.replace(self.spec, round_num=round_num, feedback=feedback)
         system, user = render_prompt(spec)
+        # The validator keeps each reply it parses; the accepted one is last.
+        replies: list[ParsedResponse] = []
         raw = chat_with_retry(
             self.backend,
             system,
             user,
             self.retry_policy,
             self.sampling,
-            validator=lambda text: parse_solution(text, expected),
+            validator=lambda text: replies.append(parse_solution(text, expected)),
         )
-        parsed = parse_solution(raw, expected)
+        parsed = replies[-1]
         self.trace(
             {
                 "event": "llm_call",

@@ -76,6 +76,8 @@ class ScriptedBackend(LlmBackend):
                 return path.read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise BackendError(f"scripted fixture {path} is not UTF-8 text: {exc}") from None
+            except OSError as exc:  # permission denied, removed since the check
+                raise BackendError(f"cannot read scripted fixture {path}: {exc}") from None
 
         return cls(fn=read_fixture)
 

@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, _on_threads
+from .pool import METRIC_COSINE, METRIC_L2_SQUARED, CandidatePool, _on_threads, _slices
 
 # Range gate of the f32 stage (see _l2_error_bound): the greatest squared
 # norm of a row or query.
@@ -71,7 +71,7 @@ _BLOCK_ROWS = 1024
 _ABSORB_ROWS = 32
 
 # Fewest rows per span of the f32 scan: n rows are cut into
-# max(1, n // _SPAN_ROWS) spans of nearly equal size (see _on_spans). On
+# max(1, n // _SPAN_ROWS) spans of nearly equal size (pool._slices). On
 # gene-screen (18k x 256, 2 CPUs, one BLAS thread; perfbench seed 0,
 # `--seconds 12`, four alternating runs each) `round_ms.p50` read a median of
 # 8.34 ms without spans, 7.20 ms at 2048, 6.79 ms at 4096 and 6.44 ms at 8192
@@ -271,8 +271,13 @@ class CandidateMemory:
         gate, whose bound is inf) is made -inf, so that its row is ranked by
         its direct distance.
 
-        The spans run on threads (:func:`_on_spans`); each writes only its
-        own columns of the result. A one-query call (a nearest-neighbour
+        The n rows are cut into max(1, n // _SPAN_ROWS) spans
+        (``pool._slices``), which run by ``pool._on_threads``; each writes
+        only its own columns of the result. A pool of fewer than 2
+        _SPAN_ROWS rows is one span, which starts no thread. No span may
+        call a function that perfbench's tracer wraps
+        (``embedding_distances`` among them): its span stack is shared by
+        all threads. A one-query call (a nearest-neighbour
         query, or a row the coreset's cover absorbs) is one span on the
         calling thread: its product is a matrix-vector product bound by
         memory bandwidth, which a second thread does not speed up. Both
@@ -313,7 +318,7 @@ class CandidateMemory:
         if len(queries) == 1:
             span(slice(0, len(matrix)))
         else:
-            _on_spans(span, len(matrix))
+            _on_threads(span, _slices(len(matrix), len(matrix) // _SPAN_ROWS))
         low[:, skip] = np.inf
 
         def exact(j: int, rows: np.ndarray) -> np.ndarray:
@@ -331,20 +336,6 @@ class CandidateMemory:
                 self._rows32 = table.matrix.astype(np.float32)
             self._scan_norms = _gated_norms(table.sq_norms)
         return self._rows32, self._scan_norms
-
-
-def _on_spans(task: Callable[[slice], None], n: int) -> None:
-    """``task(rows)`` for n rows cut into max(1, n // _SPAN_ROWS) consecutive
-    spans of nearly equal size, by ``pool._on_threads``: on min(CPUs
-    available, spans) threads counting the calling one. The spans depend on
-    n alone, and a pool of fewer than 2 _SPAN_ROWS rows is one span, which
-    starts no thread. No task may call a function that perfbench's tracer
-    wraps (``embedding_distances`` among them): its span stack is shared by
-    all threads."""
-    count = max(1, n // _SPAN_ROWS)
-    cuts = [n * i // count for i in range(count + 1)]
-    spans = [slice(lo, end) for lo, end in zip(cuts, cuts[1:])]
-    _on_threads(task, spans)
 
 
 def _gated_norms(sq_norms: np.ndarray) -> np.ndarray:

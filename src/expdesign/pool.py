@@ -511,6 +511,14 @@ def _on_threads(task: Callable[[_Item], None], items: Sequence[_Item]) -> None:
         raise errors[0]
 
 
+def _slices(n: int, parts: int) -> list[slice]:
+    """range(n) cut at n * i // k into k = max(1, min(parts, n)) slices, the
+    items of a threaded pass (:func:`_on_threads`) whose bits then do not
+    depend on the CPU count; n = 0 is one empty slice."""
+    k = max(1, min(parts, n))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def _may_fork() -> bool:
     """Whether this process may fork parsers: on Linux, and only while it
     runs one OS thread. A fork copies just the calling thread, so a lock

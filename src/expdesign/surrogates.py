@@ -220,7 +220,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .memory import CandidateMemory, _gated_norms
-from .pool import _on_threads
+from .pool import _on_threads, _slices
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -254,21 +254,41 @@ def _fill_lower_inverse(chol: np.ndarray, inv: np.ndarray) -> None:
     np.negative(lower, out=lower)
 
 
-def _cholesky(matrix: np.ndarray, name: str) -> np.ndarray:
-    """The lower Cholesky factor of a symmetric matrix (np.linalg.cholesky),
-    or a NumericalError naming it when it is not finite (embeddings so large
-    that their products overflow) or not positive-definite in floats (a
-    ridge too small against the rows' norms)."""
-    if not np.isfinite(matrix).all():
+def _jittered_cholesky(
+    matrix: np.ndarray,
+    name: str,
+    hint: str,
+    shift: float = 0.0,
+    jitters: Sequence[float] = (),
+    less: np.ndarray | float = 0.0,
+) -> tuple[np.ndarray, float]:
+    """The lower Cholesky factor of the symmetric matrix + (shift + j) I -
+    ``less`` at the first j of 0 and then ``jitters`` that has one in
+    floats, and that j. A ``matrix`` or ``less`` that is not finite
+    (embeddings so large that their products overflow), or no such j, is a
+    NumericalError that ``name`` and ``hint`` word."""
+    if not (np.isfinite(matrix).all() and np.isfinite(less).all()):
         raise NumericalError(
             f"{name} is not finite; the embeddings are too large for their products"
         )
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"{name} is not positive-definite; a larger linucb ridge may help"
-        ) from None
+    for jitter in (0.0, *jitters):
+        shifted = matrix.copy()
+        shifted.flat[:: len(matrix) + 1] += shift + jitter
+        shifted -= less
+        try:
+            return np.linalg.cholesky(shifted), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericalError(f"{name} is not positive-definite{hint}")
+
+
+def _standardized(y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The z-scores of the responses y (at least one), their mean and their
+    standard deviation, 1.0 for responses that are all equal."""
+    mu = float(y.mean())
+    sd = float(y.std())
+    sd = sd if sd > 0.0 else 1.0
+    return (y - mu) / sd, mu, sd
 
 
 class LinUcb:
@@ -346,7 +366,8 @@ class LinUcb:
 
     def _factor(self) -> None:
         """theta = A^-1 b and L^-1 from one Cholesky factor A = L L^T."""
-        G = _lower_inverse(_cholesky(self.A, "LinUCB matrix A"))
+        chol, _ = _jittered_cholesky(self.A, "LinUCB matrix A", "; a larger linucb ridge may help")
+        G = _lower_inverse(chol)
         self._theta = G.T @ (G @ self.b)
         self._chol_inv = G
 
@@ -523,41 +544,34 @@ class WhitenedRows:
             try:
                 self._extend(rows, kept, reg + self.jitter)
                 return
-            except np.linalg.LinAlgError:
+            except NumericalError:
                 pass
         self.rows = rows[:0]
         fill(self._V[:n], rows)
-        for jitter in (0.0, *jitters):
-            try:
-                self._extend(rows, 0, reg + jitter)
-            except np.linalg.LinAlgError:
-                continue
-            self.reg, self.jitter = reg, jitter
-            return
-        raise NumericalError(f"{self.name} is not positive-definite{self.hint}")
+        self.jitter = self._extend(rows, 0, reg, jitters)
+        self.reg = reg
 
-    def _extend(self, rows: np.ndarray, kept: int, reg: float) -> None:
+    def _extend(
+        self, rows: np.ndarray, kept: int, reg: float, jitters: Sequence[float] = ()
+    ) -> float:
         """Extend the state of rows[:kept] by rows[kept:], whose rows of M
-        are in V[kept:n]. With K21 and K22 their entries with the kept and
-        the new rows: L21 = K21 G11^T, L22 = chol(K22 + reg*I - L21 L21^T),
+        are in V[kept:n], and return the jitter j it took. With K21 and K22
+        their entries with the kept and the new rows: L21 = K21 G11^T, L22 =
+        chol(K22 + (reg + j) I - L21 L21^T) (:func:`_jittered_cholesky`),
         G22 = L22^-1, G21 = -G22 (L21 G11), V_new = G22 (M_new - L21 V_old)
-        and c += sum V_new^2. The V step runs as two column halves on
-        ``pool._on_threads``; the halves depend on the column count alone, so
-        the bits do not depend on the CPU count. A LinAlgError (L22 does not
-        exist in floats) leaves the state as it was."""
+        and c += sum V_new^2. The V step runs as two column halves
+        (``pool._slices``) on ``pool._on_threads``, so the bits do not depend
+        on the CPU count. A NumericalError leaves the state as it was."""
         n, G, V = rows.size, self._G, self._V
         new = V[kept:n]
-        K21 = np.take(new, rows[:kept], axis=1)
-        S = np.take(new, rows[kept:], axis=1)
-        if not (np.isfinite(K21).all() and np.isfinite(S).all()):
-            raise NumericalError(
-                f"{self.name} is not finite; the embeddings are too large for their products"
-            )
         G11 = G[:kept, :kept]
-        L21 = K21 @ G11.T
-        S.flat[:: n - kept + 1] += reg
-        S -= L21 @ L21.T
-        G22 = _lower_inverse(np.linalg.cholesky(S))
+        # Entries that are not finite make L21 L21^T so, which is rejected.
+        with np.errstate(over="ignore", invalid="ignore"):
+            L21 = np.take(new, rows[:kept], axis=1) @ G11.T
+            less = L21 @ L21.T
+        L22, jitter = _jittered_cholesky(np.take(new, rows[kept:], axis=1), self.name,
+                                         self.hint, reg, jitters, less)
+        G22 = _lower_inverse(L22)
         G21 = G[kept:n, :kept]
         np.matmul(G22, L21 @ G11, out=G21)
         np.negative(G21, out=G21)
@@ -572,10 +586,9 @@ class WhitenedRows:
             np.matmul(G22, block, out=out)
             self.sums[cols] += np.einsum("ij,ij->j", out, out)
 
-        half = self.columns // 2
-        _on_threads(whiten, [slice(0, half), slice(half, self.columns)] if half
-                    else [slice(0, self.columns)])
+        _on_threads(whiten, _slices(self.columns, 2))
         self.rows = rows.copy()
+        return jitter
 
     def project(self, t: np.ndarray) -> np.ndarray:
         """V^T (G t) for the kept rows' vector t: one entry per column."""
@@ -710,28 +723,25 @@ class GaussianProcess:
             a_sq_norms = np.square(A).sum(axis=1)
         return _rbf_in_place(A @ B.T, a_sq_norms, b_sq_norms, self.length_scale**2, self._signal)
 
-    def _targets(self, y: np.ndarray) -> tuple[np.ndarray, float, float, float, float]:
+    def _targets(self, y: np.ndarray) -> tuple[np.ndarray, float, float, float, float, tuple]:
         """The standardized targets z of the responses y (observations), mu
-        and sd, the signal variance and the noise variance of a fit on them."""
-        if self.standardize:
-            mu = float(y.mean())
-            sd = float(y.std())
-            sd = sd if sd > 0.0 else 1.0
-        else:
-            mu, sd = 0.0, 1.0
-        z = (y - mu) / sd
+        and sd, the signal variance and the noise variance of a fit on them,
+        and the jitters relative to the signal that its factor tries:
+        _GP_JITTERS, or none where 1e-12 of the signal underflows to 0."""
+        z, mu, sd = _standardized(y) if self.standardize else (y, 0.0, 1.0)
         if self.signal_var is not None:
             signal = self.signal_var
         else:
             var = float(z.var())
             signal = var if var > 0.0 else 1.0
         noise = self.noise_var if self.noise_var is not None else 1e-4 * signal
-        return z, mu, sd, signal, noise
+        return z, mu, sd, signal, noise, _GP_JITTERS if 1e-12 * signal > 0.0 else ()
 
     def fit(self, X: np.ndarray, y: Sequence[float]) -> None:
-        """Refit on the full training set (replaces any previous fit). A
-        kernel matrix that is not finite (embeddings so large that their
-        squares overflow) is a NumericalError."""
+        """Refit on the full training set (replaces any previous fit),
+        factoring K + (noise + j s) I, s the signal variance, at the first j
+        of 0 and then _GP_JITTERS that has a factor. A kernel matrix that is
+        not finite, or has no such j, is a NumericalError."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] != y.shape[0]:
@@ -743,29 +753,13 @@ class GaussianProcess:
             self._alpha = None
             self._mu, self._sd = 0.0, 1.0
             return
-        z, self._mu, self._sd, self._signal, noise = self._targets(y)
+        z, self._mu, self._sd, self._signal, noise, jitters = self._targets(y)
 
         with np.errstate(over="ignore", invalid="ignore"):
             sq_norms = np.square(X).sum(axis=1)
             K = self._kernel(X, X, sq_norms, sq_norms)
-        if not np.isfinite(K).all():
-            raise NumericalError(
-                "GP kernel matrix is not finite; the embeddings are too large for their squares"
-            )
-        n = K.shape[0]
-        jitter = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(K + (noise + jitter) * np.eye(n))
-                break
-            except np.linalg.LinAlgError:
-                # A signal so small that 1e-12 of it underflows to 0 has
-                # no jitter to try.
-                jitter = max(jitter * 10.0, 1e-12 * self._signal)
-                if not 0.0 < jitter <= 1e-4 * self._signal:
-                    raise NumericalError(
-                        "kernel matrix is not positive-definite even after jitter"
-                    ) from None
+        chol, _ = _jittered_cholesky(K, "GP kernel matrix", " even after jitter", noise,
+                                     [j * self._signal for j in jitters])
         self._X = X
         self._sq_norms = sq_norms
         G = _lower_inverse(chol)
@@ -816,7 +810,7 @@ class GaussianProcess:
         jitters as :meth:`fit` does, by 1e-12 to 1e-4 of s. ``sq_norms`` are
         every pool row's squared norms (``EmbeddingTable.sq_norms``). This
         model's own fit is neither read nor changed."""
-        z, mu, sd, signal, noise = self._targets(np.asarray(y, dtype=np.float64))
+        z, mu, sd, signal, noise, jitters = self._targets(np.asarray(y, dtype=np.float64))
         reg = 1e-4 if self.noise_var is None and noise > 0.0 else noise / signal
         length_sq = self.length_scale**2
 
@@ -825,9 +819,7 @@ class GaussianProcess:
             with np.errstate(over="ignore", invalid="ignore"):
                 _rbf_in_place(out, sq_norms[idx], sq_norms, length_sq)
 
-        # A signal so small that 1e-12 of it underflows to 0 has no jitter
-        # to try.
-        white.update(rows, reg, kernel, _GP_JITTERS if 1e-12 * signal > 0.0 else ())
+        white.update(rows, reg, kernel, jitters)
         width = sd * np.sqrt(signal * np.maximum(1.0 - white.sums, 0.0))
         return mu + sd * white.project(z) + self.beta * width
 
@@ -1066,8 +1058,9 @@ _KERNEL_ROWS = 16
 # trtri's.
 _INVERSE_BASE = 32
 
-# Jitters of a whitened GP rebuild, relative to the signal variance: those
-# GaussianProcess.fit adds in turn, 1e-12 to 1e-4 of it.
+# Jitters that a GP factor which fails without one tries in turn, relative
+# to the signal variance (GaussianProcess._targets): GaussianProcess.fit and
+# the rebuild of its whitened rows alike.
 _GP_JITTERS = tuple(10.0**k for k in range(-12, -3))
 
 # Leading rows and columns of L^-1 behind GaussianProcess.bound_fn. The

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expdesign.agents as agents_module
 from expdesign.agents import coreset_select, make_agent
 from expdesign.backends import ScriptedBackend
 from expdesign.errors import ConfigError
@@ -12,6 +13,7 @@ from expdesign.feedback import Feedback, FeedbackRecord, randomize_feedback
 from expdesign.harness import ExperimentConfig
 from expdesign.memory import CandidateMemory
 from expdesign.pool import build_pool
+from expdesign.prompts import parse_solution
 
 from conftest import DATA_DIR, naive_allocate
 
@@ -408,6 +410,29 @@ class TestLlmnnAgent:
         call = next(e for e in events if e["event"] == "llm_call")
         assert "**Reflection" not in call["user"]
         assert "**Solution:" in call["user"]
+
+    def test_each_reply_is_parsed_once(self, monkeypatch):
+        # Two replies without a Solution marker are rejected, and the third
+        # is accepted: the module's parse_solution (which perfbench's tracer
+        # wraps) runs once per attempt, and the trace holds the accepted
+        # reply's parse.
+        parsed = []
+
+        def counted(text, expected):
+            parsed.append(text)
+            return parse_solution(text, expected)
+
+        monkeypatch.setattr(agents_module, "parse_solution", counted)
+        good = "**Solution:\n## ABL1\n## MYBL2\n## GBF1\n## DDX41\n## ZMAT2"
+        backend = ScriptedBackend(texts=["no marker", "still none", good])
+        events = []
+        pool = gene_pool()
+        agent = self.make_agent(pool, backend, trace=events.append)
+        agent.select(1, CandidateMemory(pool), None, np.random.default_rng(0))
+        assert parsed == ["no marker", "still none", good] and backend.calls == 3
+        call = next(e for e in events if e["event"] == "llm_call")
+        assert call["response"] == good
+        assert call["parsed"] == ["ABL1", "MYBL2", "GBF1", "DDX41", "ZMAT2"]
 
 
 class TestBdaAgent:

@@ -828,6 +828,33 @@ class TestCli:
             assert err.startswith(prefix) and str(path) in err and "UTF-8" in err, err
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_unreadable_fixture_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A fixture that exists but cannot be read (permission denied, or
+        # removed after the check) is a run failure naming the file, never a
+        # traceback.
+        meas, emb = write_cli_dataset(tmp_path)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        path = fixtures / "round-1.txt"
+        path.write_text("**Solution:\n## c1\n", encoding="utf-8")
+        read_text = Path.read_text
+
+        def denied(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dataset_key": "il2"}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--dataset", str(meas),
+                     "--embeddings", str(emb), "--agent", "llmnn", "--rounds", "1",
+                     "--batch", "4", "--runs", "1", "--fixtures", str(fixtures),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failure:") and str(path) in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bda_replays_fixtures_with_default_retries(self, tmp_path):
         # Each fixture names 5 genes for a batch of 20, so every round
         # re-prompts; a re-prompt must re-read its own round's file.

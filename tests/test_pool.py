@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from expdesign import memory as memory_module
 from expdesign import pool as pool_module
 from expdesign.errors import DatasetError
 from expdesign.pool import (
@@ -847,3 +848,31 @@ def test_on_threads_runs_on_one_thread_per_cpu_and_item(monkeypatch, cpus, items
     pool_module._on_threads(done.append, range(items))
     assert sorted(done) == list(range(items))
     assert len(started) == max(0, min(cpus, items) - 1)
+
+
+def old_spans(n):
+    """The f32 scan's spans as the memory cut them before pool._slices."""
+    count = max(1, n // memory_module._SPAN_ROWS)
+    cuts = [n * i // count for i in range(count + 1)]
+    return [slice(lo, end) for lo, end in zip(cuts, cuts[1:])]
+
+
+def old_halves(n):
+    """The product rows' and the whitened columns' halves as they were cut
+    before pool._slices (cut = n // 2)."""
+    cut = n // 2
+    return [slice(0, cut), slice(cut, n)] if cut else [slice(0, n)]
+
+
+@pytest.mark.parametrize("n", [*range(6), *range(2 * memory_module._SPAN_ROWS - 2,
+                                                 2 * memory_module._SPAN_ROWS + 3)])
+def test_slices_partition_rows_as_the_old_cuts(n):
+    # Consecutive slices that cover range(n) once, none empty but the one
+    # slice of n = 0, and the same cuts as the scan spans and the halves.
+    for parts in (1, 2, 3):
+        slices = pool_module._slices(n, parts)
+        assert len(slices) == max(1, min(parts, n))
+        assert [i for s in slices for i in range(n)[s]] == list(range(n))
+        assert all(s.stop > s.start for s in slices) if n else slices == [slice(0, 0)]
+    assert pool_module._slices(n, n // memory_module._SPAN_ROWS) == old_spans(n)
+    assert pool_module._slices(n, 2) == old_halves(n)

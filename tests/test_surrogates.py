@@ -511,6 +511,30 @@ class TestGaussianProcess:
             assert np.allclose(mean, emean, rtol=1e-8, atol=1e-10)
             assert np.allclose(var, np.clip(evar, 0.0, None), rtol=1e-8, atol=1e-8)
 
+    @pytest.mark.parametrize("offset, copies, signal_var", [
+        (0.0, 2, None), (0.0, 3, 1e-3), (0.0, 8, 5.0), (1e3, 2, None),
+    ])
+    def test_jittered_fit_has_the_first_factoring_rungs_bits(self, offset, copies, signal_var):
+        # Duplicated rows without noise: K has no factor, and the fit's L^-1
+        # is that of K + (noise + j s) I at the first j of _GP_JITTERS that
+        # has one, bit for bit. Rows offset by 1e3 lose bits of their
+        # distances to cancellation; with OpenBLAS their K needs the third
+        # rung, 1e-10 s.
+        rng = np.random.default_rng(copies)
+        X = np.tile(rng.standard_normal((6, 3)) + offset, (copies, 1))
+        gp = GaussianProcess(length_scale=1.5, signal_var=signal_var, noise_var=0.0)
+        gp.fit(X, rng.standard_normal(len(X)))
+        K, eye = gp._kernel(X, X), np.eye(len(X))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(K)
+        for jitter in surrogates._GP_JITTERS:
+            try:
+                chol = np.linalg.cholesky(K + (0.0 + jitter * gp._signal) * eye)
+                break
+            except np.linalg.LinAlgError:
+                continue
+        assert same_bits(gp._chol_inv, _lower_inverse(chol))
+
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
